@@ -20,12 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from . import mainlemma, potential, subfun, treeset, verify
-from .geometry import LatticeCube
+from .geometry import InvalidRegionError, LatticeCube
 from .treeset import GrowthParameters, GrowthValidationError, parse_growth
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_BAD_CONFIG = 3
+
+#: Errors ``main`` reports as an invalid configuration (exit 3).
+CONFIG_ERRORS = (GrowthValidationError, mainlemma.ConfigurationError,
+                 treeset.ParameterRangeError, verify.DomainError,
+                 potential.KernelDomainError, InvalidRegionError,
+                 FileNotFoundError)
+#: Errors ``main`` reports as a failed check (exit 2).
+CHECK_ERRORS = (subfun.GuardConsistencyError, potential.ConvergenceError,
+                mainlemma.CoverInvariantError)
 
 
 @dataclass
@@ -166,10 +175,25 @@ def cmd_build(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise mainlemma.ConfigurationError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_function(path: Path):
-    doc = json.loads(path.read_text())
-    g = parse_growth(doc["f"], doc["d"])
-    ub = subfun.build_u(g, doc["k"], guard_samples=4096)
+    doc = _read_json(path)
+    try:
+        f, d, k = doc["f"], doc["d"], doc["k"]
+    except (KeyError, TypeError) as exc:
+        raise mainlemma.ConfigurationError(
+            f"{path} is not a function document ({exc!r})") from exc
+    if not (isinstance(f, str) and type(d) is int and type(k) is int):
+        raise mainlemma.ConfigurationError(
+            f"{path}: f must be a string, d and k integers")
+    g = parse_growth(f, d)
+    ub = subfun.build_u(g, k, guard_samples=4096)
     return g, ub, doc
 
 
@@ -254,20 +278,27 @@ def _parse_e_spec(spec: str, cfg: RunConfig) -> mainlemma.RogueConfiguration:
         return mainlemma.RogueConfiguration(cfg.N, cfg.d, set(), **kwargs)
     if spec.startswith("random:"):
         arg = spec.split(":", 1)[1]
-        if arg.startswith("density="):
-            val = arg.split("=", 1)[1]
-            power = {"sqrt": 0.5, "half": 0.5, "volume": float(cfg.d)}.get(val)
-            power = float(val.rstrip()) if power is None and val not in ("sqrt", "half") else power
-            count = int(round(cfg.N**power))
-        elif arg.startswith("count="):
-            count = int(arg.split("=", 1)[1])
-        else:
-            raise GrowthValidationError(f"bad E spec {spec!r}")
+        try:
+            if arg.startswith("density="):
+                val = arg.split("=", 1)[1]
+                power = {"sqrt": 0.5, "half": 0.5, "volume": float(cfg.d)}.get(val)
+                count = int(round(cfg.N ** (float(val) if power is None else power)))
+            elif arg.startswith("count="):
+                count = int(arg.split("=", 1)[1])
+            else:
+                raise GrowthValidationError(f"bad E spec {spec!r}")
+        except (ValueError, OverflowError) as exc:
+            raise GrowthValidationError(f"bad E spec {spec!r}: {exc}") from exc
+        if count < 0:
+            raise GrowthValidationError(f"bad E spec {spec!r}: negative count")
         return mainlemma.RogueConfiguration.random(cfg.N, cfg.d, count, cfg.seed, **kwargs)
     if spec.startswith("file:"):
-        cubes = json.loads(Path(spec.split(":", 1)[1]).read_text())
-        return mainlemma.RogueConfiguration(cfg.N, cfg.d,
-                                            {tuple(c) for c in cubes}, **kwargs)
+        cubes = _read_json(Path(spec.split(":", 1)[1]))
+        try:
+            E = {tuple(int(v) for v in c) for c in cubes}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GrowthValidationError(f"bad cube list in {spec!r}: {exc}") from exc
+        return mainlemma.RogueConfiguration(cfg.N, cfg.d, E, **kwargs)
     if spec.startswith("function:"):
         _g, ub, _doc = _load_function(Path(spec.split(":", 1)[1]))
         return mainlemma.RogueConfiguration.from_function(
@@ -282,18 +313,21 @@ def cmd_lemma(cfg: RunConfig, e_spec: str, with_contraction: bool = False,
     cover = mainlemma.build_cover(config, rho)
     result = mainlemma.kappa_chains(config, rho, cover)
     ch = result.checks
+    # with k_max = 0 there are no layers: the layer checks and the phi
+    # search ran on nothing, so they are flagged rather than passed
+    ran = None if config.k_max == 0 else True
     checks = [
-        _verdict("property_M", ch.property_m,
+        _verdict("property_M", ran and ch.property_m,
                  min_fraction=min(ch.property_m_detail.values(), default=1.0)),
-        _verdict("x_fraction", ch.x_ok, fraction=ch.x_fraction),
-        _verdict("kappa_count", ch.kappa_ok, bound=result.sum_inv_m / 24.0,
+        _verdict("x_fraction", ran and ch.x_ok, fraction=ch.x_fraction),
+        _verdict("kappa_count", ran and ch.kappa_ok, bound=result.sum_inv_m / 24.0,
                  detail=ch.kappa_detail),
         _verdict("claim1", True, fitted_c1=ch.claim1_c1,
                  fitted_c2=mainlemma.fitted_c2(config, cover),
                  e_count=len(config.E)),
     ]
     bv = mainlemma.bound_value(cfg.N, len(config.E), cfg.d)
-    checks.append(_verdict("bound_value", True, psi=bv.psi_value,
+    checks.append(_verdict("bound_value", ran, psi=bv.psi_value,
                            log_bound=bv.log_bound, phi_argmin=bv.phi_min_x))
     write_csv(cfg.out / "chains.csv",
               ["corner", "n_layers", "n_kappa", "b_value"],
@@ -447,10 +481,12 @@ def main(argv=None) -> int:
             return cmd_potential(cfg, args.oracle, args.walks, args.claims)
         if args.command == "report":
             return cmd_report(cfg)
-    except (GrowthValidationError, mainlemma.ConfigurationError,
-            treeset.ParameterRangeError, FileNotFoundError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except CHECK_ERRORS as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     return EXIT_BAD_CONFIG
 
 

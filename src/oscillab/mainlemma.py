@@ -122,45 +122,32 @@ class RogueConfiguration:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
-def _disk_rect_area(cx, cy, r, x1, x2, y1, y2) -> np.ndarray:
-    """Areas of disk((cx,cy), r) ∩ [x1,x2]x[y1,y2], vectorized over
-    rectangles, by Gauss-Legendre quadrature of the chord length."""
-    x1 = np.asarray(x1, dtype=float) - cx
-    x2 = np.asarray(x2, dtype=float) - cx
-    y1 = np.asarray(y1, dtype=float) - cy
-    y2 = np.asarray(y2, dtype=float) - cy
-    a = np.maximum(x1, -r)
-    b = np.minimum(x2, r)
-    width = np.maximum(b - a, 0.0)
-    mid = (a + b) / 2.0
-    xs = mid[:, None] + (width / 2.0)[:, None] * _GL_NODES[None, :]
-    g = np.sqrt(np.maximum(r**2 - xs**2, 0.0))
-    chord = np.maximum(np.minimum(y2[:, None], g) - np.maximum(y1[:, None], -g), 0.0)
-    return (width / 2.0) * np.sum(chord * _GL_WEIGHTS[None, :], axis=1)
-
-
-def _ball_box_volume_3d(c, r, lo, hi) -> np.ndarray:
-    """Volumes of ball(c, r) ∩ boxes, by a 2d Gauss grid of cap chords."""
-    lo = np.atleast_2d(lo) - c
-    hi = np.atleast_2d(hi) - c
-    a = np.maximum(lo[:, 0], -r)
-    b = np.minimum(hi[:, 0], r)
-    wx = np.maximum(b - a, 0.0)
-    xs = ((a + b) / 2.0)[:, None] + (wx / 2.0)[:, None] * _GL_NODES[None, :]
-    out = np.zeros(lo.shape[0])
-    for i in range(lo.shape[0]):
-        if wx[i] <= 0:
-            continue
-        rx2 = np.maximum(r**2 - xs[i] ** 2, 0.0)
-        ry = np.sqrt(rx2)
-        ay = np.maximum(lo[i, 1], -ry)
-        by = np.minimum(hi[i, 1], ry)
-        wy = np.maximum(by - ay, 0.0)
-        ys = ((ay + by) / 2.0)[:, None] + (wy / 2.0)[:, None] * _GL_NODES[None, :]
-        g = np.sqrt(np.maximum(rx2[:, None] - ys**2, 0.0))
-        chord = np.maximum(np.minimum(hi[i, 2], g) - np.maximum(lo[i, 2], -g), 0.0)
-        inner = np.sum(chord * _GL_WEIGHTS[None, :], axis=1) * (wy / 2.0)
-        out[i] = float(np.sum(inner * _GL_WEIGHTS) * wx[i] / 2.0)
+def _ball_box_measure(c, r, lo, hi) -> np.ndarray:
+    """Measures of ball(c, r) ∩ [lo, hi] for each row of the box corners
+    lo, hi: tensor Gauss-Legendre quadrature over the first d-1 axes, each
+    node restricting the ball to a lower-dimensional slice, and the exact
+    chord on the last axis."""
+    lo = lo - c
+    hi = hi - c
+    d = lo.shape[1]
+    rad = r                       # slice radius at the quadrature nodes
+    rad2 = np.asarray(r**2)
+    half_widths = []
+    for j in range(d - 1):
+        lo_j = lo[:, j].reshape((-1,) + (1,) * j)
+        hi_j = hi[:, j].reshape((-1,) + (1,) * j)
+        a = np.maximum(lo_j, -rad)
+        b = np.minimum(hi_j, rad)
+        half = np.maximum(b - a, 0.0) / 2.0
+        xs = ((a + b) / 2.0)[..., None] + half[..., None] * _GL_NODES
+        rad2 = np.maximum(rad2[..., None] - xs**2, 0.0)
+        rad = np.sqrt(rad2)
+        half_widths.append(half)
+    shape = (-1,) + (1,) * (d - 1)
+    out = np.maximum(np.minimum(hi[:, -1].reshape(shape), rad)
+                     - np.maximum(lo[:, -1].reshape(shape), -rad), 0.0)
+    for half in reversed(half_widths):
+        out = np.sum(out * _GL_WEIGHTS, axis=-1) * half
     return out
 
 
@@ -181,16 +168,12 @@ def measure_K_in_ball(x: np.ndarray, radius: float, config: RogueConfiguration,
     if not near.any():
         return vol
     lo = e[near]
-    if d == 2:
-        areas = _disk_rect_area(x[0], x[1], radius, lo[:, 0], lo[:, 0] + 1,
-                                lo[:, 1], lo[:, 1] + 1)
-    else:
-        areas = _ball_box_volume_3d(x, radius, lo, lo + 1.0)
-    return vol - float(np.sum(areas))
+    return vol - float(np.sum(_ball_box_measure(x, radius, lo, lo + 1.0)))
 
 
 def compute_r(x, config: RogueConfiguration, rel_tol: float = 1e-3,
-              t_cap: float | None = None) -> tuple[float, bool]:
+              t_cap: float | None = None,
+              e_pts: np.ndarray | None = None) -> tuple[float, bool]:
     """inf over t of the density condition
     m(K ∩ B(x, t/2)) >= delta0 * m(B(0,1)) * t^d, located by a geometric
     scan refined by bisection; returns (r, flagged) where the flag marks a
@@ -198,7 +181,7 @@ def compute_r(x, config: RogueConfiguration, rel_tol: float = 1e-3,
     x = np.asarray(x, dtype=float)
     d = config.d
     v1 = unit_ball_volume(d)
-    e_pts = config.e_array()
+    e_pts = config.e_array() if e_pts is None else e_pts
 
     def cond(t):
         need = config.delta0 * v1 * t**d
@@ -236,7 +219,7 @@ def rho_cube(cube_corner, config: RogueConfiguration,
                                    indexing="ij")).reshape(d, -1).T
     worst = 0.0
     for off in offsets:
-        r, _flag = compute_r(corner + off, config)
+        r, _flag = compute_r(corner + off, config, e_pts=e_pts)
         worst = max(worst, r)
     inflation = 2.0 * math.sqrt(d) / 6.0
     return max(config.rho_floor, worst + inflation if worst > config.rho_floor else worst)
@@ -425,51 +408,22 @@ def _ring_max(vals: np.ndarray, k: int) -> np.ndarray:
     """Max of vals over the k-th cube ring around every cell (Chebyshev
     distance exactly k), with cells outside the array treated as absent.
 
-    The ring decomposes into 2d faces; each face maximum is a sliding
-    window along the remaining axes of a shifted slab.
+    The ring decomposes into 2d faces.  The two faces normal to axis a sit
+    at offsets -k and +k along a, and each is a box maximum of width 2k + 1
+    over the other axes: separable sliding windows over the padded array,
+    then two shifted slices along a.
     """
-    d = vals.ndim
     N = vals.shape[0]
-    if d == 2:
-        pad = np.full((N + 2 * k, N + 2 * k), -np.inf)
-        pad[k:k + N, k:k + N] = vals
-        rows = sliding_window_view(pad, 2 * k + 1, axis=1).max(axis=-1)
-        top = rows[0:N, :]
-        bot = rows[2 * k:2 * k + N, :]
-        if 2 * k - 1 >= 1:
-            cols = sliding_window_view(pad, 2 * k - 1, axis=0).max(axis=-1)
-            left = cols[1:N + 1, 0:N]
-            right = cols[1:N + 1, 2 * k:2 * k + N]
-        else:
-            left = pad[k:k + N, 0:N]
-            right = pad[k:k + N, 2 * k:2 * k + N]
-        return np.maximum.reduce([top, bot, left, right])
+    pad = np.pad(vals, k, constant_values=-np.inf)
     out = np.full(vals.shape, -np.inf)
-    for idx in np.ndindex(*vals.shape):
-        best = -np.inf
-        for off in _ring_offsets(d, k):
-            j = tuple(i + o for i, o in zip(idx, off))
-            if all(0 <= jj < N for jj in j):
-                v = vals[j]
-                if v > best:
-                    best = v
-        out[idx] = best
+    for a in range(vals.ndim):
+        box = pad
+        for b in range(vals.ndim):
+            if b != a:
+                box = sliding_window_view(box, 2 * k + 1, axis=b).max(axis=-1)
+        for shift in (0, 2 * k):
+            np.maximum(out, box[(slice(None),) * a + (slice(shift, shift + N),)], out=out)
     return out
-
-
-_RING_CACHE: dict = {}
-
-
-def _ring_offsets(d: int, k: int):
-    key = (d, k)
-    if key not in _RING_CACHE:
-        offs = []
-        for off in np.ndindex(*(2 * k + 1,) * d):
-            o = tuple(int(v) - k for v in off)
-            if max(abs(v) for v in o) == k:
-                offs.append(o)
-        _RING_CACHE[key] = offs
-    return _RING_CACHE[key]
 
 
 @dataclass
@@ -596,8 +550,11 @@ def phi(x: float, N: float, e_count: float, d: int) -> float:
 
 def phi_argmin(N: float, e_count: float, d: int, lo: float = 1.0,
                hi: float | None = None, iters: int = 200) -> float:
-    """Ternary search for the minimizer of the convex phi on [lo, N/(6d)]."""
+    """Ternary search for the minimizer of the convex phi on [lo, N/(6d)];
+    an empty interval (N < 6d by default) is a ConfigurationError."""
     hi = hi if hi is not None else N / (6.0 * d)
+    if hi < lo:
+        raise ConfigurationError(f"empty search interval [{lo:g}, {hi:g}] for phi")
     a, b = lo, hi
     for _ in range(iters):
         m1 = a + (b - a) / 3.0
@@ -616,13 +573,16 @@ class BoundValue:
     d: int
     psi_value: float
     log_bound: float   # N * psi(#E / N): the exponent without c_d
-    phi_min_x: float
-    phi_min_value: float
+    phi_min_x: float | None      # None when N < 6d leaves no x to search
+    phi_min_value: float | None
 
 
 def bound_value(N: int, e_count: int, d: int) -> BoundValue:
     p = psi(e_count / N, d)
-    x_star = phi_argmin(N, e_count, d)
+    try:
+        x_star = phi_argmin(N, e_count, d)
+    except ConfigurationError:
+        return BoundValue(N, e_count, d, p, N * p, None, None)
     return BoundValue(N, e_count, d, p, N * p, x_star, phi(x_star, N, e_count, d))
 
 

@@ -435,6 +435,8 @@ def wos_harmonic_measure(x, shape: Shape | None, walks: int = 100_000,
     single seeded generator consumed in fixed-size batches, so results do
     not depend on thread count.
     """
+    if walks < 1:
+        raise KernelDomainError(f"walks must be positive, got {walks}")
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     if shape is None:

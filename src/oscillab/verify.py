@@ -261,7 +261,7 @@ def content_lower_projection(shape, axis: np.ndarray, samples: int = 256) -> flo
     tlo, thi = tcoords.min(axis=0), tcoords.max(axis=0)
     n = max(2, int(round(samples ** (1.0 / (d - 1)))))
     axes = [np.linspace(tlo[i], thi[i], n) for i in range(d - 1)]
-    mesh = np.meshgrid(*axes, indexing="ij") if d > 2 else [axes[0]]
+    mesh = np.meshgrid(*axes, indexing="ij")
     tpts = np.column_stack([m.ravel() for m in mesh])
     origins = tpts @ frame[1:]
     hits = shape.line_hits(origins, axis)
@@ -352,7 +352,6 @@ class OscillationReport:
     classification: str  # oscillating | rogue
     sup_low: float = float("nan")
     projection: float = float("nan")
-    uncertain: bool = False
 
     @property
     def rogue(self) -> bool:

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oscillab.cli import EXIT_BAD_CONFIG, EXIT_OK, main
+from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_OK, RunConfig,
+                          _parse_e_spec, main)
+from oscillab.mainlemma import RogueConfiguration
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,15 @@ class TestGrowth:
         assert rows[0] == "R,log_M,log_threshold,denominator,ratio"
         assert len(rows) >= 2
 
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"f": "t^1.5"}',
+                                      '{"f": 1.5, "d": 2, "k": 3}'])
+    def test_unusable_function_file(self, tmp_path, capsys, text):
+        path = tmp_path / "function.json"
+        path.write_text(text)
+        code = main(["growth", "--function", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
 
 class TestLemma:
     def test_random_density(self, tmp_path):
@@ -86,6 +98,43 @@ class TestLemma:
                      "--out", str(tmp_path)])
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("spec", ["random:density=abc", "random:count=x",
+                                      "random:count=-3", "random:density=1e400",
+                                      "random:density=nan"])
+    def test_malformed_e_spec_number(self, tmp_path, spec):
+        code = main(["lemma", "--d", "2", "--N", "16", "--E", spec,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.one_of(
+        st.text(max_size=24),
+        st.builds("random:density={}".format,
+                  st.one_of(st.text(max_size=12), st.floats())),
+        st.builds("random:count={}".format,
+                  st.one_of(st.text(max_size=12), st.integers()))))
+    def test_e_spec_parser_total(self, spec):
+        # every spec either parses or raises an error main maps to exit 3
+        try:
+            config = _parse_e_spec(spec, RunConfig(d=2, N=16))
+        except CONFIG_ERRORS:
+            return
+        assert isinstance(config, RogueConfiguration)
+
+    def test_vacuous_d3_flagged(self, tmp_path):
+        # N = 16 < 6d gives k_max = 0: the layer checks ran on nothing
+        code = main(["lemma", "--d", "3", "--N", "16", "--E",
+                     "random:count=8", "--seed", "3", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "lemma.json").read_text())
+        status = {c["check"]: c["status"] for c in doc["checks"]}
+        assert status == {"property_M": "flagged", "x_fraction": "flagged",
+                          "kappa_count": "flagged", "claim1": "pass",
+                          "bound_value": "flagged"}
+        bound = next(c for c in doc["checks"] if c["check"] == "bound_value")
+        assert bound["phi_argmin"] is None
+        assert doc["passed"]
+
     def test_report_determinism(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -106,6 +155,12 @@ class TestPotential:
         check = doc["checks"][0]
         assert check["check"] == "wos_annulus_d2"
         assert abs(check["estimate"] - 0.5) < 0.02
+
+    @pytest.mark.parametrize("walks", ["0", "-5"])
+    def test_nonpositive_walks(self, tmp_path, walks):
+        code = main(["potential", "--oracle", "annulus", "--walks", walks,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
 
 
 class TestReport:

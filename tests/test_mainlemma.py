@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -105,18 +106,18 @@ class TestRingMax:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_matches_bruteforce(self, k):
         rng = np.random.default_rng(44)
-        vals = rng.uniform(size=(10, 10))
-        rm = _ring_max(vals, k)
-        for idx in np.ndindex(10, 10):
-            best = -np.inf
-            for di in range(-k, k + 1):
-                for dj in range(-k, k + 1):
-                    if max(abs(di), abs(dj)) != k:
-                        continue
-                    i, j = idx[0] + di, idx[1] + dj
-                    if 0 <= i < 10 and 0 <= j < 10:
-                        best = max(best, vals[i, j])
-            assert rm[idx] == pytest.approx(best)
+        for d, n in ((2, 10), (3, 7)):
+            vals = rng.uniform(size=(n,) * d)
+            rm = _ring_max(vals, k)
+            ring = [off for off in itertools.product(range(-k, k + 1), repeat=d)
+                    if max(abs(o) for o in off) == k]
+            for idx in np.ndindex(vals.shape):
+                best = -np.inf
+                for off in ring:
+                    j = tuple(i + o for i, o in zip(idx, off))
+                    if all(0 <= jj < n for jj in j):
+                        best = max(best, vals[j])
+                assert rm[idx] == best, (d, idx)
 
 
 class TestCoverAndStep:
@@ -223,6 +224,14 @@ class TestBoundFormula:
             lhs = x * 2.0**x
             rhs = e / N
             assert rhs / 4 <= lhs <= rhs * 4 or abs(x - 1.0) < 1e-6
+
+    def test_phi_argmin_empty_interval(self):
+        # N < 6d leaves [1, N/(6d)] empty: no minimizer, not one outside it
+        with pytest.raises(ConfigurationError):
+            phi_argmin(16, 64, 3)
+        bv = bound_value(16, 64, 3)
+        assert bv.phi_min_x is None and bv.phi_min_value is None
+        assert bv.log_bound == pytest.approx(16 * psi(4.0, 3))
 
     def test_bound_monotone_in_e(self):
         onset = psi_decreasing_onset(2)
