@@ -51,14 +51,20 @@ class RogueConfiguration:
     d: int
     E: set
     c0: float = 0.1
-    delta0: float = float("nan")
+    delta0: float | None = None  # None: DELTA0_DEFAULT[d]
     alpha: float = 1.0 / 12.0
 
     def __post_init__(self):
         if self.N < 4 or (self.N & (self.N - 1)) != 0:
             raise ConfigurationError(f"N must be a power of two >= 4, got {self.N}")
-        if math.isnan(self.delta0):
+        if self.delta0 is None:
             self.delta0 = DELTA0_DEFAULT[self.d]
+        for name, value, top in (("alpha", self.alpha, math.inf),
+                                 ("delta0", self.delta0, 1.0), ("c0", self.c0, math.inf)):
+            if not (math.isfinite(value) and 0.0 < value <= top):
+                bound = f" and at most {top:g}" if math.isfinite(top) else ""
+                raise ConfigurationError(
+                    f"{name} must be finite and positive{bound}, got {value}")
         half = self.N // 2
         self.E = {tuple(int(c) for c in e) for e in self.E}
         for e in self.E:
@@ -604,7 +610,7 @@ def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
                       seed: int = 3) -> list[ContractionRow]:
     """Measured sup contraction along the kappa chains against the nested
     maximum principle; report-only."""
-    from .verify import sup_on, _support_sup_points
+    from .verify import sup_on, _support_sup_points, tube_ends
 
     rng = np.random.default_rng(seed)
     N, d = config.N, config.d
@@ -621,7 +627,8 @@ def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
     rows = []
     q_lo = np.full(d, -half, dtype=float)
     q_hi = np.full(d, half, dtype=float)
-    extra = _support_sup_points(tubes, q_lo, q_hi) if tubes else None
+    ends = tube_ends(tubes)
+    extra = _support_sup_points(ends, q_lo, q_hi) if tubes else None
     m_q = sup_on(u, q_lo, q_hi, h, extra_points=extra, lipschitz=0.0 if not hasattr(u, "eval_log") else None).low
     for corner in pick:
         chain = result.chains[corner]
@@ -632,7 +639,7 @@ def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
         for kap in chain.kappas:
             boxes.append((lo - kap, hi + kap))
         for blo, bhi in boxes:
-            ex = _support_sup_points(tubes, blo, bhi) if tubes else None
+            ex = _support_sup_points(ends, blo, bhi) if tubes else None
             sups.append(sup_on(u, blo, bhi, h, extra_points=ex,
                                lipschitz=0.0 if not hasattr(u, "eval_log") else None).low)
         per_step = [sups[i + 1] - sups[i] for i in range(len(sups) - 1)]

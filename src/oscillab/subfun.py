@@ -30,6 +30,7 @@ Every amplitude is carried as a logarithm; evaluation returns log-values
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -80,27 +81,61 @@ def log_cosh(y):
     return y + np.log1p(np.exp(-2.0 * y)) - LOG2
 
 
-def log_T_profile(eps: float, d: int, local: np.ndarray) -> np.ndarray:
-    """log T_eps over local frame coordinates (n, d)."""
+def log_T_profile(eps, d: int, local: np.ndarray) -> np.ndarray:
+    """log T_eps over local frame coordinates (n, d); ``eps`` is a number
+    or one value per row."""
     x1 = local[:, 0]
-    trans = local[:, 1:]
-    inside = np.all(np.abs(trans) < eps / 2.0, axis=1)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), x1.shape)
+    inside = np.abs(local[:, 1]) < eps / 2.0
+    for j in range(2, d):
+        inside &= np.abs(local[:, j]) < eps / 2.0
     out = np.full(local.shape[0], NEG_INF)
     if inside.any():
-        a = PI * math.sqrt(d - 1) / eps
-        vals = log_cosh(a * x1[inside])
+        e = eps[inside]
+        vals = log_cosh(PI * math.sqrt(d - 1) / e * x1[inside])
         with np.errstate(divide="ignore"):
-            vals = vals + np.sum(np.log(np.cos(PI * trans[inside] / eps)), axis=1)
+            vals = vals + _sum_log_cos(local[inside, 1:], e)
         out[inside] = vals
     return out
 
 
-def log_L_profile(eps: float, d: int, local: np.ndarray) -> np.ndarray:
+def _sum_log_cos(trans, eps):
+    """sum_j log cos(pi x_j / eps) over the columns of trans, added in
+    column order (as np.sum does over so few terms)."""
+    s = np.log(np.cos(PI * trans[:, 0] / eps))
+    for j in range(1, trans.shape[1]):
+        s = s + np.log(np.cos(PI * trans[:, j] / eps))
+    return s
+
+
+def log_L_profile(eps, d: int, local: np.ndarray) -> np.ndarray:
     """log L_eps = log(T_eps - 1) on {x_1 >= 0, T_eps > 1}, else -inf."""
     lt = log_T_profile(eps, d, local)
     out = np.full(local.shape[0], NEG_INF)
     ok = (local[:, 0] >= 0.0) & (lt > 0.0)
     out[ok] = lt[ok] + np.log1p(-np.exp(-lt[ok]))
+    return out
+
+
+def log_L_upper(eps, d: int, cut, local: np.ndarray, r: float) -> np.ndarray:
+    """Upper bound for log L_eps, truncated at x_1 = cut, over the local
+    ball of radius r around each point: the profile is monotone in x_1 and
+    in each |x_j|.  ``eps`` and ``cut`` are numbers or one value per row."""
+    n = local.shape[0]
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
+    x1 = np.minimum(local[:, 0] + r, cut)
+    trans = np.maximum(np.abs(local[:, 1:]) - r, 0.0)
+    ok = (x1 >= 0) & (local[:, 0] - r <= cut)
+    for j in range(d - 1):
+        ok &= trans[:, j] < eps / 2.0
+    out = np.full(n, NEG_INF)
+    if ok.any():
+        e = eps[ok]
+        lt = log_cosh(PI * math.sqrt(d - 1) / e * x1[ok]) + _sum_log_cos(trans[ok], e)
+        val = np.full(lt.shape, NEG_INF)
+        pos = lt > 0
+        val[pos] = lt[pos] + np.log1p(-np.exp(-lt[pos]))
+        out[ok] = val
     return out
 
 
@@ -324,25 +359,10 @@ class TubeField(FunctionNode):
         return out
 
     def upper_local(self, X, slack):
-        loc = self.frame.to_local(X)
         # frame is orthonormal, so an axis-aligned box of half-width slack
-        # is contained in the local ball of radius slack*sqrt(d), and the
-        # profile is monotone in x_1 and in each |transverse|.
-        r = slack * math.sqrt(self.d)
-        x1 = np.clip(loc[:, 0] + r, None, self.cut)
-        trans = np.maximum(np.abs(loc[:, 1:]) - r, 0.0)
-        ok = (x1 >= 0) & np.all(trans < self.eps / 2.0, axis=1) & (loc[:, 0] - r <= self.cut)
-        out = np.full(loc.shape[0], NEG_INF)
-        if ok.any():
-            a = PI * math.sqrt(self.d - 1) / self.eps
-            lt = log_cosh(a * x1[ok]) + np.sum(
-                np.log(np.cos(PI * trans[ok] / self.eps)), axis=1
-            )
-            val = np.full(lt.shape, NEG_INF)
-            pos = lt > 0
-            val[pos] = lt[pos] + np.log1p(-np.exp(-lt[pos]))
-            out[ok] = val + self.log_amp
-        return out
+        # is contained in the local ball of radius slack*sqrt(d)
+        return log_L_upper(self.eps, self.d, self.cut, self.frame.to_local(X),
+                           slack * math.sqrt(self.d)) + self.log_amp
 
     def support_tubes(self):
         return [self._tube]
@@ -579,6 +599,484 @@ class SumNode(FunctionNode):
 
     def to_dict(self):
         return {"kind": "sum", "children": [c.to_dict() for c in self.children]}
+
+
+# ---------------------------------------------------------------------------
+# Compiled tube table
+# ---------------------------------------------------------------------------
+
+#: edge of the axis-aligned tiles a spread-out batch is split into; tubes are
+#: found per tile, so a batch over a large box never meets every tube at once
+TILE = 4.0
+
+#: (field, point) pairs taken through the exact coordinates at a time,
+#: which bounds the memory of one evaluation
+EXACT_BLOCK = 4096
+
+
+class NotATubeTree(TypeError):
+    """The node holds something other than tube fields, maxima, guarded
+    maxima, isometries and scales."""
+
+
+def _affine(Y, matrix, shift):
+    """matrix @ Y + shift for points stored as columns of Y (d, n), summed
+    in a fixed order per coordinate.  For the signed permutations of the
+    orthant maps and cell reflections every product is exact, so this
+    equals the tree's ``X @ matrix.T + shift``."""
+    out = np.empty_like(Y)
+    for j in range(Y.shape[0]):
+        acc = Y[0] * matrix[j, 0]
+        for i in range(1, Y.shape[0]):
+            acc = acc + Y[i] * matrix[j, i]
+        out[j] = acc + shift[j]
+    return out
+
+
+#: Veltkamp's splitter for doubles, 2^27 + 1
+_SPLIT = 134217729.0
+
+
+def _split(a):
+    """a = hi + lo exactly, each half fitting in 26 bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _frame_coords(D, rows):
+    """Frame coordinates sum_i D[i] * rows[:, j, i], j = 0..d-1, where D[i]
+    is the i-th coordinate of the points relative to the frame origin.
+
+    Each sum is the chain acc = D[0] r0, acc = fma(D[i], r_i, acc) that a
+    matrix product computes on fused multiply-add hardware, so the values
+    match ``Frame.to_local`` there.  It is evaluated elementwise (Dekker's
+    exact product plus Knuth's two-sum, rounded once up to a final rounding
+    of the tiny error terms), so a point's coordinates do not depend on the
+    batch it arrives in."""
+    d = len(D)
+    halves = [_split(Di) for Di in D[1:]]
+    out = []
+    for j in range(d):
+        acc = D[0] * rows[:, j, 0]
+        for i in range(1, d):
+            b = rows[:, j, i]
+            b_hi, b_lo = _split(b)
+            a_hi, a_lo = halves[i - 1]
+            p = D[i] * b
+            # p + e = D[i] * b exactly
+            e = a_hi * b_hi
+            e -= p
+            t = a_hi * b_lo
+            e += t
+            e += np.multiply(a_lo, b_hi, out=t)
+            e += np.multiply(a_lo, b_lo, out=t)
+            # s + (p - (s - v)) + (acc - v) = p + acc exactly
+            s = p + acc
+            v = s - p
+            np.subtract(s, v, out=t)
+            np.subtract(p, t, out=t)
+            acc -= v
+            t += acc
+            t += e
+            s += t
+            acc = s
+        out.append(acc)
+    return out
+
+
+def _distinct(a):
+    """Sorted distinct values of an integer array and each entry's index
+    among them (np.unique would import numpy.ma, a megabyte of memory)."""
+    order = np.argsort(a, kind="stable")
+    new = np.diff(a[order], prepend=-1) != 0
+    where = np.empty(a.size, dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    return a[order][new], where
+
+
+def _column_bounds(X):
+    """Per-coordinate min and max of the rows of X (faster than a reduction
+    over axis 0 when the rows are short)."""
+    cols = X.T
+    return (np.array([c.min() for c in cols]), np.array([c.max() for c in cols]))
+
+
+class TubeTable(FunctionNode):
+    """Read-only flat compilation of a built tube tree.
+
+    One row per TubeField: its frame, eps, cut, log amplitude (with any
+    ScaleNode factors above it), local and global bounding boxes, the
+    isometry chain above it, and (in CSR form) the discard guards of every
+    GuardedMax it sits below on the branch side.  ``eval_log`` is the max
+    over fields of the field's profile at the chain-mapped point, dropped
+    where one of its guards contains the point; ``upper_local`` is the same
+    max without guards, each field cut off outside its bounding box padded
+    by the slack.  Both equal the tree's values up to the rounding of the
+    frame coordinates, never looser, and every point's value is a function
+    of that point alone, whatever batch it arrives in.
+
+    A batch wider than TILE is split into tiles of that extent.  A tile
+    meets only the fields whose global boxes it touches, found through a
+    fixed grid of TILE cells, and whose tubes reach its box; their frame
+    coordinates are computed in single precision for every point, and
+    exactly only near their supports.  The tree stays the build-time
+    representation (certificates, face samples, serialization); the table
+    is for evaluation only.
+    """
+
+    kind = "tube_table"
+
+    def __init__(self, node: FunctionNode):
+        fields, chains, guards = _flatten(node)
+        if not fields:
+            raise NotATubeTree("a tube table needs at least one tube field")
+        tf = [f for f, _c, _l, _g in fields]
+        d = self.d = tf[0].d
+        # chains: (parent chain, matrix, shift); chain 0 is the identity
+        self._chains = chains
+        self._closure = [(0,)]
+        for parent, _m, _s in chains[1:]:
+            self._closure.append(self._closure[parent] + (len(self._closure),))
+
+        self.chain = np.array([c for _f, c, _l, _g in fields], dtype=np.intp)
+        self.origin = np.array([f.frame.origin for f in tf])
+        self.rows = np.array([f.frame.rows for f in tf])
+        self.eps = np.array([f.eps for f in tf])
+        self.half = self.eps / 2.0
+        self.cut = np.array([f.cut for f in tf])
+        self.log_amp = np.array([f.log_amp for f in tf])
+        self.log_c = np.array([lc for _f, _c, lc, _g in fields])
+        self.coef = PI * math.sqrt(d - 1) / self.eps
+        self.box_lo = np.array([f.bbox()[0] for f in tf])
+        self.box_hi = np.array([f.bbox()[1] for f in tf])
+        self.generation = [f.generation for f in tf]
+        self.tag = [f.tag for f in tf]
+        counts = [len(g) for _f, _c, _l, g in fields]
+        self.guard_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        self.guard_idx = np.array([i for _f, _c, _l, g in fields for i in g], dtype=np.intp)
+        # a guard is a core of its keep field, in the keep's frame
+        self.g_keep = np.array([k for k, _r in guards], dtype=np.intp)
+        self.g_lo = np.array([r.g for _k, r in guards])
+        self.g_hi = np.array([r.x1_max for _k, r in guards])
+        self.g_half = np.array([r.eps / 3.0 for _k, r in guards])
+
+        # tube endpoints (a is the frame origin), frame rows and bounding
+        # boxes in global coordinates
+        self.tube_a = np.array([f.support_tubes()[0].a for f in tf])
+        self.tube_b = np.array([f.support_tubes()[0].b for f in tf])
+        self.global_rows = self.rows.copy()
+        corners = np.stack([np.where(np.asarray(bits, dtype=bool), self.box_hi, self.box_lo)
+                            for bits in np.ndindex(*(2,) * d)], axis=1)
+        for c in range(1, len(chains)):
+            sel = np.flatnonzero(self.chain == c)
+            for link in reversed(self._closure[c][1:]):
+                _parent, m, s = chains[link]
+                self.tube_a[sel] = (self.tube_a[sel] - s) @ m
+                self.tube_b[sel] = (self.tube_b[sel] - s) @ m
+                self.global_rows[sel] = self.global_rows[sel] @ m
+                corners[sel] = (corners[sel] - s) @ m
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        self._bbox = (lo.min(axis=0), hi.max(axis=0))
+        # every support point, in global and in chain coordinates, lies
+        # within ``scale`` of the origin; global boxes widened by 1e-9 scale,
+        # far above rounding, hold every point a field's own test accepts
+        scale = 1.0 + max(float(np.max(np.abs(corners))), float(np.max(np.abs(self.box_lo))),
+                          float(np.max(np.abs(self.box_hi))))
+        glo, ghi = self.glo, self.ghi = lo - 1e-9 * scale, hi + 1e-9 * scale
+        # bound on the error of single-precision frame coordinates of points
+        # of a support: under 2^5 roundings of relative size 2^-24 of
+        # magnitudes up to 2 scale, with a factor 4 to spare (times 1 + 2 pad
+        # for supports widened by a slack pad)
+        self._margin32 = 2.0**-16 * scale
+        self.rows32 = self.rows.astype(np.float32)
+        self.offset32 = np.einsum("fji,fi->fj", self.rows, self.origin).astype(np.float32)
+
+        # fields per cell of a fixed TILE grid, by their global boxes
+        self._cell0 = np.floor(glo.min(axis=0) / TILE).astype(np.int64)
+        clo = np.floor(glo / TILE).astype(np.int64) - self._cell0
+        chi = np.floor(ghi / TILE).astype(np.int64) - self._cell0
+        self._cells = chi.max(axis=0) + 1
+        self._strides = [int(np.prod(self._cells[ax + 1:])) for ax in range(d)]
+        span = chi - clo + 1
+        size = np.prod(span, axis=1)
+        owner = np.repeat(np.arange(len(tf)), size)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+        lin = np.zeros(owner.size, dtype=np.int64)
+        for ax in range(d - 1, -1, -1):
+            lin += (clo[owner, ax] + k % span[owner, ax]) * self._strides[ax]
+            k = k // span[owner, ax]
+        order = np.argsort(lin, kind="stable")
+        self._cell_fields = owner[order]
+        self._cell_ptr = np.searchsorted(lin[order], np.arange(int(np.prod(self._cells)) + 1))
+        self._cell_lo, self._cell_hi = glo[self._cell_fields], ghi[self._cell_fields]
+        self._tubes = None
+
+    # -- structure ---------------------------------------------------------
+
+    def bbox(self):
+        return self._bbox
+
+    def support_tubes(self):
+        if self._tubes is None:
+            self._tubes = [TubeSpec(a, b, e, generation=g, kind=t)
+                           for a, b, e, g, t in zip(self.tube_a, self.tube_b, self.eps,
+                                                    self.generation, self.tag)]
+        return self._tubes
+
+    # -- evaluation --------------------------------------------------------
+
+    def eval_log(self, X):
+        return self._evaluate(X, None)
+
+    def upper_local(self, X, slack):
+        return self._evaluate(X, float(slack))
+
+    def _evaluate(self, X, slack):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        out = np.full(X.shape[0], NEG_INF)
+        if X.shape[0] == 0:
+            return out
+        lo, hi = _column_bounds(X)
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            ok = np.all(np.isfinite(X), axis=1)
+            out[ok] = self._evaluate(X[ok], slack)
+            return out
+        if np.all(hi - lo <= TILE):
+            return self._tile(X, lo, hi, slack)
+        key = np.floor(np.minimum((X - lo) / TILE, 2.0**20)).astype(np.int64)
+        lin = np.ravel_multi_index(key.T, key.max(axis=0) + 1)
+        order = np.argsort(lin, kind="stable")
+        for part in np.split(order, np.flatnonzero(np.diff(lin[order])) + 1):
+            P = X[part]
+            out[part] = self._tile(P, *_column_bounds(P), slack)
+        return out
+
+    def _candidates(self, lo, hi, pad, r):
+        """Fields that can be finite in [lo, hi]: their global box widened by
+        ``pad`` meets it, and so does their support widened by ``r`` along
+        each of the tube's own axes."""
+        ranges = []
+        for ax, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            c0 = max(math.floor((a - pad) / TILE) - int(self._cell0[ax]), 0)
+            c1 = min(math.floor((b + pad) / TILE) - int(self._cell0[ax]),
+                     int(self._cells[ax]) - 1)
+            if c1 < c0:
+                return np.zeros(0, dtype=np.intp)
+            step = self._strides[ax]
+            ranges.append(range(c0 * step, (c1 + 1) * step, step))
+        cells = [sum(idx) for idx in itertools.product(*ranges)]
+        if len(cells) == 1:
+            s, e = self._cell_ptr[cells[0]], self._cell_ptr[cells[0] + 1]
+            cand, clo, chi = self._cell_fields[s:e], self._cell_lo[s:e], self._cell_hi[s:e]
+        else:
+            cand = _distinct(np.concatenate(
+                [self._cell_fields[self._cell_ptr[c]:self._cell_ptr[c + 1]] for c in cells]))[0]
+            clo, chi = self.glo[cand], self.ghi[cand]
+        cand = cand[np.all((clo <= hi + pad) & (chi >= lo - pad), axis=1)]
+        centre, extent = (lo + hi) / 2.0, (hi - lo) / 2.0
+        rows = self.global_rows[cand]
+        proj = np.einsum("fji,fi->fj", rows, centre - self.tube_a[cand])
+        reach = np.abs(rows) @ extent + (r + self._margin32)
+        meets = (proj[:, 0] + reach[:, 0] >= 0.0) & (proj[:, 0] - reach[:, 0] <= self.cut[cand])
+        for j in range(1, self.d):
+            meets &= np.abs(proj[:, j]) - reach[:, j] <= self.half[cand]
+        return cand[meets]
+
+    def _tile(self, X, lo, hi, slack):
+        n, d = X.shape
+        out = np.full(n, NEG_INF)
+        pad = 0.0 if slack is None else slack
+        r = 0.0 if slack is None else slack * math.sqrt(d)
+        cand = self._candidates(lo, hi, pad, r)
+        if cand.size == 0:
+            return out
+        cand = cand[np.argsort(self.chain[cand], kind="stable")]
+        fchain = self.chain[cand]
+        # the points in the coordinates of every chain in use, applying its
+        # isometries one at a time from the outermost
+        chains = sorted(set(fchain.tolist()))
+        pos = np.zeros(len(self._chains), dtype=np.intp)
+        pos[chains] = np.arange(len(chains))
+        Y = np.empty((len(chains), d, n))
+        for k, c in enumerate(chains):
+            y = X.T
+            for link in self._closure[c][1:]:
+                _parent, m, s = self._chains[link]
+                y = _affine(y, m, s)
+            Y[k] = y
+        # single-precision frame coordinates rows . y - rows . origin of
+        # every (candidate, point) pair, one broadcast per chain; pairs
+        # within the rounding margin of the support (or of its slack-widened
+        # copy) go on to the exact coordinates
+        Y32 = Y.astype(np.float32)
+        rows, offset = self.rows32[cand], self.offset32[cand]
+        loc = [np.empty((cand.size, n), dtype=np.float32) for _ in range(d)]
+        tmp = np.empty((cand.size, n), dtype=np.float32)
+        groups = np.flatnonzero(np.diff(fchain)).tolist()
+        for s, e in zip([0] + [g + 1 for g in groups], [g + 1 for g in groups] + [cand.size]):
+            y = Y32[pos[fchain[s]]]
+            for j in range(d):
+                np.multiply(y[0], rows[s:e, j, 0, None], out=loc[j][s:e])
+                for i in range(1, d):
+                    loc[j][s:e] += np.multiply(y[i], rows[s:e, j, i, None], out=tmp[s:e])
+                loc[j][s:e] -= offset[s:e, j, None]
+        del tmp, y, Y32
+        margin = r + self._margin32 * (1.0 + 2.0 * pad)
+        near = ((loc[0] > np.float32(-margin))
+                & (loc[0] < (self.cut[cand] + margin).astype(np.float32)[:, None]))
+        reach = (self.half[cand] + margin).astype(np.float32)[:, None]
+        for t in loc[1:]:
+            near &= np.abs(t) < reach
+        cp = pos[fchain]
+        if slack is None:
+            gone = self._guarded(cand, cp, loc, Y, self._margin32)
+            if gone is not None:
+                near &= ~gone
+        del loc
+        fi, pi = np.nonzero(near)
+        for k in range(0, fi.size, EXACT_BLOCK):
+            fk, pk = fi[k:k + EXACT_BLOCK], pi[k:k + EXACT_BLOCK]
+            f, ck = cand[fk], cp[fk]
+            loc = self._exact_coords(f, ck, pk, Y)
+            if slack is None:
+                vals, pk = self._profile(f, pk, loc)
+            else:
+                vals = self._upper_profile(f, loc, r)
+                for i in range(d):
+                    yi = Y[ck, i, pk]
+                    vals[(yi < self.box_lo[f, i] - pad) | (yi > self.box_hi[f, i] + pad)] = NEG_INF
+            np.maximum.at(out, pk, vals)
+        return out
+
+    def _exact_coords(self, f, cp, pi, Y):
+        """Frame coordinates of field f at point pi, from the points in the
+        field's chain coordinates Y[cp]."""
+        return _frame_coords([Y[cp, i, pi] - self.origin[f, i] for i in range(self.d)],
+                             self.rows[f])
+
+    def _guarded(self, cand, cp, loc, Y, margin):
+        """(candidate, point) pairs of the tile where one of the field's
+        guards contains the point, or None.  A guard is the core of its
+        keep field, so only guards whose keep is a candidate can contain a
+        point of the tile; each is tested once, on the keep's single
+        precision coordinates, and exactly where those are within the
+        margin of its boundary."""
+        start = self.guard_ptr[cand]
+        count = self.guard_ptr[cand + 1] - start
+        total = int(count.sum())
+        if total == 0:
+            return None
+        first = np.cumsum(count) - count
+        flat = self.guard_idx[np.repeat(start - first, count) + np.arange(total)]
+        owner = np.repeat(np.arange(cand.size), count)
+        order = np.argsort(cand)
+        at = np.minimum(np.searchsorted(cand[order], self.g_keep[flat]), cand.size - 1)
+        live = cand[order][at] == self.g_keep[flat]
+        if not live.any():
+            return None
+        guards, slot = _distinct(flat[live])
+        keep = np.empty(guards.size, dtype=np.intp)
+        keep[slot] = order[at[live]]
+        # |x1 - mid| against the half length and |t| against the half
+        # width, each with the margin inwards (surely inside) and outwards
+        lo, hi = self.g_lo[guards], self.g_hi[guards]
+        mid = (lo + hi) / 2.0
+        tests = [(loc[0], mid, hi - mid)] + [(t, None, self.g_half[guards]) for t in loc[1:]]
+        inside = maybe = True
+        for coord, centre, half in tests:
+            u = coord[keep]
+            if centre is not None:
+                u -= centre.astype(np.float32)[:, None]
+            np.abs(u, out=u)
+            inside = inside & (u <= (half - margin).astype(np.float32)[:, None])
+            maybe = maybe & (u <= (half + margin).astype(np.float32)[:, None])
+            del u
+        gi, pi = np.nonzero(maybe & ~inside)
+        for b in range(0, gi.size, EXACT_BLOCK):
+            gb, pb = gi[b:b + EXACT_BLOCK], pi[b:b + EXACT_BLOCK]
+            g, k = guards[gb], keep[gb]
+            ex = self._exact_coords(cand[k], cp[k], pb, Y)
+            ok = (ex[0] >= self.g_lo[g]) & (ex[0] <= self.g_hi[g])
+            for t in ex[1:]:
+                ok &= np.abs(t) <= self.g_half[g]
+            inside[gb, pb] = ok
+        # OR over each candidate's guards, taking the r-th guard of every
+        # candidate at once (the pairs are grouped by candidate)
+        owner = owner[live]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        rank = np.arange(owner.size) - np.repeat(starts, np.diff(starts, append=owner.size))
+        gone = np.zeros((cand.size, inside.shape[1]), dtype=bool)
+        for r in range(int(rank.max()) + 1):
+            sel = rank == r
+            gone[owner[sel]] |= inside[slot[sel]]
+        return gone
+
+    def _profile(self, f, pi, loc):
+        """TubeField.eval_log (with the ScaleNode factors) at frame
+        coordinates, at the pairs where it is finite."""
+        local = np.column_stack(loc)
+        vals = log_L_profile(self.eps[f], self.d, local)
+        vals[local[:, 0] > self.cut[f]] = NEG_INF
+        ok = np.isfinite(vals)
+        f = f[ok]
+        return vals[ok] + self.log_amp[f] + self.log_c[f], pi[ok]
+
+    def _upper_profile(self, f, loc, r):
+        """TubeField.upper_local (with the ScaleNode factors) at frame
+        coordinates, for every pair."""
+        return (log_L_upper(self.eps[f], self.d, self.cut[f], np.column_stack(loc), r)
+                + self.log_amp[f] + self.log_c[f])
+
+
+def _flatten(node):
+    """Tube fields of a tube tree in support_tubes() order, each as
+    (field, chain, log_c, guards), with the isometry chains as
+    (parent chain, matrix, shift) and the guards as (keep field, region).
+    Raises NotATubeTree on a node that is not part of a tube tree."""
+    fields, chains, guards = [], [(0, None, None)], []
+    chain_ids, guard_ids = {}, {}
+    stack = [(node, 0, 0.0, ())]
+    while stack:
+        n, c, log_c, gs = stack.pop()
+        if isinstance(n, TubeField):
+            fields.append((n, c, log_c, gs))
+        elif isinstance(n, MaxNode):
+            stack.extend((ch, c, log_c, gs) for ch in reversed(n.children))
+        elif isinstance(n, GuardedMax):
+            g = n.discard
+            if not (isinstance(n.keep, TubeField) and g.frame is n.keep.frame
+                    and g.eps == n.keep.eps and g.x1_max <= n.keep.cut):
+                raise NotATubeTree("a discard guard is not the core of its keep tube")
+            key = (id(n), c)
+            if key not in guard_ids:
+                # the keep field is the next one recorded
+                guard_ids[key] = len(guards)
+                guards.append((len(fields), g))
+            stack.append((n.branch, c, log_c, gs + (guard_ids[key],)))
+            stack.append((n.keep, c, log_c, gs))
+        elif isinstance(n, IsometryNode):
+            key = (id(n), c)
+            if key not in chain_ids:
+                chain_ids[key] = len(chains)
+                chains.append((c, n.matrix, n.shift))
+            stack.append((n.child, chain_ids[key], log_c, gs))
+        elif isinstance(n, ScaleNode):
+            stack.append((n.child, c, log_c + n.log_c, gs))
+        else:
+            raise NotATubeTree(f"{type(n).__name__} is not part of a tube tree")
+    return fields, chains, guards
+
+
+def tube_table(fn):
+    """The compiled TubeTable of a tube tree; anything else (sums of
+    orthant copies, analytic functions, test doubles) is returned as is."""
+    if isinstance(fn, TubeTable):
+        return fn
+    try:
+        return TubeTable(fn)
+    except NotATubeTree:
+        return fn
 
 
 # ---------------------------------------------------------------------------

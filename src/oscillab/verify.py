@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LatticeCube, enumerate_basic_cubes
+from .subfun import TubeTable, tube_table
 from .treeset import GrowthParameters, TubeSpec
 
 EPS_D_DEFAULT = 0.25
@@ -177,20 +178,32 @@ def sup_on(fn, lo, hi, h: float, lipschitz: float | None = None,
     return SupBracket(low, max(high, low), tuple(np.round(pts[i], 9)), log_scale)
 
 
-def _support_sup_points(tubes: list[TubeSpec], lo, hi) -> np.ndarray:
+def tube_ends(tubes) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (a, b) of a function's support tubes: read from a
+    compiled TubeTable, else from ``support_tubes()`` or a tube list."""
+    if isinstance(tubes, TubeTable):
+        return tubes.tube_a, tubes.tube_b
+    if hasattr(tubes, "support_tubes"):
+        tubes = tubes.support_tubes()
+    if not tubes:
+        return np.zeros((0, 0)), np.zeros((0, 0))
+    return np.array([t.a for t in tubes]), np.array([t.b for t in tubes])
+
+
+def _support_sup_points(ends, lo, hi) -> np.ndarray:
     """Candidate maximizers: per tube, samples along the centerline clipped
     to the box (the profile is monotone along the axis, so the within-box
-    maximum sits on the centerline near the clipped far end)."""
+    maximum sits on the centerline near the clipped far end).  ``ends`` is
+    the (a, b) pair of endpoint arrays of ``tube_ends``."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    out = []
+    a, b = ends
+    if len(a) == 0:
+        return np.zeros((0, len(lo)))
     ts = np.linspace(0.0, 1.0, 9)
-    for t in tubes:
-        seg = t.a[None, :] + ts[:, None] * (t.b - t.a)[None, :]
-        inside = np.all((seg >= lo) & (seg <= hi), axis=1)
-        if inside.any():
-            out.append(seg[inside])
-    return np.vstack(out) if out else np.zeros((0, len(lo)))
+    seg = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+    inside = np.all((seg >= lo) & (seg <= hi), axis=2)
+    return seg[inside]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +329,9 @@ class ZeroSetInCube:
         offs = ts[None, :] - (origins @ direction)[:, None]
         pts = origins[:, None, :] + offs[:, :, None] * direction[None, None, :]
         pts = pts.reshape(-1, self.dimension)
-        inside = np.all((pts >= self._lo) & (pts <= self._hi), axis=1)
+        # per column: a reduction over rows of length d is slow
+        inside = np.logical_and.reduce([(c >= a) & (c <= b)
+                                        for c, a, b in zip(pts.T, self._lo, self._hi)])
         free = np.zeros(pts.shape[0], dtype=bool)
         if inside.any():
             free[inside] = self._free(pts[inside])
@@ -368,7 +383,7 @@ def classify_cube(u, cube: LatticeCube, eps_d: float = EPS_D_DEFAULT,
     lo, hi = cube.bounds()
     tubes = tubes if tubes is not None else u.support_tubes()
     zset = ZeroSetInCube(cube, tubes, fn=u)
-    extra = _support_sup_points(zset.tubes, lo, hi)
+    extra = _support_sup_points(tube_ends(zset.tubes), lo, hi)
     bracket = sup_on(u, lo, hi, h, extra_points=extra)
     p1 = bracket.low >= 0.0  # log scale: sup >= 1
     best_proj = 0.0
@@ -399,6 +414,7 @@ def rogue_census(u, lo, hi, f: GrowthParameters, eps_d: float = EPS_D_DEFAULT,
                  threads: int | None = None) -> CensusResult:
     """Exact rogue count over the basic cubes of the box, divided by
     f(edge length)."""
+    u = tube_table(u)
     cubes = enumerate_basic_cubes(lo, hi)
     tubes = u.support_tubes()
     from .treeset import _TubeIndex
@@ -432,9 +448,10 @@ def rogue_census(u, lo, hi, f: GrowthParameters, eps_d: float = EPS_D_DEFAULT,
 @dataclass
 class GrowthProfile:
     radii: list
-    log_m: list
+    log_m: list        # sampled lower bound of log M_u(R) (SupBracket.low)
     denominators: list
     ratios: list
+    log_m_upper: list  # certified upper bound of log M_u(R) (SupBracket.high)
 
     def max_ratio(self) -> float:
         return max(self.ratios)
@@ -453,20 +470,23 @@ def lower_bound_denominator(R: float, f: GrowthParameters) -> float:
 def growth_profile(u, k_max: int, f: GrowthParameters, h: float = 0.25,
                    nodes_per_level=None) -> GrowthProfile:
     """Measured log M_u(2^k) against the lower-bound denominator, per dyadic
-    radius.  When per-level nodes are supplied each radius is measured on
-    its own level function."""
-    radii, logs, dens, ratios = [], [], [], []
+    radius, as the bracket of ``sup_on``: the ratios use the sampled lower
+    bound, ``log_m_upper`` is the certified upper bound.  When per-level
+    nodes are supplied each radius is measured on its own level function,
+    compiled to a TubeTable."""
+    radii, logs, dens, ratios, uppers = [], [], [], [], []
     d = f.d
     for k in range(1, k_max + 1):
         R = 2.0**k
         fn = u if nodes_per_level is None else nodes_per_level[min(k, len(nodes_per_level)) - 1]
-        tubes = fn.support_tubes()
+        fn = tube_table(fn)
         lo = np.zeros(d)
         hi = np.full(d, R)
-        extra = _support_sup_points(tubes, lo, hi)
+        extra = _support_sup_points(tube_ends(fn), lo, hi)
         bracket = sup_on(fn, lo, hi, max(h, R / 64.0), extra_points=extra)
         radii.append(R)
         logs.append(bracket.low)
+        uppers.append(bracket.high)
         dens.append(lower_bound_denominator(R, f))
         ratios.append(bracket.low / dens[-1])
-    return GrowthProfile(radii, logs, dens, ratios)
+    return GrowthProfile(radii, logs, dens, ratios, uppers)

@@ -148,9 +148,10 @@ class TestCriterion6:
         sup_ok = True
         for k in range(3, 7):
             lm = subfun.log_MM(growth_f, k)
-            measured = prof.log_m[k - 1]
+            # the certified upper bound of the bracket, not its sampled low
+            measured = prof.log_m_upper[k - 1]
             rows.append((k, measured, lm))
-            sup_ok = sup_ok and measured <= lm + 1e-9
+            sup_ok = sup_ok and prof.log_m[k - 1] <= measured <= lm + 1e-9
         ratios = prof.ratios[2:7]
         ratio_ok = max(ratios) < 50.0
         elapsed = time.time() - t0

@@ -65,8 +65,13 @@ class TestGrowth:
                      "--out", str(built)])
         assert code == EXIT_OK
         rows = (built / "growth.csv").read_text().splitlines()
-        assert rows[0] == "R,log_M,log_threshold,denominator,ratio"
+        assert rows[0] == "R,log_M,log_threshold,denominator,ratio,log_M_upper"
         assert len(rows) >= 2
+        doc = json.loads((built / "growth.json").read_text())
+        sup = next(c for c in doc["checks"] if c["check"] == "level_sup_below_threshold")
+        for level in sup["levels"]:
+            # the verdict rests on the certified upper bound
+            assert level["log_M"] <= level["log_M_upper"] <= level["log_threshold"]
 
     @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"f": "t^1.5"}',
                                       '{"f": 1.5, "d": 2, "k": 3}'])
@@ -92,6 +97,14 @@ class TestLemma:
         code = main(["lemma", "--d", "2", "--N", "33", "--E", "none",
                      "--out", str(tmp_path)])
         assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("flag", [["--alpha", "-1"], ["--delta0", "0"],
+                                      ["--delta0", "nan"]])
+    def test_out_of_range_parameter(self, tmp_path, capsys, flag):
+        code = main(["lemma", "--d", "2", "--N", "32", *flag, "--E",
+                     "random:count=10", "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        assert "configuration error" in capsys.readouterr().err
 
     def test_bad_e_spec(self, tmp_path):
         code = main(["lemma", "--d", "2", "--N", "16", "--E", "bogus",

@@ -14,7 +14,9 @@ from oscillab.subfun import (
     MaxNode,
     ScaleNode,
     SlabOscillating,
+    SumNode,
     TubeField,
+    TubeTable,
     assemble_full,
     build_tau,
     build_u,
@@ -25,6 +27,7 @@ from oscillab.subfun import (
     glue_schedule,
     in_region_G,
     log_MM,
+    tube_table,
 )
 
 PI = math.pi
@@ -371,3 +374,75 @@ class TestSlabOscillating:
         u = SlabOscillating(2)
         pts = np.array([[0.5, 0.5], [0.4, 0.6], [3.5, -1.5]])
         assert np.all(u.eval_log(pts) == -np.inf)
+
+
+def _same_tubes(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(s.a, t.a) and np.array_equal(s.b, t.b)
+        and (s.diameter, s.rank, s.generation, s.kind)
+        == (t.diameter, t.rank, t.generation, t.kind)
+        for s, t in zip(a, b))
+
+
+@pytest.fixture(scope="module")
+def ub3d():
+    return build_u(growth(2.0, d=3), 3, guard_samples=1000)
+
+
+class TestTubeTable:
+    """The compiled table against the node tree it was built from."""
+
+    @staticmethod
+    def _check_against_tree(node, pts):
+        table = TubeTable(node)
+        tree, flat = node.eval_log(pts), table.eval_log(pts)
+        finite = np.isfinite(tree)
+        assert finite.any() and not finite.all()
+        assert np.array_equal(finite, np.isfinite(flat))
+        assert np.allclose(flat[finite], tree[finite], rtol=1e-12, atol=0.0)
+        for slack in (0.0625, 0.5):
+            up = table.upper_local(pts, slack)
+            assert np.all(up >= flat)
+            assert np.all(up <= node.upper_local(pts, slack) + 1e-12)
+        assert _same_tubes(table.support_tubes(), node.support_tubes())
+
+    def test_matches_tree_d2(self, ub):
+        rng = np.random.default_rng(31)
+        for j, node in enumerate(ub.level_nodes, start=1):
+            # the box of the level and a margin around it
+            self._check_against_tree(node, rng.uniform(-2.0, 2.0**j + 2.0, size=(100_000, 2)))
+
+    def test_matches_tree_d3(self, ub3d):
+        rng = np.random.default_rng(37)
+        for j, node in enumerate(ub3d.level_nodes, start=1):
+            self._check_against_tree(node, rng.uniform(-1.0, 2.0**j + 1.0, size=(100_000, 3)))
+
+    def test_batch_independent(self, ub):
+        table = TubeTable(ub.level_nodes[-1])
+        pts = np.random.default_rng(41).uniform(-1.0, 33.0, size=(100_000, 2))
+        for evaluate in (table.eval_log, lambda x: table.upper_local(x, 0.25)):
+            whole = evaluate(pts)
+            chunked = np.concatenate([evaluate(pts[i:i + 2000])
+                                      for i in range(0, len(pts), 2000)])
+            assert np.array_equal(chunked, whole)
+            single = np.array([evaluate(pts[i:i + 1])[0] for i in range(500)])
+            assert np.array_equal(single, whole[:500])
+
+    def test_non_finite_points_are_zero(self, ub):
+        table = TubeTable(ub.level_nodes[-1])
+        pts = np.array([[np.nan, 1.0], [np.inf, 2.0], [1.5, 1.5]])
+        vals = table.eval_log(pts)
+        assert np.all(vals[:2] == -np.inf)
+        assert vals[2] == table.eval_log(pts[2:])[0]
+
+    def test_other_functions_pass_through(self, assembled):
+        slab = SlabOscillating(2)
+        assert tube_table(slab) is slab
+        assert isinstance(assembled, SumNode) and tube_table(assembled) is assembled
+        keep = TubeField(Frame.along([0.0, 0.0], [1.0, 0.0]), 0.4, 2, 1.0, 3.0)
+        branch = TubeField(Frame.along([0.5, 0.0], [1.0, 0.0]), 0.2, 2, 0.0, 1.0)
+        foreign = GuardedMax(keep, branch, branch.guard())
+        assert tube_table(foreign) is foreign
+        own = GuardedMax(keep, branch, keep.guard())
+        table = tube_table(own)
+        assert isinstance(table, TubeTable) and tube_table(table) is table

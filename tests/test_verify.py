@@ -20,6 +20,8 @@ from oscillab.verify import (
     rogue_census,
     sup_on,
     lower_bound_denominator,
+    tube_ends,
+    _support_sup_points,
 )
 
 PI = math.pi
@@ -225,11 +227,26 @@ class TestCensus:
         assert res_full.count == 4 * res_pos.count
 
 
+class TestSupportSupPoints:
+    def test_matches_per_tube_loop(self, ub5):
+        tubes = ub5.level_nodes[3].support_tubes()
+        lo, hi = np.array([2.0, 3.0]), np.array([9.0, 7.5])
+        ts = np.linspace(0.0, 1.0, 9)
+        expected = []
+        for t in tubes:
+            seg = t.a[None, :] + ts[:, None] * (t.b - t.a)[None, :]
+            expected.extend(seg[np.all((seg >= lo) & (seg <= hi), axis=1)])
+        got = _support_sup_points(tube_ends(tubes), lo, hi)
+        assert len(expected) > 0 and np.array_equal(got, np.array(expected))
+        assert _support_sup_points(tube_ends([]), lo, hi).shape == (0, 2)
+
+
 class TestGrowthProfile:
     def test_monotone_and_bounded(self, ub5):
         g = ub5.params
         prof = growth_profile(ub5.node, ub5.k, g, nodes_per_level=ub5.level_nodes)
         assert all(b >= a - 1e-9 for a, b in zip(prof.log_m, prof.log_m[1:]))
+        assert all(lo <= hi for lo, hi in zip(prof.log_m, prof.log_m_upper))
         assert prof.max_ratio() < 100.0
 
     def test_denominator_specializations(self):
