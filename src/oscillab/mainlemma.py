@@ -94,10 +94,12 @@ class RogueConfiguration:
     @classmethod
     def from_function(cls, u, N: int, d: int, eps_d: float = 0.25, **kw) -> "RogueConfiguration":
         """E = the basic cubes of Q failing the zero-set content property."""
+        from .subfun import tube_table
         from .verify import classify_cube
         from .treeset import _TubeIndex
 
         half = N // 2
+        u = tube_table(u)
         tubes = u.support_tubes()
         index = _TubeIndex(tubes, cell=2.0)
         bad = set()
@@ -127,17 +129,29 @@ class RogueConfiguration:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
+#: The 3^d sample lattice of a basic cube, as offsets from its corner.
+_SAMPLE_OFFSETS = {d: np.array(np.meshgrid(*[[1 / 6, 1 / 2, 5 / 6]] * d, indexing="ij"))
+                   .reshape(d, -1).T for d in (2, 3)}
+#: Cubes per batched density-radius solve, (point, lattice cell) candidates
+#: per block of the near-box lookup, and quadrature nodes per block of
+#: (point, box) pairs: they bound the temporaries, not the results.
+CUBE_BLOCK = 128
+CANDIDATE_BLOCK = 1 << 13
+QUADRATURE_BLOCK = 1 << 14
 
-def _ball_box_measure(c, r, lo, hi) -> np.ndarray:
-    """Measures of ball(c, r) ∩ [lo, hi] for each row of the box corners
-    lo, hi: tensor Gauss-Legendre quadrature over the first d-1 axes, each
-    node restricting the ball to a lower-dimensional slice, and the exact
-    chord on the last axis."""
-    lo = lo - c
-    hi = hi - c
+
+def _ball_box_measure(r, r2, lo, hi) -> np.ndarray:
+    """Measures of ball(0, r) ∩ [lo, hi] for each row of the box corners
+    lo, hi (relative to the ball's centre), where r and r2 = r**2 are shared
+    or given per row: tensor Gauss-Legendre quadrature over the first d-1
+    axes, each node restricting the ball to a lower-dimensional slice, and
+    the exact chord on the last axis.  Every operation is elementwise in the
+    row, so a row's measure does not depend on the rows batched with it, and
+    a box outside [-r, r] on some axis measures exactly 0: a width or chord
+    vanishes at every node, since no slice radius exceeds r."""
     d = lo.shape[1]
     rad = r                       # slice radius at the quadrature nodes
-    rad2 = np.asarray(r**2)
+    rad2 = np.asarray(r2)
     half_widths = []
     for j in range(d - 1):
         lo_j = lo[:, j].reshape((-1,) + (1,) * j)
@@ -161,74 +175,178 @@ def unit_ball_volume(d: int) -> float:
     return math.pi if d == 2 else 4.0 * math.pi / 3.0
 
 
-def measure_K_in_ball(x: np.ndarray, radius: float, config: RogueConfiguration,
-                      e_pts: np.ndarray | None = None) -> float:
+def _pow(t, p: int):
+    """t**p, for a float or elementwise, through Python's float power (the
+    C library's pow), which numpy's power and square do not match in the
+    last bit."""
+    return float(t)**p if np.ndim(t) == 0 else np.array([v**p for v in t.tolist()])
+
+
+def _rogue_grid(config: RogueConfiguration) -> np.ndarray:
+    """Occupancy of the rogue cubes, indexed by corner + N/2."""
+    grid = np.zeros((config.N,) * config.d, dtype=bool)
+    if config.E:
+        grid[tuple((np.array(list(config.E)) + config.N // 2).T)] = True
+    return grid
+
+
+def _near_boxes(x, thr, grid, e, width):
+    """The rogue cubes with |e + 1/2 - x_i| <= thr_i, as (row, corner)
+    pairs grouped by row, each row's cubes in lexicographic (sorted-E)
+    order.  Candidates come from each point's lattice window of ``width``
+    cells per axis, or from all of e (the sorted corners) when that is
+    smaller; the distance test is the scalar one."""
+    d = x.shape[1]
+    half = grid.shape[0] // 2
+    if width**d <= len(e):
+        window = np.stack(np.meshgrid(*[np.arange(width)] * d, indexing="ij"),
+                          axis=-1).reshape(-1, d)
+        start = np.ceil(x - 0.5 - thr[:, None] - 1e-9).astype(np.int64)
+        cells = start[:, None, :] + window
+        inside = np.all((cells >= -half) & (cells < half), axis=2)
+        rows, cols = np.nonzero(inside)
+        corners = cells[rows, cols]
+        hit = grid[tuple((corners + half).T)]
+        rows, corners = rows[hit], corners[hit]
+    else:
+        rows = np.repeat(np.arange(len(x)), len(e))
+        corners = np.tile(e, (len(x), 1))
+    lo = corners.astype(float)
+    near = np.linalg.norm(lo + 0.5 - x[rows], axis=1) <= thr[rows]
+    return rows[near], lo[near]
+
+
+def _measure_K(x: np.ndarray, radius, grid: np.ndarray) -> np.ndarray:
+    """Lebesgue measure of (complement of the rogue cubes) ∩ B(x_i, radius_i)
+    for each row of x, with one radius (a float) or one per row.  Each row's
+    box measures are summed as one contiguous row of a group of rows with as
+    many boxes, which rounds as the sum over that row alone."""
+    d = x.shape[1]
+    vol = unit_ball_volume(d) * _pow(radius, d)
+    radius, r2, thr = (np.broadcast_to(v, len(x)) for v in
+                       (radius, _pow(radius, 2), radius + math.sqrt(d) / 2.0))
+    e = np.argwhere(grid) - grid.shape[0] // 2
+    # lattice cells per axis that can hold a cube within thr of a point; a
+    # cube outside that range fails the distance test by far more than
+    # rounding, so the 1e-9 margin only widens the window
+    width = int(math.floor(2.0 * float(thr.max(initial=0.0)) + 2e-9)) + 1
+    step = max(1, CANDIDATE_BLOCK // max(min(width**d, len(e)), 1))
+    pair_step = max(1, QUADRATURE_BLOCK // len(_GL_NODES) ** (d - 1))
+    boxed = np.zeros(len(x))
+    for p0 in range(0, len(x), step):
+        xs = x[p0:p0 + step]
+        rows, lo = _near_boxes(xs, thr[p0:p0 + step], grid, e, width)
+        rs, r2s = radius[p0:p0 + step][rows], r2[p0:p0 + step][rows]
+        lo, hi = lo - xs[rows], (lo + 1.0) - xs[rows]
+        # boxes that miss the ball's bounding box (with a margin far above
+        # rounding) measure exactly 0 and keep their place in the sums
+        reach = (rs * (1.0 + 1e-12))[:, None]
+        meets = np.flatnonzero(np.all((lo < reach) & (hi > -reach), axis=1))
+        meas = np.zeros(len(rows))
+        for q0 in range(0, len(meets), pair_step):
+            k = meets[q0:q0 + pair_step]
+            meas[k] = _ball_box_measure(rs[k], r2s[k], lo[k], hi[k])
+        counts = np.bincount(rows, minlength=len(xs))
+        first = np.cumsum(counts) - counts
+        for n in np.flatnonzero(np.bincount(counts)):
+            if n == 0:
+                continue
+            sel = np.flatnonzero(counts == n)
+            boxed[p0 + sel] = np.sum(meas[first[sel, None] + np.arange(n)], axis=1)
+    return vol - boxed
+
+
+def measure_K_in_ball(x: np.ndarray, radius: float, config: RogueConfiguration) -> float:
     """Lebesgue measure of (complement of the rogue cubes) ∩ B(x, radius)."""
+    x = np.asarray(x, dtype=float).reshape(1, config.d)
+    return float(_measure_K(x, float(radius), _rogue_grid(config))[0])
+
+
+def _density_radii(x: np.ndarray, config: RogueConfiguration, grid: np.ndarray,
+                   rel_tol: float = 1e-3,
+                   t_cap: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """compute_r for every row of x at once: the cheap tests, then one
+    geometric scan shared by the points still open, then a bisection per
+    bracketed point with its own interval and stopping test."""
     d = config.d
-    vol = unit_ball_volume(d) * radius**d
-    e = config.e_array() if e_pts is None else e_pts
-    if len(e) == 0:
-        return vol
-    centers = e + 0.5
-    near = np.linalg.norm(centers - x, axis=1) <= radius + math.sqrt(d) / 2.0
-    if not near.any():
-        return vol
-    lo = e[near]
-    return vol - float(np.sum(_ball_box_measure(x, radius, lo, lo + 1.0)))
+    need_per_volume = config.delta0 * unit_ball_volume(d)
+    r = np.empty(len(x))
+    flagged = np.zeros(len(x), dtype=bool)
+
+    def passes(idx, t):
+        need = need_per_volume * _pow(t, d)
+        return _measure_K(x[idx], t / 2.0, grid) >= need * (1 - 1e-12)
+
+    open_ = np.arange(len(x))
+    # cheap admissible scales below the floor: any pass pins rho at the floor
+    for t in (0.25, config.rho_floor / 2.0, config.rho_floor):
+        ok = passes(open_, t)
+        r[open_[ok]] = t
+        open_ = open_[~ok]
+    t_cap = t_cap if t_cap is not None else 3.0 * config.N
+    t = config.rho_floor
+    prev = t
+    scanned = open_
+    lo_b = np.empty(len(x))
+    hi_b = np.empty(len(x))
+    while t <= t_cap and len(open_):
+        t *= 1.07
+        ok = passes(open_, t)
+        lo_b[open_[ok]] = prev
+        hi_b[open_[ok]] = t
+        open_ = open_[~ok]
+        prev = t
+    r[open_] = t_cap
+    flagged[open_] = True
+    bracketed = scanned[~flagged[scanned]]
+
+    def wide(idx):
+        return idx[hi_b[idx] - lo_b[idx] > rel_tol * hi_b[idx]]
+
+    active = wide(bracketed)
+    while len(active):
+        mid = 0.5 * (lo_b[active] + hi_b[active])
+        ok = passes(active, mid)
+        hi_b[active[ok]] = mid[ok]
+        lo_b[active[~ok]] = mid[~ok]
+        active = wide(active)
+    r[bracketed] = hi_b[bracketed]
+    return r, flagged
 
 
 def compute_r(x, config: RogueConfiguration, rel_tol: float = 1e-3,
-              t_cap: float | None = None,
-              e_pts: np.ndarray | None = None) -> tuple[float, bool]:
+              t_cap: float | None = None) -> tuple[float, bool]:
     """inf over t of the density condition
     m(K ∩ B(x, t/2)) >= delta0 * m(B(0,1)) * t^d, located by a geometric
     scan refined by bisection; returns (r, flagged) where the flag marks a
     scan that ran past the cap without an admissible t."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).reshape(1, config.d)
+    r, flagged = _density_radii(x, config, _rogue_grid(config), rel_tol, t_cap)
+    return float(r[0]), bool(flagged[0])
+
+
+def _rho_cubes(corners: np.ndarray, config: RogueConfiguration,
+               grid: np.ndarray) -> np.ndarray:
+    """rho_cube for every row of corners, from batched solves over the
+    sample points of CUBE_BLOCK cubes at a time."""
     d = config.d
-    v1 = unit_ball_volume(d)
-    e_pts = config.e_array() if e_pts is None else e_pts
-
-    def cond(t):
-        need = config.delta0 * v1 * t**d
-        return measure_K_in_ball(x, t / 2.0, config, e_pts) >= need * (1 - 1e-12)
-
-    # cheap admissible scales below the floor: any pass pins rho at the floor
-    for t in (0.25, config.rho_floor / 2.0, config.rho_floor):
-        if cond(t):
-            return t, False
-    t_cap = t_cap if t_cap is not None else 3.0 * config.N
-    t = config.rho_floor
-    prev = t
-    while t <= t_cap:
-        t *= 1.07
-        if cond(t):
-            lo_b, hi_b = prev, t
-            while hi_b - lo_b > rel_tol * hi_b:
-                mid = 0.5 * (lo_b + hi_b)
-                if cond(mid):
-                    hi_b = mid
-                else:
-                    lo_b = mid
-            return hi_b, False
-        prev = t
-    return t_cap, True
+    offsets = _SAMPLE_OFFSETS[d]
+    worst = np.empty(len(corners))
+    for c0 in range(0, len(corners), CUBE_BLOCK):
+        block = corners[c0:c0 + CUBE_BLOCK]
+        r, _flagged = _density_radii((block[:, None, :] + offsets).reshape(-1, d),
+                                     config, grid)
+        worst[c0:c0 + CUBE_BLOCK] = r.reshape(len(block), len(offsets)).max(axis=1)
+    inflation = 2.0 * math.sqrt(d) / 6.0
+    return np.maximum(config.rho_floor,
+                      np.where(worst > config.rho_floor, worst + inflation, worst))
 
 
-def rho_cube(cube_corner, config: RogueConfiguration,
-             e_pts: np.ndarray | None = None) -> float:
+def rho_cube(cube_corner, config: RogueConfiguration) -> float:
     """sup of rho over the cube from a 3^d sample lattice with a movement
     inflation of twice the lattice cover radius, floored at 2 sqrt(d)."""
-    corner = np.asarray(cube_corner, dtype=float)
-    d = config.d
-    offsets = np.array(np.meshgrid(*[[1 / 6, 1 / 2, 5 / 6]] * d,
-                                   indexing="ij")).reshape(d, -1).T
-    worst = 0.0
-    for off in offsets:
-        r, _flag = compute_r(corner + off, config, e_pts=e_pts)
-        worst = max(worst, r)
-    inflation = 2.0 * math.sqrt(d) / 6.0
-    return max(config.rho_floor, worst + inflation if worst > config.rho_floor else worst)
+    corner = np.asarray(cube_corner, dtype=float).reshape(1, config.d)
+    return float(_rho_cubes(corner, config, _rogue_grid(config))[0])
 
 
 @dataclass
@@ -241,19 +359,20 @@ class RhoField:
     @classmethod
     def compute(cls, config: RogueConfiguration) -> "RhoField":
         N, d = config.N, config.d
-        half = N // 2
         vals = np.full((N,) * d, config.rho_floor)
-        if config.E:
-            e_pts = config.e_array()
-            centers = e_pts + 0.5
-            for idx in np.ndindex(*(N,) * d):
-                corner = np.asarray(idx, dtype=float) - half
-                # cubes far from every rogue cube keep the floor: the density
-                # condition passes at t = 1/4 for all samples
-                gap = float(np.min(np.linalg.norm(centers - (corner + 0.5), axis=1))) if len(e_pts) else np.inf
-                if gap > 0.125 + math.sqrt(d):
-                    continue
-                vals[idx] = rho_cube(corner, config, e_pts)
+        grid = _rogue_grid(config)
+        # cubes far from every rogue cube keep the floor: the density
+        # condition passes at t = 1/4 for all samples.  Centre distances are
+        # norms of integer offsets, so the gap test is a dilation of the grid.
+        reach = 0.125 + math.sqrt(d)
+        span = int(math.ceil(reach))
+        padded = np.pad(grid, span)
+        near = np.zeros_like(grid)
+        for off in np.ndindex(*(2 * span + 1,) * d):
+            if np.linalg.norm(np.asarray(off, dtype=float) - span) <= reach:
+                near |= padded[tuple(slice(o, o + N) for o in off)]
+        corners = np.argwhere(near).astype(float) - N // 2
+        vals[near] = _rho_cubes(corners, config, grid)
         return cls(config, vals)
 
     def of_corner(self, corner) -> float:
@@ -286,23 +405,21 @@ def build_cover(config: RogueConfiguration, rho: RhoField) -> DyadicCover:
     [2 rho, 4 rho) unless already covered."""
     N, d = config.N, config.d
     half = N // 2
-    corners = [tuple(int(c) - half for c in idx) for idx in np.ndindex(*(N,) * d)]
-    order = sorted(corners, key=lambda c: (-rho.of_corner(c), c))
+    vals = rho.values.ravel()
+    # np.lexsort sorts by its last key first: -rho, then the corner axes
+    order = np.lexsort(tuple(np.indices((N,) * d).reshape(d, -1)[::-1]) + (-vals,))
+    covered = np.zeros((N,) * d, dtype=bool)
+    covered_flat = covered.reshape(-1)
     kept: list = []
     kept_by_order: dict[int, set] = {}
-    for corner in order:
-        covered = False
-        for ell, cset in kept_by_order.items():
-            edge = 1 << ell
-            anchor = tuple((c // edge) * edge for c in corner)
-            if anchor in cset:
-                covered = True
-                break
-        if covered:
+    for i in order.tolist():
+        if covered_flat[i]:
             continue
-        j = containing_dyadic(LatticeCube(corner), rho.of_corner(corner))
+        corner = tuple(int(c) - half for c in np.unravel_index(i, covered.shape))
+        j = containing_dyadic(LatticeCube(corner), float(vals[i]))
         kept.append(j)
         kept_by_order.setdefault(j.order, set()).add(j.corner)
+        covered[tuple(slice(max(c + half, 0), c + half + j.edge) for c in j.corner)] = True
     # invariants: pairwise non-nested, and the union covers Q
     for j in kept:
         for ell, cset in kept_by_order.items():
@@ -312,12 +429,9 @@ def build_cover(config: RogueConfiguration, rho: RhoField) -> DyadicCover:
             anchor = tuple((c // edge) * edge for c in j.corner)
             if anchor in cset:
                 raise CoverInvariantError(f"cover element {j} nested in an order-{ell} element")
-    for corner in corners:
-        if not any(
-            tuple((c // (1 << ell)) * (1 << ell) for c in corner) in cset
-            for ell, cset in kept_by_order.items()
-        ):
-            raise CoverInvariantError(f"basic cube {corner} not covered")
+    if not covered.all():
+        corner = tuple(int(c) - half for c in np.argwhere(~covered)[0])
+        raise CoverInvariantError(f"basic cube {corner} not covered")
     n_by_order = {ell: len(cset) for ell, cset in kept_by_order.items()}
     m0 = 1
     while 2**m0 <= 8 * math.sqrt(d):
@@ -610,6 +724,7 @@ def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
                       seed: int = 3) -> list[ContractionRow]:
     """Measured sup contraction along the kappa chains against the nested
     maximum principle; report-only."""
+    from .subfun import tube_table
     from .verify import sup_on, _support_sup_points, tube_ends
 
     rng = np.random.default_rng(seed)
@@ -623,25 +738,23 @@ def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
     pick = [central[i] for i in rng.choice(len(central),
                                            size=min(max_cubes, len(central)),
                                            replace=False)]
-    tubes = u.support_tubes() if hasattr(u, "support_tubes") else []
+    u = tube_table(u)
+    ends = tube_ends(u) if hasattr(u, "support_tubes") else None
+    if ends is not None and not len(ends[0]):
+        ends = None
+    lipschitz = None if hasattr(u, "eval_log") else 0.0
+
+    def sup(lo, hi):
+        extra = None if ends is None else _support_sup_points(ends, lo, hi)
+        return sup_on(u, lo, hi, h, extra_points=extra, lipschitz=lipschitz).low
+
+    m_q = sup(np.full(d, -half, dtype=float), np.full(d, half, dtype=float))
     rows = []
-    q_lo = np.full(d, -half, dtype=float)
-    q_hi = np.full(d, half, dtype=float)
-    ends = tube_ends(tubes)
-    extra = _support_sup_points(ends, q_lo, q_hi) if tubes else None
-    m_q = sup_on(u, q_lo, q_hi, h, extra_points=extra, lipschitz=0.0 if not hasattr(u, "eval_log") else None).low
     for corner in pick:
         chain = result.chains[corner]
         lo = np.asarray(corner, dtype=float)
         hi = lo + 1.0
-        sups = []
-        boxes = [(lo, hi)]
-        for kap in chain.kappas:
-            boxes.append((lo - kap, hi + kap))
-        for blo, bhi in boxes:
-            ex = _support_sup_points(ends, blo, bhi) if tubes else None
-            sups.append(sup_on(u, blo, bhi, h, extra_points=ex,
-                               lipschitz=0.0 if not hasattr(u, "eval_log") else None).low)
+        sups = [sup(lo, hi)] + [sup(lo - kap, hi + kap) for kap in chain.kappas]
         per_step = [sups[i + 1] - sups[i] for i in range(len(sups) - 1)]
         rows.append(ContractionRow(corner, len(chain.kappas), sups[0] - m_q, per_step))
     return rows

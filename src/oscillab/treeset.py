@@ -112,12 +112,18 @@ def parse_growth(text: str, d: int) -> GrowthParameters:
     if m is None:
         raise GrowthValidationError(f"cannot parse growth spec {text!r}")
     power = m.group("power")
-    if "/" in power:
-        num, den = power.split("/")
-        a = float(num) / float(den)
-    else:
-        a = float(power)
-    coeff = float(m.group("coeff") or 1.0)
+    try:
+        if "/" in power:
+            num, den = power.split("/")
+            a = float(num) / float(den)
+        else:
+            a = float(power)
+        coeff = float(m.group("coeff") or 1.0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GrowthValidationError(f"bad number in growth spec {text!r}: {exc}") from exc
+    if not (math.isfinite(a) and math.isfinite(coeff) and coeff > 0):
+        raise GrowthValidationError(
+            f"growth spec {text!r} needs a finite power and a finite positive coefficient")
     q = int(m.group("logexp")) if m.group("logexp") is not None else (
         1 if "log" in text else 0
     )

@@ -12,15 +12,17 @@ from oscillab.mainlemma import (
     chain_contraction,
     kappa_chains,
 )
+from oscillab.geometry import LatticeCube
 from oscillab.potential import SegmentShape, frostman
-from oscillab.subfun import SlabOscillating
+from oscillab.subfun import SlabOscillating, build_u
 from oscillab.treeset import (
     GrowthParameters,
+    _TubeIndex,
     build_tree,
     count_nonsparse,
     sparseness_threshold,
 )
-from oscillab.verify import content_lower_projection
+from oscillab.verify import classify_cube, content_lower_projection
 
 
 def growth(a, d=2):
@@ -106,3 +108,20 @@ class TestFrostmanDuality:
         proj = content_lower_projection(seg, np.array([1.0, 0.0]), 256)
         assert res.measure.total_mass >= 0.5 * proj
         assert res.measure.total_mass == pytest.approx(1.0, rel=1e-9)
+
+
+class TestFunctionPath:
+    def test_table_gives_tree_rogue_set(self):
+        # from_function classifies on the compiled tube table; classifying
+        # every cube on the node tree itself gives the same E
+        u = build_u(growth(1.5), 3, guard_samples=1000).node
+        N = 8
+        cfg = RogueConfiguration.from_function(u, N, 2, c0=0.9)
+        index = _TubeIndex(u.support_tubes(), cell=2.0)
+        on_tree = set()
+        for corner in np.ndindex(N, N):
+            cube = LatticeCube(tuple(int(c) - N // 2 for c in corner))
+            lo, hi = cube.bounds()
+            if not classify_cube(u, cube, 0.25, tubes=index.candidates(lo, hi)).p2_satisfied:
+                on_tree.add(cube.corner)
+        assert on_tree and cfg.E == on_tree

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_OK, RunConfig,
                           _parse_e_spec, main)
 from oscillab.mainlemma import RogueConfiguration
+from oscillab.treeset import _GROWTH_RE, GrowthParameters, parse_growth
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,26 @@ class TestBuild:
     def test_rejects_super_volume_growth(self, tmp_path):
         code = main(["build", "--d", "2", "--f", "t^3", "--out", str(tmp_path)])
         assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("spec", ["t^1/0", "t^.", "..*t^1.5", "0*t^1.5"])
+    def test_malformed_growth_number(self, tmp_path, capsys, spec):
+        code = main(["build", "--d", "2", "--f", spec, "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.one_of(st.text(max_size=24),
+                          st.from_regex(_GROWTH_RE, fullmatch=True)))
+    def test_growth_parser_total(self, spec):
+        # every spec either parses to validated parameters or raises an
+        # error main maps to exit 3
+        try:
+            g = parse_growth(spec, 2)
+        except CONFIG_ERRORS:
+            return
+        assert isinstance(g, GrowthParameters) and 0 <= g.index <= 2 and g.coeff > 0
+        assert g.t_onset == g.t_onset  # validate() measured the doubling window
 
     def test_d3_orthant_metadata(self, tmp_path):
         code = main(["build", "--d", "3", "--f", "t^2", "--k", "2",

@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from oscillab.mainlemma import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     ConfigurationError,
     RhoField,
     RogueConfiguration,
     StepFunction,
+    _density_radii,
+    _measure_K,
     _ring_max,
+    _rogue_grid,
     bound_value,
     build_cover,
     claim1_ratio,
@@ -20,7 +25,107 @@ from oscillab.mainlemma import (
     phi_argmin,
     psi,
     psi_decreasing_onset,
+    rho_cube,
+    unit_ball_volume,
 )
+
+
+# ---------------------------------------------------------------------------
+# Frozen scalar density radius: one point, one radius, one box list at a
+# time.  The batched solve behind RhoField must reproduce it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_ball_box(c, r, lo, hi):
+    lo = lo - c
+    hi = hi - c
+    d = lo.shape[1]
+    rad = r
+    rad2 = np.asarray(r**2)
+    half_widths = []
+    for j in range(d - 1):
+        lo_j = lo[:, j].reshape((-1,) + (1,) * j)
+        hi_j = hi[:, j].reshape((-1,) + (1,) * j)
+        a = np.maximum(lo_j, -rad)
+        b = np.minimum(hi_j, rad)
+        half = np.maximum(b - a, 0.0) / 2.0
+        xs = ((a + b) / 2.0)[..., None] + half[..., None] * _GL_NODES
+        rad2 = np.maximum(rad2[..., None] - xs**2, 0.0)
+        rad = np.sqrt(rad2)
+        half_widths.append(half)
+    shape = (-1,) + (1,) * (d - 1)
+    out = np.maximum(np.minimum(hi[:, -1].reshape(shape), rad)
+                     - np.maximum(lo[:, -1].reshape(shape), -rad), 0.0)
+    for half in reversed(half_widths):
+        out = np.sum(out * _GL_WEIGHTS, axis=-1) * half
+    return out
+
+
+def _scalar_measure_K(x, radius, config, e_pts):
+    d = config.d
+    vol = unit_ball_volume(d) * radius**d
+    if len(e_pts) == 0:
+        return vol
+    near = np.linalg.norm(e_pts + 0.5 - x, axis=1) <= radius + math.sqrt(d) / 2.0
+    if not near.any():
+        return vol
+    lo = e_pts[near]
+    return vol - float(np.sum(_scalar_ball_box(x, radius, lo, lo + 1.0)))
+
+
+def _scalar_compute_r(x, config, e_pts, rel_tol=1e-3, t_cap=None):
+    x = np.asarray(x, dtype=float)
+    v1 = unit_ball_volume(config.d)
+
+    def cond(t):
+        need = config.delta0 * v1 * t**config.d
+        return _scalar_measure_K(x, t / 2.0, config, e_pts) >= need * (1 - 1e-12)
+
+    for t in (0.25, config.rho_floor / 2.0, config.rho_floor):
+        if cond(t):
+            return t, False
+    t_cap = t_cap if t_cap is not None else 3.0 * config.N
+    t = prev = config.rho_floor
+    while t <= t_cap:
+        t *= 1.07
+        if cond(t):
+            lo_b, hi_b = prev, t
+            while hi_b - lo_b > rel_tol * hi_b:
+                mid = 0.5 * (lo_b + hi_b)
+                if cond(mid):
+                    hi_b = mid
+                else:
+                    lo_b = mid
+            return hi_b, False
+        prev = t
+    return t_cap, True
+
+
+def _scalar_rho_values(config):
+    N, d = config.N, config.d
+    half = N // 2
+    vals = np.full((N,) * d, config.rho_floor)
+    if not config.E:
+        return vals
+    e_pts = config.e_array()
+    offsets = np.array(np.meshgrid(*[[1 / 6, 1 / 2, 5 / 6]] * d,
+                                   indexing="ij")).reshape(d, -1).T
+    for idx in np.ndindex(*(N,) * d):
+        corner = np.asarray(idx, dtype=float) - half
+        gap = float(np.min(np.linalg.norm(e_pts + 0.5 - (corner + 0.5), axis=1)))
+        if gap > 0.125 + math.sqrt(d):
+            continue
+        worst = 0.0
+        for off in offsets:
+            worst = max(worst, _scalar_compute_r(corner + off, config, e_pts)[0])
+        inflation = 2.0 * math.sqrt(d) / 6.0
+        vals[idx] = max(config.rho_floor,
+                        worst + inflation if worst > config.rho_floor else worst)
+    return vals
+
+
+def _block(lo, hi, d):
+    return set(itertools.product(range(lo, hi), repeat=d))
 
 
 class TestConfiguration:
@@ -100,6 +205,69 @@ class TestComputeR:
         cfg = RogueConfiguration(32, 2, {(14, 14)}, c0=0.5)
         rho = RhoField.compute(cfg)
         assert rho.of_corner((-10, -10)) == cfg.rho_floor
+
+
+class TestBatchedDensityRadius:
+    @pytest.mark.parametrize("config", [
+        RogueConfiguration(32, 2, _block(-2, 1, 2) | {(5, 5), (6, 5), (-9, 7)}, c0=0.2),
+        RogueConfiguration(64, 2, _block(-2, 2, 2) | {(20, 20), (-25, 3)}, c0=0.2),
+        RogueConfiguration(16, 3, _block(-1, 2, 3), c0=0.2),
+    ], ids=["d2-N32", "d2-N64", "d3-N16"])
+    def test_clustered_above_floor(self, config):
+        # solid blocks push cubes above the floor, through the scan and the
+        # bisection that random configurations at these densities never reach
+        want = _scalar_rho_values(config)
+        assert (want > config.rho_floor).any()
+        assert np.array_equal(RhoField.compute(config).values, want)
+
+    @pytest.mark.parametrize("N, d, count, seed, c0", [
+        (64, 2, 512, 0, 0.13),                      # the roadmap's timing case
+        (64, 2, int(round(64**1.4)), 0, 0.1),       # lemma bench, d2 leg
+        (64, 2, int(round(64**1.4)), 1, 0.1),
+        (32, 3, 64, 0, 0.1),                        # lemma bench, d3 leg
+        (32, 3, 64, 1, 0.1),
+    ])
+    def test_random_configurations(self, N, d, count, seed, c0):
+        config = RogueConfiguration.random(N, d, count, seed=seed, c0=c0)
+        assert np.array_equal(RhoField.compute(config).values,
+                              _scalar_rho_values(config))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_measure_bitwise(self, d):
+        rng = np.random.default_rng(7 + d)
+        config = RogueConfiguration.random(16, d, 12 * d**2, seed=d, c0=0.5)
+        e_pts = config.e_array()
+        grid = _rogue_grid(config)
+        x = rng.uniform(-8.0, 8.0, size=(40, d))
+        # and radii whose square or d-th power numpy rounds unlike Python
+        cand = rng.uniform(0.5, 4.0, size=20_000)
+        odd = [v for p in (2, d) for v in
+               [v for v, w in zip(cand.tolist(), np.power(cand, p).tolist()) if v**p != w][:1]]
+        for radius in (0.125, 0.9, 2.3, 6.0, *odd):
+            want = [_scalar_measure_K(p, radius, config, e_pts) for p in x]
+            assert [measure_K_in_ball(p, radius, config) for p in x] == want
+            assert _measure_K(x, np.full(len(x), radius), grid).tolist() == want
+
+    def test_t_cap_flag(self):
+        config = RogueConfiguration(32, 2, _block(-6, 6, 2), c0=0.2)
+        x = np.array([[0.5, 0.5], [-5.5, 0.5], [12.5, 12.5]])
+        e_pts = config.e_array()
+        r, flagged = _density_radii(x, config, _rogue_grid(config), t_cap=4.0)
+        want = [_scalar_compute_r(p, config, e_pts, t_cap=4.0) for p in x]
+        assert list(zip(r.tolist(), flagged.tolist())) == want
+        assert want[0] == (4.0, True) and not want[2][1]
+
+    def test_one_point_calls_match_batch(self):
+        config = RogueConfiguration(16, 2, _block(-3, 1, 2) | {(5, -6)}, c0=0.3)
+        rng = np.random.default_rng(3)
+        x = np.vstack([rng.uniform(-4.0, 2.0, size=(30, 2)), [[5.2, -5.7]]])
+        r, flagged = _density_radii(x, config, _rogue_grid(config))
+        assert (r > config.rho_floor).any()
+        for p, rp, fp in zip(x, r.tolist(), flagged.tolist()):
+            assert compute_r(p, config) == (rp, fp)
+        rho = RhoField.compute(config)
+        for corner in ((-2, -2), (0, 0), (5, -6), (-8, 7)):
+            assert rho_cube(corner, config) == rho.of_corner(corner)
 
 
 class TestRingMax:
