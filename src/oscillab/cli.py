@@ -371,7 +371,9 @@ def cmd_potential(cfg: RunConfig, oracle: str | None, walks: int,
                                abs(eq2.energy - math.log(0.5)) < 0.05 * abs(math.log(0.5)),
                                energy=eq2.energy, target=math.log(0.5)))
     if run_claims:
-        rows = potential.check_claim1(walks=max(walks // 4, 10_000), seed=cfg.seed)
+        # the claim family is planar whatever --d selects for the annulus
+        rows = potential.check_claim1(walks=max(walks // 4, 10_000), seed=cfg.seed,
+                                      d=2)
         ratios = [r.ratio for r in rows]
         caps = [r.capacity_proxy / max(r.content_lower, 1e-12) for r in rows]
         checks.append(_verdict("claim_chain_positive",

@@ -268,11 +268,14 @@ class Shape:
         span_hi = float(np.max(np.vstack([lo, hi]) @ direction)) + 0.1
         ts = np.linspace(span_lo, span_hi, steps)
         dt = (span_hi - span_lo) / (steps - 1)
-        hits = np.zeros(origins.shape[0], dtype=bool)
-        for i, o in enumerate(origins):
-            pts = o[None, :] + (ts - float(np.dot(o, direction)))[:, None] * direction[None, :]
-            hits[i] = bool(np.any(self.distance(pts) <= dt))
-        return hits
+        # a stack of 1 x d by d x 1 products runs np.dot's kernel per origin,
+        # so each offset is the float np.dot(o, direction) gives (a
+        # matrix-vector product rounds differently); distance treats rows
+        # alone, so one call decides every line as a call per line would
+        offset = (origins[:, None, :] @ direction[:, None])[:, 0, 0]
+        pts = origins[:, None, :] + (ts[None, :] - offset[:, None])[:, :, None] * direction
+        dist = self.distance(pts.reshape(-1, direction.shape[0]))
+        return np.any(dist.reshape(len(origins), steps) <= dt, axis=1)
 
 
 class SphereShape(Shape):
@@ -340,7 +343,7 @@ class ArcShape(Shape):
         dth = np.abs((th - tmid + math.pi) % (2 * math.pi) - math.pi)
         on_arc = dth <= half
         d_arc = np.abs(r - self.radius)
-        e0 = self.center * 0 + self.radius * np.array([math.cos(self.theta0), math.sin(self.theta0)])
+        e0 = self.radius * np.array([math.cos(self.theta0), math.sin(self.theta0)])
         e1 = self.radius * np.array([math.cos(self.theta1), math.sin(self.theta1)])
         d_end = np.minimum(np.linalg.norm(pts - e0, axis=1), np.linalg.norm(pts - e1, axis=1))
         return np.where(on_arc, d_arc, d_end)
@@ -438,38 +441,35 @@ def wos_harmonic_measure(x, shape: Shape | None, walks: int = 100_000,
     if walks < 1:
         raise KernelDomainError(f"walks must be positive, got {walks}")
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
     if shape is None:
         return WosEstimate(0.0, 0.0, walks, seed)
     rng = np.random.default_rng(seed)
     hits = 0
     capped = 0
-    done_total = 0
     remaining = walks
     while remaining > 0:
         m = min(batch, remaining)
         remaining -= m
-        pos = np.tile(x, (m, 1))
-        alive = np.ones(m, dtype=bool)
+        # the live walkers only, in walk order: the i-th normal row drawn
+        # at a step moves the i-th walker still alive
+        p = np.tile(x, (m, 1))
         for _ in range(max_steps):
-            if not alive.any():
+            if not len(p):
                 break
-            p = pos[alive]
-            d_out = outer_radius - np.linalg.norm(p, axis=1)
+            # np.linalg.norm(p, axis=1), without its dispatch
+            d_out = outer_radius - np.sqrt(np.add.reduce(p * p, axis=1))
             d_set = shape.distance(p)
             absorbed_set = d_set < shell
             absorbed_out = (d_out < shell) & ~absorbed_set
-            hits += int(absorbed_set.sum())
-            step = np.minimum(d_out, d_set)
+            hits += int(np.count_nonzero(absorbed_set))
             cont = ~(absorbed_set | absorbed_out)
-            idx = np.where(alive)[0]
-            alive[idx[~cont]] = False
-            if cont.any():
-                v = rng.normal(size=(int(cont.sum()), d))
-                v /= np.linalg.norm(v, axis=1, keepdims=True)
-                pos[idx[cont]] = p[cont] + step[cont, None] * v
-        capped += int(alive.sum())
-        done_total += m
+            step = np.minimum(d_out[cont], d_set[cont])
+            p = p[cont]
+            if len(p):
+                v = rng.normal(size=p.shape)
+                v /= np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+                p = p + step[:, None] * v
+        capped += len(p)
     p_hat = hits / walks
     se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / walks)
     flagged = capped > 0.001 * walks
@@ -509,7 +509,10 @@ class ClaimRow:
 
 def default_claim_family(d: int = 2) -> list[tuple[str, Shape]]:
     """Caps, segments, and cell unions at three scales each, all compact
-    subsets of B(0, 1/2)."""
+    subsets of B(0, 1/2).  The family is planar: any other ``d`` raises
+    KernelDomainError."""
+    if d != 2:
+        raise KernelDomainError(f"the claim family is planar, got d = {d}")
     fam: list[tuple[str, Shape]] = []
     for s in (0.4, 0.2, 0.1):
         fam.append((f"segment_{s}", SegmentShape([-s / 2, 0.0], [s / 2, 0.0])))
@@ -541,10 +544,14 @@ def check_claim1(family=None, walks: int = 30_000, seed: int = 11,
                  sample_points: int = 256, d: int = 2) -> list[ClaimRow]:
     """Harmonic measure against content over a family of compact sets:
     the empirical constant of the lower bound omega >= alpha_d * content,
-    and the capacity link content <= C * (-1 / I(nu_0))."""
+    and the capacity link content <= C * (-1 / I(nu_0)).  Every member must
+    live in dimension ``d``; the default family exists only for d = 2."""
     family = family if family is not None else default_claim_family(d)
     rows = []
     for label, shape in family:
+        if shape.dimension != d:
+            raise KernelDomainError(
+                f"claim shape {label} has dimension {shape.dimension}, not d = {d}")
         lowc, upc = shape_content_estimates(shape)
         est = wos_harmonic_measure(np.zeros(d), shape, walks=walks, seed=seed)
         eq = equilibrium(shape.sample(sample_points), d)

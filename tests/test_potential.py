@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oscillab import potential
 from oscillab.potential import (
     ArcShape,
     CellUnionShape,
@@ -10,7 +11,10 @@ from oscillab.potential import (
     DiscreteMeasure,
     KernelDomainError,
     SegmentShape,
+    Shape,
     SphereShape,
+    TubeUnionShape,
+    WosEstimate,
     annulus_exact,
     check_claim1,
     check_obs1,
@@ -22,6 +26,92 @@ from oscillab.potential import (
     kernel,
     wos_harmonic_measure,
 )
+from oscillab.treeset import TubeSpec
+
+
+# Frozen copies of the per-origin line_hits and the masked walk-on-spheres
+# loop, the references that the batched versions must match bit for bit.
+
+
+def _line_hits_loop(shape, origins, direction, steps=128):
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    lo, hi = shape.bounds()
+    span_lo = float(np.min(np.vstack([lo, hi]) @ direction)) - 0.1
+    span_hi = float(np.max(np.vstack([lo, hi]) @ direction)) + 0.1
+    ts = np.linspace(span_lo, span_hi, steps)
+    dt = (span_hi - span_lo) / (steps - 1)
+    hits = np.zeros(origins.shape[0], dtype=bool)
+    for i, o in enumerate(origins):
+        pts = o[None, :] + (ts - float(np.dot(o, direction)))[:, None] * direction[None, :]
+        hits[i] = bool(np.any(shape.distance(pts) <= dt))
+    return hits
+
+
+def _wos_loop(x, shape, walks, seed, shell=1e-4, max_steps=5_000,
+              outer_radius=1.0, batch=20_000):
+    x = np.asarray(x, dtype=float)
+    d = x.shape[0]
+    rng = np.random.default_rng(seed)
+    hits = 0
+    capped = 0
+    remaining = walks
+    while remaining > 0:
+        m = min(batch, remaining)
+        remaining -= m
+        pos = np.tile(x, (m, 1))
+        alive = np.ones(m, dtype=bool)
+        for _ in range(max_steps):
+            if not alive.any():
+                break
+            p = pos[alive]
+            d_out = outer_radius - np.linalg.norm(p, axis=1)
+            d_set = shape.distance(p)
+            absorbed_set = d_set < shell
+            absorbed_out = (d_out < shell) & ~absorbed_set
+            hits += int(absorbed_set.sum())
+            step = np.minimum(d_out, d_set)
+            cont = ~(absorbed_set | absorbed_out)
+            idx = np.where(alive)[0]
+            alive[idx[~cont]] = False
+            if cont.any():
+                v = rng.normal(size=(int(cont.sum()), d))
+                v /= np.linalg.norm(v, axis=1, keepdims=True)
+                pos[idx[cont]] = p[cont] + step[cont, None] * v
+        capped += int(alive.sum())
+    p_hat = hits / walks
+    se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / walks)
+    return WosEstimate(p_hat, se, walks, seed, capped > 0.001 * walks)
+
+
+class _Recorder(Shape):
+    """A shape that keeps every point array it is asked the distance of."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.dimension = shape.dimension
+        self.queries = []
+
+    def bounds(self):
+        return self.shape.bounds()
+
+    def distance(self, pts):
+        self.queries.append(np.array(pts))
+        return self.shape.distance(pts)
+
+
+def _tube_union():
+    return TubeUnionShape([
+        TubeSpec(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.2),
+        TubeSpec(np.array([0.5, -0.5]), np.array([0.5, 0.5]), 0.1),
+    ], 2)
+
+
+def _query_shapes():
+    shapes = list(default_claim_family(2))
+    shapes.append(("sphere_d3", SphereShape(0.25, center=[0.1, -0.2, 0.05], d=3)))
+    shapes.append(("tubes", _tube_union()))
+    return shapes
 
 
 class TestKernel:
@@ -167,9 +257,74 @@ class TestWalkOnSpheres:
         assert hits >= 18
 
 
+class TestBatchedQueries:
+    @pytest.mark.parametrize("label,shape", _query_shapes(),
+                             ids=[label for label, _ in _query_shapes()])
+    def test_line_hits_matches_per_origin_loop(self, label, shape):
+        d = shape.dimension
+        lo, hi = shape.bounds()
+        rng = np.random.default_rng(5)
+        origins = rng.uniform(lo - 0.05, hi + 0.05, size=(300, d))
+        axes = [np.eye(d)[i] for i in range(d)] + [np.ones(d) / math.sqrt(d)]
+        for ax in axes:
+            batched, looped = _Recorder(shape), _Recorder(shape)
+            got = batched.line_hits(origins, ax)
+            want = _line_hits_loop(looped, origins, ax)
+            assert got.dtype == bool
+            assert np.array_equal(got, want)
+            assert want.any() and not want.all()
+            # one distance call, on the very points of the per-origin calls
+            assert len(batched.queries) == 1
+            assert np.array_equal(batched.queries[0], np.concatenate(looped.queries))
+
+    @pytest.mark.parametrize("x,shape,walks,max_steps", [
+        ([0.5, 0.0], SphereShape(0.25, d=2), 6000, 5_000),
+        ([0.5, 0.0, 0.0], SphereShape(0.25, d=3), 6000, 5_000),
+        ([0.0, 0.0], ArcShape(0.2, math.pi / 6, 5 * math.pi / 6), 6000, 5_000),
+        ([0.5, 0.0], SphereShape(0.25, d=2), 20_001, 5_000),
+        ([0.5, 0.0], SphereShape(0.25, d=2), 3000, 3),
+    ], ids=["annulus_d2", "annulus_d3", "cap", "two_batches", "capped"])
+    def test_wos_matches_masked_loop(self, x, shape, walks, max_steps):
+        compacted, masked = _Recorder(shape), _Recorder(shape)
+        got = wos_harmonic_measure(np.array(x), compacted, walks=walks, seed=9,
+                                   max_steps=max_steps)
+        want = _wos_loop(x, masked, walks, seed=9, max_steps=max_steps)
+        # every step asks the distance of the same walkers at the same points
+        assert len(compacted.queries) == len(masked.queries)
+        for a, b in zip(compacted.queries, masked.queries):
+            assert np.array_equal(a, b)
+        assert got.hit_probability == want.hit_probability
+        assert got.standard_error == want.standard_error
+        assert got.flagged == want.flagged
+        assert got.flagged == (max_steps == 3)
+
+    def test_distance_rows_are_independent(self):
+        # a row's distance must not depend on the rows batched with it:
+        # line_hits decides all lines of a projection in one call
+        shapes = [s for _, s in _query_shapes()]
+        shapes.append(SphereShape(0.3, center=[0.1, -0.2], d=2))
+        subclasses = {c for c in Shape.__subclasses__()
+                      if c.__module__ == potential.__name__}
+        assert subclasses <= {type(s) for s in shapes}
+        rng = np.random.default_rng(3)
+        for shape in shapes:
+            pts = rng.uniform(-1.3, 1.3, size=(65_536, shape.dimension))
+            batch = shape.distance(pts)
+            for i in range(0, len(pts), 61):
+                assert shape.distance(pts[i:i + 1])[0] == batch[i]
+
+
 class TestClaims:
     def test_family_has_twelve_members(self):
         assert len(default_claim_family(2)) == 12
+
+    def test_family_is_planar(self):
+        with pytest.raises(KernelDomainError):
+            default_claim_family(3)
+        with pytest.raises(KernelDomainError):
+            check_claim1(d=3, walks=100)
+        with pytest.raises(KernelDomainError):
+            check_claim1([("sphere", SphereShape(0.2, d=3))], walks=100)
 
     def test_claim_chain_small_family(self):
         fam = [
@@ -200,9 +355,6 @@ class TestClaims:
 
 class TestTubeUnionShape:
     def test_distance_is_conservative(self):
-        from oscillab.potential import TubeUnionShape
-        from oscillab.treeset import TubeSpec
-
         tubes = [
             TubeSpec(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.2),
             TubeSpec(np.array([0.5, -0.5]), np.array([0.5, 0.5]), 0.1),
