@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,11 @@ from .treeset import GrowthParameters, GrowthValidationError, parse_growth
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_BAD_CONFIG = 3
+
+#: Guard samples per junction certificate.  ``build`` and every reload of
+#: its function must use the same value, so that ``verify``, ``growth`` and
+#: the lemma check the function ``build`` wrote.
+GUARD_SAMPLES = 4096
 
 #: Errors ``main`` reports as an invalid configuration (exit 3).
 CONFIG_ERRORS = (GrowthValidationError, mainlemma.ConfigurationError,
@@ -48,8 +52,7 @@ class RunConfig:
     delta0: float | None = None
     alpha: float = 1.0 / 12.0
     c0: float = 0.1
-    threads: int = 1
-    out: Path = field(default_factory=lambda: Path("."))
+    out: Path = Path("oscillab_out")
 
     def growth(self) -> GrowthParameters:
         return parse_growth(self.f_spec, self.d)
@@ -163,10 +166,9 @@ def cmd_build(cfg: RunConfig) -> int:
     (cfg.out / "tree.json").write_text(tree.to_json() + "\n")
     # one level above the census scale, so [0, 2^k)^d sits inside the
     # enclosing rank as the nesting requires
-    ub = subfun.build_u(g, cfg.k + 1, guard_samples=4096)
+    ub = subfun.build_u(g, cfg.k + 1, guard_samples=GUARD_SAMPLES)
     doc = ub.to_dict()
     doc["orthant_components"] = 2**cfg.d
-    doc["eps_d"] = cfg.eps_d
     write_json(cfg.out / "function.json", doc)
     if cfg.d == 2:
         svg_tree(tree, cfg.out / "tree.svg")
@@ -182,7 +184,9 @@ def _read_json(path: Path):
         raise mainlemma.ConfigurationError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_function(path: Path):
+def _load_function(path: Path, run_d: int | None = None):
+    """Rebuild the function ``build`` wrote to ``path``; with ``run_d``
+    given, refuse a function of another dimension."""
     doc = _read_json(path)
     try:
         f, d, k = doc["f"], doc["d"], doc["k"]
@@ -192,23 +196,27 @@ def _load_function(path: Path):
     if not (isinstance(f, str) and type(d) is int and type(k) is int):
         raise mainlemma.ConfigurationError(
             f"{path}: f must be a string, d and k integers")
+    if run_d is not None and d != run_d:
+        raise mainlemma.ConfigurationError(
+            f"{path} holds a d = {d} function, the run has d = {run_d}")
     g = parse_growth(f, d)
-    ub = subfun.build_u(g, k, guard_samples=4096)
+    ub = subfun.build_u(g, k, guard_samples=GUARD_SAMPLES)
     return g, ub, doc
 
 
 def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     g, ub, _doc = _load_function(function_path)
+    d = g.d
     checks = []
     # harmonic-base refinement on the tube profile; the mask pins the
     # stencil minimum to the centerline, which every refinement level
     # samples at the same physical points, so the h^2 scaling is clean
     eps = 0.5
-    fn = lambda pts: subfun.eval_T(eps, pts, cfg.d)
+    fn = lambda pts: subfun.eval_T(eps, pts, d)
     hs = [grid_h * 4, grid_h * 2, grid_h]
     mask = lambda pts: np.all(np.abs(pts[:, 1:]) < grid_h / 2, axis=1)
     rows = verify.laplacian_refinement_study(
-        fn, np.array([-0.5] + [-eps / 2] * (cfg.d - 1)), 1.0, hs, mask)
+        fn, np.array([-0.5] + [-eps / 2] * (d - 1)), 1.0, hs, mask)
     factors = [abs(rows[i][1]) / max(abs(rows[i + 1][1]), 1e-300)
                for i in range(len(rows) - 1)]
     checks.append(_verdict("laplacian_refinement",
@@ -217,9 +225,8 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     # rogue census at the built scale
     k = ub.k - 1
     node = ub.level_nodes[k]
-    census = verify.rogue_census(node, (0,) * cfg.d, (2**k,) * cfg.d, g,
-                                 cfg.eps_d, keep_reports=True,
-                                 threads=cfg.threads)
+    census = verify.rogue_census(node, (0,) * d, (2**k,) * d, g,
+                                 cfg.eps_d, keep_reports=True)
     nonbranch_ok = True
     branch_tubes = [t for t in node.support_tubes()
                     if t.diameter > 2 * treeset.EPS1]
@@ -229,7 +236,7 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
         cube = LatticeCube(r.cube)
         lo, hi = cube.bounds()
         center = (lo + hi) / 2
-        touches = any(float(t.distance(center[None, :])[0]) <= math.sqrt(cfg.d) / 2
+        touches = any(float(t.distance(center[None, :])[0]) <= math.sqrt(d) / 2
                       for t in branch_tubes)
         if not touches:
             nonbranch_ok = False
@@ -304,7 +311,7 @@ def _parse_e_spec(spec: str, cfg: RunConfig) -> mainlemma.RogueConfiguration:
             raise GrowthValidationError(f"bad cube list in {spec!r}: {exc}") from exc
         return mainlemma.RogueConfiguration(cfg.N, cfg.d, E, **kwargs)
     if spec.startswith("function:"):
-        _g, ub, _doc = _load_function(Path(spec.split(":", 1)[1]))
+        _g, ub, _doc = _load_function(Path(spec.split(":", 1)[1]), cfg.d)
         return mainlemma.RogueConfiguration.from_function(
             ub.node, cfg.N, cfg.d, cfg.eps_d, **kwargs)
     raise GrowthValidationError(f"bad E spec {spec!r}")
@@ -312,6 +319,8 @@ def _parse_e_spec(spec: str, cfg: RunConfig) -> mainlemma.RogueConfiguration:
 
 def cmd_lemma(cfg: RunConfig, e_spec: str, with_contraction: bool = False,
               function_path: Path | None = None) -> int:
+    if with_contraction and function_path is None:
+        raise mainlemma.ConfigurationError("--with-contraction needs --function")
     config = _parse_e_spec(e_spec, cfg)
     rho = mainlemma.RhoField.compute(config)
     cover = mainlemma.build_cover(config, rho)
@@ -337,8 +346,8 @@ def cmd_lemma(cfg: RunConfig, e_spec: str, with_contraction: bool = False,
               ["corner", "n_layers", "n_kappa", "b_value"],
               [("|".join(str(v) for v in c.corner), len(c.layers),
                 len(c.kappas), c.b_value) for c in result.chains.values()])
-    if with_contraction and function_path is not None:
-        _g, ub, _doc = _load_function(function_path)
+    if with_contraction:
+        _g, ub, _doc = _load_function(function_path, cfg.d)
         rows = mainlemma.chain_contraction(ub.node, config, result)
         write_csv(cfg.out / "contraction.csv",
                   ["corner", "n_kappa", "log_ratio"],
@@ -409,73 +418,80 @@ def cmd_report(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an invalid configuration (exit 3,
+    one line, no usage dump) instead of argparse's exit 2, which is the code
+    for a failed check.  Options are not abbreviated, so that ``lemma --f``
+    is refused rather than read as ``--function``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise mainlemma.ConfigurationError(f"{self.prog}: {message}")
+
+
+#: The options that set a ``RunConfig`` field; each takes its default there.
+_CONFIG_OPTIONS = {
+    "--d": dict(type=int, choices=(2, 3)),
+    "--f": dict(dest="f_spec", help="comparison function, e.g. t^1.5"),
+    "--k": dict(type=int),
+    "--N": dict(type=int),
+    "--seed": dict(type=int),
+    "--eps-d": dict(type=float),
+    "--alpha": dict(type=float),
+    "--c0": dict(type=float),
+    "--delta0": dict(type=float),
+    "--out": dict(type=Path),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="oscillab", description=__doc__)
+    p = _Parser(prog="oscillab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    defaults = RunConfig()
 
-    def common(sp):
-        sp.add_argument("--d", type=int, default=2, choices=(2, 3))
-        sp.add_argument("--f", default="t^1.5", help="comparison function, e.g. t^1.5")
-        sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--eps-d", type=float, default=verify.EPS_D_DEFAULT)
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get("OSCILLAB_THREADS", "1")))
-        sp.add_argument("--out", type=Path, default=Path("oscillab_out"))
+    def command(name, help, *options):
+        sp = sub.add_parser(name, help=help)
+        for opt in options:
+            kw = _CONFIG_OPTIONS[opt]
+            dest = kw.get("dest", opt[2:].replace("-", "_"))
+            sp.add_argument(opt, default=getattr(defaults, dest), **kw)
+        return sp
 
-    b = sub.add_parser("build", help="construct the tree set and glued function")
-    common(b)
-    b.add_argument("--k", type=int, default=4)
-    b.add_argument("--function", default="u", choices=("u",))
+    command("build", "construct the tree set and glued function",
+            "--d", "--f", "--k", "--out")
 
-    v = sub.add_parser("verify", help="laplacian and census verification")
-    common(v)
+    v = command("verify", "laplacian and census verification", "--eps-d", "--out")
     v.add_argument("--function", type=Path, required=True)
     v.add_argument("--grid-h", type=float, default=0.03125)
 
-    gr = sub.add_parser("growth", help="growth profile against the bounds")
-    common(gr)
+    gr = command("growth", "growth profile against the bounds", "--out")
     gr.add_argument("--function", type=Path, required=True)
 
-    le = sub.add_parser("lemma", help="combinatorial lemma engine")
-    common(le)
-    le.add_argument("--N", type=int, default=64)
+    le = command("lemma", "combinatorial lemma engine", "--d", "--seed", "--eps-d",
+                 "--N", "--alpha", "--c0", "--delta0", "--out")
     le.add_argument("--E", default="none",
                     help="none | random:density=P | random:count=C | file:PATH | function:PATH")
-    le.add_argument("--alpha", type=float, default=1.0 / 12.0)
-    le.add_argument("--c0", type=float, default=0.1)
-    le.add_argument("--delta0", type=float, default=None)
     le.add_argument("--with-contraction", action="store_true")
     le.add_argument("--function", type=Path, default=None)
 
-    po = sub.add_parser("potential", help="potential-theory oracles and claims")
-    common(po)
+    po = command("potential", "potential-theory oracles and claims",
+                 "--d", "--seed", "--out")
     po.add_argument("--oracle", default=None, choices=(None, "annulus", "equilibrium"))
     po.add_argument("--walks", type=int, default=100_000)
     po.add_argument("--claims", action="store_true")
 
-    re = sub.add_parser("report", help="aggregate tool reports")
-    common(re)
+    command("report", "aggregate tool reports", "--out")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        d=getattr(args, "d", 2),
-        f_spec=getattr(args, "f", "t^1.5"),
-        k=getattr(args, "k", 4),
-        N=getattr(args, "N", 64),
-        seed=args.seed,
-        eps_d=args.eps_d,
-        delta0=getattr(args, "delta0", None),
-        alpha=getattr(args, "alpha", 1.0 / 12.0),
-        c0=getattr(args, "c0", 0.1),
-        threads=args.threads,
-        out=args.out,
-    )
     try:
+        args = build_parser().parse_args(argv)
+        config_fields = {f.name for f in fields(RunConfig)}
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in config_fields})
         if args.command == "build":
-            cfg.growth()  # validate early
             return cmd_build(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, args.function, args.grid_h)

@@ -395,9 +395,6 @@ class DyadicCover:
     s_values: dict       # m -> s_m (real-valued, capped at N/(6d))
     m_bar: int
 
-    def counts_sum(self, m: int, weight: int = 1) -> float:
-        return sum((2.0**ell) ** weight * n for ell, n in self.n_by_order.items() if ell >= m)
-
 
 def build_cover(config: RogueConfiguration, rho: RhoField) -> DyadicCover:
     """Maximal dyadic cover: cubes processed in descending rho (lexicographic

@@ -47,6 +47,7 @@ from .treeset import (
     complete_frame,
     delta_k,
     params_eps1,
+    tube_bounds,
 )
 
 PI = math.pi
@@ -261,13 +262,6 @@ class FunctionNode:
     def bbox(self):
         return None
 
-    def eval(self, X: np.ndarray) -> np.ndarray:
-        """Linear values; +inf where the log-value exceeds the linear limit."""
-        lv = self.eval_log(X)
-        out = np.where(np.isfinite(lv), np.exp(np.minimum(lv, LINEAR_LIMIT)), 0.0)
-        out[lv > LINEAR_LIMIT] = np.inf
-        return out
-
     def to_dict(self) -> dict:
         return {"kind": self.kind}
 
@@ -323,10 +317,9 @@ class TubeField(FunctionNode):
         self.cut = float(cut)
         self.tag = tag
         self.generation = generation
-        a = frame.origin
-        b = frame.from_local(np.array([[self.cut] + [0.0] * (d - 1)]))[0]
-        self._tube = TubeSpec(a, b, eps, generation=generation, kind=tag)
-        self._bbox = self._tube.bounds()
+        self.a = np.asarray(frame.origin, dtype=float)
+        self.b = frame.from_local(np.array([[self.cut] + [0.0] * (d - 1)]))[0]
+        self._bbox = tube_bounds(self.a, self.b, eps)
 
     @classmethod
     def junction_branch(cls, anchor, direction, eps, d, log_amp, run,
@@ -365,7 +358,8 @@ class TubeField(FunctionNode):
                            slack * math.sqrt(self.d)) + self.log_amp
 
     def support_tubes(self):
-        return [self._tube]
+        return [TubeSpec(self.a, self.b, self.eps, generation=self.generation,
+                         kind=self.tag)]
 
     def bbox(self):
         return self._bbox
@@ -763,8 +757,8 @@ class TubeTable(FunctionNode):
 
         # tube endpoints (a is the frame origin), frame rows and bounding
         # boxes in global coordinates
-        self.tube_a = np.array([f.support_tubes()[0].a for f in tf])
-        self.tube_b = np.array([f.support_tubes()[0].b for f in tf])
+        self.tube_a = np.array([f.a for f in tf])
+        self.tube_b = np.array([f.b for f in tf])
         self.global_rows = self.rows.copy()
         corners = np.stack([np.where(np.asarray(bits, dtype=bool), self.box_hi, self.box_lo)
                             for bits in np.ndindex(*(2,) * d)], axis=1)
@@ -1680,7 +1674,3 @@ class SlabOscillating(FunctionNode):
                     vals = vals + log_cosh(2 * PI * (np.abs(X[on, j]) + slack) / math.sqrt(d - 1))
             out[on] = np.maximum(out[on], vals)
         return out
-
-    def zero_band_fraction(self):
-        # zero set per basic cube: the central band product, measure (1/2)^d
-        return 0.5**self.d

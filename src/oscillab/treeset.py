@@ -160,6 +160,12 @@ def complete_frame(axis: np.ndarray) -> np.ndarray:
     return np.asarray(rows)
 
 
+def tube_bounds(a: np.ndarray, b: np.ndarray, diameter: float):
+    """Axis-aligned bounding box of the tube around [a, b]."""
+    r = diameter / 2.0 * math.sqrt(len(a) - 1)
+    return np.minimum(a, b) - r, np.maximum(a, b) + r
+
+
 @dataclass
 class TubeSpec:
     """Tube around the segment [a, b] with square cross-section."""
@@ -207,10 +213,7 @@ class TubeSpec:
         return np.sqrt(dx**2 + np.sum(dt**2, axis=1))
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        r = self.diameter / 2.0 * math.sqrt(len(self.a) - 1)
-        lo = np.minimum(self.a, self.b) - r
-        hi = np.maximum(self.a, self.b) + r
-        return lo, hi
+        return tube_bounds(self.a, self.b, self.diameter)
 
     def to_dict(self) -> dict:
         return {

@@ -410,8 +410,7 @@ class CensusResult:
 
 
 def rogue_census(u, lo, hi, f: GrowthParameters, eps_d: float = EPS_D_DEFAULT,
-                 h: float = 0.125, keep_reports: bool = False,
-                 threads: int | None = None) -> CensusResult:
+                 h: float = 0.125, keep_reports: bool = False) -> CensusResult:
     """Exact rogue count over the basic cubes of the box, divided by
     f(edge length)."""
     u = tube_table(u)
@@ -420,19 +419,8 @@ def rogue_census(u, lo, hi, f: GrowthParameters, eps_d: float = EPS_D_DEFAULT,
     from .treeset import _TubeIndex
 
     index = _TubeIndex(tubes, cell=2.0)
-
-    def one(cube):
-        clo, chi = cube.bounds()
-        local = index.candidates(clo, chi)
-        return classify_cube(u, cube, eps_d, h, tubes=local)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, cubes))
-    else:
-        reports = [one(c) for c in cubes]
+    reports = [classify_cube(u, c, eps_d, h, tubes=index.candidates(*c.bounds()))
+               for c in cubes]
     count = sum(1 for r in reports if r.rogue)
     edge = float(max(b - a for a, b in zip(lo, hi)))
     fval = float(f(edge))

@@ -18,6 +18,14 @@ def built(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def built_d3(tmp_path_factory):
+    out = tmp_path_factory.mktemp("build_d3")
+    code = main(["build", "--d", "3", "--f", "t^2", "--k", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    return out
+
+
 class TestBuild:
     def test_artifacts_written(self, built):
         assert (built / "tree.json").exists()
@@ -50,11 +58,8 @@ class TestBuild:
         assert isinstance(g, GrowthParameters) and 0 <= g.index <= 2 and g.coeff > 0
         assert g.t_onset == g.t_onset  # validate() measured the doubling window
 
-    def test_d3_orthant_metadata(self, tmp_path):
-        code = main(["build", "--d", "3", "--f", "t^2", "--k", "2",
-                     "--out", str(tmp_path)])
-        assert code == EXIT_OK
-        doc = json.loads((tmp_path / "function.json").read_text())
+    def test_d3_orthant_metadata(self, built_d3):
+        doc = json.loads((built_d3 / "function.json").read_text())
         assert doc["orthant_components"] == 8
 
     def test_deterministic_output(self, built, tmp_path):
@@ -205,17 +210,63 @@ class TestReport:
         assert "verify" in doc["tools"] and "growth" in doc["tools"]
 
 
-class TestThreadsEnv:
-    def test_env_var_sets_default(self, monkeypatch):
-        from oscillab.cli import build_parser
+class TestOptions:
+    """Each subcommand takes exactly the options it reads; a command line
+    it cannot use is an invalid configuration (exit 3), not a failed check."""
 
-        monkeypatch.setenv("OSCILLAB_THREADS", "4")
-        args = build_parser().parse_args(["report"])
-        assert args.threads == 4
+    @pytest.mark.parametrize("argv", [
+        ["build", "--seed", "1"], ["build", "--eps-d", "0.3"],
+        ["verify", "--function", "F", "--d", "3"],
+        ["verify", "--function", "F", "--threads", "2"],
+        ["growth", "--function", "F", "--d", "3"], ["lemma", "--f", "t^2"],
+        ["potential", "--eps-d", "0.3"], ["report", "--seed", "1"]])
+    def test_removed_option(self, built, tmp_path, capsys, argv):
+        argv = [str(built / "function.json") if a == "F" else a for a in argv]
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "unrecognized" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
 
-    def test_flag_overrides_env(self, monkeypatch):
-        from oscillab.cli import build_parser
+    @pytest.mark.parametrize("argv", [
+        [], ["build", "--bogus", "1"], ["lemma", "--N", "abc"],
+        ["build", "--d", "4"], ["potential", "--walks", "1e5"],
+        ["verify"], ["growth"], ["lemma", "--function"]])
+    def test_malformed_or_missing(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path)] if argv else argv)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
-        monkeypatch.setenv("OSCILLAB_THREADS", "4")
-        args = build_parser().parse_args(["report", "--threads", "2"])
-        assert args.threads == 2
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage: oscillab" in capsys.readouterr().out
+
+    def test_contraction_needs_function(self, tmp_path, capsys):
+        code = main(["lemma", "--d", "2", "--N", "16", "--E", "random:count=4",
+                     "--with-contraction", "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        assert "--function" in capsys.readouterr().err
+        assert not (tmp_path / "contraction.csv").exists()
+
+    def test_verify_takes_dimension_from_function(self, built_d3, tmp_path):
+        code = main(["verify", "--function", str(built_d3 / "function.json"),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = (tmp_path / "census.csv").read_text().splitlines()[1:]
+        assert rows and all(len(r.split(",")[0].split("|")) == 3 for r in rows)
+
+    @pytest.mark.parametrize("flags", [["--E", "function:F"],
+                                       ["--with-contraction", "--function", "F"]])
+    def test_lemma_refuses_function_of_other_dimension(self, built_d3, tmp_path,
+                                                       capsys, flags):
+        flags = [f.replace("F", str(built_d3 / "function.json")) for f in flags]
+        code = main(["lemma", "--d", "2", "--N", "16", *flags, "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "d = 3 function" in err and "Traceback" not in err
