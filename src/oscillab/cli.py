@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mainlemma, potential, subfun, treeset, verify
-from .geometry import InvalidRegionError, LatticeCube
+from .geometry import InvalidRegionError
 from .treeset import GrowthParameters, GrowthValidationError, parse_growth
 
 EXIT_OK = 0
@@ -222,25 +222,16 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     checks.append(_verdict("laplacian_refinement",
                            all(3.5 <= f <= 4.5 for f in factors),
                            factors=factors, minima=[r[1] for r in rows]))
-    # rogue census at the built scale
+    # rogue census at the built scale; every rogue cube must lie within
+    # sqrt(d)/2 of a branch tube (one wider than the leaves)
     k = ub.k - 1
-    node = ub.level_nodes[k]
-    census = verify.rogue_census(node, (0,) * d, (2**k,) * d, g,
+    table = subfun.TubeTable(ub.level_nodes[k])
+    census = verify.rogue_census(table, (0,) * d, (2**k,) * d, g,
                                  cfg.eps_d, keep_reports=True)
-    nonbranch_ok = True
-    branch_tubes = [t for t in node.support_tubes()
-                    if t.diameter > 2 * treeset.EPS1]
-    for r in census.reports:
-        if not r.rogue:
-            continue
-        cube = LatticeCube(r.cube)
-        lo, hi = cube.bounds()
-        center = (lo + hi) / 2
-        touches = any(float(t.distance(center[None, :])[0]) <= math.sqrt(d) / 2
-                      for t in branch_tubes)
-        if not touches:
-            nonbranch_ok = False
-            break
+    nonbranch_ok = all(
+        np.any(table.eps[table.near(np.add(r.cube, 0.5), math.sqrt(d) / 2)]
+               > 2 * treeset.EPS1)
+        for r in census.reports if r.rogue)
     checks.append(_verdict("rogue_census", census.gamma <= 10.0,
                            count=census.count, gamma=census.gamma,
                            f_value=census.f_value))
@@ -317,10 +308,7 @@ def _parse_e_spec(spec: str, cfg: RunConfig) -> mainlemma.RogueConfiguration:
     raise GrowthValidationError(f"bad E spec {spec!r}")
 
 
-def cmd_lemma(cfg: RunConfig, e_spec: str, with_contraction: bool = False,
-              function_path: Path | None = None) -> int:
-    if with_contraction and function_path is None:
-        raise mainlemma.ConfigurationError("--with-contraction needs --function")
+def cmd_lemma(cfg: RunConfig, e_spec: str, function_path: Path | None = None) -> int:
     config = _parse_e_spec(e_spec, cfg)
     rho = mainlemma.RhoField.compute(config)
     cover = mainlemma.build_cover(config, rho)
@@ -346,7 +334,7 @@ def cmd_lemma(cfg: RunConfig, e_spec: str, with_contraction: bool = False,
               ["corner", "n_layers", "n_kappa", "b_value"],
               [("|".join(str(v) for v in c.corner), len(c.layers),
                 len(c.kappas), c.b_value) for c in result.chains.values()])
-    if with_contraction:
+    if function_path is not None:
         _g, ub, _doc = _load_function(function_path, cfg.d)
         rows = mainlemma.chain_contraction(ub.node, config, result)
         write_csv(cfg.out / "contraction.csv",
@@ -473,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                  "--N", "--alpha", "--c0", "--delta0", "--out")
     le.add_argument("--E", default="none",
                     help="none | random:density=P | random:count=C | file:PATH | function:PATH")
-    le.add_argument("--with-contraction", action="store_true")
-    le.add_argument("--function", type=Path, default=None)
+    le.add_argument("--function", type=Path, default=None,
+                    help="also measure the chain contraction of this function")
 
     po = command("potential", "potential-theory oracles and claims",
                  "--d", "--seed", "--out")
@@ -498,7 +486,7 @@ def main(argv=None) -> int:
         if args.command == "growth":
             return cmd_growth(cfg, args.function)
         if args.command == "lemma":
-            return cmd_lemma(cfg, args.E, args.with_contraction, args.function)
+            return cmd_lemma(cfg, args.E, args.function)
         if args.command == "potential":
             return cmd_potential(cfg, args.oracle, args.walks, args.claims)
         if args.command == "report":

@@ -93,21 +93,17 @@ class RogueConfiguration:
 
     @classmethod
     def from_function(cls, u, N: int, d: int, eps_d: float = 0.25, **kw) -> "RogueConfiguration":
-        """E = the basic cubes of Q failing the zero-set content property."""
+        """E = the basic cubes of Q failing the zero-set content property
+        (the census's P2)."""
         from .subfun import tube_table
-        from .verify import classify_cube
-        from .treeset import _TubeIndex
+        from .verify import near_tube_ends, zero_set_projection
 
         half = N // 2
         u = tube_table(u)
-        tubes = u.support_tubes()
-        index = _TubeIndex(tubes, cell=2.0)
         bad = set()
         for corner in np.ndindex(*(N,) * d):
             cube = LatticeCube(tuple(int(c) - half for c in corner))
-            lo, hi = cube.bounds()
-            rep = classify_cube(u, cube, eps_d, tubes=index.candidates(lo, hi))
-            if not rep.p2_satisfied:
+            if zero_set_projection(u, cube, near_tube_ends(u, cube), eps_d) < eps_d:
                 bad.add(cube.corner)
         return cls(N, d, bad, **kw)
 

@@ -46,7 +46,6 @@ from .treeset import (
     choose_s_k,
     complete_frame,
     delta_k,
-    params_eps1,
     tube_bounds,
 )
 
@@ -804,7 +803,6 @@ class TubeTable(FunctionNode):
         self._cell_fields = owner[order]
         self._cell_ptr = np.searchsorted(lin[order], np.arange(int(np.prod(self._cells)) + 1))
         self._cell_lo, self._cell_hi = glo[self._cell_fields], ghi[self._cell_fields]
-        self._tubes = None
 
     # -- structure ---------------------------------------------------------
 
@@ -812,11 +810,20 @@ class TubeTable(FunctionNode):
         return self._bbox
 
     def support_tubes(self):
-        if self._tubes is None:
-            self._tubes = [TubeSpec(a, b, e, generation=g, kind=t)
-                           for a, b, e, g, t in zip(self.tube_a, self.tube_b, self.eps,
-                                                    self.generation, self.tag)]
-        return self._tubes
+        return [TubeSpec(a, b, e, generation=g, kind=t)
+                for a, b, e, g, t in zip(self.tube_a, self.tube_b, self.eps,
+                                         self.generation, self.tag)]
+
+    def near(self, x, r: float) -> np.ndarray:
+        """Ascending rows whose support lies within Euclidean distance r of
+        the point x, measured in the row's own global frame."""
+        x = np.asarray(x, dtype=float)
+        # _candidates keeps the grid's ascending row order
+        rows = self._candidates(x, x, r, r)
+        loc = np.einsum("fji,fi->fj", self.global_rows[rows], x - self.tube_a[rows])
+        dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.cut[rows]), 0.0)
+        dt = np.maximum(np.abs(loc[:, 1:]) - self.half[rows, None], 0.0)
+        return rows[dx**2 + np.sum(dt**2, axis=1) <= r * r]
 
     # -- evaluation --------------------------------------------------------
 
@@ -1145,11 +1152,10 @@ def glue_schedule(params: GrowthParameters, k: int) -> GlueSchedule:
     i = k - s_k down to 0 (the leaves)."""
     d = params.d
     s_k, eps_k = choose_s_k(params, k)
-    eps1 = params_eps1(params)
     ratios = [PI * d / eps_k] * s_k
-    ratios += [PI * d * 2.0**i / eps1 for i in range(k - s_k, -1, -1)]
+    ratios += [PI * d * 2.0**i / EPS1 for i in range(k - s_k, -1, -1)]
     assert len(ratios) == k + 1
-    return GlueSchedule(d, k, s_k, eps_k, eps1, ratios, log_MM(params, k))
+    return GlueSchedule(d, k, s_k, eps_k, EPS1, ratios, log_MM(params, k))
 
 
 # ---------------------------------------------------------------------------
@@ -1545,17 +1551,16 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
     if k < 1:
         raise ParameterRangeError("k must be >= 1")
     d = params.d
-    eps1 = params_eps1(params)
     levels: list[ULevel] = []
     checks: list[JunctionCheck] = []
 
     # level 1: basic subtree of [0,2)^d plus its handle of diameter 2 delta_1
     leaf_amp0 = 0.0
-    trunk_amp1 = PI * d / eps1  # thin glue ratio at child order 0
+    trunk_amp1 = PI * d / EPS1  # thin glue ratio at child order 0
     handle1 = TubeField.junction_branch(np.ones(d), np.ones(d) / math.sqrt(d),
                                         2.0 * delta_k(params, 1), d, trunk_amp1,
                                         math.sqrt(d), tag="handle", generation=0)
-    leaves = MaxNode(_leaf_fields(np.zeros(d), d, eps1, leaf_amp0))
+    leaves = MaxNode(_leaf_fields(np.zeros(d), d, EPS1, leaf_amp0))
     u_node: FunctionNode = GuardedMax(handle1, leaves, handle1.guard())
     level_nodes: list[FunctionNode] = [u_node]
     tau_cache: dict[int, TauBuild] = {}

@@ -21,6 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -184,31 +185,30 @@ class TubeSpec:
             raise ParameterRangeError(f"tube diameter must be positive, got {self.diameter}")
         if np.allclose(self.a, self.b):
             raise ParameterRangeError("tube endpoints must be distinct")
-        self._frame = complete_frame(self.b - self.a)
-        self._length = float(np.linalg.norm(self.b - self.a))
 
-    @property
+    # computed on first use: most tubes of a built tree never need them
+    @cached_property
     def length(self) -> float:
-        return self._length
+        return float(np.linalg.norm(self.b - self.a))
 
-    @property
+    @cached_property
     def frame(self) -> np.ndarray:
-        return self._frame
+        return complete_frame(self.b - self.a)
 
     def local(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts - self.a) @ self._frame.T
+        return (pts - self.a) @ self.frame.T
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         loc = self.local(points)
-        axial = (loc[:, 0] >= 0.0) & (loc[:, 0] <= self._length)
+        axial = (loc[:, 0] >= 0.0) & (loc[:, 0] <= self.length)
         trans = np.all(np.abs(loc[:, 1:]) < self.diameter / 2.0, axis=1)
         return axial & trans
 
     def distance(self, points: np.ndarray) -> np.ndarray:
         """Euclidean distance to the tube (exact: box in frame coordinates)."""
         loc = self.local(points)
-        dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self._length), 0.0)
+        dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.length), 0.0)
         dt = np.maximum(np.abs(loc[:, 1:]) - self.diameter / 2.0, 0.0)
         return np.sqrt(dx**2 + np.sum(dt**2, axis=1))
 
@@ -361,7 +361,7 @@ def build_outer_subtree(params: GrowthParameters, k: int) -> TreeSpec:
     for m in range(1, k + 1):
         child_order = k + 1 - m
         edge = 2.0**child_order
-        diam = 2.0 ** (k + 1 - m) * eps_k if m <= s_k else params_eps1(params)
+        diam = 2.0 ** (k + 1 - m) * eps_k if m <= s_k else EPS1
         kind = "wide" if m <= s_k else "thin"
         n_cells = 2 ** (k + 1 - child_order)
         for idx in np.ndindex(*(n_cells,) * d):
@@ -372,23 +372,17 @@ def build_outer_subtree(params: GrowthParameters, k: int) -> TreeSpec:
     for idx in np.ndindex(*(n_cells,) * d):
         cell_corner = 2 * np.asarray(idx)
         tubes.extend(
-            build_basic_subtree(cell_corner, params_eps1(params), d, k + 1, k + 1)
+            build_basic_subtree(cell_corner, EPS1, d, k + 1, k + 1)
         )
     return TreeSpec(
         dimension=d,
         rank=k + 1,
         tubes=tubes,
-        eps1=params_eps1(params),
+        eps1=EPS1,
         s_values={k: s_k},
         eps_values={k: eps_k},
         delta_values={},
     )
-
-
-def params_eps1(params: GrowthParameters) -> float:
-    # eps_1 is a dimension-level constant here; kept as a function so a
-    # different choice stays a one-line change.
-    return EPS1
 
 
 def _reflect_into_cell(tube: TubeSpec, cell_index, edge: float, rank: int) -> TubeSpec:
@@ -414,16 +408,15 @@ def build_tree(params: GrowthParameters, k: int) -> TreeSpec:
     if k < 0:
         raise ParameterRangeError("k must be >= 0")
     d = params.d
-    eps1 = params_eps1(params)
-    sparseness_threshold(d, eps1)
-    tubes = build_basic_subtree((0,) * d, eps1, d, rank=1, generation=1)
+    sparseness_threshold(d, EPS1)
+    tubes = build_basic_subtree((0,) * d, EPS1, d, rank=1, generation=1)
     s_values: dict[int, int] = {}
     eps_values: dict[int, float] = {}
     delta_values: dict[int, float] = {}
     for j in range(1, k + 1):
         edge = 2.0**j
         if j == 1:
-            outer = TreeSpec(d, 1, build_basic_subtree((0,) * d, eps1, d, 2, 1), eps1)
+            outer = TreeSpec(d, 1, build_basic_subtree((0,) * d, EPS1, d, 2, 1), EPS1)
         else:
             outer = build_outer_subtree(params, j - 1)
             s_values.update(outer.s_values)
@@ -439,7 +432,7 @@ def build_tree(params: GrowthParameters, k: int) -> TreeSpec:
         for idx in np.ndindex(*(2,) * d):
             cell_center = (np.asarray(idx, dtype=float) + 0.5) * edge
             tubes.append(TubeSpec(cell_center, box_center, edge * dj, j + 1, 0, "handle"))
-    return TreeSpec(d, k + 1, tubes, eps1, s_values, eps_values, delta_values)
+    return TreeSpec(d, k + 1, tubes, EPS1, s_values, eps_values, delta_values)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import LatticeCube, enumerate_basic_cubes
 from .subfun import TubeTable, tube_table
-from .treeset import GrowthParameters, TubeSpec
+from .treeset import GrowthParameters
 
 EPS_D_DEFAULT = 0.25
 
@@ -290,18 +290,15 @@ class ZeroSetInCube:
     With the evaluator available, a point is certified zero exactly when
     the log-value is -inf (the profiles vanish identically outside the
     half-tube level sets, so this is the true zero set, including the wall
-    layers inside tubes where max(T-1, 0) dies).  Without it, the support
+    layers inside tubes where max(T-1, 0) dies).  Without it, the given
     tubes serve as a conservative overestimate of the support."""
 
-    def __init__(self, cube: LatticeCube, tubes: list[TubeSpec], fn=None):
+    def __init__(self, cube: LatticeCube, tubes=(), fn=None):
         self.cube = cube
         self.fn = fn if (fn is not None and hasattr(fn, "eval_log")) else None
         self.dimension = cube.dimension
-        lo, hi = cube.bounds()
-        self._lo, self._hi = lo, hi
-        center = (lo + hi) / 2.0
-        r = math.sqrt(self.dimension) / 2.0
-        self.tubes = [t for t in tubes if float(t.distance(center[None, :])[0]) <= r]
+        self._lo, self._hi = cube.bounds()
+        self.tubes = list(tubes)
 
     def bounds(self):
         return self._lo, self._hi
@@ -347,11 +344,7 @@ class ZeroSetInCube:
             for j in range(2 ** len(lo))
         ])
         center = (lo + hi) / 2.0
-        pts = np.vstack([corners, center[None, :]])
-        free = np.ones(pts.shape[0], dtype=bool)
-        for t in self.tubes:
-            free &= ~t.contains(pts)
-        return bool(free.any())
+        return bool(self._free(np.vstack([corners, center[None, :]])).any())
 
 
 # ---------------------------------------------------------------------------
@@ -373,28 +366,49 @@ class OscillationReport:
         return self.classification == "rogue"
 
 
+def near_tube_ends(u, cube: LatticeCube) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (a, b) of the support tubes of ``u`` within sqrt(d)/2
+    of the cube's centre, which holds every tube meeting the cube: the
+    near rows of a compiled TubeTable, else a distance filter over
+    ``support_tubes()``."""
+    lo, hi = cube.bounds()
+    centre, r = (lo + hi) / 2.0, math.sqrt(cube.dimension) / 2.0
+    if isinstance(u, TubeTable):
+        rows = u.near(centre, r)
+        return u.tube_a[rows], u.tube_b[rows]
+    return tube_ends([t for t in u.support_tubes()
+                      if float(t.distance(centre[None, :])[0]) <= r])
+
+
+def zero_set_projection(u, cube: LatticeCube, ends, eps_d: float,
+                        samples: int = 64) -> float:
+    """P2's certificate: the best projection lower bound on the content of
+    the zero set of ``u`` in the cube, over the coordinate axes and the axes
+    of the first four tubes of ``ends`` (from ``near_tube_ends``), stopping
+    once it reaches eps_d."""
+    zset = ZeroSetInCube(cube, fn=u)
+    a, b = ends
+    axes = list(np.eye(cube.dimension))
+    axes += [(bi - ai) / np.linalg.norm(bi - ai) for ai, bi in zip(a[:4], b[:4])]
+    best = 0.0
+    for ax in axes:
+        best = max(best, content_lower_projection(zset, ax, samples))
+        if best >= eps_d:
+            break
+    return best
+
+
 def classify_cube(u, cube: LatticeCube, eps_d: float = EPS_D_DEFAULT,
-                  h: float = 0.125, tubes: list[TubeSpec] | None = None,
-                  projection_samples: int = 64) -> OscillationReport:
+                  h: float = 0.125, projection_samples: int = 64) -> OscillationReport:
     """P1 by a certified supremum lower bound (grid plus tube centerlines),
     P2 by the projection lower bound on the zero set's content.  A cube is
     rogue when either certification fails; near-threshold uncertainty counts
     as rogue (conservative)."""
     lo, hi = cube.bounds()
-    tubes = tubes if tubes is not None else u.support_tubes()
-    zset = ZeroSetInCube(cube, tubes, fn=u)
-    extra = _support_sup_points(tube_ends(zset.tubes), lo, hi)
-    bracket = sup_on(u, lo, hi, h, extra_points=extra)
+    ends = near_tube_ends(u, cube)
+    bracket = sup_on(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi))
     p1 = bracket.low >= 0.0  # log scale: sup >= 1
-    best_proj = 0.0
-    d = cube.dimension
-    axes = [np.eye(d)[i] for i in range(d)]
-    axes += [t.frame[0] for t in zset.tubes[:4]]
-    for ax in axes:
-        best_proj = max(best_proj,
-                        content_lower_projection(zset, ax, projection_samples))
-        if best_proj >= eps_d:
-            break
+    best_proj = zero_set_projection(u, cube, ends, eps_d, projection_samples)
     p2 = best_proj >= eps_d
     cls = "oscillating" if (p1 and p2) else "rogue"
     return OscillationReport(cube.corner, p1, p2, cls, bracket.low, best_proj)
@@ -415,12 +429,7 @@ def rogue_census(u, lo, hi, f: GrowthParameters, eps_d: float = EPS_D_DEFAULT,
     f(edge length)."""
     u = tube_table(u)
     cubes = enumerate_basic_cubes(lo, hi)
-    tubes = u.support_tubes()
-    from .treeset import _TubeIndex
-
-    index = _TubeIndex(tubes, cell=2.0)
-    reports = [classify_cube(u, c, eps_d, h, tubes=index.candidates(*c.bounds()))
-               for c in cubes]
+    reports = [classify_cube(u, c, eps_d, h) for c in cubes]
     count = sum(1 for r in reports if r.rogue)
     edge = float(max(b - a for a, b in zip(lo, hi)))
     fval = float(f(edge))

@@ -17,7 +17,6 @@ from oscillab.potential import SegmentShape, frostman
 from oscillab.subfun import SlabOscillating, build_u
 from oscillab.treeset import (
     GrowthParameters,
-    _TubeIndex,
     build_tree,
     count_nonsparse,
     sparseness_threshold,
@@ -117,11 +116,9 @@ class TestFunctionPath:
         u = build_u(growth(1.5), 3, guard_samples=1000).node
         N = 8
         cfg = RogueConfiguration.from_function(u, N, 2, c0=0.9)
-        index = _TubeIndex(u.support_tubes(), cell=2.0)
         on_tree = set()
         for corner in np.ndindex(N, N):
             cube = LatticeCube(tuple(int(c) - N // 2 for c in corner))
-            lo, hi = cube.bounds()
-            if not classify_cube(u, cube, 0.25, tubes=index.candidates(lo, hi)).p2_satisfied:
+            if not classify_cube(u, cube, 0.25).p2_satisfied:
                 on_tree.add(cube.corner)
         assert on_tree and cfg.E == on_tree

@@ -219,7 +219,8 @@ class TestOptions:
         ["verify", "--function", "F", "--d", "3"],
         ["verify", "--function", "F", "--threads", "2"],
         ["growth", "--function", "F", "--d", "3"], ["lemma", "--f", "t^2"],
-        ["potential", "--eps-d", "0.3"], ["report", "--seed", "1"]])
+        ["potential", "--eps-d", "0.3"], ["report", "--seed", "1"],
+        ["lemma", "--function", "F", "--with-contraction"]])
     def test_removed_option(self, built, tmp_path, capsys, argv):
         argv = [str(built / "function.json") if a == "F" else a for a in argv]
         code = main(argv + ["--out", str(tmp_path)])
@@ -247,12 +248,12 @@ class TestOptions:
         assert exc.value.code == EXIT_OK
         assert "usage: oscillab" in capsys.readouterr().out
 
-    def test_contraction_needs_function(self, tmp_path, capsys):
+    def test_function_writes_contraction(self, built, tmp_path):
         code = main(["lemma", "--d", "2", "--N", "16", "--E", "random:count=4",
-                     "--with-contraction", "--out", str(tmp_path)])
-        assert code == EXIT_BAD_CONFIG
-        assert "--function" in capsys.readouterr().err
-        assert not (tmp_path / "contraction.csv").exists()
+                     "--function", str(built / "function.json"), "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        rows = (tmp_path / "contraction.csv").read_text().splitlines()
+        assert rows[0] == "corner,n_kappa,log_ratio" and len(rows) > 1
 
     def test_verify_takes_dimension_from_function(self, built_d3, tmp_path):
         code = main(["verify", "--function", str(built_d3 / "function.json"),
@@ -262,7 +263,7 @@ class TestOptions:
         assert rows and all(len(r.split(",")[0].split("|")) == 3 for r in rows)
 
     @pytest.mark.parametrize("flags", [["--E", "function:F"],
-                                       ["--with-contraction", "--function", "F"]])
+                                       ["--function", "F"]])
     def test_lemma_refuses_function_of_other_dimension(self, built_d3, tmp_path,
                                                        capsys, flags):
         flags = [f.replace("F", str(built_d3 / "function.json")) for f in flags]

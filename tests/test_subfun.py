@@ -428,6 +428,22 @@ class TestTubeTable:
             single = np.array([evaluate(pts[i:i + 1])[0] for i in range(500)])
             assert np.array_equal(single, whole[:500])
 
+    @pytest.mark.parametrize("d, a, k, levels", [(2, 1.5, 6, (3, 4, 5)), (3, 2.0, 4, (2, 3))])
+    def test_near_matches_tube_distance(self, d, a, k, levels):
+        # near(c, r) at every unit-cube centre against TubeSpec.distance
+        # of every support tube, up to the rounding of the two frames
+        built = build_u(growth(a, d=d), k, guard_samples=1000)
+        r = math.sqrt(d) / 2.0
+        for level in levels:
+            table = TubeTable(built.level_nodes[level])
+            centres = np.array(list(np.ndindex(*(2**level,) * d))) + 0.5
+            dist = np.array([t.distance(centres) for t in table.support_tubes()])
+            for c, col in zip(centres, dist.T):
+                rows = table.near(c, r)
+                assert np.all(np.diff(rows) > 0)
+                assert set(np.flatnonzero(col <= r - 1e-12)) <= set(rows.tolist())
+                assert np.all(col[rows] <= r + 1e-12)
+
     def test_non_finite_points_are_zero(self, ub):
         table = TubeTable(ub.level_nodes[-1])
         pts = np.array([[np.nan, 1.0], [np.inf, 2.0], [1.5, 1.5]])

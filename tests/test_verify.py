@@ -5,8 +5,9 @@ import pytest
 
 from oscillab.geometry import LatticeCube
 from oscillab.potential import SegmentShape, SphereShape
-from oscillab.subfun import SlabOscillating, assemble_full, build_u, eval_T, eval_W
-from oscillab.treeset import GrowthParameters
+from oscillab.subfun import (SlabOscillating, TubeTable, assemble_full, build_u, eval_T,
+                             eval_W)
+from oscillab.treeset import GrowthParameters, TubeSpec
 from oscillab.verify import (
     EmptyDomainError,
     GridField,
@@ -153,8 +154,6 @@ class TestContent:
 
     def test_sandwich_on_zero_sets(self):
         # projection lower bound never exceeds the dyadic cover upper bound
-        from oscillab.treeset import TubeSpec
-
         tube = TubeSpec(np.array([0.1, 0.2]), np.array([0.9, 0.7]), 0.125)
         z = ZeroSetInCube(LatticeCube((0, 0)), [tube])
         low = content_lower_projection(z, tube.frame[0], 128)
@@ -164,8 +163,6 @@ class TestContent:
     def test_complement_of_thin_strip_projection(self):
         # the complement of a diameter-1/8 tube inside a unit cube projects
         # along the tube axis to measure at least 3/4
-        from oscillab.treeset import TubeSpec
-
         tube = TubeSpec(np.array([-0.5, 0.5]), np.array([1.5, 0.5]), 0.125)
         z = ZeroSetInCube(LatticeCube((0, 0)), [tube])
         val = content_lower_projection(z, np.array([1.0, 0.0]), 256)
@@ -217,6 +214,16 @@ class TestCensus:
         res = rogue_census(Zero(), (0, 0), (4, 4), growth(1.5))
         assert res.count == 16
         assert res.gamma == pytest.approx(16 / 4.0**1.5)
+
+    def test_table_census_builds_no_tube_spec(self, ub5, monkeypatch):
+        # the census takes each cube's tubes from the table's own arrays
+        table = TubeTable(ub5.level_nodes[3])
+        made = []
+        post_init = TubeSpec.__post_init__
+        monkeypatch.setattr(TubeSpec, "__post_init__",
+                            lambda self: made.append(self) or post_init(self))
+        res = rogue_census(table, (0, 0), (8, 8), ub5.params)
+        assert res.total == 64 and made == []
 
     def test_assembled_census_symmetry(self):
         g = growth(1.5)
