@@ -18,9 +18,6 @@ from .treeset import (
     GrowthParameters,
     TreeSpec,
     TubeSpec,
-    build_basic_subtree,
-    build_outer_subtree,
-    build_tree,
     choose_s_k,
     count_nonsparse,
     is_sparse,

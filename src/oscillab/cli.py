@@ -112,7 +112,8 @@ def svg_tree(tree: treeset.TreeSpec, path: Path) -> None:
     parts = _svg_open(640, 640, (lo[0] - pad, lo[1] - pad,
                                  hi[0] + pad, hi[1] + pad))
     for t in sorted(tree.tubes, key=lambda t: -t.diameter):
-        color = {"handle": "#c44", "wide": "#48c", "thin": "#6a6", "leaf": "#999"}.get(t.kind, "#777")
+        color = {"handle": "#c44", "trunk": "#c44", "wide": "#48c", "thin": "#6a6",
+                 "leaf": "#999"}.get(t.kind, "#777")
         parts.append(
             f'<line x1="{t.a[0]:.4f}" y1="{t.a[1]:.4f}" x2="{t.b[0]:.4f}" y2="{t.b[1]:.4f}" '
             f'stroke="{color}" stroke-width="{t.diameter:.4f}" stroke-linecap="round" opacity="0.8"/>'
@@ -159,17 +160,22 @@ def _emit(out: Path, name: str, checks: list[dict]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _function_doc(ub: subfun.UBuild) -> dict:
+    """What ``build`` writes to ``function.json``."""
+    doc = ub.to_dict()
+    doc["orthant_components"] = 2**ub.d
+    return _clean(doc)
+
+
 def cmd_build(cfg: RunConfig) -> int:
-    g = cfg.growth()
-    tree = treeset.build_tree(g, cfg.k)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    (cfg.out / "tree.json").write_text(tree.to_json() + "\n")
     # one level above the census scale, so [0, 2^k)^d sits inside the
     # enclosing rank as the nesting requires
-    ub = subfun.build_u(g, cfg.k + 1, guard_samples=GUARD_SAMPLES)
-    doc = ub.to_dict()
-    doc["orthant_components"] = 2**cfg.d
-    write_json(cfg.out / "function.json", doc)
+    ub = subfun.build_u(cfg.growth(), cfg.k + 1, guard_samples=GUARD_SAMPLES)
+    tree = ub.tree()
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    with open(cfg.out / "tree.json", "w") as fp:
+        tree.dump(fp)
+    write_json(cfg.out / "function.json", _function_doc(ub))
     if cfg.d == 2:
         svg_tree(tree, cfg.out / "tree.svg")
     print(f"wrote {cfg.out / 'tree.json'}, {cfg.out / 'function.json'}"
@@ -185,8 +191,10 @@ def _read_json(path: Path):
 
 
 def _load_function(path: Path, run_d: int | None = None):
-    """Rebuild the function ``build`` wrote to ``path``; with ``run_d``
-    given, refuse a function of another dimension."""
+    """Rebuild the function ``build`` wrote to ``path`` from its f, d and k,
+    and refuse the file when the rest of what it records differs from the
+    rebuilt function; with ``run_d`` given, also refuse a function of
+    another dimension."""
     doc = _read_json(path)
     try:
         f, d, k = doc["f"], doc["d"], doc["k"]
@@ -201,6 +209,13 @@ def _load_function(path: Path, run_d: int | None = None):
             f"{path} holds a d = {d} function, the run has d = {run_d}")
     g = parse_growth(f, d)
     ub = subfun.build_u(g, k, guard_samples=GUARD_SAMPLES)
+    rebuilt = _function_doc(ub)
+    changed = [key for key in ("kind", "levels", "checks", "orthant_components")
+               if doc.get(key) != rebuilt[key]]
+    if changed:
+        raise mainlemma.ConfigurationError(
+            f"{path}: {', '.join(changed)} differ from the function rebuilt from "
+            f"f = {f}, d = {d}, k = {k}")
     return g, ub, doc
 
 
@@ -310,6 +325,8 @@ def _parse_e_spec(spec: str, cfg: RunConfig) -> mainlemma.RogueConfiguration:
 
 def cmd_lemma(cfg: RunConfig, e_spec: str, function_path: Path | None = None) -> int:
     config = _parse_e_spec(e_spec, cfg)
+    if function_path is not None:
+        _g, ub, _doc = _load_function(function_path, cfg.d)
     rho = mainlemma.RhoField.compute(config)
     cover = mainlemma.build_cover(config, rho)
     result = mainlemma.kappa_chains(config, rho, cover)
@@ -335,7 +352,6 @@ def cmd_lemma(cfg: RunConfig, e_spec: str, function_path: Path | None = None) ->
               [("|".join(str(v) for v in c.corner), len(c.layers),
                 len(c.kappas), c.b_value) for c in result.chains.values()])
     if function_path is not None:
-        _g, ub, _doc = _load_function(function_path, cfg.d)
         rows = mainlemma.chain_contraction(ub.node, config, result)
         write_csv(cfg.out / "contraction.csv",
                   ["corner", "n_kappa", "log_ratio"],

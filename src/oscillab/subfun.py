@@ -42,6 +42,7 @@ from .treeset import (
     EPS1,
     GrowthParameters,
     ParameterRangeError,
+    TreeSpec,
     TubeSpec,
     choose_s_k,
     complete_frame,
@@ -523,7 +524,7 @@ class IsometryNode(FunctionNode):
         for t in self.child.support_tubes():
             a = (t.a - self.shift) @ self.matrix
             b = (t.b - self.shift) @ self.matrix
-            out.append(TubeSpec(a, b, t.diameter, t.rank, t.generation, t.kind))
+            out.append(TubeSpec(a, b, t.diameter, t.generation, t.kind))
         return out
 
     def bbox(self):
@@ -813,6 +814,19 @@ class TubeTable(FunctionNode):
         return [TubeSpec(a, b, e, generation=g, kind=t)
                 for a, b, e, g, t in zip(self.tube_a, self.tube_b, self.eps,
                                          self.generation, self.tag)]
+
+    def anchored_tubes(self):
+        """Each row's tube as the paper's segment from its anchor (local
+        x_1 = 2 g(eps), ``TubeField.anchor``) to its junction b, with the
+        field's eps as diameter and its tag and generation.  The endpoints
+        are rounded to 12 digits, as ``TubeSpec.to_dict`` writes them; that
+        gives back the construction's dyadic points, which the anchor,
+        recovered from the frame origin, misses by a rounding error."""
+        d = self.d
+        anchor = self.tube_a + (2.0 * g_threshold(self.eps, d))[:, None] * self.global_rows[:, 0]
+        ends = [[round(v, 12) for v in e] for e in np.hstack([anchor, self.tube_b]).tolist()]
+        return [TubeSpec(e[:d], e[d:], eps, g, t) for e, eps, g, t in
+                zip(ends, self.eps.tolist(), self.generation, self.tag)]
 
     def near(self, x, r: float) -> np.ndarray:
         """Ascending rows whose support lies within Euclidean distance r of
@@ -1507,6 +1521,18 @@ class UBuild:
     def box(self):
         lo = np.zeros(self.d)
         return lo, lo + 2.0**self.k
+
+    def tree(self) -> TreeSpec:
+        """The tube set of the function: every tube field but the outgoing
+        handle, read off the compiled table."""
+        # row 0 is the root's keep: the outgoing handle
+        tubes = TubeTable(self.node).anchored_tubes()[1:]
+        d, k = self.d, self.k - 1
+        s_eps = {j: choose_s_k(self.params, j) for j in range(1, k)}
+        return TreeSpec(d, self.k, tubes, EPS1,
+                        {j: s for j, (s, _e) in s_eps.items()},
+                        {j: e for j, (_s, e) in s_eps.items()},
+                        {j: delta_k(self.params, j) for j in range(1, k + 1)})
 
     def to_dict(self):
         return {

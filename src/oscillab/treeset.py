@@ -1,13 +1,21 @@
-"""Tube-union tree sets: basic subtrees, outer subtrees, and the nested tree.
+"""Tube-union tree sets: tube geometry, the construction parameters, and
+the sparseness census.
 
-The tree of rank k+1 lives in the box [0, 2**(k+1))^d.  It is assembled
-recursively: the inner tree of rank k keeps its cell [0, 2**k)^d, the other
-2**d - 1 cells receive reflected copies of the rank-k outer subtree, and the
-cell centers are joined to the box center by handle tubes.  An outer subtree
-of rank k+1 descends the dyadic hierarchy of its box: the first s_k
-generations use tubes of relative diameter eps_k (absolute diameter
-2**(k+1-m) * eps_k at generation m), the remaining generations and the leaf
-subtrees use tubes of absolute diameter eps_1.
+The tree of rank k+1 lives in the box [0, 2**(k+1))^d.  It is the tube set
+of the function ``subfun.build_u`` builds there, read off that function
+(``subfun.UBuild.tree``) rather than constructed a second time: one tube
+per tube field, the segment from the field's anchor to its junction, with
+the field's diameter, kind and generation.  The kinds are
+
+  leaf    the basic subtrees: diameter eps_1, generation -1;
+  wide    generation m <= s_r of an outer subtree of rank r+1: diameter
+          2**(r+1-m) * eps_r;
+  thin    the later generations of an outer subtree: diameter eps_1;
+  trunk   the trunk of an outer subtree of rank r+1, placed in a non-corner
+          cell at level j = r+1, where it is the handle joining the cell
+          centre to the box centre: diameter 2**r * eps_r, generation 0;
+  handle  the handle of the corner cell at each level j, and all 2**d
+          handles at level 1: diameter 2**j * delta_j, generation 0.
 
 A tube of diameter delta around a segment is the set of points whose
 coordinate along the segment lies within the segment's span and whose
@@ -136,6 +144,14 @@ def parse_growth(text: str, d: int) -> GrowthParameters:
 # ---------------------------------------------------------------------------
 
 
+def allclose(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.allclose(a, b)`` for two points, by numpy's own rule applied to
+    each coordinate pair as Python floats (an order of magnitude faster on
+    the short vectors of tube endpoints)."""
+    return all((abs(x - y) <= 1e-8 + 1e-5 * abs(y) and math.isfinite(y)) or x == y
+               for x, y in zip(a.tolist(), b.tolist(), strict=True))
+
+
 def complete_frame(axis: np.ndarray) -> np.ndarray:
     """Orthonormal frame (rows) with rows[0] = axis.
 
@@ -174,16 +190,15 @@ class TubeSpec:
     a: np.ndarray
     b: np.ndarray
     diameter: float
-    rank: int = 0          # construction step that created the tube
-    generation: int = 0    # generation within an outer subtree; 0 for handles
-    kind: str = "leaf"     # leaf | wide | thin | handle
+    generation: int = 0    # within an outer subtree; -1 for leaves, 0 for trunks and handles
+    kind: str = "leaf"     # leaf | wide | thin | trunk | handle
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         if self.diameter <= 0:
             raise ParameterRangeError(f"tube diameter must be positive, got {self.diameter}")
-        if np.allclose(self.a, self.b):
+        if allclose(self.a, self.b):
             raise ParameterRangeError("tube endpoints must be distinct")
 
     # computed on first use: most tubes of a built tree never need them
@@ -220,7 +235,6 @@ class TubeSpec:
             "a": [round(float(v), 12) for v in self.a],
             "b": [round(float(v), 12) for v in self.b],
             "diameter": round(float(self.diameter), 12),
-            "rank": self.rank,
             "generation": self.generation,
             "kind": self.kind,
         }
@@ -229,7 +243,7 @@ class TubeSpec:
     def from_dict(cls, d: dict) -> "TubeSpec":
         return cls(
             np.asarray(d["a"]), np.asarray(d["b"]), d["diameter"],
-            d.get("rank", 0), d.get("generation", 0), d.get("kind", "leaf"),
+            d.get("generation", 0), d.get("kind", "leaf"),
         )
 
 
@@ -253,8 +267,10 @@ class TreeSpec:
         lo = np.zeros(self.dimension)
         return lo, lo + 2.0**self.rank
 
-    def to_json(self) -> str:
-        return json.dumps(
+    def dump(self, fp) -> None:
+        """Write the tree as JSON to the text file ``fp``, streamed rather
+        than formatted in memory first."""
+        json.dump(
             {
                 "dimension": self.dimension,
                 "rank": self.rank,
@@ -264,8 +280,10 @@ class TreeSpec:
                 "delta_values": {str(k): round(v, 12) for k, v in self.delta_values.items()},
                 "tubes": [t.to_dict() for t in self.tubes],
             },
+            fp,
             indent=1,
         )
+        fp.write("\n")
 
     @classmethod
     def from_json(cls, text: str) -> "TreeSpec":
@@ -320,119 +338,6 @@ def sparseness_threshold(d: int, eps1: float = EPS1) -> float:
     if thr >= 0.5:
         raise ParameterRangeError(f"eps1={eps1} too large: threshold {thr:.3f} >= 1/2")
     return thr
-
-
-# ---------------------------------------------------------------------------
-# Builders
-# ---------------------------------------------------------------------------
-
-
-def build_basic_subtree(cell_corner, leaf_diameter: float, d: int | None = None,
-                        rank: int = 1, generation: int = 1) -> list[TubeSpec]:
-    """2^d leaf tubes joining the basic-cube centers of an order-1 dyadic
-    cell to the cell's center vertex."""
-    corner = np.asarray(cell_corner, dtype=float)
-    d = d or corner.shape[0]
-    if np.any(corner % 2 != 0):
-        raise InvalidRegionError(f"{cell_corner} is not an order-1 dyadic corner")
-    if leaf_diameter <= 0:
-        raise ParameterRangeError("leaf diameter must be positive")
-    if leaf_diameter >= 1:
-        raise ParameterRangeError(f"leaf diameter {leaf_diameter} >= basic cube edge")
-    center = corner + 1.0
-    tubes = []
-    for offs in np.ndindex(*(2,) * d):
-        tip = corner + np.asarray(offs, dtype=float) + 0.5
-        tubes.append(TubeSpec(tip, center, leaf_diameter, rank, generation, "leaf"))
-    return tubes
-
-
-def build_outer_subtree(params: GrowthParameters, k: int) -> TreeSpec:
-    """Outer subtree of rank k+1 in its own frame, the box [0, 2^(k+1))^d.
-
-    Generation m (1-based) joins the centers of the 2^(d m) dyadic cubes of
-    order k+1-m to their parents' centers; generations up to s_k carry
-    diameter 2^(k+1-m) eps_k, later ones carry eps_1; the leaf subtrees sit
-    at the order-1 cells.
-    """
-    d = params.d
-    s_k, eps_k = choose_s_k(params, k)
-    tubes: list[TubeSpec] = []
-    for m in range(1, k + 1):
-        child_order = k + 1 - m
-        edge = 2.0**child_order
-        diam = 2.0 ** (k + 1 - m) * eps_k if m <= s_k else EPS1
-        kind = "wide" if m <= s_k else "thin"
-        n_cells = 2 ** (k + 1 - child_order)
-        for idx in np.ndindex(*(n_cells,) * d):
-            child_center = (np.asarray(idx, dtype=float) + 0.5) * edge
-            parent_center = (np.floor(np.asarray(idx, dtype=float) / 2) + 0.5) * edge * 2
-            tubes.append(TubeSpec(child_center, parent_center, diam, k + 1, m, kind))
-    n_cells = 2**k
-    for idx in np.ndindex(*(n_cells,) * d):
-        cell_corner = 2 * np.asarray(idx)
-        tubes.extend(
-            build_basic_subtree(cell_corner, EPS1, d, k + 1, k + 1)
-        )
-    return TreeSpec(
-        dimension=d,
-        rank=k + 1,
-        tubes=tubes,
-        eps1=EPS1,
-        s_values={k: s_k},
-        eps_values={k: eps_k},
-        delta_values={},
-    )
-
-
-def _reflect_into_cell(tube: TubeSpec, cell_index, edge: float, rank: int) -> TubeSpec:
-    """Place a tube from the subtree's own frame into the dyadic cell at
-    ``cell_index`` by the reflection that sends the frame's center corner to
-    the cell corner touching the box center."""
-    e = np.asarray(cell_index, dtype=float)
-
-    def mv(x):
-        return edge * e + np.where(e > 0, edge - x, x)
-
-    return TubeSpec(mv(tube.a), mv(tube.b), tube.diameter, rank, tube.generation, tube.kind)
-
-
-def build_tree(params: GrowthParameters, k: int) -> TreeSpec:
-    """The nested tree T_{k+1} in [0, 2^(k+1))^d.
-
-    Recursion: T_1 is the basic subtree of [0,2)^d; T_{j+1} keeps T_j in the
-    corner cell, places reflected copies of the rank-j outer subtree in the
-    other cells, and joins all cell centers to the box center with handles
-    of absolute diameter 2^j * delta_j.
-    """
-    if k < 0:
-        raise ParameterRangeError("k must be >= 0")
-    d = params.d
-    sparseness_threshold(d, EPS1)
-    tubes = build_basic_subtree((0,) * d, EPS1, d, rank=1, generation=1)
-    s_values: dict[int, int] = {}
-    eps_values: dict[int, float] = {}
-    delta_values: dict[int, float] = {}
-    for j in range(1, k + 1):
-        edge = 2.0**j
-        if j == 1:
-            outer = TreeSpec(d, 1, build_basic_subtree((0,) * d, EPS1, d, 2, 1), EPS1)
-        else:
-            outer = build_outer_subtree(params, j - 1)
-            s_values.update(outer.s_values)
-            eps_values.update(outer.eps_values)
-        for idx in np.ndindex(*(2,) * d):
-            if all(i == 0 for i in idx):
-                continue
-            for t in outer.tubes:
-                tubes.append(_reflect_into_cell(t, idx, edge, j + 1))
-        dj = delta_k(params, j)
-        delta_values[j] = dj
-        box_center = np.full(d, edge)
-        for idx in np.ndindex(*(2,) * d):
-            cell_center = (np.asarray(idx, dtype=float) + 0.5) * edge
-            tubes.append(TubeSpec(cell_center, box_center, edge * dj, j + 1, 0, "handle"))
-    return TreeSpec(d, k + 1, tubes, EPS1, s_values, eps_values, delta_values)
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +482,15 @@ def is_sparse(cube_corner, tree: TreeSpec, index: _TubeIndex | None = None,
     return SparsenessReport(corner, low, high, est, status)
 
 
-def count_nonsparse(params: GrowthParameters, k: int, tree: TreeSpec | None = None,
+def count_nonsparse(params: GrowthParameters, k: int, tree: TreeSpec,
                     depth_cap: int = 6, mc_samples: int = 4096, seed: int = 2024):
-    """Exact census of the basic cubes of [0, 2^k)^d in which the rank-(k+1)
-    tree is not sparse.  Uncertain cubes count as non-sparse (conservative).
+    """Exact census of the basic cubes of [0, 2^k)^d in which the tree (of
+    rank at least k+1) is not sparse.  Uncertain cubes count as non-sparse
+    (conservative).
 
-    Returns (count, ratio to f(2^k), uncertain count, reports).
+    Returns (count, ratio to f(2^k), uncertain count, reports, whether every
+    cube meets a tube).
     """
-    tree = tree if tree is not None else build_tree(params, k)
     if tree.rank < k + 1:
         raise ParameterRangeError(f"tree rank {tree.rank} below required {k + 1}")
     d = params.d

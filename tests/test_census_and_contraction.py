@@ -17,7 +17,6 @@ from oscillab.potential import SegmentShape, frostman
 from oscillab.subfun import SlabOscillating, build_u
 from oscillab.treeset import (
     GrowthParameters,
-    build_tree,
     count_nonsparse,
     sparseness_threshold,
 )
@@ -28,13 +27,18 @@ def growth(a, d=2):
     return GrowthParameters(d=d, index=a).validate()
 
 
+def tree_of(g, k):
+    """The rank-(k+1) tree: the tube set of build_u at k+1."""
+    return build_u(g, k + 1, check_guards=False).tree()
+
+
 class TestTreeCensus:
     def test_every_cube_touched_and_ratio_bounded(self):
         g = growth(1.5)
         ratios = {}
         for k in (2, 3, 4):
             count, ratio, uncertain, reports, touched = count_nonsparse(
-                g, k, depth_cap=5, mc_samples=2048)
+                g, k, tree_of(g, k), depth_cap=5, mc_samples=2048)
             ratios[k] = ratio
             assert touched, f"k={k}: some cube misses the tree"
             assert uncertain <= 0.05 * len(reports)
@@ -47,7 +51,7 @@ class TestTreeCensus:
         # below the threshold
         g = growth(1.5)
         count, ratio, _unc, reports, _t = count_nonsparse(
-            g, 1, depth_cap=6, mc_samples=4096)
+            g, 1, tree_of(g, 1), depth_cap=6, mc_samples=4096)
         by_corner = {r.corner: r for r in reports}
         assert by_corner[(0, 0)].sparse
         assert by_corner[(0, 1)].sparse
@@ -60,8 +64,7 @@ class TestTreeCensus:
         g = growth(1.5)
         vals = {}
         for k in (2, 3, 4):
-            tree = build_tree(g, k)
-            branches = tree.branches()
+            branches = tree_of(g, k).branches()
             hit = 0
             for corner in np.ndindex(2**k, 2**k):
                 center = np.asarray(corner, dtype=float) + 0.5

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_OK, RunConfig,
-                          _parse_e_spec, main)
+                          _load_function, _parse_e_spec, main)
 from oscillab.mainlemma import RogueConfiguration
-from oscillab.treeset import _GROWTH_RE, GrowthParameters, parse_growth
+from oscillab.subfun import TubeTable
+from oscillab.treeset import _GROWTH_RE, GrowthParameters, TreeSpec, parse_growth
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,42 @@ class TestBuild:
             (built / "function.json").read_text()
         assert (tmp_path / "tree.json").read_text() == \
             (built / "tree.json").read_text()
+
+
+    def test_tree_read_off_function(self, built):
+        # tree.json holds the function's own tubes: every row of its table
+        # but the outgoing handle
+        tree = TreeSpec.from_json((built / "tree.json").read_text())
+        _g, ub, _doc = _load_function(built / "function.json")
+        table = TubeTable(ub.node)
+        key = lambda b, diameter: (tuple(round(float(v), 12) for v in b),
+                                   round(float(diameter), 12))
+        rows = {key(b, e) for b, e in zip(table.tube_b, table.eps)}
+        assert (tree.dimension, tree.rank) == (2, 4)
+        assert len(tree.tubes) == len(table.eps) - 1
+        assert all(key(t.b, t.diameter) in rows for t in tree.tubes)
+
+
+class TestFunctionFile:
+    """A function file whose recorded levels or checks differ from the
+    function rebuilt from its f, d and k is refused."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--function", "F"], ["growth", "--function", "F"],
+        ["lemma", "--d", "2", "--N", "16", "--function", "F"],
+        ["lemma", "--d", "2", "--N", "16", "--c0", "0.5", "--E", "function:F"]])
+    def test_edited_amplitude_refused(self, built, tmp_path, capsys, argv):
+        doc = json.loads((built / "function.json").read_text())
+        doc["levels"][-1]["amplitude"] += 1.0
+        path = tmp_path / "function.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([a.replace("F", str(path)) for a in argv] + ["--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "levels" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestVerify:

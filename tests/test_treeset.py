@@ -1,8 +1,13 @@
+import hashlib
+import io
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oscillab.subfun import TubeTable, build_tau, build_u
 from oscillab.treeset import (
     EPS1,
     GrowthParameters,
@@ -11,9 +16,7 @@ from oscillab.treeset import (
     TreeSpec,
     TubeSpec,
     _TubeIndex,
-    build_basic_subtree,
-    build_outer_subtree,
-    build_tree,
+    allclose,
     choose_s_k,
     complete_frame,
     delta_k,
@@ -26,6 +29,27 @@ from oscillab.treeset import (
 
 def growth(a, d=2):
     return GrowthParameters(d=d, index=a).validate()
+
+
+@lru_cache(maxsize=None)
+def tree_of(a, k, d=2):
+    """The rank-(k+1) tree: the tube set of build_u at k+1 (the tube
+    geometry does not depend on the guard certificates)."""
+    return build_u(growth(a, d), k + 1, check_guards=False).tree()
+
+
+@lru_cache(maxsize=None)
+def outer_subtree(a, k):
+    """The rows of the rank-(k+1) outer subtree, trunk first, and its
+    schedule."""
+    tau = build_tau(growth(a), k, check_guards=False)
+    return TubeTable(tau.node).anchored_tubes(), tau.schedule
+
+
+def dumped(tree):
+    fp = io.StringIO()
+    tree.dump(fp)
+    return fp.getvalue()
 
 
 class TestGrowthParameters:
@@ -88,77 +112,114 @@ class TestChooseSk:
 
 class TestBasicSubtree:
     def test_d2_layout(self):
-        tubes = build_basic_subtree((0, 0), 0.125, 2)
+        tubes = tree_of(1.5, 0).tubes
         tips = {tuple(t.a) for t in tubes}
         assert tips == {(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)}
         assert all(np.allclose(t.b, (1.0, 1.0)) for t in tubes)
         assert len(tubes) == 4
+        assert all((t.kind, t.generation, t.diameter) == ("leaf", -1, EPS1) for t in tubes)
 
     def test_d3_count(self):
-        assert len(build_basic_subtree((0, 0, 0), 0.125, 3)) == 8
-
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0, 2.0])
-    def test_rejects_degenerate_leaf(self, bad):
-        with pytest.raises(ParameterRangeError):
-            build_basic_subtree((0, 0), bad, 2)
+        assert len(tree_of(2.0, 0, d=3).tubes) == 8
 
 
 class TestOuterSubtree:
     def test_generation_counts_d2_k3(self):
-        g = growth(1.5)
-        tree = build_outer_subtree(g, 3)
+        k = 3
+        tubes, sched = outer_subtree(1.5, k)
         per_gen = {}
-        for t in tree.tubes:
+        for t in tubes:
             per_gen[t.generation] = per_gen.get(t.generation, 0) + 1
-        # generation m holds 2^(d m) tubes; the leaves are generation k+1
-        for m in range(1, 5):
+        # generation m holds 2^(d m) tubes, the leaves 2^(d (k+1)); the
+        # trunk is generation 0
+        for m in range(1, k + 1):
             assert per_gen[m] == 2 ** (2 * m)
-        s_k = tree.s_values[3]
-        wide = {t.generation for t in tree.tubes if t.kind == "wide"}
-        thin = {t.generation for t in tree.tubes if t.kind in ("thin", "leaf")}
-        assert wide == set(range(1, s_k + 1))
-        assert thin == set(range(s_k + 1, 5))
+        assert per_gen[-1] == 2 ** (2 * (k + 1)) and per_gen[0] == 1
+        assert len(tubes) == sum(per_gen.values())
+        wide = {t.generation for t in tubes if t.kind == "wide"}
+        thin = {t.generation for t in tubes if t.kind == "thin"}
+        assert wide == set(range(1, sched.s_k + 1))
+        assert thin == set(range(sched.s_k + 1, k + 1))
+        assert {t.generation for t in tubes if t.kind == "leaf"} == {-1}
+        assert [t.kind for t in tubes if t.generation == 0] == ["trunk"]
 
     def test_first_generation_diameter(self):
-        g = growth(1.5)
         for k in (3, 4, 6):
-            tree = build_outer_subtree(g, k)
-            s_k = tree.s_values[k]
-            first = [t for t in tree.tubes if t.generation == 1]
-            assert all(t.diameter == pytest.approx(2.0**s_k) for t in first)
+            tubes, sched = outer_subtree(1.5, k)
+            assert sched.s_k == choose_s_k(growth(1.5), k)[0]
+            first = [t for t in tubes if t.generation == 1]
+            assert first and all(t.diameter == pytest.approx(2.0**sched.s_k) for t in first)
 
     def test_wide_generation_diameters_halve(self):
-        g = growth(2.0)
         k = 5
-        tree = build_outer_subtree(g, k)
-        s_k, eps_k = tree.s_values[k], tree.eps_values[k]
+        tubes, sched = outer_subtree(2.0, k)
+        s_k, eps_k = sched.s_k, sched.eps_k
         for m in range(1, s_k + 1):
-            gen = [t for t in tree.tubes if t.generation == m]
-            assert all(
+            gen = [t for t in tubes if t.generation == m]
+            assert gen and all(
                 t.diameter == pytest.approx(2.0 ** (k + 1 - m) * eps_k) for t in gen
             )
-        for t in tree.tubes:
-            if t.generation > s_k:
+        for t in tubes:
+            if t.generation > s_k or t.kind == "leaf":
                 assert t.diameter == pytest.approx(EPS1)
+        (trunk,) = [t for t in tubes if t.kind == "trunk"]
+        assert trunk.diameter == pytest.approx(2.0**k * eps_k)
 
     def test_tubes_connect_consecutive_dyadic_centers(self):
-        tree = build_outer_subtree(growth(1.5), 2)
-        for t in tree.tubes:
+        k = 2
+        tubes, _sched = outer_subtree(1.5, k)
+        for t in tubes:
             if t.kind == "leaf":
+                child_edge = 1.0
+            elif t.kind == "trunk":
+                # from the box centre to the corner 2^(k+1) v_0
+                assert np.allclose(t.a, 2.0**k) and np.allclose(t.b, 2.0 ** (k + 1))
                 continue
-            child_edge = 2.0 ** (2 + 1 - t.generation)
+            else:
+                child_edge = 2.0 ** (k + 1 - t.generation)
             assert np.allclose((t.a - child_edge / 2) % child_edge, 0.0)
             assert np.allclose((t.b - child_edge) % (2 * child_edge), 0.0)
+            assert np.allclose(np.abs(t.b - t.a), child_edge / 2)
+
+
+#: sha256 (first 16 hex digits) of the sorted endpoint tuples (a, b), each
+#: coordinate rounded to 12 digits, and the tube count, of the rank-(k+1)
+#: tree as the former independent construction of the tube geometry
+#: (``treeset.build_tree``) gave them
+ENDPOINT_ORACLE = {
+    (2, 1.5, 1): ("ee6dd51960a69652", 20),
+    (2, 1.5, 2): ("0bb6fd1a7a292977", 84),
+    (2, 1.5, 3): ("d2711620aa4fa23c", 340),
+    (2, 1.5, 4): ("0fef0804350dde6d", 1364),
+    (3, 2.0, 2): ("5c11590ffc4951dc", 584),
+    (3, 2.0, 3): ("2338431d08daa60f", 4680),
+}
 
 
 class TestBuildTree:
     def test_handle_diameters(self):
         g = growth(1.5)
-        tree = build_tree(g, 4)
-        handles = [t for t in tree.tubes if t.kind == "handle" and t.rank == 5]
+        k = 4
+        tree = tree_of(1.5, k)
+        for j in range(1, k + 1):
+            ends = [t for t in tree.tubes
+                    if t.generation == 0 and np.allclose(t.b, 2.0**j)]
+            assert len(ends) == 4
+            for t in ends:
+                corner = bool(np.all(t.a < 2.0**j))
+                # the corner cell's handle, and all four at level 1, have
+                # 2^j delta_j; a non-corner cell's is the trunk of its outer
+                # subtree, 2^(j-1) eps_(j-1)
+                if corner or j == 1:
+                    assert t.kind == "handle"
+                    assert t.diameter == pytest.approx(2.0**j * tree.delta_values[j])
+                else:
+                    assert t.kind == "trunk"
+                    assert t.diameter == pytest.approx(2.0 ** (j - 1) * tree.eps_values[j - 1])
         # delta_4 = 2^(-2), absolute diameter 2^4 * 2^-2 = 4
-        assert all(t.diameter == pytest.approx(4.0) for t in handles)
         assert delta_k(g, 4) == pytest.approx(0.25)
+        assert all(t.diameter == pytest.approx(4.0) for t in tree.tubes
+                   if t.generation == 0 and np.allclose(t.b, 16.0))
 
     def test_degenerate_maximal_growth(self):
         g = growth(2.0)
@@ -166,30 +227,44 @@ class TestBuildTree:
             assert delta_k(g, k) == pytest.approx(1.0)
 
     def test_nesting(self):
-        g = growth(1.5)
-        t1 = build_tree(g, 1)
-        t2 = build_tree(g, 2)
+        t1 = tree_of(1.5, 1)
+        t2 = tree_of(1.5, 2)
         sig = lambda t: (tuple(t.a), tuple(t.b), t.diameter)
         sigs2 = {sig(t) for t in t2.tubes}
         assert {sig(t) for t in t1.tubes} <= sigs2
 
     def test_deterministic(self):
         g = growth(1.5)
-        a = build_tree(g, 3)
-        b = build_tree(g, 3)
-        assert a.to_json() == b.to_json()
+        a = build_u(g, 4, check_guards=False).tree()
+        b = build_u(g, 4, check_guards=False).tree()
+        assert dumped(a) == dumped(b)
 
     def test_json_roundtrip(self):
-        tree = build_tree(growth(1.5), 2)
-        back = TreeSpec.from_json(tree.to_json())
+        tree = tree_of(1.5, 2)
+        back = TreeSpec.from_json(dumped(tree))
         assert len(back.tubes) == len(tree.tubes)
+        assert (back.dimension, back.rank, back.eps1) == (tree.dimension, tree.rank, tree.eps1)
         assert back.s_values == tree.s_values
-        assert np.allclose(back.tubes[0].a, tree.tubes[0].a)
+        # the file rounds to 12 digits
+        assert back.eps_values == pytest.approx(tree.eps_values, rel=1e-11)
+        assert back.delta_values == pytest.approx(tree.delta_values, rel=1e-11)
+        for s, t in zip(back.tubes, tree.tubes):
+            assert np.allclose(s.a, t.a) and np.allclose(s.b, t.b)
+            assert s.diameter == pytest.approx(t.diameter, rel=1e-11)
+            assert (s.generation, s.kind) == (t.generation, t.kind)
 
     def test_branch_split(self):
-        tree = build_tree(growth(1.5), 3)
+        tree = tree_of(1.5, 3)
         for t in tree.branches():
             assert t.diameter > 2 * EPS1
+
+    @pytest.mark.parametrize("config", sorted(ENDPOINT_ORACLE))
+    def test_endpoints_match_frozen_oracle(self, config):
+        d, a, k = config
+        tubes = tree_of(a, k, d=d).tubes
+        rows = sorted(tuple(round(float(v), 12) + 0.0 for v in (*t.a, *t.b)) for t in tubes)
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+        assert (digest, len(rows)) == ENDPOINT_ORACLE[config]
 
 
 class TestTubeGeometry:
@@ -206,6 +281,38 @@ class TestTubeGeometry:
         tube = TubeSpec(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
         pts = np.array([[0.5, 1.5], [2.0, 0.0], [-1.0, 0.5]])
         assert np.allclose(tube.distance(pts), [1.0, 1.0, 1.0])
+
+
+#: coordinates at the edges of the float range and of numpy's tolerances
+_SPECIAL = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e-8, -1e-8, 1.0, 1e308, -1e308, 1.7976931348623157e308,
+    -1.7976931348623157e308, math.inf, -math.inf, math.nan])
+_COORD = st.one_of(st.floats(), st.floats(allow_subnormal=True, min_value=-1e-300,
+                                          max_value=1e-300), _SPECIAL)
+
+
+class TestEndpointTest:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_allclose_matches_numpy(self, data):
+        d = data.draw(st.integers(2, 3))
+        a = data.draw(st.lists(_COORD, min_size=d, max_size=d))
+        # each coordinate of b is free, equal to a's, or near it on the
+        # scale of the tolerances
+        b = [data.draw(st.one_of(
+            _COORD, st.just(x),
+            st.builds(lambda r, s, x=x: x * (1.0 + r) + s,
+                      st.floats(-3e-5, 3e-5), st.floats(-3e-8, 3e-8))))
+            for x in a]
+        with np.errstate(all="ignore"):
+            expected = bool(np.allclose(np.array(a), np.array(b)))
+            assert allclose(np.array(a), np.array(b)) == expected
+
+    def test_tube_rejects_coincident_endpoints(self):
+        with pytest.raises(ParameterRangeError):
+            TubeSpec(np.array([1.0, 2.0]), np.array([1.0 + 1e-9, 2.0]), 0.5)
+        TubeSpec(np.array([1.0, 2.0]), np.array([1.0 + 1e-3, 2.0]), 0.5)
 
 
 class TestSparseness:
@@ -246,7 +353,7 @@ class TestSparseness:
         assert 0 <= low and high <= 1.0
 
     def test_tube_index_candidates_cover(self):
-        tree = build_tree(growth(1.5), 2)
+        tree = tree_of(1.5, 2)
         idx = _TubeIndex(tree.tubes, cell=2.0)
         lo, hi = np.zeros(2), np.ones(2)
         cands = {id(t) for t in idx.candidates(lo, hi)}
