@@ -240,7 +240,7 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     # rogue census at the built scale; every rogue cube must lie within
     # sqrt(d)/2 of a branch tube (one wider than the leaves)
     k = ub.k - 1
-    table = subfun.TubeTable(ub.level_nodes[k])
+    table = ub.level_nodes[k]
     census = verify.rogue_census(table, (0,) * d, (2**k,) * d, g,
                                  cfg.eps_d, keep_reports=True)
     nonbranch_ok = all(

@@ -95,11 +95,9 @@ class RogueConfiguration:
     def from_function(cls, u, N: int, d: int, eps_d: float = 0.25, **kw) -> "RogueConfiguration":
         """E = the basic cubes of Q failing the zero-set content property
         (the census's P2)."""
-        from .subfun import tube_table
         from .verify import near_tube_ends, zero_set_projection
 
         half = N // 2
-        u = tube_table(u)
         bad = set()
         for corner in np.ndindex(*(N,) * d):
             cube = LatticeCube(tuple(int(c) - half for c in corner))
@@ -717,7 +715,6 @@ def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
                       seed: int = 3) -> list[ContractionRow]:
     """Measured sup contraction along the kappa chains against the nested
     maximum principle; report-only."""
-    from .subfun import tube_table
     from .verify import sup_on, _support_sup_points, tube_ends
 
     rng = np.random.default_rng(seed)
@@ -731,7 +728,6 @@ def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
     pick = [central[i] for i in rng.choice(len(central),
                                            size=min(max_cubes, len(central)),
                                            replace=False)]
-    u = tube_table(u)
     ends = tube_ends(u) if hasattr(u, "support_tubes") else None
     if ends is not None and not len(ends[0]):
         ends = None

@@ -8,8 +8,9 @@ Base profiles:
               1{|x_j| < eps/2 for j >= 2}
   L_eps(x)  = max(T_eps(x) - 1, 0) for x_1 >= 0, else 0
 
-A glued function is a tree of nodes: translated/rotated/scaled half-tube
-profiles joined at junctions by guarded maxima.  The branch entering a
+A glued function is a maximum of translated/rotated/scaled half-tube
+profiles joined at junctions by guarded maxima, built as one table of
+rows (``TubeTable``), one per profile.  The branch entering a
 junction is anchored so that its coordinate x_1 = 2 g(eps) sits exactly at
 the junction point, where g(eps) = eps d log2 / (pi sqrt(d-1)) is the
 threshold of the closed set
@@ -30,8 +31,8 @@ Every amplitude is carried as a logarithm; evaluation returns log-values
 
 from __future__ import annotations
 
+import copy
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -234,19 +235,9 @@ class GuardRegion:
         )
 
 
-def _bbox_union(boxes):
-    boxes = [b for b in boxes if b is not None]
-    if not boxes:
-        return None
-    lo = np.min([b[0] for b in boxes], axis=0)
-    hi = np.max([b[1] for b in boxes], axis=0)
-    return lo, hi
-
 
 class FunctionNode:
     """Base class; subclasses implement log-space evaluation."""
-
-    kind = "node"
 
     def eval_log(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -259,19 +250,14 @@ class FunctionNode:
     def support_tubes(self) -> list[TubeSpec]:
         return []
 
-    def bbox(self):
-        return None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
+    def near_ends(self, x, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (a, b) of the support tubes within Euclidean
+        distance r of the point x; none for a function without tubes."""
+        empty = np.zeros((0, np.size(x)))
+        return empty, empty
 
 
 class BaseW(FunctionNode):
-    kind = "W"
-
     def __init__(self, d: int):
         self.d = d
 
@@ -298,15 +284,10 @@ class BaseW(FunctionNode):
             )
         return out
 
-    def to_dict(self):
-        return {"kind": "W", "d": self.d}
 
-
-class TubeField(FunctionNode):
-    """Isometry(Scale(BaseL(eps), exp(log_amp))) with support truncated at
-    local x_1 = cut: the branch profile along one tube."""
-
-    kind = "L"
+class TubeField:
+    """One row of a tube table: the branch profile exp(log_amp) L_eps in
+    the frame's coordinates, with support truncated at local x_1 = cut."""
 
     def __init__(self, frame: Frame, eps: float, d: int, log_amp: float,
                  cut: float, tag: str = "branch", generation: int = 0):
@@ -319,7 +300,7 @@ class TubeField(FunctionNode):
         self.generation = generation
         self.a = np.asarray(frame.origin, dtype=float)
         self.b = frame.from_local(np.array([[self.cut] + [0.0] * (d - 1)]))[0]
-        self._bbox = tube_bounds(self.a, self.b, eps)
+        self.box = tube_bounds(self.a, self.b, eps)
 
     @classmethod
     def junction_branch(cls, anchor, direction, eps, d, log_amp, run,
@@ -343,233 +324,10 @@ class TubeField(FunctionNode):
         return GuardRegion(self.frame, self.eps, self.d,
                            self.cut if reach is None else reach)
 
-    def eval_log(self, X):
-        loc = self.frame.to_local(X)
-        out = log_L_profile(self.eps, self.d, loc)
-        out[loc[:, 0] > self.cut] = NEG_INF
-        finite = np.isfinite(out)
-        out[finite] += self.log_amp
-        return out
-
-    def upper_local(self, X, slack):
-        # frame is orthonormal, so an axis-aligned box of half-width slack
-        # is contained in the local ball of radius slack*sqrt(d)
-        return log_L_upper(self.eps, self.d, self.cut, self.frame.to_local(X),
-                           slack * math.sqrt(self.d)) + self.log_amp
-
-    def support_tubes(self):
-        return [TubeSpec(self.a, self.b, self.eps, generation=self.generation,
-                         kind=self.tag)]
-
-    def bbox(self):
-        return self._bbox
-
-    def to_dict(self):
-        return {
-            "kind": "L",
-            "eps": round(self.eps, 12),
-            "log_amp": round(self.log_amp, 6),
-            "cut": round(self.cut, 12),
-            "origin": [round(float(v), 12) for v in self.frame.origin],
-            "axis": [round(float(v), 12) for v in self.frame.rows[0]],
-            "tag": self.tag,
-            "generation": self.generation,
-        }
-
-
-class MaxNode(FunctionNode):
-    kind = "max"
-
-    def __init__(self, children: list[FunctionNode]):
-        self.children = children
-        self._bbox = _bbox_union([c.bbox() for c in children])
-
-    def _fold(self, X, method, *args):
-        X = np.atleast_2d(X)
-        out = np.full(X.shape[0], NEG_INF)
-        for child in self.children:
-            bb = child.bbox()
-            if bb is None:
-                sel = slice(None)
-                vals = getattr(child, method)(X, *args)
-                out = np.maximum(out, vals)
-                continue
-            pad = args[0] if args else 0.0
-            sel = np.all((X >= bb[0] - pad) & (X <= bb[1] + pad), axis=1)
-            if not sel.any():
-                continue
-            out[sel] = np.maximum(out[sel], getattr(child, method)(X[sel], *args))
-        return out
-
-    def eval_log(self, X):
-        return self._fold(X, "eval_log")
-
-    def upper_local(self, X, slack):
-        return self._fold(X, "upper_local", slack)
-
-    def support_tubes(self):
-        return [t for c in self.children for t in c.support_tubes()]
-
-    def bbox(self):
-        return self._bbox
-
-    def to_dict(self):
-        return {"kind": "max", "children": [c.to_dict() for c in self.children]}
-
-
-class GuardedMax(FunctionNode):
-    """max(keep, branch) outside the discard region; keep alone inside it.
-
-    The discard region is the anchored G set of the keep profile, where the
-    dominance certificate guarantees keep >= branch, so the function is a
-    locally-single-branch maximum of subharmonic pieces.
-    """
-
-    kind = "guarded_max"
-
-    def __init__(self, keep: FunctionNode, branch: FunctionNode, discard: GuardRegion):
-        self.keep = keep
-        self.branch = branch
-        self.discard = discard
-        self._bbox = _bbox_union([keep.bbox(), branch.bbox()])
-
-    def eval_log(self, X):
-        X = np.atleast_2d(X)
-        out = self.keep.eval_log(X)
-        active = ~self.discard.contains(X)
-        bb = self.branch.bbox()
-        if bb is not None:
-            active &= np.all((X >= bb[0]) & (X <= bb[1]), axis=1)
-        if active.any():
-            out[active] = np.maximum(out[active], self.branch.eval_log(X[active]))
-        return out
-
-    def upper_local(self, X, slack):
-        # ignoring the discard only raises the bound
-        X = np.atleast_2d(X)
-        out = self.keep.upper_local(X, slack)
-        bb = self.branch.bbox()
-        sel = (
-            np.all((X >= bb[0] - slack) & (X <= bb[1] + slack), axis=1)
-            if bb is not None
-            else np.ones(X.shape[0], dtype=bool)
-        )
-        if sel.any():
-            out[sel] = np.maximum(out[sel], self.branch.upper_local(X[sel], slack))
-        return out
-
-    def support_tubes(self):
-        return self.keep.support_tubes() + self.branch.support_tubes()
-
-    def bbox(self):
-        return self._bbox
-
-    def to_dict(self):
-        return {
-            "kind": "guarded_max",
-            "keep": self.keep.to_dict(),
-            "branch": self.branch.to_dict(),
-            "guard_eps": round(self.discard.eps, 12),
-        }
-
-
-class IsometryNode(FunctionNode):
-    """Evaluate a child at rigidly mapped points: local = M @ x + shift."""
-
-    kind = "isometry"
-
-    def __init__(self, child: FunctionNode, matrix: np.ndarray, shift: np.ndarray):
-        self.child = child
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.shift = np.asarray(shift, dtype=float)
-        inv = self.matrix.T  # orthogonal
-        self._inv = inv
-        cb = child.bbox()
-        if cb is None:
-            self._bbox = None
-        else:
-            corners = np.array(
-                [[cb[j][i] for i, j in enumerate(bits)] for bits in np.ndindex(*(2,) * len(cb[0]))]
-            )
-            glob = (corners - self.shift) @ inv.T
-            self._bbox = (glob.min(axis=0), glob.max(axis=0))
-
-    @classmethod
-    def orthant(cls, child: FunctionNode, omap: OrthantMap) -> "IsometryNode":
-        return cls(child, omap.matrix(), np.zeros(omap.dimension))
-
-    @classmethod
-    def cell_reflection(cls, child: FunctionNode, cell_index, edge: float) -> "IsometryNode":
-        """Map the cell [edge*e, edge*(e+1)) onto the child's own frame
-        [0, edge)^d by the reflection sending the corner that touches the
-        box center to the child's far corner."""
-        e = np.asarray(cell_index, dtype=float)
-        d = e.shape[0]
-        signs = np.where(e > 0, -1.0, 1.0)
-        m = np.diag(signs)
-        shift = np.where(e > 0, 2.0 * edge, 0.0)
-        return cls(child, m, shift)
-
-    def _map(self, X):
-        return np.atleast_2d(X) @ self.matrix.T + self.shift
-
-    def eval_log(self, X):
-        return self.child.eval_log(self._map(X))
-
-    def upper_local(self, X, slack):
-        return self.child.upper_local(self._map(X), slack)
-
-    def support_tubes(self):
-        out = []
-        for t in self.child.support_tubes():
-            a = (t.a - self.shift) @ self.matrix
-            b = (t.b - self.shift) @ self.matrix
-            out.append(TubeSpec(a, b, t.diameter, t.generation, t.kind))
-        return out
-
-    def bbox(self):
-        return self._bbox
-
-    def to_dict(self):
-        return {
-            "kind": "isometry",
-            "matrix": self.matrix.tolist(),
-            "shift": self.shift.tolist(),
-            "child": self.child.to_dict(),
-        }
-
-
-class ScaleNode(FunctionNode):
-    kind = "scale"
-
-    def __init__(self, child: FunctionNode, log_c: float):
-        if not math.isfinite(log_c):
-            raise ParameterRangeError("scale factor must be positive and finite")
-        self.child = child
-        self.log_c = float(log_c)
-
-    def eval_log(self, X):
-        return self.child.eval_log(X) + self.log_c
-
-    def upper_local(self, X, slack):
-        return self.child.upper_local(X, slack) + self.log_c
-
-    def support_tubes(self):
-        return self.child.support_tubes()
-
-    def bbox(self):
-        return self.child.bbox()
-
-    def to_dict(self):
-        return {"kind": "scale", "log_c": self.log_c, "child": self.child.to_dict()}
-
 
 class SumNode(FunctionNode):
-    kind = "sum"
-
     def __init__(self, children: list[FunctionNode]):
         self.children = children
-        self._bbox = _bbox_union([c.bbox() for c in children])
 
     def eval_log(self, X):
         X = np.atleast_2d(X)
@@ -588,15 +346,15 @@ class SumNode(FunctionNode):
     def support_tubes(self):
         return [t for c in self.children for t in c.support_tubes()]
 
-    def bbox(self):
-        return self._bbox
-
-    def to_dict(self):
-        return {"kind": "sum", "children": [c.to_dict() for c in self.children]}
+    def near_ends(self, x, r):
+        """The near ends of every summand, in summand order."""
+        ends = [c.near_ends(x, r) for c in self.children]
+        return (np.concatenate([a for a, _b in ends]),
+                np.concatenate([b for _a, b in ends]))
 
 
 # ---------------------------------------------------------------------------
-# Compiled tube table
+# Tube table
 # ---------------------------------------------------------------------------
 
 #: edge of the axis-aligned tiles a spread-out batch is split into; tubes are
@@ -607,17 +365,16 @@ TILE = 4.0
 #: which bounds the memory of one evaluation
 EXACT_BLOCK = 4096
 
-
-class NotATubeTree(TypeError):
-    """The node holds something other than tube fields, maxima, guarded
-    maxima, isometries and scales."""
+#: (row, point) pairs under which a batch is one tile however wide it is,
+#: as a junction's keep row takes the samples along its whole guard
+TILE_PAIRS = 2**16
 
 
 def _affine(Y, matrix, shift):
     """matrix @ Y + shift for points stored as columns of Y (d, n), summed
     in a fixed order per coordinate.  For the signed permutations of the
     orthant maps and cell reflections every product is exact, so this
-    equals the tree's ``X @ matrix.T + shift``."""
+    equals ``X @ matrix.T + shift``."""
     out = np.empty_like(Y)
     for j in range(Y.shape[0]):
         acc = Y[0] * matrix[j, 0]
@@ -696,69 +453,62 @@ def _column_bounds(X):
     return (np.array([c.min() for c in cols]), np.array([c.max() for c in cols]))
 
 
-class TubeTable(FunctionNode):
-    """Read-only flat compilation of a built tube tree.
+#: per-row columns of a tube table, in the coordinates of the row's chain
+_COLUMNS = ("origin", "rows", "eps", "cut", "log_amp", "log_c", "end", "box_lo",
+            "box_hi", "chain", "generation", "tag")
+#: per-row arrays a row range of a table takes as views
+_ROW_ARRAYS = _COLUMNS + ("half", "tube_a", "tube_b", "global_rows", "glo", "ghi",
+                          "rows32", "offset32")
 
-    One row per TubeField: its frame, eps, cut, log amplitude (with any
-    ScaleNode factors above it), local and global bounding boxes, the
-    isometry chain above it, and (in CSR form) the discard guards of every
-    GuardedMax it sits below on the branch side.  ``eval_log`` is the max
-    over fields of the field's profile at the chain-mapped point, dropped
-    where one of its guards contains the point; ``upper_local`` is the same
-    max without guards, each field cut off outside its bounding box padded
-    by the slack.  Both equal the tree's values up to the rounding of the
-    frame coordinates, never looser, and every point's value is a function
-    of that point alone, whatever batch it arrives in.
+
+class TubeTable(FunctionNode):
+    """The built function as flat arrays, one row per tube field.
+
+    A row holds the field's frame, eps, cut, log amplitude and log_c (the
+    rescale factor of its subtree), its local and global bounding boxes,
+    the isometry chain it is seen through, and (in CSR form, as row
+    indices) the keep rows of the junctions it sits below on the branch
+    side: each such junction discards the row inside the keep's anchored
+    G region, its guard.  ``eval_log`` is the max over rows of the field's
+    profile at the chain-mapped point, dropped where one of its guards
+    contains the point; ``upper_local`` is the same max without guards,
+    each field cut off outside its bounding box padded by the slack.
+    Every point's value is a function of that point alone, whatever batch
+    it arrives in.
+
+    ``TableBuilder`` lays the rows out so that a junction is a contiguous
+    range, its keep row followed by its branch (``junction``), and so is
+    every level of ``build_u``.  ``span`` takes such a range as a table of
+    its own that shares this table's arrays and grid; guards whose keep
+    row lies outside the range drop out, since that keep is never a
+    candidate there.
 
     A batch wider than TILE is split into tiles of that extent.  A tile
     meets only the fields whose global boxes it touches, found through a
     fixed grid of TILE cells, and whose tubes reach its box; their frame
     coordinates are computed in single precision for every point, and
-    exactly only near their supports.  The tree stays the build-time
-    representation (certificates, face samples, serialization); the table
-    is for evaluation only.
+    exactly only near their supports.
     """
 
-    kind = "tube_table"
-
-    def __init__(self, node: FunctionNode):
-        fields, chains, guards = _flatten(node)
-        if not fields:
-            raise NotATubeTree("a tube table needs at least one tube field")
-        tf = [f for f, _c, _l, _g in fields]
-        d = self.d = tf[0].d
+    def __init__(self, d: int, chains: list, columns: dict,
+                 guard_ptr: np.ndarray, guard_idx: np.ndarray):
+        self.d = d
+        for name in _COLUMNS:
+            setattr(self, name, columns[name])
+        self.guard_ptr, self.guard_idx = guard_ptr, guard_idx
+        # index of row 0 in the arrays the guard rows and the grid refer to
+        self._first = 0
         # chains: (parent chain, matrix, shift); chain 0 is the identity
-        self._chains = chains
+        self.chains = chains
         self._closure = [(0,)]
         for parent, _m, _s in chains[1:]:
             self._closure.append(self._closure[parent] + (len(self._closure),))
-
-        self.chain = np.array([c for _f, c, _l, _g in fields], dtype=np.intp)
-        self.origin = np.array([f.frame.origin for f in tf])
-        self.rows = np.array([f.frame.rows for f in tf])
-        self.eps = np.array([f.eps for f in tf])
         self.half = self.eps / 2.0
-        self.cut = np.array([f.cut for f in tf])
-        self.log_amp = np.array([f.log_amp for f in tf])
-        self.log_c = np.array([lc for _f, _c, lc, _g in fields])
-        self.coef = PI * math.sqrt(d - 1) / self.eps
-        self.box_lo = np.array([f.bbox()[0] for f in tf])
-        self.box_hi = np.array([f.bbox()[1] for f in tf])
-        self.generation = [f.generation for f in tf]
-        self.tag = [f.tag for f in tf]
-        counts = [len(g) for _f, _c, _l, g in fields]
-        self.guard_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        self.guard_idx = np.array([i for _f, _c, _l, g in fields for i in g], dtype=np.intp)
-        # a guard is a core of its keep field, in the keep's frame
-        self.g_keep = np.array([k for k, _r in guards], dtype=np.intp)
-        self.g_lo = np.array([r.g for _k, r in guards])
-        self.g_hi = np.array([r.x1_max for _k, r in guards])
-        self.g_half = np.array([r.eps / 3.0 for _k, r in guards])
 
         # tube endpoints (a is the frame origin), frame rows and bounding
         # boxes in global coordinates
-        self.tube_a = np.array([f.a for f in tf])
-        self.tube_b = np.array([f.b for f in tf])
+        self.tube_a = self.origin.copy()
+        self.tube_b = self.end.copy()
         self.global_rows = self.rows.copy()
         corners = np.stack([np.where(np.asarray(bits, dtype=bool), self.box_hi, self.box_lo)
                             for bits in np.ndindex(*(2,) * d)], axis=1)
@@ -771,7 +521,6 @@ class TubeTable(FunctionNode):
                 self.global_rows[sel] = self.global_rows[sel] @ m
                 corners[sel] = (corners[sel] - s) @ m
         lo, hi = corners.min(axis=1), corners.max(axis=1)
-        self._bbox = (lo.min(axis=0), hi.max(axis=0))
         # every support point, in global and in chain coordinates, lies
         # within ``scale`` of the origin; global boxes widened by 1e-9 scale,
         # far above rounding, hold every point a field's own test accepts
@@ -794,7 +543,7 @@ class TubeTable(FunctionNode):
         self._strides = [int(np.prod(self._cells[ax + 1:])) for ax in range(d)]
         span = chi - clo + 1
         size = np.prod(span, axis=1)
-        owner = np.repeat(np.arange(len(tf)), size)
+        owner = np.repeat(np.arange(len(self.eps)), size)
         k = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
         lin = np.zeros(owner.size, dtype=np.int64)
         for ax in range(d - 1, -1, -1):
@@ -807,13 +556,44 @@ class TubeTable(FunctionNode):
 
     # -- structure ---------------------------------------------------------
 
-    def bbox(self):
-        return self._bbox
+    def __len__(self):
+        return self.eps.size
+
+    def span(self, start: int, stop: int) -> "TubeTable":
+        """Rows [start, stop) as a table of their own, on views of this
+        table's arrays."""
+        view = copy.copy(self)
+        for name in _ROW_ARRAYS:
+            setattr(view, name, getattr(self, name)[start:stop])
+        view.guard_ptr = self.guard_ptr[start:stop + 1]
+        view._first = self._first + start
+        return view
+
+    def junction(self, keep: int) -> "TubeTable":
+        """Row ``keep`` followed by the rows below its junction (its
+        branch), which the builder lays out right after it."""
+        ptr = self.guard_ptr
+        at = np.flatnonzero(self.guard_idx[ptr[0]:ptr[-1]] == self._first + keep)
+        stop = (keep + 1 if at.size == 0
+                else int(np.searchsorted(ptr, ptr[0] + at[-1], side="right")))
+        return self.span(keep, stop)
+
+    def guards(self, i: int) -> np.ndarray:
+        """Rows of this table whose junctions row i sits below on the branch
+        side: the keep rows of its guards."""
+        keeps = self.guard_idx[self.guard_ptr[i]:self.guard_ptr[i + 1]] - self._first
+        return keeps[keeps >= 0]
+
+    def field(self, i: int) -> TubeField:
+        """Row i as a TubeField, in the coordinates of its chain."""
+        return TubeField(Frame(self.rows[i], self.origin[i]), float(self.eps[i]), self.d,
+                         float(self.log_amp[i]), float(self.cut[i]), str(self.tag[i]),
+                         int(self.generation[i]))
 
     def support_tubes(self):
         return [TubeSpec(a, b, e, generation=g, kind=t)
                 for a, b, e, g, t in zip(self.tube_a, self.tube_b, self.eps,
-                                         self.generation, self.tag)]
+                                         self.generation.tolist(), self.tag.tolist())]
 
     def anchored_tubes(self):
         """Each row's tube as the paper's segment from its anchor (local
@@ -826,7 +606,7 @@ class TubeTable(FunctionNode):
         anchor = self.tube_a + (2.0 * g_threshold(self.eps, d))[:, None] * self.global_rows[:, 0]
         ends = [[round(v, 12) for v in e] for e in np.hstack([anchor, self.tube_b]).tolist()]
         return [TubeSpec(e[:d], e[d:], eps, g, t) for e, eps, g, t in
-                zip(ends, self.eps.tolist(), self.generation, self.tag)]
+                zip(ends, self.eps.tolist(), self.generation.tolist(), self.tag.tolist())]
 
     def near(self, x, r: float) -> np.ndarray:
         """Ascending rows whose support lies within Euclidean distance r of
@@ -838,6 +618,10 @@ class TubeTable(FunctionNode):
         dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.cut[rows]), 0.0)
         dt = np.maximum(np.abs(loc[:, 1:]) - self.half[rows, None], 0.0)
         return rows[dx**2 + np.sum(dt**2, axis=1) <= r * r]
+
+    def near_ends(self, x, r):
+        rows = self.near(x, r)
+        return self.tube_a[rows], self.tube_b[rows]
 
     # -- evaluation --------------------------------------------------------
 
@@ -857,7 +641,7 @@ class TubeTable(FunctionNode):
             ok = np.all(np.isfinite(X), axis=1)
             out[ok] = self._evaluate(X[ok], slack)
             return out
-        if np.all(hi - lo <= TILE):
+        if np.all(hi - lo <= TILE) or len(self) * X.shape[0] <= TILE_PAIRS:
             return self._tile(X, lo, hi, slack)
         key = np.floor(np.minimum((X - lo) / TILE, 2.0**20)).astype(np.int64)
         lin = np.ravel_multi_index(key.T, key.max(axis=0) + 1)
@@ -868,7 +652,7 @@ class TubeTable(FunctionNode):
         return out
 
     def _candidates(self, lo, hi, pad, r):
-        """Fields that can be finite in [lo, hi]: their global box widened by
+        """Rows that can be finite in [lo, hi]: their global box widened by
         ``pad`` meets it, and so does their support widened by ``r`` along
         each of the tube's own axes."""
         ranges = []
@@ -887,7 +671,15 @@ class TubeTable(FunctionNode):
         else:
             cand = _distinct(np.concatenate(
                 [self._cell_fields[self._cell_ptr[c]:self._cell_ptr[c + 1]] for c in cells]))[0]
+            clo = chi = None
+        # the grid holds the rows of the whole table; keep this range's
+        cand = cand - self._first
+        mine = (cand >= 0) & (cand < len(self))
+        cand = cand[mine]
+        if clo is None:
             clo, chi = self.glo[cand], self.ghi[cand]
+        else:
+            clo, chi = clo[mine], chi[mine]
         cand = cand[np.all((clo <= hi + pad) & (chi >= lo - pad), axis=1)]
         centre, extent = (lo + hi) / 2.0, (hi - lo) / 2.0
         rows = self.global_rows[cand]
@@ -897,6 +689,7 @@ class TubeTable(FunctionNode):
         for j in range(1, self.d):
             meets &= np.abs(proj[:, j]) - reach[:, j] <= self.half[cand]
         return cand[meets]
+
 
     def _tile(self, X, lo, hi, slack):
         n, d = X.shape
@@ -911,13 +704,13 @@ class TubeTable(FunctionNode):
         # the points in the coordinates of every chain in use, applying its
         # isometries one at a time from the outermost
         chains = sorted(set(fchain.tolist()))
-        pos = np.zeros(len(self._chains), dtype=np.intp)
+        pos = np.zeros(len(self.chains), dtype=np.intp)
         pos[chains] = np.arange(len(chains))
         Y = np.empty((len(chains), d, n))
         for k, c in enumerate(chains):
             y = X.T
             for link in self._closure[c][1:]:
-                _parent, m, s = self._chains[link]
+                _parent, m, s = self.chains[link]
                 y = _affine(y, m, s)
             Y[k] = y
         # single-precision frame coordinates rows . y - rows . origin of
@@ -983,21 +776,24 @@ class TubeTable(FunctionNode):
         if total == 0:
             return None
         first = np.cumsum(count) - count
-        flat = self.guard_idx[np.repeat(start - first, count) + np.arange(total)]
+        flat = self.guard_idx[np.repeat(start - first, count) + np.arange(total)] - self._first
         owner = np.repeat(np.arange(cand.size), count)
         order = np.argsort(cand)
-        at = np.minimum(np.searchsorted(cand[order], self.g_keep[flat]), cand.size - 1)
-        live = cand[order][at] == self.g_keep[flat]
+        at = np.minimum(np.searchsorted(cand[order], flat), cand.size - 1)
+        live = cand[order][at] == flat
         if not live.any():
             return None
+        # a guard is named by its keep row: the keep's anchored G region,
+        # g <= x_1 <= cut and |x_j| <= eps/3 in the keep's frame
         guards, slot = _distinct(flat[live])
         keep = np.empty(guards.size, dtype=np.intp)
         keep[slot] = order[at[live]]
         # |x1 - mid| against the half length and |t| against the half
         # width, each with the margin inwards (surely inside) and outwards
-        lo, hi = self.g_lo[guards], self.g_hi[guards]
+        lo, hi = g_threshold(self.eps[guards], self.d), self.cut[guards]
+        wall = self.eps[guards] / 3.0
         mid = (lo + hi) / 2.0
-        tests = [(loc[0], mid, hi - mid)] + [(t, None, self.g_half[guards]) for t in loc[1:]]
+        tests = [(loc[0], mid, hi - mid)] + [(t, None, wall) for t in loc[1:]]
         inside = maybe = True
         for coord, centre, half in tests:
             u = coord[keep]
@@ -1010,11 +806,11 @@ class TubeTable(FunctionNode):
         gi, pi = np.nonzero(maybe & ~inside)
         for b in range(0, gi.size, EXACT_BLOCK):
             gb, pb = gi[b:b + EXACT_BLOCK], pi[b:b + EXACT_BLOCK]
-            g, k = guards[gb], keep[gb]
+            k = keep[gb]
             ex = self._exact_coords(cand[k], cp[k], pb, Y)
-            ok = (ex[0] >= self.g_lo[g]) & (ex[0] <= self.g_hi[g])
+            ok = (ex[0] >= lo[gb]) & (ex[0] <= hi[gb])
             for t in ex[1:]:
-                ok &= np.abs(t) <= self.g_half[g]
+                ok &= np.abs(t) <= wall[gb]
             inside[gb, pb] = ok
         # OR over each candidate's guards, taking the r-th guard of every
         # candidate at once (the pairs are grouped by candidate)
@@ -1028,8 +824,9 @@ class TubeTable(FunctionNode):
         return gone
 
     def _profile(self, f, pi, loc):
-        """TubeField.eval_log (with the ScaleNode factors) at frame
-        coordinates, at the pairs where it is finite."""
+        """The rows' log amplitude (times their rescale factor) plus log L_eps
+        truncated at the cut, at frame coordinates, at the pairs where it
+        is finite."""
         local = np.column_stack(loc)
         vals = log_L_profile(self.eps[f], self.d, local)
         vals[local[:, 0] > self.cut[f]] = NEG_INF
@@ -1038,60 +835,85 @@ class TubeTable(FunctionNode):
         return vals[ok] + self.log_amp[f] + self.log_c[f], pi[ok]
 
     def _upper_profile(self, f, loc, r):
-        """TubeField.upper_local (with the ScaleNode factors) at frame
-        coordinates, for every pair."""
+        """``log_L_upper`` plus the rows' log amplitude and rescale factor at
+        frame coordinates, for every pair."""
         return (log_L_upper(self.eps[f], self.d, self.cut[f], np.column_stack(loc), r)
                 + self.log_amp[f] + self.log_c[f])
 
 
-def _flatten(node):
-    """Tube fields of a tube tree in support_tubes() order, each as
-    (field, chain, log_c, guards), with the isometry chains as
-    (parent chain, matrix, shift) and the guards as (keep field, region).
-    Raises NotATubeTree on a node that is not part of a tube tree."""
-    fields, chains, guards = [], [(0, None, None)], []
-    chain_ids, guard_ids = {}, {}
-    stack = [(node, 0, 0.0, ())]
-    while stack:
-        n, c, log_c, gs = stack.pop()
-        if isinstance(n, TubeField):
-            fields.append((n, c, log_c, gs))
-        elif isinstance(n, MaxNode):
-            stack.extend((ch, c, log_c, gs) for ch in reversed(n.children))
-        elif isinstance(n, GuardedMax):
-            g = n.discard
-            if not (isinstance(n.keep, TubeField) and g.frame is n.keep.frame
-                    and g.eps == n.keep.eps and g.x1_max <= n.keep.cut):
-                raise NotATubeTree("a discard guard is not the core of its keep tube")
-            key = (id(n), c)
-            if key not in guard_ids:
-                # the keep field is the next one recorded
-                guard_ids[key] = len(guards)
-                guards.append((len(fields), g))
-            stack.append((n.branch, c, log_c, gs + (guard_ids[key],)))
-            stack.append((n.keep, c, log_c, gs))
-        elif isinstance(n, IsometryNode):
-            key = (id(n), c)
-            if key not in chain_ids:
-                chain_ids[key] = len(chains)
-                chains.append((c, n.matrix, n.shift))
-            stack.append((n.child, chain_ids[key], log_c, gs))
-        elif isinstance(n, ScaleNode):
-            stack.append((n.child, c, log_c + n.log_c, gs))
-        else:
-            raise NotATubeTree(f"{type(n).__name__} is not part of a tube tree")
-    return fields, chains, guards
+class TableBuilder:
+    """Rows of a tube table in evaluation order.  A row is added as a field
+    in the table's own coordinates (``add``), or together with all the rows
+    of a finished table seen through an isometry (``extend``); each carries
+    the keep rows, of this builder, of the junctions it sits below on the
+    branch side.  A junction's keep row comes before its branch."""
 
+    def __init__(self, d: int):
+        self.d = d
+        self.chains = [(0, None, None)]
+        self.size = 0
+        self._parts = []    # (columns, guard counts, guard rows)
+        self._fields = []   # (field, guard rows, log_c) not yet in a part
 
-def tube_table(fn):
-    """The compiled TubeTable of a tube tree; anything else (sums of
-    orthant copies, analytic functions, test doubles) is returned as is."""
-    if isinstance(fn, TubeTable):
-        return fn
-    try:
-        return TubeTable(fn)
-    except NotATubeTree:
-        return fn
+    def add(self, field: TubeField, guards=(), log_c: float = 0.0) -> int:
+        """Append one field, scaled by exp(log_c); returns its row."""
+        self._fields.append((field, tuple(guards), log_c))
+        self.size += 1
+        return self.size - 1
+
+    def extend(self, table: TubeTable, matrix, shift, guards=()) -> None:
+        """Append the rows of ``table`` evaluated at local = matrix @ x +
+        shift, below the given junctions as well as their own."""
+        self._flush()
+        top = len(self.chains)
+        self.chains.append((0, np.asarray(matrix, dtype=float), np.asarray(shift, dtype=float)))
+        self.chains += [(top if parent == 0 else top + parent, m, s)
+                        for parent, m, s in table.chains[1:]]
+        columns = {name: getattr(table, name) for name in _COLUMNS}
+        columns["chain"] = top + table.chain
+        n = len(table)
+        ptr = table.guard_ptr
+        own = table.guard_idx[ptr[0]:ptr[-1]] - table._first
+        row = np.repeat(np.arange(n), np.diff(ptr))
+        inside = own >= 0
+        guards = np.asarray(guards, dtype=np.intp)
+        rows = np.concatenate([np.repeat(np.arange(n), guards.size), row[inside]])
+        keeps = np.concatenate([np.tile(guards, n), own[inside] + self.size])
+        order = np.argsort(rows, kind="stable")
+        self._parts.append((columns, np.bincount(rows, minlength=n), keeps[order]))
+        self.size += n
+
+    def _flush(self):
+        if not self._fields:
+            return
+        fs = [f for f, _g, _c in self._fields]
+        columns = {
+            "origin": np.array([f.frame.origin for f in fs]),
+            "rows": np.array([f.frame.rows for f in fs]),
+            "eps": np.array([f.eps for f in fs]),
+            "cut": np.array([f.cut for f in fs]),
+            "log_amp": np.array([f.log_amp for f in fs]),
+            "log_c": np.array([c for _f, _g, c in self._fields], dtype=float),
+            "end": np.array([f.b for f in fs]),
+            "box_lo": np.array([f.box[0] for f in fs]),
+            "box_hi": np.array([f.box[1] for f in fs]),
+            "chain": np.zeros(len(fs), dtype=np.intp),
+            "generation": np.array([f.generation for f in fs]),
+            "tag": np.array([f.tag for f in fs]),
+        }
+        counts = np.array([len(g) for _f, g, _c in self._fields])
+        keeps = np.array([k for _f, g, _c in self._fields for k in g], dtype=np.intp)
+        self._parts.append((columns, counts, keeps))
+        self._fields = []
+
+    def table(self) -> TubeTable:
+        self._flush()
+        columns = {name: np.concatenate([p[name] for p, _c, _k in self._parts])
+                   for name in _COLUMNS}
+        counts = np.concatenate([c for _p, c, _k in self._parts])
+        guard_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        guard_idx = np.concatenate([k for _p, _c, k in self._parts]).astype(np.intp)
+        return TubeTable(self.d, self.chains, columns, guard_ptr, guard_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -1197,57 +1019,29 @@ def _facet_samples(region: GuardRegion, n: int, rng) -> np.ndarray:
     return region.frame.from_local(np.vstack(pts_local))
 
 
-def _face_samples(fieldnode: TubeField, n: int, rng) -> np.ndarray:
-    """Samples on the truncation face x_1 = cut of a tube field, kept a hair
-    inside the transverse walls where the profile is identically zero."""
-    d = fieldnode.d
-    r = 0.995 * fieldnode.eps / 2.0
-    loc = rng.uniform(-r, r, size=(n, d))
-    loc[:, 0] = fieldnode.cut
-    return fieldnode.frame.from_local(loc)
-
-
-def collect_face_points(node: FunctionNode, n_per_face: int, rng) -> np.ndarray:
-    """Global-coordinate samples on the truncation faces of the top-level
-    tube fields reachable without descending past a junction, mapping
-    through any isometries on the way."""
+def _face_points(table: TubeTable, n_per_face: int, rng) -> np.ndarray:
+    """Global-coordinate samples on the truncation faces of the rows of
+    ``table`` below none of its junctions, in row order, mapped through
+    their isometry chains; each face's samples are kept a hair inside its
+    transverse walls, where the profile is identically zero."""
+    d = table.d
+    count = np.diff(table.guard_ptr)
+    innermost = np.full(len(table), -1)
+    innermost[count > 0] = table.guard_idx[table.guard_ptr[1:][count > 0] - 1]
     out = []
-
-    def rec(n_, A, c):
-        # x_global = A @ y + c for y in the current node's coordinates
-        if isinstance(n_, TubeField):
-            loc = _face_samples(n_, n_per_face, rng)
-            out.append(loc @ A.T + c)
-        elif isinstance(n_, MaxNode):
-            for ch in n_.children:
-                rec(ch, A, c)
-        elif isinstance(n_, GuardedMax):
-            rec(n_.keep, A, c)
-        elif isinstance(n_, ScaleNode):
-            rec(n_.child, A, c)
-        elif isinstance(n_, IsometryNode):
-            # child coords y' = M y + b  =>  y = M.T (y' - b)
-            A2 = A @ n_.matrix.T
-            c2 = c - A @ n_.matrix.T @ n_.shift
-            rec(n_.child, A2, c2)
-
-    d = None
-    probe = node
-    while d is None:
-        if isinstance(probe, TubeField):
-            d = probe.d
-        elif isinstance(probe, (MaxNode, SumNode)):
-            probe = probe.children[0]
-        elif isinstance(probe, GuardedMax):
-            probe = probe.keep
-        elif isinstance(probe, (ScaleNode, IsometryNode)):
-            probe = probe.child
-        else:
-            return np.zeros((0, 2))
-    rec(node, np.eye(d), np.zeros(d))
+    for i in np.flatnonzero(innermost < table._first):
+        f = table.field(i)
+        r = 0.995 * f.eps / 2.0
+        loc = rng.uniform(-r, r, size=(n_per_face, d))
+        loc[:, 0] = f.cut
+        # x_global = A @ y + c for y in the row's chain coordinates, with
+        # y' = M y + b inverted link by link from the outermost
+        A, c = np.eye(d), np.zeros(d)
+        for link in table._closure[table.chain[i]][1:]:
+            _parent, m, s = table.chains[link]
+            A, c = A @ m.T, c - A @ m.T @ s
+        out.append(f.frame.from_local(loc) @ A.T + c)
     return np.vstack(out) if out else np.zeros((0, d))
-
-
 #: profile floor separating the solidly-alive part of the keep tube (where
 #: T - 1 >= 2^(-2d), attained at the anchor's wall corner) from the
 #: wall-suppressed sliver
@@ -1290,41 +1084,43 @@ class DominanceReport:
                    self.face_seam - leak_tol + margin)
 
 
-def certify_dominance(keep: TubeField, branch: FunctionNode,
-                      region: GuardRegion, n: int = 10_000,
-                      seed: int = 99) -> DominanceReport:
-    """Sample the guard boundary and the branch truncation faces and compare
-    the keep profile against the branch."""
+def certify_dominance(node: TubeTable, n: int = 10_000, seed: int = 99) -> DominanceReport:
+    """Sample the guard boundary of the junction of ``node`` (row 0 keeps,
+    the other rows are its branch; row 0 is in the table's own
+    coordinates) and the truncation faces of the branch, and compare the
+    keep profile against the branch."""
     rng = np.random.default_rng(seed)
-    G = _facet_samples(region, n, rng)
-    kv = keep.eval_log(G)
-    bv = branch.eval_log(G)
+    keep, branch = node.span(0, 1), node.span(1, len(node))
+    top = node.field(0)
+    log_amp = top.log_amp + float(node.log_c[0])
+    G = _facet_samples(top.guard(), n, rng)
+    F = _face_points(branch, max(n // 8, 64), rng)
+    # one batch each for the keep and the branch: a point's value does not
+    # depend on the batch it comes in
+    both = np.vstack([G, F])
+    kv, kf = np.split(keep.eval_log(both), [len(G)])
+    bv, bf = np.split(branch.eval_log(both), [len(G)])
     gap = np.where(np.isfinite(bv), bv - np.where(np.isfinite(kv), kv, NEG_INF), NEG_INF)
     gap[np.isfinite(bv) & ~np.isfinite(kv)] = np.inf
     ig = int(np.argmax(gap)) if gap.size else 0
     guard_gap, guard_pt = float(gap[ig]), G[ig]
 
-    F = collect_face_points(branch, max(n // 8, 64), rng)
     solid_gap, solid_pt = NEG_INF, None
     face_seam, face_pt = NEG_INF, None
     if F.size:
-        bf = branch.eval_log(F)
-        kf = keep.eval_log(F)
-        profile = kf - keep.log_amp
-        solid = np.isfinite(bf) & (profile >= _profile_floor(keep.d))
+        profile = kf - log_amp
+        solid = np.isfinite(bf) & (profile >= _profile_floor(top.d))
         if solid.any():
             g2 = bf[solid] - kf[solid]
             i = int(np.argmax(g2))
             solid_gap, solid_pt = float(g2[i]), F[solid][i]
         sliver = np.isfinite(bf) & ~solid
         if sliver.any():
-            g3 = bf[sliver] - keep.log_amp
+            g3 = bf[sliver] - log_amp
             i = int(np.argmax(g3))
             face_seam, face_pt = float(g3[i]), F[sliver][i]
     return DominanceReport(guard_gap, guard_pt, solid_gap, solid_pt,
                            face_seam, face_pt)
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -1342,7 +1138,7 @@ class JunctionCheck:
 
 @dataclass
 class TauBuild:
-    node: FunctionNode
+    node: TubeTable
     schedule: GlueSchedule
     k: int
     d: int
@@ -1368,11 +1164,13 @@ def _leaf_fields(cell_corner, d: int, eps1: float, amp: float) -> list[TubeField
     return out
 
 
-def _subtree_cell_node(params, sched: GlueSchedule, order: int, corner: np.ndarray,
-                       parent_junction: np.ndarray, generation: int) -> FunctionNode:
-    """Node for the dyadic cell of the given order: its branch tube running
-    to the parent junction, with all lower generations glued on."""
-    d = params.d
+def _subtree_rows(rows: TableBuilder, sched: GlueSchedule, order: int, corner: np.ndarray,
+                  parent_junction: np.ndarray, generation: int, guards: tuple,
+                  log_c: float) -> None:
+    """Rows of the dyadic cell of the given order: its branch tube running
+    to the parent junction, then all lower generations glued on below its
+    junction."""
+    d = sched.d
     k = sched.k
     edge = 2.0**order
     center = corner + edge / 2.0
@@ -1382,20 +1180,19 @@ def _subtree_cell_node(params, sched: GlueSchedule, order: int, corner: np.ndarr
         diam = sched.eps1
     amp = sched.amplitude(generation)
     run = float(np.linalg.norm(parent_junction - center))
-    branch = TubeField.junction_branch(center, parent_junction - center, diam, d,
-                                       amp, run, tag="wide" if generation <= sched.s_k else "thin",
-                                       generation=generation)
+    keep = rows.add(TubeField.junction_branch(
+        center, parent_junction - center, diam, d, amp, run,
+        tag="wide" if generation <= sched.s_k else "thin", generation=generation),
+        guards, log_c)
+    guards = guards + (keep,)
     if order == 1:
-        children = _leaf_fields(corner, d, sched.eps1, sched.amplitude(k + 1))
+        for leaf in _leaf_fields(corner, d, sched.eps1, sched.amplitude(k + 1)):
+            rows.add(leaf, guards, log_c)
     else:
         half = edge / 2.0
-        children = []
         for offs in np.ndindex(*(2,) * d):
             sub = corner + np.asarray(offs, dtype=float) * half
-            children.append(
-                _subtree_cell_node(params, sched, order - 1, sub, center, generation + 1)
-            )
-    return GuardedMax(branch, MaxNode(children), branch.guard())
+            _subtree_rows(rows, sched, order - 1, sub, center, generation + 1, guards, log_c)
 
 
 def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
@@ -1418,56 +1215,43 @@ def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
     shift = -trunk_amp if skip_rescale else 0.0
     trunk_diam = 2.0**k * sched.eps_k
     run = math.sqrt(d) * 2.0**k  # to the corner 2^(k+1) v_0
-    children = []
+    rows = TableBuilder(d)
+    trunk = rows.add(TubeField.junction_branch(box_center, v0, trunk_diam, d,
+                                               trunk_amp + shift, run,
+                                               tag="trunk", generation=0))
     for offs in np.ndindex(*(2,) * d):
         sub = np.asarray(offs, dtype=float) * 2.0**k
-        children.append(_subtree_cell_node_shifted(params, sched, k, sub, box_center, shift))
-    branch = MaxNode(children)
-
-    def root(extra):
-        trunk = TubeField.junction_branch(box_center, v0, trunk_diam, d,
-                                          trunk_amp + shift + extra, run,
-                                          tag="trunk", generation=0)
-        return trunk, GuardedMax(trunk, branch, trunk.guard())
+        _subtree_rows(rows, sched, k, sub, box_center, 1, (trunk,), shift)
+    table = rows.table()
 
     # The prescribed trunk amplitude suffices once k is large; at the
     # smallest ranks the sampled demand can exceed it, and the trunk is then
     # inflated by the measured deficit (recorded, never silent).
     inflate = 0.0
-    trunk, node = root(inflate)
     if check_guards:
-        rep = certify_dominance(trunk, branch, node.discard,
-                                n=guard_samples, seed=97)
+        rep = certify_dominance(table, n=guard_samples, seed=97)
         if not rep.passed(LEAK_TOLERANCE):
             inflate = max(rep.required_amplitude(LOG2, LEAK_TOLERANCE), 0.0)
-            trunk, node = root(inflate)
-    build = TauBuild(node, sched, k, d, trunk_inflation=inflate)
+            table.log_amp[trunk] = trunk_amp + shift + inflate
+    build = TauBuild(table, sched, k, d, trunk_inflation=inflate)
     if check_guards:
-        _check_tau_guards(build, params, guard_samples)
+        _check_tau_guards(build, guard_samples)
     return build
-
-
-def _subtree_cell_node_shifted(params, sched, order, corner, parent_junction, shift):
-    node = _subtree_cell_node(params, sched, order, np.asarray(corner, dtype=float),
-                              np.asarray(parent_junction, dtype=float), 1)
-    return node if shift == 0.0 else ScaleNode(node, shift)
 
 
 LEAK_TOLERANCE = -4.0
 
 
-def _check_tau_guards(build: TauBuild, params, guard_samples: int,
+def _check_tau_guards(build: TauBuild, guard_samples: int,
                       leak_tol: float = LEAK_TOLERANCE):
     """Certify one representative junction per generation (siblings are
-    reflections of each other with identical constants)."""
-    node = build.node
-    label = "trunk"
+    reflections of each other with identical constants): the trunk's, then
+    each first child's, rows 0, 1, 2, ... down to the leaves."""
     gen = 0
-    while isinstance(node, GuardedMax):
-        keep = node.keep
-        branch = node.branch
-        rep = certify_dominance(keep, branch, node.discard,
-                                n=guard_samples, seed=101 + gen)
+    node = build.node.junction(gen)
+    while len(node) > 1:
+        label = "trunk" if gen == 0 else f"generation {gen}"
+        rep = certify_dominance(node, n=guard_samples, seed=101 + gen)
         passed = rep.passed(leak_tol)
         worst = rep.guard_point if rep.guard_gap >= 0 else (
             rep.solid_point if rep.solid_gap >= 0 and rep.solid_point is not None
@@ -1482,17 +1266,8 @@ def _check_tau_guards(build: TauBuild, params, guard_samples: int,
                 f"{build.k + 1}: guard gap {rep.guard_gap:.3g}, solid gap "
                 f"{rep.solid_gap:.3g}, face seam {rep.face_seam:.3g} at {worst}",
                 point=worst, gap=rep.guard_gap)
-        # descend into the first child branch
-        nxt = branch
-        while isinstance(nxt, (MaxNode, ScaleNode)):
-            nxt = nxt.children[0] if isinstance(nxt, MaxNode) else nxt.child
-        if not isinstance(nxt, GuardedMax):
-            break
-        node = nxt
         gen += 1
-        label = f"generation {gen}"
-
-
+        node = build.node.junction(gen)
 @dataclass
 class ULevel:
     j: int
@@ -1504,14 +1279,14 @@ class ULevel:
 
 @dataclass
 class UBuild:
-    node: FunctionNode
+    node: TubeTable
     params: GrowthParameters
     k: int
     levels: list[ULevel]
     checks: list[JunctionCheck]
     #: level_nodes[j] is the level-(j+1) function supported on [0, 2^(j+1))^d
-    #: plus its handle; level_nodes[-1] is ``node``
-    level_nodes: list[FunctionNode] = field(default_factory=list)
+    #: plus its handle, a row range of ``node``; level_nodes[-1] is ``node``
+    level_nodes: list[TubeTable] = field(default_factory=list)
 
     @property
     def d(self):
@@ -1523,10 +1298,10 @@ class UBuild:
         return lo, lo + 2.0**self.k
 
     def tree(self) -> TreeSpec:
-        """The tube set of the function: every tube field but the outgoing
-        handle, read off the compiled table."""
+        """The tube set of the function: every row of its table but the
+        outgoing handle."""
         # row 0 is the root's keep: the outgoing handle
-        tubes = TubeTable(self.node).anchored_tubes()[1:]
+        tubes = self.node.anchored_tubes()[1:]
         d, k = self.d, self.k - 1
         s_eps = {j: choose_s_k(self.params, j) for j in range(1, k)}
         return TreeSpec(d, self.k, tubes, EPS1,
@@ -1563,6 +1338,16 @@ class UBuild:
         }
 
 
+
+
+def _cell_reflection(cell_index, edge: float):
+    """(matrix, shift) of the reflection mapping the cell
+    [edge*e, edge*(e+1)) onto [0, edge)^d, sending the corner that touches
+    the box center to the far corner."""
+    e = np.asarray(cell_index, dtype=float)
+    return np.diag(np.where(e > 0, -1.0, 1.0)), np.where(e > 0, 2.0 * edge, 0.0)
+
+
 def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
             guard_samples: int = 10_000, margin: float = LOG2) -> UBuild:
     """The nested function on [0, 2^k)^d with its handle sticking out.
@@ -1573,48 +1358,55 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
     dominates the arriving branches on the sampled guard boundary; when the
     sampled demand exceeds it (small-k regime) the amplitude is inflated to
     demand + margin and the level is flagged.
+
+    The table's rows are the handles of levels k, k-1, ..., 1, the leaves
+    of level 1, then the reflected subtrees of levels 2, ..., k; so level j
+    is the junction of row k - j.  Every handle but the first starts at
+    unit amplitude and takes its amplitude when its level is certified.
     """
     if k < 1:
         raise ParameterRangeError("k must be >= 1")
     d = params.d
+    v0 = np.ones(d) / math.sqrt(d)
     levels: list[ULevel] = []
     checks: list[JunctionCheck] = []
 
     # level 1: basic subtree of [0,2)^d plus its handle of diameter 2 delta_1
-    leaf_amp0 = 0.0
     trunk_amp1 = PI * d / EPS1  # thin glue ratio at child order 0
-    handle1 = TubeField.junction_branch(np.ones(d), np.ones(d) / math.sqrt(d),
-                                        2.0 * delta_k(params, 1), d, trunk_amp1,
-                                        math.sqrt(d), tag="handle", generation=0)
-    leaves = MaxNode(_leaf_fields(np.zeros(d), d, EPS1, leaf_amp0))
-    u_node: FunctionNode = GuardedMax(handle1, leaves, handle1.guard())
-    level_nodes: list[FunctionNode] = [u_node]
-    tau_cache: dict[int, TauBuild] = {}
+    handle1 = TubeField.junction_branch(np.ones(d), v0, 2.0 * delta_k(params, 1), d,
+                                        trunk_amp1, math.sqrt(d), tag="handle", generation=0)
+    leaves = _leaf_fields(np.zeros(d), d, EPS1, 0.0)
+    u1 = TableBuilder(d)
+    u1.add(handle1)
+    for leaf in leaves:
+        u1.add(leaf, (0,))
+    # the outer subtrees reflected into level j + 1: tau_1 = u_1 by
+    # construction, then rank-j ones
+    taus = [u1.table()] + [
+        build_tau(params, j - 1, check_guards=check_guards,
+                  guard_samples=max(guard_samples // 4, 512)).node
+        for j in range(2, k)]
+
+    rows = TableBuilder(d)
+    for j in range(k, 1, -1):
+        # the level-j handle at its junction 2^(j-1) v_0
+        run = math.sqrt(d) * (2.0 ** (j - 1) if j < k else 2.0**k)
+        rows.add(TubeField.junction_branch(np.full(d, 2.0 ** (j - 1)), v0,
+                                           2.0**j * delta_k(params, j), d, 0.0, run,
+                                           tag="handle", generation=0), range(k - j))
+    rows.add(handle1, range(k - 1))
+    for leaf in leaves:
+        rows.add(leaf, range(k))
+    for j in range(1, k):
+        for idx in np.ndindex(*(2,) * d):
+            if any(idx):
+                rows.extend(taus[j - 1], *_cell_reflection(idx, 2.0**j), guards=range(k - j))
+    table = rows.table()
 
     for j in range(1, k):
-        if j == 1:
-            tau_node: FunctionNode = u_node  # tau_1 = u_1 by construction
-        else:
-            if j - 1 not in tau_cache:
-                tau_cache[j - 1] = build_tau(params, j - 1, check_guards=check_guards,
-                                             guard_samples=max(guard_samples // 4, 512))
-            tau_node = tau_cache[j - 1].node
-        edge = 2.0**j
-        branches: list[FunctionNode] = [u_node]
-        for idx in np.ndindex(*(2,) * d):
-            if all(i == 0 for i in idx):
-                continue
-            branches.append(IsometryNode.cell_reflection(tau_node, idx, edge))
-        branch_node = MaxNode(branches)
-
-        eps_handle = 2.0 ** (j + 1) * delta_k(params, j + 1)
-        b_j = np.full(d, edge)
-        run = math.sqrt(d) * (2.0**j if j + 1 < k else 2.0**k)
-        unit_handle = TubeField.junction_branch(b_j, np.ones(d) / math.sqrt(d),
-                                                eps_handle, d, 0.0, run,
-                                                tag="handle", generation=0)
-        probe = certify_dominance(unit_handle, branch_node, unit_handle.guard(),
-                                  n=guard_samples, seed=500 + j)
+        handle = k - j - 1
+        node = table.junction(handle)
+        probe = certify_dominance(node, n=guard_samples, seed=500 + j)
         lm = log_MM(params, j)
         # amplitude absorbs the sampled demand on the guard boundary and the
         # solidly-covered face points, and towers over the wall-sliver seam
@@ -1623,14 +1415,9 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
         amp = max(lm, probe.required_amplitude(margin, LEAK_TOLERANCE))
         inflated = amp > lm
         levels.append(ULevel(j, lm, amp, demand, inflated))
-        handle = TubeField.junction_branch(b_j, np.ones(d) / math.sqrt(d),
-                                           eps_handle, d, amp, run,
-                                           tag="handle", generation=0)
-        u_node = GuardedMax(handle, branch_node, handle.guard())
-        level_nodes.append(u_node)
+        table.log_amp[handle] = amp
         if check_guards:
-            rep = certify_dominance(handle, branch_node, handle.guard(),
-                                    n=guard_samples, seed=900 + j)
+            rep = certify_dominance(node, n=guard_samples, seed=900 + j)
             passed = rep.passed(LEAK_TOLERANCE)
             worst = rep.guard_point
             checks.append(JunctionCheck(f"u level {j + 1} handle",
@@ -1643,7 +1430,8 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
                     f"{rep.guard_gap:.3g}, solid gap {rep.solid_gap:.3g}, "
                     f"face seam {rep.face_seam:.3g}",
                     point=worst, gap=rep.guard_gap)
-    return UBuild(u_node, params, k, levels, checks, level_nodes)
+    level_nodes = [table.junction(k - j) for j in range(1, k)] + [table]
+    return UBuild(table, params, k, levels, checks, level_nodes)
 
 
 def assemble_full(params: GrowthParameters, k: int, u: UBuild | None = None,
@@ -1653,8 +1441,11 @@ def assemble_full(params: GrowthParameters, k: int, u: UBuild | None = None,
     if u is None:
         u = build_u(params, k, **kwargs)
     d = params.d
-    copies = [IsometryNode.orthant(u.node, OrthantMap.from_index(j, d))
-              for j in range(2**d)]
+    copies = []
+    for j in range(2**d):
+        rows = TableBuilder(d)
+        rows.extend(u.node, OrthantMap.from_index(j, d).matrix(), np.zeros(d))
+        copies.append(rows.table())
     return SumNode(copies), u
 
 
@@ -1666,8 +1457,6 @@ def assemble_full(params: GrowthParameters, k: int, u: UBuild | None = None,
 class SlabOscillating(FunctionNode):
     """Maximum of integer translates of W along each axis: oscillates in
     every basic cube, with exponential growth."""
-
-    kind = "W_periodic"
 
     def __init__(self, d: int):
         self.d = d

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LatticeCube, enumerate_basic_cubes
-from .subfun import TubeTable, tube_table
+from .subfun import TubeTable
 from .treeset import GrowthParameters
 
 EPS_D_DEFAULT = 0.25
@@ -180,7 +180,7 @@ def sup_on(fn, lo, hi, h: float, lipschitz: float | None = None,
 
 def tube_ends(tubes) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (a, b) of a function's support tubes: read from a
-    compiled TubeTable, else from ``support_tubes()`` or a tube list."""
+    TubeTable, else from ``support_tubes()`` or a tube list."""
     if isinstance(tubes, TubeTable):
         return tubes.tube_a, tubes.tube_b
     if hasattr(tubes, "support_tubes"):
@@ -287,31 +287,22 @@ def content_lower_projection(shape, axis: np.ndarray, samples: int = 256) -> flo
 class ZeroSetInCube:
     """The zero set of a tube-supported function within one basic cube.
 
-    With the evaluator available, a point is certified zero exactly when
-    the log-value is -inf (the profiles vanish identically outside the
-    half-tube level sets, so this is the true zero set, including the wall
-    layers inside tubes where max(T-1, 0) dies).  Without it, the given
-    tubes serve as a conservative overestimate of the support."""
+    A point is certified zero exactly when the log-value is -inf (the
+    profiles vanish identically outside the half-tube level sets, so this
+    is the true zero set, including the wall layers inside tubes where
+    max(T-1, 0) dies)."""
 
-    def __init__(self, cube: LatticeCube, tubes=(), fn=None):
+    def __init__(self, cube: LatticeCube, fn):
         self.cube = cube
-        self.fn = fn if (fn is not None and hasattr(fn, "eval_log")) else None
+        self.fn = fn
         self.dimension = cube.dimension
         self._lo, self._hi = cube.bounds()
-        self.tubes = list(tubes)
 
     def bounds(self):
         return self._lo, self._hi
 
     def _free(self, pts: np.ndarray) -> np.ndarray:
-        if self.fn is not None:
-            return ~np.isfinite(self.fn.eval_log(pts))
-        free = np.ones(pts.shape[0], dtype=bool)
-        for t in self.tubes:
-            if not free.any():
-                break
-            free &= ~t.contains(pts)
-        return free
+        return ~np.isfinite(self.fn.eval_log(pts))
 
     def line_hits(self, origins: np.ndarray, direction: np.ndarray,
                   steps: int = 96) -> np.ndarray:
@@ -368,16 +359,10 @@ class OscillationReport:
 
 def near_tube_ends(u, cube: LatticeCube) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (a, b) of the support tubes of ``u`` within sqrt(d)/2
-    of the cube's centre, which holds every tube meeting the cube: the
-    near rows of a compiled TubeTable, else a distance filter over
-    ``support_tubes()``."""
+    of the cube's centre, which holds every tube meeting the cube
+    (``FunctionNode.near_ends``)."""
     lo, hi = cube.bounds()
-    centre, r = (lo + hi) / 2.0, math.sqrt(cube.dimension) / 2.0
-    if isinstance(u, TubeTable):
-        rows = u.near(centre, r)
-        return u.tube_a[rows], u.tube_b[rows]
-    return tube_ends([t for t in u.support_tubes()
-                      if float(t.distance(centre[None, :])[0]) <= r])
+    return u.near_ends((lo + hi) / 2.0, math.sqrt(cube.dimension) / 2.0)
 
 
 def zero_set_projection(u, cube: LatticeCube, ends, eps_d: float,
@@ -386,7 +371,7 @@ def zero_set_projection(u, cube: LatticeCube, ends, eps_d: float,
     the zero set of ``u`` in the cube, over the coordinate axes and the axes
     of the first four tubes of ``ends`` (from ``near_tube_ends``), stopping
     once it reaches eps_d."""
-    zset = ZeroSetInCube(cube, fn=u)
+    zset = ZeroSetInCube(cube, u)
     a, b = ends
     axes = list(np.eye(cube.dimension))
     axes += [(bi - ai) / np.linalg.norm(bi - ai) for ai, bi in zip(a[:4], b[:4])]
@@ -427,7 +412,6 @@ def rogue_census(u, lo, hi, f: GrowthParameters, eps_d: float = EPS_D_DEFAULT,
                  h: float = 0.125, keep_reports: bool = False) -> CensusResult:
     """Exact rogue count over the basic cubes of the box, divided by
     f(edge length)."""
-    u = tube_table(u)
     cubes = enumerate_basic_cubes(lo, hi)
     reports = [classify_cube(u, c, eps_d, h) for c in cubes]
     count = sum(1 for r in reports if r.rogue)
@@ -469,14 +453,12 @@ def growth_profile(u, k_max: int, f: GrowthParameters, h: float = 0.25,
     """Measured log M_u(2^k) against the lower-bound denominator, per dyadic
     radius, as the bracket of ``sup_on``: the ratios use the sampled lower
     bound, ``log_m_upper`` is the certified upper bound.  When per-level
-    nodes are supplied each radius is measured on its own level function,
-    compiled to a TubeTable."""
+    nodes are supplied each radius is measured on its own level function."""
     radii, logs, dens, ratios, uppers = [], [], [], [], []
     d = f.d
     for k in range(1, k_max + 1):
         R = 2.0**k
         fn = u if nodes_per_level is None else nodes_per_level[min(k, len(nodes_per_level)) - 1]
-        fn = tube_table(fn)
         lo = np.zeros(d)
         hi = np.full(d, R)
         extra = _support_sup_points(tube_ends(fn), lo, hi)

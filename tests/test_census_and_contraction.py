@@ -114,8 +114,8 @@ class TestFrostmanDuality:
 
 class TestFunctionPath:
     def test_table_gives_tree_rogue_set(self):
-        # from_function classifies on the compiled tube table; classifying
-        # every cube on the node tree itself gives the same E
+        # from_function's P2-only pass over the cubes gives the same E as
+        # classifying every cube in full
         u = build_u(growth(1.5), 3, guard_samples=1000).node
         N = 8
         cfg = RogueConfiguration.from_function(u, N, 2, c0=0.9)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_OK, RunConfig,
                           _load_function, _parse_e_spec, main)
 from oscillab.mainlemma import RogueConfiguration
-from oscillab.subfun import TubeTable
 from oscillab.treeset import _GROWTH_RE, GrowthParameters, TreeSpec, parse_growth
 
 
@@ -78,7 +77,7 @@ class TestBuild:
         # but the outgoing handle
         tree = TreeSpec.from_json((built / "tree.json").read_text())
         _g, ub, _doc = _load_function(built / "function.json")
-        table = TubeTable(ub.node)
+        table = ub.node
         key = lambda b, diameter: (tuple(round(float(v), 12) for v in b),
                                    round(float(diameter), 12))
         rows = {key(b, e) for b, e in zip(table.tube_b, table.eps)}

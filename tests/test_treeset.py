@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscillab.subfun import TubeTable, build_tau, build_u
+from oscillab.subfun import build_tau, build_u
 from oscillab.treeset import (
     EPS1,
     GrowthParameters,
@@ -43,7 +43,7 @@ def outer_subtree(a, k):
     """The rows of the rank-(k+1) outer subtree, trunk first, and its
     schedule."""
     tau = build_tau(growth(a), k, check_guards=False)
-    return TubeTable(tau.node).anchored_tubes(), tau.schedule
+    return tau.node.anchored_tubes(), tau.schedule
 
 
 def dumped(tree):

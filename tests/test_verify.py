@@ -5,8 +5,8 @@ import pytest
 
 from oscillab.geometry import LatticeCube
 from oscillab.potential import SegmentShape, SphereShape
-from oscillab.subfun import (SlabOscillating, TubeTable, assemble_full, build_u, eval_T,
-                             eval_W)
+from oscillab.subfun import (Frame, FunctionNode, SlabOscillating, TableBuilder, TubeField,
+                             assemble_full, build_u, eval_T, eval_W)
 from oscillab.treeset import GrowthParameters, TubeSpec
 from oscillab.verify import (
     EmptyDomainError,
@@ -26,6 +26,16 @@ from oscillab.verify import (
 )
 
 PI = math.pi
+
+
+def segment_table(tube: TubeSpec):
+    """A one-row table of the tube's segment and diameter: its support,
+    and so its complement in the zero set, lies inside the tube."""
+    length = float(np.linalg.norm(tube.b - tube.a))
+    rows = TableBuilder(len(tube.a))
+    rows.add(TubeField(Frame.along(tube.a, tube.b - tube.a), tube.diameter, len(tube.a),
+                       0.0, length))
+    return rows.table()
 
 
 def growth(a, d=2):
@@ -155,7 +165,7 @@ class TestContent:
     def test_sandwich_on_zero_sets(self):
         # projection lower bound never exceeds the dyadic cover upper bound
         tube = TubeSpec(np.array([0.1, 0.2]), np.array([0.9, 0.7]), 0.125)
-        z = ZeroSetInCube(LatticeCube((0, 0)), [tube])
+        z = ZeroSetInCube(LatticeCube((0, 0)), segment_table(tube))
         low = content_lower_projection(z, tube.frame[0], 128)
         up = content_upper(z, 5, box=((0.0, 0.0), (1.0, 1.0)))
         assert low <= up + 1e-9
@@ -164,7 +174,7 @@ class TestContent:
         # the complement of a diameter-1/8 tube inside a unit cube projects
         # along the tube axis to measure at least 3/4
         tube = TubeSpec(np.array([-0.5, 0.5]), np.array([1.5, 0.5]), 0.125)
-        z = ZeroSetInCube(LatticeCube((0, 0)), [tube])
+        z = ZeroSetInCube(LatticeCube((0, 0)), segment_table(tube))
         val = content_lower_projection(z, np.array([1.0, 0.0]), 256)
         assert val >= 0.75
 
@@ -179,7 +189,7 @@ class TestClassification:
     def test_wide_branch_cube_is_rogue(self, ub5):
         # a cube strictly inside the level-5 handle tube has empty zero set
         node = ub5.level_nodes[-1]
-        handle = node.keep
+        handle = node.field(0)  # the level's keep row
         mid = handle.anchor + 3.0 * handle.frame.rows[0]
         corner = tuple(int(math.floor(v)) for v in mid)
         rep = classify_cube(node, LatticeCube(corner))
@@ -201,28 +211,28 @@ class TestCensus:
         assert res.count == 0 and res.gamma == 0.0
 
     def test_zero_function_all_rogue(self):
-        class Zero:
+        class Zero(FunctionNode):
             def eval_log(self, X):
                 return np.full(np.atleast_2d(X).shape[0], -np.inf)
 
             def upper_local(self, X, slack):
                 return self.eval_log(X)
 
-            def support_tubes(self):
-                return []
-
         res = rogue_census(Zero(), (0, 0), (4, 4), growth(1.5))
         assert res.count == 16
         assert res.gamma == pytest.approx(16 / 4.0**1.5)
 
     def test_table_census_builds_no_tube_spec(self, ub5, monkeypatch):
-        # the census takes each cube's tubes from the table's own arrays
-        table = TubeTable(ub5.level_nodes[3])
+        # the census takes each cube's tubes from the tables' own arrays,
+        # for a level and for the sum of a function's orthant copies
+        full, _ = assemble_full(ub5.params, 3, build_u(ub5.params, 3, guard_samples=1000))
         made = []
         post_init = TubeSpec.__post_init__
         monkeypatch.setattr(TubeSpec, "__post_init__",
                             lambda self: made.append(self) or post_init(self))
-        res = rogue_census(table, (0, 0), (8, 8), ub5.params)
+        res = rogue_census(ub5.level_nodes[3], (0, 0), (8, 8), ub5.params)
+        assert res.total == 64 and made == []
+        res = rogue_census(full, (-4, -4), (4, 4), ub5.params)
         assert res.total == 64 and made == []
 
     def test_assembled_census_symmetry(self):
