@@ -241,8 +241,7 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     # sqrt(d)/2 of a branch tube (one wider than the leaves)
     k = ub.k - 1
     table = ub.level_nodes[k]
-    census = verify.rogue_census(table, (0,) * d, (2**k,) * d, g,
-                                 cfg.eps_d, keep_reports=True)
+    census = verify.rogue_census(table, (0,) * d, (2**k,) * d, g, cfg.eps_d)
     nonbranch_ok = all(
         np.any(table.eps[table.near(np.add(r.cube, 0.5), math.sqrt(d) / 2)]
                > 2 * treeset.EPS1)
@@ -349,8 +348,9 @@ def cmd_lemma(cfg: RunConfig, e_spec: str, function_path: Path | None = None) ->
                            log_bound=bv.log_bound, phi_argmin=bv.phi_min_x))
     write_csv(cfg.out / "chains.csv",
               ["corner", "n_layers", "n_kappa", "b_value"],
-              [("|".join(str(v) for v in c.corner), len(c.layers),
-                len(c.kappas), c.b_value) for c in result.chains.values()])
+              zip(("|".join(str(v) for v in c) for c in result.corners.tolist()),
+                  result.layers.sum(axis=0).tolist(), result.kappas.sum(axis=0).tolist(),
+                  result.b_value.tolist()))
     if function_path is not None:
         rows = mainlemma.chain_contraction(ub.node, config, result)
         write_csv(cfg.out / "contraction.csv",

@@ -17,13 +17,13 @@ the large-cube count actually uses (only rogue cubes create deficit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import LatticeCube, containing_dyadic
-from .treeset import GrowthParameters
+from .subfun import FunctionNode
 
 TWO_SQRT = {2: 2.0 * math.sqrt(2.0), 3: 2.0 * math.sqrt(3.0)}
 
@@ -538,14 +538,6 @@ def _ring_max(vals: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass
-class KappaChain:
-    corner: tuple
-    layers: list        # K_I
-    kappas: list
-    b_value: float
-
-
-@dataclass
 class LemmaChecks:
     property_m: bool
     property_m_detail: dict
@@ -554,13 +546,20 @@ class LemmaChecks:
     kappa_ok: bool
     kappa_detail: dict
     claim1_c1: float | None
-    central_fraction: float
 
 
 @dataclass
 class KappaResult:
-    chains: dict
-    x_set: set
+    """Per-corner layer data as arrays over the N^d basic cubes I, in
+    ``np.ndindex`` order: ``corners`` (N^d x d, shifted by -N/2);
+    ``layers`` and ``kappas`` (k_max x N^d booleans, row k - 1 marking
+    k in K_I and k in I's kappa sequence); and ``b_value``,
+    B(I) = sum over k in K_I of 1/M(k)."""
+
+    corners: np.ndarray
+    layers: np.ndarray
+    kappas: np.ndarray
+    b_value: np.ndarray
     checks: LemmaChecks
     sum_inv_m: float
     step: StepFunction
@@ -569,65 +568,49 @@ class KappaResult:
 def kappa_chains(config: RogueConfiguration, rho: RhoField,
                  cover: DyadicCover) -> KappaResult:
     """K_I by exhaustive layer scan, kappa sequences, B(I), the set X, and
-    the three Step-1 counting checks.  Failures are reported, not raised:
+    the three Step-1 counting checks, one layer k at a time across all
+    corners.  B(I) adds 1/M(k) in ascending k, as the scalar sum does.  A
+    corner's kappas are chosen greedily: k joins when it lies in K_I and
+    exceeds the last kappa plus its M.  Failures are reported, not raised:
     they are the falsification surface for the configured constants."""
     N, d = config.N, config.d
-    half = N // 2
     k_max = config.k_max
     step = StepFunction(cover)
-    m_of_k = step.values(k_max) if k_max >= 1 else np.zeros(0)
-    sum_inv = float(np.sum(1.0 / m_of_k)) if k_max >= 1 else 0.0
-
-    vals = rho.values
-    in_layer = {}
-    for k in range(1, k_max + 1):
-        in_layer[k] = _ring_max(vals, k) <= m_of_k[k - 1]
-
-    chains: dict[tuple, KappaChain] = {}
-    x_set: set = set()
-    prop_m_counts = {}
-    for k in range(1, k_max + 1):
-        prop_m_counts[k] = int(in_layer[k].sum())
+    m_of_k = step.values(k_max)
+    sum_inv = float(np.sum(1.0 / m_of_k))
     total = N**d
-    need_m = 11.0 / 12.0 * total
-    prop_m_ok = all(c >= need_m for c in prop_m_counts.values()) if k_max >= 1 else True
+    corners = np.indices((N,) * d).reshape(d, -1).T - N // 2
+    layers = np.zeros((k_max, total), dtype=bool)
+    kappas = np.zeros((k_max, total), dtype=bool)
+    b_value = np.zeros(total)
+    reach = np.zeros(total)   # the next kappa must exceed this
+    for k in range(1, k_max + 1):
+        m = m_of_k[k - 1]
+        layers[k - 1] = (_ring_max(rho.values, k) <= m).ravel()
+        b_value = b_value + np.where(layers[k - 1], 1.0 / m, 0.0)
+        kappas[k - 1] = layers[k - 1] & (k > reach)
+        reach[kappas[k - 1]] = k + m
 
-    central_ok = 0
-    central_total = 0
-    kappa_ok = True
+    layer_counts = layers.sum(axis=1).tolist()
+    in_x = b_value >= sum_inv / 12.0
+    n_kappa = kappas.sum(axis=0)
+    failing = np.flatnonzero(in_x & (n_kappa < sum_inv / 24.0 - 1e-12))
     kappa_detail = {"worst_corner": None, "worst_count": None, "bound": sum_inv / 24.0}
-    for idx in np.ndindex(*(N,) * d):
-        corner = tuple(int(c) - half for c in idx)
-        layers = [k for k in range(1, k_max + 1) if in_layer[k][idx]]
-        b_val = float(sum(1.0 / step(k) for k in layers))
-        kappas = []
-        for k in layers:
-            if not kappas or k > kappas[-1] + step(kappas[-1]):
-                kappas.append(k)
-        chains[corner] = KappaChain(corner, layers, kappas, b_val)
-        if b_val >= sum_inv / 12.0:
-            x_set.add(corner)
-            if len(kappas) < sum_inv / 24.0 - 1e-12:
-                kappa_ok = False
-                kappa_detail["worst_corner"] = corner
-                kappa_detail["worst_count"] = len(kappas)
-        central = all(-half + k_max <= c and c + 1 + k_max <= half for c in corner)
-        if central:
-            central_total += 1
-            if len(layers) == k_max:
-                central_ok += 1
-    x_frac = len(x_set) / total
+    if len(failing):
+        last = failing[-1]
+        kappa_detail["worst_corner"] = tuple(corners[last].tolist())
+        kappa_detail["worst_count"] = int(n_kappa[last])
+    x_frac = int(in_x.sum()) / total
     checks = LemmaChecks(
-        property_m=prop_m_ok,
-        property_m_detail={k: prop_m_counts[k] / total for k in prop_m_counts},
+        property_m=all(c >= 11.0 / 12.0 * total for c in layer_counts),
+        property_m_detail={k: c / total for k, c in enumerate(layer_counts, 1)},
         x_fraction=x_frac,
         x_ok=x_frac >= 10.0 / 11.0,
-        kappa_ok=kappa_ok,
+        kappa_ok=not len(failing),
         kappa_detail=kappa_detail,
         claim1_c1=claim1_ratio(cover),
-        central_fraction=central_ok / central_total if central_total else float("nan"),
     )
-    return KappaResult(chains, x_set, checks, sum_inv, step)
+    return KappaResult(corners, layers, kappas, b_value, checks, sum_inv, step)
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +693,8 @@ class ContractionRow:
     per_step: list
 
 
-def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
-                      max_cubes: int = 64, h: float = 0.25,
+def chain_contraction(u: FunctionNode, config: RogueConfiguration,
+                      result: KappaResult, max_cubes: int = 64, h: float = 0.25,
                       seed: int = 3) -> list[ContractionRow]:
     """Measured sup contraction along the kappa chains against the nested
     maximum principle; report-only."""
@@ -721,29 +704,26 @@ def chain_contraction(u, config: RogueConfiguration, result: KappaResult,
     N, d = config.N, config.d
     half = N // 2
     k_max = config.k_max
-    central = [c for c in result.chains
-               if all(-half + k_max <= v and v + 1 + k_max <= half for v in c)]
-    if not central:
+    corners = result.corners
+    central = np.flatnonzero(np.all((-half + k_max <= corners)
+                                    & (corners + 1 + k_max <= half), axis=1))
+    if not len(central):
         return []
-    pick = [central[i] for i in rng.choice(len(central),
-                                           size=min(max_cubes, len(central)),
-                                           replace=False)]
-    ends = tube_ends(u) if hasattr(u, "support_tubes") else None
-    if ends is not None and not len(ends[0]):
-        ends = None
-    lipschitz = None if hasattr(u, "eval_log") else 0.0
+    pick = central[rng.choice(len(central), size=min(max_cubes, len(central)),
+                              replace=False)]
+    ends = tube_ends(u)
 
     def sup(lo, hi):
-        extra = None if ends is None else _support_sup_points(ends, lo, hi)
-        return sup_on(u, lo, hi, h, extra_points=extra, lipschitz=lipschitz).low
+        return sup_on(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi)).low
 
     m_q = sup(np.full(d, -half, dtype=float), np.full(d, half, dtype=float))
     rows = []
-    for corner in pick:
-        chain = result.chains[corner]
+    for idx in pick.tolist():
+        corner = tuple(corners[idx].tolist())
+        kappas = (np.flatnonzero(result.kappas[:, idx]) + 1).tolist()
         lo = np.asarray(corner, dtype=float)
         hi = lo + 1.0
-        sups = [sup(lo, hi)] + [sup(lo - kap, hi + kap) for kap in chain.kappas]
+        sups = [sup(lo, hi)] + [sup(lo - kap, hi + kap) for kap in kappas]
         per_step = [sups[i + 1] - sups[i] for i in range(len(sups) - 1)]
-        rows.append(ContractionRow(corner, len(chain.kappas), sups[0] - m_q, per_step))
+        rows.append(ContractionRow(corner, len(kappas), sups[0] - m_q, per_step))
     return rows

@@ -12,7 +12,7 @@ raising the resolution can only move cubes from rogue to oscillating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -405,20 +405,19 @@ class CensusResult:
     gamma: float
     total: int
     f_value: float
-    reports: list = field(default_factory=list)
+    reports: list
 
 
 def rogue_census(u, lo, hi, f: GrowthParameters, eps_d: float = EPS_D_DEFAULT,
-                 h: float = 0.125, keep_reports: bool = False) -> CensusResult:
+                 h: float = 0.125) -> CensusResult:
     """Exact rogue count over the basic cubes of the box, divided by
-    f(edge length)."""
+    f(edge length), with every cube's report."""
     cubes = enumerate_basic_cubes(lo, hi)
     reports = [classify_cube(u, c, eps_d, h) for c in cubes]
     count = sum(1 for r in reports if r.rogue)
     edge = float(max(b - a for a, b in zip(lo, hi)))
     fval = float(f(edge))
-    return CensusResult(count, count / fval, len(cubes), fval,
-                        reports if keep_reports else [])
+    return CensusResult(count, count / fval, len(cubes), fval, reports)
 
 
 # ---------------------------------------------------------------------------

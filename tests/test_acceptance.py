@@ -4,6 +4,7 @@ The expensive construction (the glued function at rank 7 for d = 2 and
 f(t) = t^1.5) is shared across the census and growth criteria.
 """
 
+import itertools
 import math
 import time
 
@@ -117,8 +118,7 @@ class TestCriterion5:
         bidx = treeset._TubeIndex(branch_tubes, cell=4.0)
         for k in (3, 4, 5, 6):
             node = u7.level_nodes[k]  # the rank-(k+1) level function
-            res = verify.rogue_census(node, (0, 0), (2**k, 2**k), growth_f,
-                                      keep_reports=True)
+            res = verify.rogue_census(node, (0, 0), (2**k, 2**k), growth_f)
             gammas[k] = res.gamma
             for r in res.reports:
                 if not r.rogue:
@@ -162,34 +162,49 @@ class TestCriterion6:
                             f"[{min(ratios):.1f}, {max(ratios):.1f}], {elapsed:.0f}s")
 
 
+def _solid_blocks(N, d, edge, corners):
+    """A rogue set of solid edge**d blocks at the given corners."""
+    E = {tuple(c + o for c, o in zip(corner, off)) for corner in corners
+         for off in itertools.product(range(edge), repeat=d)}
+    return mainlemma.RogueConfiguration(N, d, E, c0=0.13)
+
+
 class TestCriterion7:
     def test_lemma_engine_matrix(self):
         t0 = time.time()
         failures = []
         c1_by_dim = {2: [], 3: []}
+        configs = []
         # (3, 16) has k_max = 0, so only (2, 64) and (3, 32) test the layers
         for d, N in ((2, 64), (3, 16), (3, 32)):
             for count in (0, int(round(N**0.5)), int(round(N**1.5))):
                 for seed in range(5):
-                    cfg = mainlemma.RogueConfiguration.random(
-                        N, d, count, seed=seed, c0=0.13)
-                    rho = mainlemma.RhoField.compute(cfg)
-                    cover = mainlemma.build_cover(cfg, rho)
-                    res = mainlemma.kappa_chains(cfg, rho, cover)
-                    ch = res.checks
-                    if not (ch.property_m and ch.x_ok and ch.kappa_ok):
-                        failures.append((d, N, count, seed))
-                    if ch.claim1_c1 is not None and ch.claim1_c1 > 0:
-                        c1_by_dim[d].append(ch.claim1_c1)
+                    configs.append(((d, N, count, seed), mainlemma.RogueConfiguration.random(
+                        N, d, count, seed=seed, c0=0.13)))
+        # random sets leave rho at its floor, so the large-cube count sums
+        # vanish; solid blocks lift rho and give positive fitted C1
+        for N, d, edge, corners in ((64, 2, 8, [(-4, -4)]),
+                                    (64, 2, 6, [(-16, -16), (8, 4)]),
+                                    (32, 3, 4, [(-2, -2, -2)]),
+                                    (32, 3, 3, [(-8, -8, -8), (4, 4, 4)])):
+            configs.append(((d, N, f"{len(corners)} {edge}^{d} blocks"),
+                            _solid_blocks(N, d, edge, corners)))
+        for label, cfg in configs:
+            rho = mainlemma.RhoField.compute(cfg)
+            cover = mainlemma.build_cover(cfg, rho)
+            res = mainlemma.kappa_chains(cfg, rho, cover)
+            ch = res.checks
+            if not (ch.property_m and ch.x_ok and ch.kappa_ok):
+                failures.append(label)
+            if ch.claim1_c1 is not None and ch.claim1_c1 > 0:
+                c1_by_dim[cfg.d].append(ch.claim1_c1)
         elapsed = time.time() - t0
-        c1_stable = all(
-            max(v) / min(v) < 4 for v in c1_by_dim.values() if len(v) >= 2
-        )
+        # every dimension needs some positive C1, within a factor 4
+        c1_stable = all(v and max(v) / min(v) < 4 for v in c1_by_dim.values())
         ok = not failures and c1_stable and elapsed < 900
-        pos = {d: [round(v, 2) for v in vals] for d, vals in c1_by_dim.items() if vals}
-        assert _line(7, ok, f"45 configurations, failures: {failures or 'none'}; "
-                            f"positive fitted C1 {pos or '(all sums vanish)'}; "
-                            f"{elapsed:.0f}s")
+        pos = {d: [round(v, 2) for v in vals] for d, vals in c1_by_dim.items()}
+        assert _line(7, ok, f"{len(configs)} configurations, failures: {failures or 'none'}; "
+                            f"positive fitted C1 {pos}; {elapsed:.0f}s")
 
 
 class TestCriterion8:

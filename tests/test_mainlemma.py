@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,8 @@ from oscillab.mainlemma import (
     _GL_NODES,
     _GL_WEIGHTS,
     ConfigurationError,
+    DyadicCover,
+    LemmaChecks,
     RhoField,
     RogueConfiguration,
     StepFunction,
@@ -126,6 +129,69 @@ def _scalar_rho_values(config):
 
 def _block(lo, hi, d):
     return set(itertools.product(range(lo, hi), repeat=d))
+
+
+def _solid(edge, *corners):
+    """Solid blocks of edge**d rogue cubes at the given corners."""
+    return {tuple(c + o for c, o in zip(corner, off)) for corner in corners
+            for off in itertools.product(range(edge), repeat=len(corner))}
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-corner layer scan: one corner at a time, B(I) as a Python sum
+# over its layers.  The one-pass-per-k arrays of kappa_chains must reproduce
+# it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_kappa_chains(config, rho, cover):
+    """(layers, kappas, b_value, checks) from the per-corner loop, the
+    stacks as (k_max, N^d) booleans over the corners in np.ndindex order."""
+    N, d = config.N, config.d
+    half = N // 2
+    k_max = config.k_max
+    step = StepFunction(cover)
+    m_of_k = step.values(k_max) if k_max >= 1 else np.zeros(0)
+    sum_inv = float(np.sum(1.0 / m_of_k)) if k_max >= 1 else 0.0
+    in_layer = {k: _ring_max(rho.values, k) <= m_of_k[k - 1] for k in range(1, k_max + 1)}
+    total = N**d
+    prop_m_counts = {k: int(in_layer[k].sum()) for k in in_layer}
+    need_m = 11.0 / 12.0 * total
+    prop_m_ok = all(c >= need_m for c in prop_m_counts.values()) if k_max >= 1 else True
+
+    layers = np.zeros((k_max, total), dtype=bool)
+    kappas = np.zeros((k_max, total), dtype=bool)
+    b_value = np.zeros(total)
+    x_count = 0
+    kappa_ok = True
+    kappa_detail = {"worst_corner": None, "worst_count": None, "bound": sum_inv / 24.0}
+    for i, idx in enumerate(np.ndindex(*(N,) * d)):
+        corner = tuple(int(c) - half for c in idx)
+        ks = [k for k in range(1, k_max + 1) if in_layer[k][idx]]
+        b_val = float(sum(1.0 / step(k) for k in ks))
+        kaps = []
+        for k in ks:
+            if not kaps or k > kaps[-1] + step(kaps[-1]):
+                kaps.append(k)
+        layers[[k - 1 for k in ks], i] = True
+        kappas[[k - 1 for k in kaps], i] = True
+        b_value[i] = b_val
+        if b_val >= sum_inv / 12.0:
+            x_count += 1
+            if len(kaps) < sum_inv / 24.0 - 1e-12:
+                kappa_ok = False
+                kappa_detail["worst_corner"] = corner
+                kappa_detail["worst_count"] = len(kaps)
+    checks = LemmaChecks(
+        property_m=prop_m_ok,
+        property_m_detail={k: prop_m_counts[k] / total for k in prop_m_counts},
+        x_fraction=x_count / total,
+        x_ok=x_count / total >= 10.0 / 11.0,
+        kappa_ok=kappa_ok,
+        kappa_detail=kappa_detail,
+        claim1_c1=claim1_ratio(cover),
+    )
+    return layers, kappas, b_value, checks
 
 
 class TestConfiguration:
@@ -337,17 +403,69 @@ class TestCoverAndStep:
         assert ratio is not None and ratio > 0
 
 
+def _assert_matches_loop(config, rho, cover=None):
+    cover = cover or build_cover(config, rho)
+    res = kappa_chains(config, rho, cover)
+    layers, kappas, b_value, checks = _scalar_kappa_chains(config, rho, cover)
+    half = config.N // 2
+    assert np.array_equal(res.corners,
+                          np.array(list(np.ndindex(*(config.N,) * config.d))) - half)
+    assert np.array_equal(res.layers, layers)
+    assert np.array_equal(res.kappas, kappas)
+    assert np.array_equal(res.b_value, b_value)
+    for f in dataclasses.fields(LemmaChecks):
+        assert getattr(res.checks, f.name) == getattr(checks, f.name), f.name
+    return res
+
+
 class TestKappaChains:
+    @pytest.mark.parametrize("config", [
+        RogueConfiguration(32, 2, set()),
+        RogueConfiguration.random(64, 2, int(round(64**1.4)), seed=0),
+        RogueConfiguration.random(32, 3, 64, seed=0),
+        # k_max = 21: every corner in X has two kappas
+        RogueConfiguration.random(256, 2, 2048, seed=1),
+        # the solid blocks of acceptance criterion 7, off the rho floor
+        RogueConfiguration(64, 2, _solid(8, (-4, -4)), c0=0.13),
+        RogueConfiguration(64, 2, _solid(6, (-16, -16), (8, 4)), c0=0.13),
+        RogueConfiguration(32, 3, _solid(4, (-2, -2, -2)), c0=0.13),
+        RogueConfiguration(32, 3, _solid(3, (-8, -8, -8), (4, 4, 4)), c0=0.13),
+    ], ids=["empty-d2-N32", "random-d2-N64", "random-d3-N32", "random-d2-N256",
+            "block-d2-N64", "blocks-d2-N64", "block-d3-N32", "blocks-d3-N32"])
+    def test_matches_per_corner_loop(self, config):
+        _assert_matches_loop(config, RhoField.compute(config))
+
+    @pytest.mark.parametrize("N, d, scale", [(64, 2, 4.0), (32, 3, 4.0), (256, 2, 6.0)])
+    def test_matches_per_corner_loop_on_drawn_rho(self, N, d, scale):
+        # drawn radii above the floor: corners miss layers, M(k) takes
+        # several values, and at N = 256 corners hold zero, one or two kappas
+        config = RogueConfiguration.random(N, d, N, seed=0)
+        values = config.rho_floor + np.random.default_rng(5).exponential(scale, (N,) * d)
+        res = _assert_matches_loop(config, RhoField(config, values))
+        assert 0.0 < res.layers.mean() < 1.0
+
+    def test_matches_per_corner_loop_where_kappa_count_fails(self):
+        # the kappa count cannot fail while M >= 16; with M = 1/8 every layer
+        # is a kappa and sum 1/M(k) / 24 = 5/3, so corners of X with one
+        # layer fail, and the detail names the last of them
+        config = RogueConfiguration.random(64, 2, 64, seed=0)
+        values = np.random.default_rng(5).uniform(0.0, 0.25, (64, 64))
+        cover = DyadicCover(config, [], {}, -3, {-3: config.N / 12.0}, -4)
+        res = _assert_matches_loop(config, RhoField(config, values), cover)
+        in_x = res.b_value >= res.sum_inv_m / 12.0
+        assert not res.checks.kappa_ok
+        assert np.sum(in_x & (res.kappas.sum(axis=0) == 1)) >= 2
+
     def test_empty_E_all_layers(self):
         cfg = RogueConfiguration(32, 2, set())
         rho = RhoField.compute(cfg)
         res = kappa_chains(cfg, rho, build_cover(cfg, rho))
         assert res.checks.property_m
         assert res.checks.x_fraction == 1.0
-        chain = res.chains[(0, 0)]
-        assert chain.layers == list(range(1, cfg.k_max + 1))
+        assert res.layers.shape == (cfg.k_max, 32**2) and res.layers.all()
         # gaps exceed M(kappa_j)
-        for a, b in zip(chain.kappas, chain.kappas[1:]):
+        ks = np.flatnonzero(res.kappas[:, 16 * 32 + 16]) + 1  # corner (0, 0)
+        for a, b in zip(ks, ks[1:]):
             assert b - a > res.step(a)
 
     def test_checks_pass_at_moderate_density(self):
@@ -362,8 +480,10 @@ class TestKappaChains:
         cfg = RogueConfiguration.random(32, 2, 64, seed=2, c0=0.2)
         rho = RhoField.compute(cfg)
         res = kappa_chains(cfg, rho, build_cover(cfg, rho))
-        for chain in res.chains.values():
-            for a, b in zip(chain.kappas, chain.kappas[1:]):
+        assert not (res.kappas & ~res.layers).any()
+        for column in res.kappas.T:
+            ks = np.flatnonzero(column) + 1
+            for a, b in zip(ks, ks[1:]):
                 assert b - a > res.step(a)
 
 
