@@ -250,6 +250,12 @@ class FunctionNode:
     def support_tubes(self) -> list[TubeSpec]:
         return []
 
+    def covers(self, lo, hi) -> bool:
+        """True only when the log-value is certainly finite at every point
+        of the closed box [lo, hi]; a node without such a certificate says
+        False."""
+        return False
+
     def near_ends(self, x, r: float) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint arrays (a, b) of the support tubes within Euclidean
         distance r of the point x; none for a function without tubes."""
@@ -368,6 +374,13 @@ EXACT_BLOCK = 4096
 #: (row, point) pairs under which a batch is one tile however wide it is,
 #: as a junction's keep row takes the samples along its whole guard
 TILE_PAIRS = 2**16
+
+#: halvings of a box down to which ``TubeTable.covers`` looks for one row
+#: covering each part (2^(d COVER_DEPTH) sub-boxes at most)
+COVER_DEPTH = 4
+
+#: sub-boxes ``TubeTable.covers`` tests at a time
+COVER_BLOCK = 256
 
 
 def _affine(Y, matrix, shift):
@@ -623,6 +636,118 @@ class TubeTable(FunctionNode):
         rows = self.near(x, r)
         return self.tube_a[rows], self.tube_b[rows]
 
+    def covers(self, lo, hi) -> bool:
+        """True when ``eval_log`` is finite at every point of the closed box
+        [lo, hi], certified without evaluating it: every dyadic sub-box,
+        down to COVER_DEPTH halvings of the box, lies in the finite region
+        of one row and clear of all that row's guards.
+
+        The rows tried are those ``near`` the box with a finite amplitude
+        (log_amp + log_c).  A row takes a sub-box when, in the row's global
+        frame, the sub-box's coordinate ranges lie in 0 < x_1 < cut and
+        |x_j| < eps/2, and log T_eps > tau at the worst point of those
+        ranges, the least x_1 with the largest |x_j| (log T_eps grows with
+        x_1 >= 0 and falls with each |x_j|).  A guard
+        of the row is clear of the sub-box when one slab of its keep's
+        frame separates them: x_1 < g or x_1 > cut, or x_j < -eps/3 or
+        x_j > eps/3, with the keep's g(eps), cut and eps.
+
+        Every range is widened by mu = 2^-40 scale (2^-24 ``_margin32``).
+        The coordinates computed here and the chain coordinates ``_tile``
+        evaluates are images of a point under the same stored frame rows
+        (``global_rows`` are the rows times the chains' signed
+        permutations, exactly) and the same affine maps, so they differ by
+        rounding alone: one rounding per chain link of the point and of the
+        frame origin (``tube_a``), one in each difference, and the d-term
+        dot products, which ``_frame_coords`` rounds once and einsum d
+        times.  For d <= 3 and chains of at most 8 links (``build_u``'s have
+        one, ``assemble_full``'s copies two) that is under 2^5 roundings of
+        relative size 2^-53 of magnitudes up to 4 scale, times a row norm
+        factor sqrt(d) <= 2: under 2^-45 scale.
+
+        tau = 2^-44 (A + sum_j sec theta_j + 1) bounds the rounding of log
+        T twice over, where A = pi sqrt(d-1) cut / eps is the largest
+        argument of its log_cosh and theta_j = pi |x_j| / eps at the worst
+        point.  At any point of the sub-box ``log_T_profile`` is off its
+        real value by under 2^-49 (A + sum_j sec theta_j + 1): each
+        argument carries three roundings, so cos has an absolute error
+        under 4u (u = 2^-53), a relative error 4u sec theta, and its log an
+        error under 8u sec theta while sec theta < 2^40; log_cosh is
+        1-Lipschitz; the d sums add roundings of terms under A and log sec
+        theta <= sec theta.  sec theta_j is largest at the worst point, so
+        the computed log T of every point of the sub-box exceeds tau/2,
+        far above the 2^-52 below which log1p(-exp(-log T)) would be -inf.
+
+        A sub-box on which no row is positive even at its best point is
+        zero throughout, so the box is refused as soon as one turns up.
+        """
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        d = self.d
+        rows = self.near((lo + hi) / 2.0, float(np.linalg.norm(hi - lo)) / 2.0)
+        # a row of zero amplitude is zero everywhere, though it still guards
+        rows = rows[np.isfinite(self.log_amp[rows] + self.log_c[rows])]
+        if rows.size == 0:
+            return False
+        mu = 2.0**-24 * self._margin32
+        eps, cut, half = self.eps[rows], self.cut[rows], self.half[rows]
+        slope = PI * math.sqrt(d - 1) / eps
+        top = slope * cut  # A, the largest argument of log_cosh
+        # guard[s, c]: keep row keeps[s] guards candidate c
+        owner, flat = self._guard_pairs(rows)
+        mine = flat >= 0
+        keeps, slot = _distinct(flat[mine])
+        guard = np.zeros((keeps.size, rows.size), dtype=bool)
+        guard[slot, owner[mine]] = True
+        g, wall = g_threshold(self.eps[keeps], d), self.eps[keeps] / 3.0
+        corners = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
+        # depth first, COVER_BLOCK sub-boxes at a time, so that a box with
+        # a part no row covers is refused before all its parts are tried
+        stack = [(lo[None, :], hi - lo, 0)]
+        while stack:
+            boxes, edge, level = stack.pop()
+            low, high = self._frame_ranges(rows, boxes, edge, mu)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # a sub-box where no row is positive even at its best point,
+                # the largest x_1 <= cut with the least |x_j|, is zero
+                # throughout, and so is every part of it
+                best = np.minimum(high[..., 0], cut)
+                cosines = np.cos(PI * np.maximum(np.maximum(low[..., 1:], -high[..., 1:]), 0.0)
+                                 / eps[:, None])
+                alive = (best >= 0.0) & (low[..., 0] <= cut) & np.all(cosines > 0.0, axis=-1)
+                alive &= log_cosh(slope * best) + np.sum(np.log(cosines), axis=-1) > 0.0
+                if not alive.any(axis=1).all():
+                    return False
+                x1 = low[..., 0]
+                xj = np.maximum(-low[..., 1:], high[..., 1:])
+                cosines = np.cos(PI * xj / eps[:, None])
+                sec = np.sum(1.0 / cosines, axis=-1)
+                log_t = log_cosh(slope * x1) + np.sum(np.log(cosines), axis=-1)
+                ok = ((x1 > 0.0) & (high[..., 0] < cut) & np.all(xj < half[:, None], axis=-1)
+                      & (sec < 2.0**40) & (log_t > 2.0**-44 * (top + sec + 1.0)))
+            if keeps.size:
+                low, high = self._frame_ranges(keeps, boxes, edge, mu)
+                clear = ((high[..., 0] < g) | (low[..., 0] > self.cut[keeps])
+                         | np.any((high[..., 1:] < -wall[:, None])
+                                  | (low[..., 1:] > wall[:, None]), axis=-1))
+                ok &= ~(~clear @ guard)
+            boxes = boxes[~ok.any(axis=1)]
+            if boxes.size and level == COVER_DEPTH:
+                return False
+            parts = (boxes[:, None, :] + corners * (edge / 2.0)).reshape(-1, d)
+            stack += [(parts[i:i + COVER_BLOCK], edge / 2.0, level + 1)
+                      for i in range(0, len(parts), COVER_BLOCK)]
+        return True
+
+    def _frame_ranges(self, rows, lo, edge, mu):
+        """Low and high ends (boxes, rows, d) of the global-frame
+        coordinates of the given rows over the boxes [lo, lo + edge],
+        widened by mu."""
+        frames = self.global_rows[rows]
+        half = edge / 2.0
+        proj = np.einsum("fji,nfi->nfj", frames, (lo + half)[:, None, :] - self.tube_a[rows])
+        reach = np.abs(frames) @ half + mu
+        return proj - reach, proj + reach
+
     # -- evaluation --------------------------------------------------------
 
     def eval_log(self, X):
@@ -763,6 +888,16 @@ class TubeTable(FunctionNode):
         return _frame_coords([Y[cp, i, pi] - self.origin[f, i] for i in range(self.d)],
                              self.rows[f])
 
+    def _guard_pairs(self, rows):
+        """The guards of the given rows as (position in ``rows``, keep row)
+        pairs, grouped by position; a keep row outside this range is
+        negative."""
+        start = self.guard_ptr[rows]
+        count = self.guard_ptr[rows + 1] - start
+        first = np.cumsum(count) - count
+        flat = self.guard_idx[np.repeat(start - first, count) + np.arange(int(count.sum()))]
+        return np.repeat(np.arange(rows.size), count), flat - self._first
+
     def _guarded(self, cand, cp, loc, Y, margin):
         """(candidate, point) pairs of the tile where one of the field's
         guards contains the point, or None.  A guard is the core of its
@@ -770,14 +905,9 @@ class TubeTable(FunctionNode):
         point of the tile; each is tested once, on the keep's single
         precision coordinates, and exactly where those are within the
         margin of its boundary."""
-        start = self.guard_ptr[cand]
-        count = self.guard_ptr[cand + 1] - start
-        total = int(count.sum())
-        if total == 0:
+        owner, flat = self._guard_pairs(cand)
+        if flat.size == 0:
             return None
-        first = np.cumsum(count) - count
-        flat = self.guard_idx[np.repeat(start - first, count) + np.arange(total)] - self._first
-        owner = np.repeat(np.arange(cand.size), count)
         order = np.argsort(cand)
         at = np.minimum(np.searchsorted(cand[order], flat), cand.size - 1)
         live = cand[order][at] == flat

@@ -82,20 +82,30 @@ class GrowthParameters:
             )
 
     def __call__(self, t):
+        # a value past double range is inf, nan (inf * 0) or 0, which
+        # validate() refuses; it is not a warning
         t = np.asarray(t, dtype=float)
-        out = self.coeff * t**self.index
-        if self.log_exponent:
-            out = out * np.log(2.0 + t) ** self.log_exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.coeff * t**self.index
+            if self.log_exponent:
+                out = out * np.log(2.0 + t) ** self.log_exponent
         return out if out.ndim else float(out)
 
     def validate(self, t_max: float = 1e6, samples: int = 1000) -> "GrowthParameters":
-        """Check monotonicity, f <= t**d, and measure the doubling window.
+        """Check that f is positive, finite, monotone and at most t**d on
+        the sampled range [1, t_max], and measure the doubling window.
 
         The volume bound is asymptotic, so it is enforced from t = 4 (the
         first dyadic scale the tree construction uses) upward.
         """
         t = np.geomspace(1.0, t_max, samples)
         v = self(t)
+        # past double range f is inf or nan, or 0 (log(2+t)^-q underflows)
+        number = np.isfinite(v) & (v > 0)
+        if not number.all():
+            worst = t[np.argmin(number)]
+            raise GrowthValidationError(
+                f"{self.label} is not a positive finite number at t={worst:.3g}")
         if np.any(np.diff(v) < -1e-12 * np.abs(v[:-1])):
             raise GrowthValidationError(f"{self.label} is not monotone non-decreasing")
         big = t >= 4.0

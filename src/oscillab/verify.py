@@ -290,7 +290,8 @@ class ZeroSetInCube:
     A point is certified zero exactly when the log-value is -inf (the
     profiles vanish identically outside the half-tube level sets, so this
     is the true zero set, including the wall layers inside tubes where
-    max(T-1, 0) dies)."""
+    max(T-1, 0) dies).  ``zero_set_projection`` samples it only when the
+    function's ``covers`` cannot show the set empty."""
 
     def __init__(self, cube: LatticeCube, fn):
         self.cube = cube
@@ -370,7 +371,15 @@ def zero_set_projection(u, cube: LatticeCube, ends, eps_d: float,
     """P2's certificate: the best projection lower bound on the content of
     the zero set of ``u`` in the cube, over the coordinate axes and the axes
     of the first four tubes of ``ends`` (from ``near_tube_ends``), stopping
-    once it reaches eps_d."""
+    once it reaches eps_d.
+
+    When ``u.covers`` the cube (the function is certainly positive on all
+    of it), the answer is 0.0 without sampling.  That is the value
+    sampling returns: no point of any line is zero, so no line hits and
+    every axis counts max(0, 0 - 1) = 0 cells."""
+    lo, hi = cube.bounds()
+    if u.covers(lo, hi):
+        return 0.0
     zset = ZeroSetInCube(cube, u)
     a, b = ends
     axes = list(np.eye(cube.dimension))

@@ -4,6 +4,7 @@ The expensive construction (the glued function at rank 7 for d = 2 and
 f(t) = t^1.5) is shared across the census and growth criteria.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -108,10 +109,29 @@ class TestCriterion4:
                             f"claim-4 constant {c4:.2f}, {elapsed:.1f}s")
 
 
+#: sha256 of each level's census rows (corner, p1, p2, class), written as
+#: census.csv writes them, recorded while P2 was still decided by sampling
+#: on every cube; they hold for the numpy build and CPU features they were
+#: recorded with
+CENSUS_DIGESTS = {
+    3: "60f8017e317b13c88cecbf70607437d82c09dc047a4374f01af8637c8be1b884",
+    4: "7b1d7b687c2a6d4ee8c7ec97ec0f155d0e88d10745c7cde7822f54623a7a4c09",
+    5: "6fddd53642d0bdaee99a29a6a24f005c01fe04560673fcab364466fc0985e91c",
+    6: "a430b4cef8159b87482e6ed80e9a69a634c95600bd7544bb26d770496985b0f8",
+}
+
+
+def _census_digest(reports):
+    rows = "\n".join(f"{'|'.join(str(c) for c in r.cube)},{int(r.p1_satisfied)},"
+                     f"{int(r.p2_satisfied)},{r.classification}" for r in reports)
+    return hashlib.sha256(rows.encode()).hexdigest()
+
+
 class TestCriterion5:
     def test_construction_census(self, growth_f, u7):
         t0 = time.time()
         gammas = {}
+        digests = {}
         nonbranch_bad = 0
         branch_tubes = [t for t in u7.node.support_tubes()
                         if t.diameter > 2 * treeset.EPS1]
@@ -120,6 +140,7 @@ class TestCriterion5:
             node = u7.level_nodes[k]  # the rank-(k+1) level function
             res = verify.rogue_census(node, (0, 0), (2**k, 2**k), growth_f)
             gammas[k] = res.gamma
+            digests[k] = _census_digest(res.reports)
             for r in res.reports:
                 if not r.rogue:
                     continue
@@ -131,6 +152,7 @@ class TestCriterion5:
                     nonbranch_bad += 1
         elapsed = time.time() - t0
         spread = max(gammas.values()) / min(gammas.values())
+        assert digests == CENSUS_DIGESTS
         ok = spread < 3.0 and nonbranch_bad == 0 and elapsed < 600
         assert _line(5, ok, f"rogue/f(2^k) = "
                             f"{ {k: round(v, 3) for k, v in gammas.items()} }, "

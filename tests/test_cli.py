@@ -1,5 +1,8 @@
+import hashlib
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +41,15 @@ class TestBuild:
         code = main(["build", "--d", "2", "--f", "t^3", "--out", str(tmp_path)])
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("spec", ["t^2*log(2+t)^300", "t^0*log(t)^-7923"])
+    def test_rejects_growth_past_double_range_without_warning(self, tmp_path, capsys, spec):
+        # f overflows, or underflows to 0, inside the sampled range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["build", "--d", "2", "--f", spec, "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        assert "not a positive finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["t^1/0", "t^.", "..*t^1.5", "0*t^1.5"])
     def test_malformed_growth_number(self, tmp_path, capsys, spec):
         code = main(["build", "--d", "2", "--f", spec, "--out", str(tmp_path)])
@@ -57,6 +69,8 @@ class TestBuild:
             return
         assert isinstance(g, GrowthParameters) and 0 <= g.index <= 2 and g.coeff > 0
         assert g.t_onset == g.t_onset  # validate() measured the doubling window
+        assert np.all(np.isfinite(g(np.geomspace(1.0, 1e6))))
+        assert np.all(g(np.geomspace(1.0, 1e6)) > 0)
 
     def test_d3_orthant_metadata(self, built_d3):
         doc = json.loads((built_d3 / "function.json").read_text())
@@ -119,6 +133,27 @@ class TestVerify:
         assert {"laplacian_refinement", "rogue_census"} <= names
         header = (built / "census.csv").read_text().splitlines()[0]
         assert header == "corner,p1,p2,class"
+
+
+#: sha256 of census.csv for ``build --d D --f F --k K`` then ``verify``,
+#: recorded while P2 was still decided by sampling on every cube; they hold
+#: for the numpy build and CPU features they were recorded with
+CENSUS_DIGESTS = {
+    (2, "t^1.5", 3): "5b3ba927eafeac4afc231f63e31a47d25015adf75dbfceb2665d6da9ff6a728f",
+    (2, "t^1.5", 4): "a47bc553d0a9ad6d5c5e26d0da0e2c95ff920d3b08279c3a8d8ad3def77d4b3f",
+    (3, "t^2", 2): "b7c72a61416f432b5153431039d9f958adf43bf2cd28bf5d2421749ad06a9f3c",
+    (3, "t^2", 3): "66b2ca75a86065afa81a08ea82b014e5149b5b858644debf30cb35910ddb0314",
+}
+
+
+@pytest.mark.parametrize("d, f, k", list(CENSUS_DIGESTS))
+def test_census_bytes(tmp_path, d, f, k):
+    assert main(["build", "--d", str(d), "--f", f, "--k", str(k),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["verify", "--function", str(tmp_path / "function.json"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest()
+    assert digest == CENSUS_DIGESTS[(d, f, k)]
 
 
 class TestGrowth:

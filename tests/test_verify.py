@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oscillab.geometry import LatticeCube
+from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import SegmentShape, SphereShape
 from oscillab.subfun import (Frame, FunctionNode, SlabOscillating, TableBuilder, TubeField,
                              assemble_full, build_u, eval_T, eval_W)
@@ -18,10 +18,12 @@ from oscillab.verify import (
     discrete_laplacian_report,
     growth_profile,
     laplacian_refinement_study,
+    near_tube_ends,
     rogue_census,
     sup_on,
     lower_bound_denominator,
     tube_ends,
+    zero_set_projection,
     _support_sup_points,
 )
 
@@ -278,3 +280,100 @@ class TestGrowthProfile:
             for k in range(4, 9)
         ]
         assert max(vals2) / min(vals2) < 2.0
+
+
+class _Sampled(FunctionNode):
+    """A table's ``eval_log`` that keeps every value it hands out.  It has
+    no ``covers`` certificate, so ``zero_set_projection`` samples it."""
+
+    def __init__(self, table):
+        self.table = table
+        self.values = []
+
+    def eval_log(self, X):
+        vals = self.table.eval_log(X)
+        self.values.append(vals)
+        return vals
+
+
+def _tube_field(origin, direction, eps, cut, log_amp=0.0):
+    return TubeField(Frame.along(origin, direction), eps, 2, log_amp, cut)
+
+
+class TestCovers:
+    """``TubeTable.covers`` accepts a cube only where the function is
+    positive at every point P2 would sample."""
+
+    @staticmethod
+    def _accepted_positive(table, k):
+        """The census cubes of [0, 2^k)^d that ``covers`` accepts, after
+        checking that the function is finite at every sample of every P2
+        axis there, so that sampling gives the projection 0.0 as well."""
+        cubes = [c for c in enumerate_basic_cubes((0,) * table.d, (2**k,) * table.d)
+                 if table.covers(*c.bounds())]
+        for cube in cubes:
+            u = _Sampled(table)
+            # an infinite threshold samples every axis
+            proj = zero_set_projection(u, cube, near_tube_ends(table, cube), math.inf)
+            vals = np.concatenate(u.values)
+            assert vals.size and np.all(np.isfinite(vals)), cube.corner
+            assert proj == 0.0
+        return cubes
+
+    @pytest.mark.parametrize("d, a, levels", [(2, 1.5, (3, 4, 5)), (3, 2.0, (2, 3))])
+    def test_accepted_cubes_positive_at_every_sample(self, d, a, levels):
+        built = build_u(growth(a, d=d), max(levels) + 1, guard_samples=1000)
+        for k in levels:
+            assert self._accepted_positive(built.level_nodes[k], k)
+
+    def test_guards_decide_under_a_zero_handle(self, ub5):
+        # with the level's handle at zero amplitude its guard is a zero
+        # set inside the wide rows below it, which only the guard test sees
+        for k in (3, 4):
+            rows = TableBuilder(2)
+            rows.extend(ub5.level_nodes[k], np.eye(2), np.zeros(2))
+            table = rows.table()
+            table.log_amp[0] = -np.inf
+            assert self._accepted_positive(table, k)
+
+    def test_refuses_a_keeps_guard(self):
+        # a wide row covering the cube, below a thin keep of zero amplitude
+        # whose guard crosses it: the function is zero on the guard
+        wide = _tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0)
+        keep = _tube_field([10.5, -5.0], [0.0, 1.0], 0.05, 10.0, log_amp=-np.inf)
+        alone = TableBuilder(2)
+        alone.add(wide)
+        guarded = TableBuilder(2)
+        guarded.add(wide, (guarded.add(keep),))
+        lo, hi = np.array([10.0, 0.0]), np.array([11.0, 1.0])
+        assert alone.table().covers(lo, hi)
+        table = guarded.table()
+        assert not table.covers(lo, hi)
+        assert table.eval_log([[10.5, 0.5]])[0] == -np.inf
+
+    def test_refuses_the_cut_face(self):
+        lo, hi = np.array([10.0, 0.0]), np.array([11.0, 1.0])
+        for cut, accepted in ((20.0, True), (10.5, False)):
+            rows = TableBuilder(2)
+            rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, cut))
+            assert rows.table().covers(lo, hi) is accepted
+
+    def test_refuses_the_wall_layer(self):
+        # the cube lies in the row's support, 0.1 <= x_1 <= 1.1, where
+        # T = cosh(pi x_1 / 4) cos(pi x_2 / 4) dips below one at its corners
+        rows = TableBuilder(2)
+        rows.add(_tube_field([-0.1, 0.5], [1.0, 0.0], 4.0, 20.0))
+        table = rows.table()
+        assert not table.covers(np.zeros(2), np.ones(2))
+        assert table.eval_log([[0.0, 0.0]])[0] == -np.inf
+        assert table.covers(np.array([2.0, 0.0]), np.array([3.0, 1.0]))
+
+    def test_accepts_the_wide_branch_cube(self, ub5):
+        node = ub5.level_nodes[-1]
+        handle = node.field(0)
+        mid = handle.anchor + 3.0 * handle.frame.rows[0]
+        cube = LatticeCube(tuple(int(math.floor(v)) for v in mid))
+        assert node.covers(*cube.bounds())
+
+    def test_slab_function_has_no_certificate(self):
+        assert SlabOscillating(2).covers(np.zeros(2), np.ones(2)) is False
