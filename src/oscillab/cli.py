@@ -34,8 +34,8 @@ GUARD_SAMPLES = 4096
 #: Errors ``main`` reports as an invalid configuration (exit 3).
 CONFIG_ERRORS = (GrowthValidationError, mainlemma.ConfigurationError,
                  treeset.ParameterRangeError, verify.DomainError,
-                 potential.KernelDomainError, InvalidRegionError,
-                 FileNotFoundError)
+                 verify.EmptyDomainError, potential.KernelDomainError,
+                 InvalidRegionError, FileNotFoundError)
 #: Errors ``main`` reports as a failed check (exit 2).
 CHECK_ERRORS = (subfun.GuardConsistencyError, potential.ConvergenceError,
                 mainlemma.CoverInvariantError)
@@ -435,6 +435,23 @@ class _Parser(argparse.ArgumentParser):
         raise mainlemma.ConfigurationError(f"{self.prog}: {message}")
 
 
+def eps_d(text: str) -> float:
+    """A zero-set content threshold: a number in (0, 1], as no projection
+    of a unit cube's zero set exceeds 1."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text}")
+    return value
+
+
+def grid_step(text: str) -> float:
+    """A grid step: a finite number above 0."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
 #: The options that set a ``RunConfig`` field; each takes its default there.
 _CONFIG_OPTIONS = {
     "--d": dict(type=int, choices=(2, 3)),
@@ -442,7 +459,7 @@ _CONFIG_OPTIONS = {
     "--k": dict(type=int),
     "--N": dict(type=int),
     "--seed": dict(type=int),
-    "--eps-d": dict(type=float),
+    "--eps-d": dict(type=eps_d),
     "--alpha": dict(type=float),
     "--c0": dict(type=float),
     "--delta0": dict(type=float),
@@ -468,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = command("verify", "laplacian and census verification", "--eps-d", "--out")
     v.add_argument("--function", type=Path, required=True)
-    v.add_argument("--grid-h", type=float, default=0.03125)
+    v.add_argument("--grid-h", type=grid_step, default=0.03125)
 
     gr = command("growth", "growth profile against the bounds", "--out")
     gr.add_argument("--function", type=Path, required=True)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .treeset import TubeSpec, complete_frame
-
 
 class KernelDomainError(ValueError):
     pass
@@ -384,28 +382,6 @@ class CellUnionShape(Shape):
         per = max(1, n // len(self.lo))
         out = [rng.uniform(lo, hi, size=(per, self.dimension)) for lo, hi in zip(self.lo, self.hi)]
         return np.vstack(out)
-
-
-class TubeUnionShape(Shape):
-    """Conservative distance to a union of tubes (underestimates are safe
-    for walk-on-spheres: steps only get shorter)."""
-
-    def __init__(self, tubes: list[TubeSpec], d: int):
-        self.tubes = tubes
-        self.dimension = d
-
-    def distance(self, pts):
-        pts = np.atleast_2d(pts)
-        best = np.full(pts.shape[0], np.inf)
-        for t in self.tubes:
-            seg = SegmentShape(t.a, t.b).distance(pts)
-            cross = t.diameter / 2.0 * math.sqrt(self.dimension - 1)
-            best = np.minimum(best, np.maximum(seg - cross, 0.0))
-        return best
-
-    def bounds(self):
-        los, his = zip(*(t.bounds() for t in self.tubes))
-        return np.min(los, axis=0), np.max(his, axis=0)
 
 
 # ---------------------------------------------------------------------------

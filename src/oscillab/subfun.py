@@ -48,7 +48,6 @@ from .treeset import (
     choose_s_k,
     complete_frame,
     delta_k,
-    tube_bounds,
 )
 
 PI = math.pi
@@ -247,9 +246,6 @@ class FunctionNode:
         half-width ``slack`` centered at the given points."""
         raise NotImplementedError
 
-    def support_tubes(self) -> list[TubeSpec]:
-        return []
-
     def covers(self, lo, hi) -> bool:
         """True only when the log-value is certainly finite at every point
         of the closed box [lo, hi]; a node without such a certificate says
@@ -306,7 +302,9 @@ class TubeField:
         self.generation = generation
         self.a = np.asarray(frame.origin, dtype=float)
         self.b = frame.from_local(np.array([[self.cut] + [0.0] * (d - 1)]))[0]
-        self.box = tube_bounds(self.a, self.b, eps)
+        # axis-aligned bounding box of the tube around [a, b]
+        r = eps / 2.0 * math.sqrt(d - 1)
+        self.box = np.minimum(self.a, self.b) - r, np.maximum(self.a, self.b) + r
 
     @classmethod
     def junction_branch(cls, anchor, direction, eps, d, log_amp, run,
@@ -348,9 +346,6 @@ class SumNode(FunctionNode):
         for c in self.children:
             out = np.logaddexp(out, c.upper_local(X, slack))
         return out
-
-    def support_tubes(self):
-        return [t for c in self.children for t in c.support_tubes()]
 
     def near_ends(self, x, r):
         """The near ends of every summand, in summand order."""
@@ -602,11 +597,6 @@ class TubeTable(FunctionNode):
         return TubeField(Frame(self.rows[i], self.origin[i]), float(self.eps[i]), self.d,
                          float(self.log_amp[i]), float(self.cut[i]), str(self.tag[i]),
                          int(self.generation[i]))
-
-    def support_tubes(self):
-        return [TubeSpec(a, b, e, generation=g, kind=t)
-                for a, b, e, g, t in zip(self.tube_a, self.tube_b, self.eps,
-                                         self.generation.tolist(), self.tag.tolist())]
 
     def anchored_tubes(self):
         """Each row's tube as the paper's segment from its anchor (local

@@ -1,5 +1,5 @@
-"""Tube-union tree sets: tube geometry, the construction parameters, and
-the sparseness census.
+"""Tube-union tree sets: comparison functions, the construction
+parameters, the tree-set record, and the sparseness census.
 
 The tree of rank k+1 lives in the box [0, 2**(k+1))^d.  It is the tube set
 of the function ``subfun.build_u`` builds there, read off that function
@@ -17,10 +17,12 @@ the field's diameter, kind and generation.  The kinds are
   handle  the handle of the corner cell at each level j, and all 2**d
           handles at level 1: diameter 2**j * delta_j, generation 0.
 
-A tube of diameter delta around a segment is the set of points whose
-coordinate along the segment lies within the segment's span and whose
-transverse coordinates, in an orthonormal frame completed from the segment
-direction, are all below delta/2 in absolute value (square cross-section).
+``TubeSpec`` is only the record ``tree.json`` holds.  The tube geometry
+lives in the rows of the function's ``subfun.TubeTable``: the tube of a
+row of diameter eps is the set of points whose coordinates in the row's
+global frame (``global_rows``, measured from ``tube_a``) satisfy
+2 g(eps) <= x_1 <= cut and |x_j| < eps/2 (square cross-section).  The
+sparseness census reads those arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -150,7 +151,7 @@ def parse_growth(text: str, d: int) -> GrowthParameters:
 
 
 # ---------------------------------------------------------------------------
-# Tube geometry
+# Tree sets
 # ---------------------------------------------------------------------------
 
 
@@ -187,15 +188,12 @@ def complete_frame(axis: np.ndarray) -> np.ndarray:
     return np.asarray(rows)
 
 
-def tube_bounds(a: np.ndarray, b: np.ndarray, diameter: float):
-    """Axis-aligned bounding box of the tube around [a, b]."""
-    r = diameter / 2.0 * math.sqrt(len(a) - 1)
-    return np.minimum(a, b) - r, np.maximum(a, b) + r
-
-
 @dataclass
 class TubeSpec:
-    """Tube around the segment [a, b] with square cross-section."""
+    """One tube of a tree set as ``tree.json`` records it: the segment [a, b]
+    with its diameter, generation and kind.  Its geometry, the square
+    cross-section tube, is read off the rows of the function's
+    ``subfun.TubeTable``."""
 
     a: np.ndarray
     b: np.ndarray
@@ -210,35 +208,6 @@ class TubeSpec:
             raise ParameterRangeError(f"tube diameter must be positive, got {self.diameter}")
         if allclose(self.a, self.b):
             raise ParameterRangeError("tube endpoints must be distinct")
-
-    # computed on first use: most tubes of a built tree never need them
-    @cached_property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
-
-    @cached_property
-    def frame(self) -> np.ndarray:
-        return complete_frame(self.b - self.a)
-
-    def local(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts - self.a) @ self.frame.T
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        loc = self.local(points)
-        axial = (loc[:, 0] >= 0.0) & (loc[:, 0] <= self.length)
-        trans = np.all(np.abs(loc[:, 1:]) < self.diameter / 2.0, axis=1)
-        return axial & trans
-
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        """Euclidean distance to the tube (exact: box in frame coordinates)."""
-        loc = self.local(points)
-        dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.length), 0.0)
-        dt = np.maximum(np.abs(loc[:, 1:]) - self.diameter / 2.0, 0.0)
-        return np.sqrt(dx**2 + np.sum(dt**2, axis=1))
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return tube_bounds(self.a, self.b, self.diameter)
 
     def to_dict(self) -> dict:
         return {
@@ -368,117 +337,129 @@ class SparsenessReport:
         return self.status == "sparse"
 
 
-class _TubeIndex:
-    """Uniform-bin spatial index over tube bounding boxes."""
+def _anchored(table, rows):
+    """The anchored tubes of the given rows of a tube table, each in its
+    row's global frame: the frame rows, the anchor (local x_1 = 2 g(eps)),
+    the length cut - 2 g(eps) and the half width eps/2."""
+    from .subfun import g_threshold
 
-    def __init__(self, tubes: list[TubeSpec], cell: float = 1.0):
-        self.tubes = tubes
-        self.cell = cell
-        self.bins: dict[tuple, list[int]] = {}
-        for i, t in enumerate(tubes):
-            lo, hi = t.bounds()
-            lo_i = np.floor(lo / cell).astype(int)
-            hi_i = np.floor(hi / cell).astype(int)
-            for idx in np.ndindex(*(hi_i - lo_i + 1)):
-                key = tuple(lo_i + np.asarray(idx))
-                self.bins.setdefault(key, []).append(i)
-
-    def candidates(self, lo: np.ndarray, hi: np.ndarray) -> list[TubeSpec]:
-        lo_i = np.floor(np.asarray(lo) / self.cell).astype(int)
-        hi_i = np.floor(np.asarray(hi) / self.cell).astype(int)
-        seen: set[int] = set()
-        for idx in np.ndindex(*(hi_i - lo_i + 1)):
-            seen.update(self.bins.get(tuple(lo_i + np.asarray(idx)), ()))
-        return [self.tubes[i] for i in sorted(seen)]
+    g2 = 2.0 * g_threshold(table.eps[rows], table.d)
+    frames = table.global_rows[rows]
+    anchor = table.tube_a[rows] + g2[:, None] * frames[:, 0]
+    return frames, anchor, table.cut[rows] - g2, table.half[rows]
 
 
-def _cell_vs_tubes(lo, hi, tubes):
-    """-1 cell disjoint from all tubes, +1 cell inside some tube, 0 unresolved."""
-    corners = np.asarray(
-        [[lo[i] if not (j >> i) & 1 else hi[i] for i in range(len(lo))]
-         for j in range(2 ** len(lo))]
-    )
-    center = (np.asarray(lo) + np.asarray(hi)) / 2.0
-    circum = float(np.linalg.norm(np.asarray(hi) - np.asarray(lo)) / 2.0)
-    survivors = []
-    for t in tubes:
-        if bool(np.all(t.contains(corners))):
-            return 1, ()
-        if float(t.distance(center[None, :])[0]) <= circum:
-            survivors.append(t)
-    if not survivors:
-        return -1, ()
-    return 0, tuple(survivors)
+def _local(tubes, pts):
+    """Coordinates (pairs, m, d) of the points (pairs, m, d) in the frame
+    of their pair's tube, x_1 measured from its anchor.  One matrix
+    product per pair, so that a point's coordinates are those of the same
+    product on its pair's points alone."""
+    frames, anchor, _length, _half = tubes
+    return (pts - anchor[:, None]) @ frames.transpose(0, 2, 1)
 
 
-def tube_measure_in_cube(cube_lo, cube_hi, tubes, depth_cap: int = 8,
+def _inside(tubes, pts):
+    """(pairs, m): the point lies in its pair's tube (square cross-section)."""
+    _frames, _anchor, length, half = tubes
+    loc = _local(tubes, pts)
+    return ((loc[..., 0] >= 0.0) & (loc[..., 0] <= length[:, None])
+            & np.all(np.abs(loc[..., 1:]) < half[:, None, None], axis=-1))
+
+
+def _distance(tubes, pts):
+    """(pairs, m): Euclidean distance from the point to its pair's tube
+    (exact: a box in frame coordinates)."""
+    _frames, _anchor, length, half = tubes
+    loc = _local(tubes, pts)
+    dx = np.maximum(np.maximum(-loc[..., 0], loc[..., 0] - length[:, None]), 0.0)
+    dt = np.maximum(np.abs(loc[..., 1:]) - half[:, None, None], 0.0)
+    return np.sqrt(dx**2 + np.sum(dt**2, axis=-1))
+
+
+def _cells_vs_tubes(lo, hi, tubes, cand):
+    """Cells [lo[c], hi[c]] of one size against their candidate tubes
+    (cells, tubes): +1 when all of a cell's corners lie in one of them,
+    else 0 when some lie at distance at most its circumradius from its
+    centre, the survivors (cells, tubes), or -1 when none does."""
+    n, d = lo.shape
+    cell, tube = np.nonzero(cand)
+    pair = tuple(col[tube] for col in tubes)
+    # corner j takes hi along the axes of the set bits of j
+    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1 == 1
+    corners = np.where(bits, hi[cell, None], lo[cell, None])
+    inside = np.bincount(cell, _inside(pair, corners).all(axis=1), minlength=n) > 0
+    circum = float(np.linalg.norm(hi[0] - lo[0]) / 2.0)
+    survivors = np.zeros_like(cand)
+    survivors[cell, tube] = _distance(pair, ((lo + hi) / 2.0)[cell, None])[:, 0] <= circum
+    return np.where(inside, 1, np.where(survivors.any(axis=1), 0, -1)), survivors
+
+
+def tube_measure_in_cube(cube_lo, cube_hi, table, depth_cap: int = 8,
                          mc_samples: int = 100_000, seed: int = 2024):
-    """Bounds and an estimate for the Lebesgue measure of cube ∩ (union of
-    tubes), by adaptive dyadic subdivision with a fixed-seed Monte-Carlo
-    sweep over the cells still cut by tube boundaries at the depth cap."""
+    """Bounds and an estimate for the Lebesgue measure of the box's
+    intersection with the union of the anchored tubes of a tube table's
+    rows, by adaptive dyadic subdivision with a fixed-seed Monte-Carlo
+    sweep over the cells still cut by tube boundaries at the depth cap.
+
+    The subdivision runs one level at a time, each cell tested against
+    the tubes that survived in its parent.  The children of a cell are
+    laid out last to first, so that every level lists its cells in the
+    order of a depth-first walk that stacks the children first to last;
+    the draws are made in that order.
+    """
     cube_lo = np.asarray(cube_lo, dtype=float)
     cube_hi = np.asarray(cube_hi, dtype=float)
-    inside_vol = 0.0
-    unresolved: list[tuple[np.ndarray, np.ndarray, tuple]] = []
-    state, survivors = _cell_vs_tubes(cube_lo, cube_hi, tubes)
-    stack = [(cube_lo, cube_hi, survivors, 0)] if state == 0 else []
-    if state == 1:
-        inside_vol = float(np.prod(cube_hi - cube_lo))
-    while stack:
-        lo, hi, cand, depth = stack.pop()
-        if depth >= depth_cap:
-            unresolved.append((lo, hi, cand))
-            continue
+    d = len(cube_lo)
+    rows = table.near((cube_lo + cube_hi) / 2.0, float(np.linalg.norm(cube_hi - cube_lo) / 2.0))
+    tubes = _anchored(table, rows)
+    bits = np.array(list(np.ndindex(*(2,) * d))[::-1], dtype=bool)
+    lo, hi = cube_lo[None], cube_hi[None]
+    state, cand = _cells_vs_tubes(lo, hi, tubes, np.ones((1, rows.size), dtype=bool))
+    inside_vol = float(np.prod(cube_hi - cube_lo)) if state[0] == 1 else 0.0
+    for _level in range(depth_cap):
+        live = state == 0
+        if not live.any():
+            break
+        lo, hi, cand = lo[live], hi[live], cand[live]
         mid = (lo + hi) / 2.0
-        d = len(lo)
-        for idx in np.ndindex(*(2,) * d):
-            sub_lo = np.where(np.asarray(idx) == 0, lo, mid)
-            sub_hi = np.where(np.asarray(idx) == 0, mid, hi)
-            state, surv = _cell_vs_tubes(sub_lo, sub_hi, cand)
-            if state == 1:
-                inside_vol += float(np.prod(sub_hi - sub_lo))
-            elif state == 0:
-                stack.append((sub_lo, sub_hi, surv, depth + 1))
-    unresolved_vol = float(sum(np.prod(hi - lo) for lo, hi, _ in unresolved))
-    low = inside_vol
-    high = inside_vol + unresolved_vol
-    if not unresolved:
-        return low, high, low, 0.0
+        lo = np.where(bits, mid[:, None], lo[:, None]).reshape(-1, d)
+        hi = np.where(bits, hi[:, None], mid[:, None]).reshape(-1, d)
+        state, cand = _cells_vs_tubes(lo, hi, tubes, np.repeat(cand, 2**d, axis=0))
+        inside_vol += float(np.prod(hi[0] - lo[0])) * int(np.count_nonzero(state == 1))
+    live = state == 0
+    lo, hi, cand = lo[live], hi[live], cand[live]
+    if not len(lo):
+        return inside_vol, inside_vol, inside_vol, 0.0
+    unresolved_vol = float(np.prod(hi[0] - lo[0])) * len(lo)
     rng = np.random.default_rng(
         np.random.SeedSequence([seed] + [int(v * 16) & 0xFFFF for v in cube_lo])
     )
-    per_cell = max(16, mc_samples // len(unresolved))
-    hits = 0
-    total = 0
-    for lo, hi, cand in unresolved:
-        pts = rng.uniform(lo, hi, size=(per_cell, len(lo)))
-        inside = np.zeros(per_cell, dtype=bool)
-        for t in cand:
-            inside |= t.contains(pts)
-        hits += int(inside.sum())
-        total += per_cell
+    per_cell = max(16, mc_samples // len(lo))
+    pts = rng.uniform(lo[:, None], hi[:, None], size=(len(lo), per_cell, d))
+    # every unresolved cell has a candidate, so each starts a run of pairs
+    cell, tube = np.nonzero(cand)
+    inside = _inside(tuple(col[tube] for col in tubes), pts[cell])
+    first = np.searchsorted(cell, np.arange(len(lo)))
+    hits = int(np.count_nonzero(np.logical_or.reduceat(inside, first)))
+    total = per_cell * len(lo)
     frac = hits / total
     est = inside_vol + frac * unresolved_vol
     se = unresolved_vol * math.sqrt(max(frac * (1 - frac), 1e-12) / total)
-    return low, high, est, se
+    return inside_vol, inside_vol + unresolved_vol, est, se
 
 
-def is_sparse(cube_corner, tree: TreeSpec, index: _TubeIndex | None = None,
-              depth_cap: int = 8, mc_samples: int = 100_000, seed: int = 2024
-              ) -> SparsenessReport:
-    """Classify a basic cube against the tree's sparseness threshold.
+def is_sparse(cube_corner, table, depth_cap: int = 8, mc_samples: int = 100_000,
+              seed: int = 2024) -> SparsenessReport:
+    """Classify a basic cube against the sparseness threshold of the
+    anchored tubes of a tube table's rows.
 
     Near-threshold cubes whose quadrature cannot separate the measure from
     the threshold are flagged uncertain, never silently classified.
     """
     corner = tuple(int(c) for c in cube_corner)
     lo = np.asarray(corner, dtype=float)
-    hi = lo + 1.0
-    tubes = index.candidates(lo, hi) if index is not None else tree.tubes
-    tubes = [t for t in tubes if float(t.distance(((lo + hi) / 2)[None, :])[0])
-             <= math.sqrt(tree.dimension) / 2]
-    thr = sparseness_threshold(tree.dimension, tree.eps1)
-    low, high, est, se = tube_measure_in_cube(lo, hi, tubes, depth_cap, mc_samples, seed)
+    thr = sparseness_threshold(table.d)
+    low, high, est, se = tube_measure_in_cube(lo, lo + 1.0, table, depth_cap, mc_samples, seed)
     if high < thr:
         status = "sparse"
     elif low >= thr:
@@ -492,25 +473,26 @@ def is_sparse(cube_corner, tree: TreeSpec, index: _TubeIndex | None = None,
     return SparsenessReport(corner, low, high, est, status)
 
 
-def count_nonsparse(params: GrowthParameters, k: int, tree: TreeSpec,
+def count_nonsparse(params: GrowthParameters, k: int, build,
                     depth_cap: int = 6, mc_samples: int = 4096, seed: int = 2024):
-    """Exact census of the basic cubes of [0, 2^k)^d in which the tree (of
-    rank at least k+1) is not sparse.  Uncertain cubes count as non-sparse
-    (conservative).
+    """Exact census of the basic cubes of [0, 2^k)^d in which the tree of
+    the function ``build`` (a ``subfun.UBuild`` of rank at least k+1) is not
+    sparse.  Uncertain cubes count as non-sparse (conservative).
 
     Returns (count, ratio to f(2^k), uncertain count, reports, whether every
     cube meets a tube).
     """
-    if tree.rank < k + 1:
-        raise ParameterRangeError(f"tree rank {tree.rank} below required {k + 1}")
+    if build.k < k + 1:
+        raise ParameterRangeError(f"tree rank {build.k} below required {k + 1}")
     d = params.d
-    index = _TubeIndex(tree.tubes, cell=2.0)
+    # the tree set: every row but row 0, the outgoing handle (UBuild.tree)
+    table = build.node.span(1, len(build.node))
     count = 0
     uncertain = 0
     reports = []
     every_cube_touched = True
     for corner in np.ndindex(*(2**k,) * d):
-        rep = is_sparse(corner, tree, index, depth_cap, mc_samples, seed)
+        rep = is_sparse(corner, table, depth_cap, mc_samples, seed)
         reports.append(rep)
         if rep.status != "sparse":
             count += 1

@@ -178,16 +178,12 @@ def sup_on(fn, lo, hi, h: float, lipschitz: float | None = None,
     return SupBracket(low, max(high, low), tuple(np.round(pts[i], 9)), log_scale)
 
 
-def tube_ends(tubes) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (a, b) of a function's support tubes: read from a
-    TubeTable, else from ``support_tubes()`` or a tube list."""
-    if isinstance(tubes, TubeTable):
-        return tubes.tube_a, tubes.tube_b
-    if hasattr(tubes, "support_tubes"):
-        tubes = tubes.support_tubes()
-    if not tubes:
-        return np.zeros((0, 0)), np.zeros((0, 0))
-    return np.array([t.a for t in tubes]), np.array([t.b for t in tubes])
+def tube_ends(fn) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays (a, b) of a function's support tubes: the rows of a
+    TubeTable; none for any other function."""
+    if isinstance(fn, TubeTable):
+        return fn.tube_a, fn.tube_b
+    return np.zeros((0, 0)), np.zeros((0, 0))
 
 
 def _support_sup_points(ends, lo, hi) -> np.ndarray:

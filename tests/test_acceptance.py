@@ -133,9 +133,6 @@ class TestCriterion5:
         gammas = {}
         digests = {}
         nonbranch_bad = 0
-        branch_tubes = [t for t in u7.node.support_tubes()
-                        if t.diameter > 2 * treeset.EPS1]
-        bidx = treeset._TubeIndex(branch_tubes, cell=4.0)
         for k in (3, 4, 5, 6):
             node = u7.level_nodes[k]  # the rank-(k+1) level function
             res = verify.rogue_census(node, (0, 0), (2**k, 2**k), growth_f)
@@ -144,11 +141,9 @@ class TestCriterion5:
             for r in res.reports:
                 if not r.rogue:
                     continue
-                lo = np.asarray(r.cube, dtype=float)
-                c = lo + 0.5
-                cands = bidx.candidates(lo, lo + 1)
-                if not any(float(t.distance(c[None, :])[0]) <= math.sqrt(2) / 2
-                           for t in cands):
+                # a branch is a row wider than the leaves (as cmd_verify reads it)
+                rows = u7.node.near(np.add(r.cube, 0.5), math.sqrt(2) / 2)
+                if not np.any(u7.node.eps[rows] > 2 * treeset.EPS1):
                     nonbranch_bad += 1
         elapsed = time.time() - t0
         spread = max(gammas.values()) / min(gammas.values())

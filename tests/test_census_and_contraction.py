@@ -1,5 +1,6 @@
 """Censuses over the tube set itself and the contraction reports."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,10 @@ from oscillab.geometry import LatticeCube
 from oscillab.potential import SegmentShape, frostman
 from oscillab.subfun import SlabOscillating, build_u
 from oscillab.treeset import (
+    EPS1,
     GrowthParameters,
+    _anchored,
+    _distance,
     count_nonsparse,
     sparseness_threshold,
 )
@@ -27,9 +31,33 @@ def growth(a, d=2):
     return GrowthParameters(d=d, index=a).validate()
 
 
-def tree_of(g, k):
-    """The rank-(k+1) tree: the tube set of build_u at k+1."""
-    return build_u(g, k + 1, check_guards=False).tree()
+def function_of(g, k):
+    """The rank-(k+1) function, whose tube set is the rank-(k+1) tree (the
+    tube geometry does not depend on the guard certificates)."""
+    return build_u(g, k + 1, check_guards=False)
+
+
+#: sha256 (first 16 hex digits) of the (corner, status) rows and of the
+#: (count, uncertain, every cube touched) triple of ``count_nonsparse`` at
+#: its defaults, per (d, f index, k), as the census on ``TubeSpec`` tubes
+#: gave them before it moved to the tube table's rows
+CENSUS_ORACLE = {
+    (2, 1.5, 1): ("6060a88f5f2f9aa2", "3a8a888e2a21f450"),
+    (2, 1.5, 2): ("1ae89ce7e874a350", "d1414674c4096909"),
+    (2, 1.5, 3): ("7f2ec2822f82db03", "7b582766ca7a24e9"),
+    (2, 1.5, 4): ("76dfa6bf73b7ccc2", "f4c217f70d448b53"),
+    (3, 2.0, 2): ("865e3f764b684c0c", "719042ef29d1711c"),
+}
+
+
+#: the same for the d = 3 reports' (corner, measure_low, measure_high,
+#: estimate) as float hex, which the table's rows reproduce bit for bit
+#: (on the numpy build and CPU features it was recorded with)
+CENSUS_MEASURES_D3 = "995ca4d94c3581d6"
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 class TestTreeCensus:
@@ -38,11 +66,29 @@ class TestTreeCensus:
         ratios = {}
         for k in (2, 3, 4):
             count, ratio, uncertain, reports, touched = count_nonsparse(
-                g, k, tree_of(g, k), depth_cap=5, mc_samples=2048)
+                g, k, function_of(g, k), depth_cap=5, mc_samples=2048)
             ratios[k] = ratio
             assert touched, f"k={k}: some cube misses the tree"
             assert uncertain <= 0.05 * len(reports)
         assert max(ratios.values()) / min(ratios.values()) < 4.0
+
+    def test_every_cube_touched_d3(self):
+        g = growth(2.0, d=3)
+        count, _ratio, uncertain, reports, touched = count_nonsparse(g, 2, function_of(g, 2))
+        assert touched, "some cube misses the tree"
+        assert uncertain <= 0.05 * len(reports)
+        rows = [(r.corner, r.status) for r in reports]
+        assert (_digest(rows), _digest((count, uncertain, touched))) == CENSUS_ORACLE[(3, 2.0, 2)]
+        measures = [(r.corner, r.measure_low.hex(), r.measure_high.hex(), r.estimate.hex())
+                    for r in reports]
+        assert _digest(measures) == CENSUS_MEASURES_D3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_frozen_census_d2(self, k):
+        g = growth(1.5)
+        count, _ratio, uncertain, reports, touched = count_nonsparse(g, k, function_of(g, k))
+        rows = [(r.corner, r.status) for r in reports]
+        assert (_digest(rows), _digest((count, uncertain, touched))) == CENSUS_ORACLE[(2, 1.5, k)]
 
     def test_smallest_rank_has_handle_cubes(self):
         # the rank-2 tree already carries its handles (absolute diameter
@@ -51,7 +97,7 @@ class TestTreeCensus:
         # below the threshold
         g = growth(1.5)
         count, ratio, _unc, reports, _t = count_nonsparse(
-            g, 1, tree_of(g, 1), depth_cap=6, mc_samples=4096)
+            g, 1, function_of(g, 1), depth_cap=6, mc_samples=4096)
         by_corner = {r.corner: r for r in reports}
         assert by_corner[(0, 0)].sparse
         assert by_corner[(0, 1)].sparse
@@ -63,13 +109,18 @@ class TestTreeCensus:
         # cubes meeting branches, against the comparison function
         g = growth(1.5)
         vals = {}
+        r = math.sqrt(2) / 2
         for k in (2, 3, 4):
-            branches = tree_of(g, k).branches()
+            table = function_of(g, k).node
+            # the tree set: every row but row 0, the outgoing handle
+            table = table.span(1, len(table))
             hit = 0
             for corner in np.ndindex(2**k, 2**k):
                 center = np.asarray(corner, dtype=float) + 0.5
-                if any(float(b.distance(center[None, :])[0]) <= math.sqrt(2) / 2
-                       for b in branches):
+                rows = table.near(center, r)
+                rows = rows[table.eps[rows] > 2 * EPS1]
+                pts = np.broadcast_to(center, (rows.size, 1, 2))
+                if np.any(_distance(_anchored(table, rows), pts) <= r):
                     hit += 1
             vals[k] = hit / float(g(2.0**k))
         assert max(vals.values()) / min(vals.values()) < 4.0

@@ -134,6 +134,29 @@ class TestVerify:
         header = (built / "census.csv").read_text().splitlines()[0]
         assert header == "corner,p1,p2,class"
 
+    @pytest.mark.parametrize("h", ["0", "nan", "inf", "-0.03125", "0.05"])
+    def test_grid_h_refused(self, built, tmp_path, capsys, h):
+        # 0.05 is a step whose grids put no masked point inside the box
+        code = main(["verify", "--function", str(built / "function.json"),
+                     "--grid-h", h, "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["verify", "--function", "F"],
+                                      ["lemma", "--N", "16", "--E", "function:F"]])
+    @pytest.mark.parametrize("eps_d", ["0", "-1", "nan", "inf", "1.5"])
+    def test_eps_d_refused(self, built, tmp_path, capsys, argv, eps_d):
+        argv = [a.replace("F", str(built / "function.json")) for a in argv]
+        code = main(argv + ["--eps-d", eps_d, "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "--eps-d" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
 
 #: sha256 of census.csv for ``build --d D --f F --k K`` then ``verify``,
 #: recorded while P2 was still decided by sampling on every cube; they hold

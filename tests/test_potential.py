@@ -13,7 +13,6 @@ from oscillab.potential import (
     SegmentShape,
     Shape,
     SphereShape,
-    TubeUnionShape,
     WosEstimate,
     annulus_exact,
     check_claim1,
@@ -26,7 +25,6 @@ from oscillab.potential import (
     kernel,
     wos_harmonic_measure,
 )
-from oscillab.treeset import TubeSpec
 
 
 # Frozen copies of the per-origin line_hits and the masked walk-on-spheres
@@ -100,17 +98,9 @@ class _Recorder(Shape):
         return self.shape.distance(pts)
 
 
-def _tube_union():
-    return TubeUnionShape([
-        TubeSpec(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.2),
-        TubeSpec(np.array([0.5, -0.5]), np.array([0.5, 0.5]), 0.1),
-    ], 2)
-
-
 def _query_shapes():
     shapes = list(default_claim_family(2))
     shapes.append(("sphere_d3", SphereShape(0.25, center=[0.1, -0.2, 0.05], d=3)))
-    shapes.append(("tubes", _tube_union()))
     return shapes
 
 
@@ -351,24 +341,6 @@ class TestClaims:
             walks=8000, sample_points=128)
         ratios = [r.ratio for r in rows]
         assert min(ratios) > 0.05
-
-
-class TestTubeUnionShape:
-    def test_distance_is_conservative(self):
-        tubes = [
-            TubeSpec(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 0.2),
-            TubeSpec(np.array([0.5, -0.5]), np.array([0.5, 0.5]), 0.1),
-        ]
-        shape = TubeUnionShape(tubes, 2)
-        rng = np.random.default_rng(21)
-        pts = rng.uniform(-1, 2, size=(500, 2))
-        est = shape.distance(pts)
-        true = np.minimum(tubes[0].distance(pts), tubes[1].distance(pts))
-        # the estimate never exceeds the true distance (shrinks WoS steps
-        # but keeps them valid), and vanishes on the tubes
-        assert np.all(est <= true + 1e-12)
-        on = tubes[0].contains(pts) | tubes[1].contains(pts)
-        assert np.all(est[on] == 0.0)
 
 
 class TestObservation1:

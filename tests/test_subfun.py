@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from frozen_tubes import tubes_of
 from oscillab.geometry import OrthantMap
 from oscillab.treeset import GrowthParameters
 from oscillab.subfun import (
@@ -30,6 +31,12 @@ PI = math.pi
 
 def growth(a, d=2):
     return GrowthParameters(d=d, index=a).validate()
+
+
+def support_tubes(table):
+    """Frozen tubes around each row's support segment, from its frame
+    origin to its junction, with the row's eps as diameter."""
+    return tubes_of(table.tube_a, table.tube_b, table.eps)
 
 
 def table_of(*fields, log_c=0.0):
@@ -205,7 +212,7 @@ class TestNodes:
         field = table_of(TubeField.junction_branch(
             np.array([1.0, 1.0]), np.array([0.0, 1.0]), 0.5, 2, 0.0, 2.0
         ))
-        (tube,) = field.support_tubes()
+        (tube,) = support_tubes(field)
         rng = np.random.default_rng(8)
         pts = rng.uniform(-1, 4, size=(2000, 2))
         vals = field.eval_log(pts)
@@ -228,7 +235,7 @@ class TestTauBuild:
 
     def test_at_least_one_everywhere_on_centerlines(self):
         tau = build_tau(growth(1.5), 3, guard_samples=1000)
-        tubes = tau.node.support_tubes()
+        tubes = support_tubes(tau.node)
         for t in tubes[::7]:
             mid = 0.5 * (t.a + t.b)
             v = tau.node.eval_log(mid[None, :])[0]
@@ -240,7 +247,7 @@ class TestTauBuild:
     def test_zero_outside_tubes(self):
         tau = build_tau(growth(1.5), 2, guard_samples=1000)
         pts = np.array([[0.1, 0.9], [3.9, 0.1], [2.0, 0.2]])
-        tubes = tau.node.support_tubes()
+        tubes = support_tubes(tau.node)
         for p in pts:
             if not any(t.contains(p[None, :])[0] for t in tubes):
                 assert tau.node.eval_log(p[None, :])[0] == -np.inf
@@ -363,7 +370,7 @@ class TestAssembleFull:
             )
 
     def test_zero_on_hyperplanes_outside_tubes(self, assembled):
-        tubes = assembled.support_tubes()
+        tubes = [t for copy in assembled.children for t in support_tubes(copy)]
         rng = np.random.default_rng(29)
         pts = np.zeros((200, 2))
         pts[:, 1] = rng.uniform(-7.5, 7.5, size=200)
@@ -543,14 +550,14 @@ class TestTubeTable:
 
     @pytest.mark.parametrize("d, a, k, levels", [(2, 1.5, 6, (3, 4, 5)), (3, 2.0, 4, (2, 3))])
     def test_near_matches_tube_distance(self, d, a, k, levels):
-        # near(c, r) at every unit-cube centre against TubeSpec.distance
-        # of every support tube, up to the rounding of the two frames
+        # near(c, r) at every unit-cube centre against the frozen distance
+        # to every support tube, up to the rounding of the two frames
         built = build_u(growth(a, d=d), k, guard_samples=1000)
         r = math.sqrt(d) / 2.0
         for level in levels:
             table = built.level_nodes[level]
             centres = np.array(list(np.ndindex(*(2**level,) * d))) + 0.5
-            dist = np.array([t.distance(centres) for t in table.support_tubes()])
+            dist = np.array([t.distance(centres) for t in support_tubes(table)])
             for c, col in zip(centres, dist.T):
                 rows = table.near(c, r)
                 assert np.all(np.diff(rows) > 0)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscillab.subfun import build_tau, build_u
+from frozen_tubes import FrozenTube, cube_measure, tubes_of
+from oscillab.subfun import TableBuilder, TubeField, build_tau, build_u
 from oscillab.treeset import (
     EPS1,
     GrowthParameters,
@@ -15,10 +16,13 @@ from oscillab.treeset import (
     ParameterRangeError,
     TreeSpec,
     TubeSpec,
-    _TubeIndex,
+    _anchored,
+    _distance,
+    _inside,
     allclose,
     choose_s_k,
     complete_frame,
+    count_nonsparse,
     delta_k,
     is_sparse,
     parse_growth,
@@ -44,6 +48,24 @@ def outer_subtree(a, k):
     schedule."""
     tau = build_tau(growth(a), k, check_guards=False)
     return tau.node.anchored_tubes(), tau.schedule
+
+
+def tube_table(a, b, diameter):
+    """A one-row tube table whose anchored tube is the tube of the given
+    diameter around [a, b]."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rows = TableBuilder(len(a))
+    rows.add(TubeField.junction_branch(a, b - a, diameter, len(a), 0.0,
+                                       float(np.linalg.norm(b - a))))
+    return rows.table()
+
+
+def row_test(table, pts):
+    """``_inside`` and ``_distance`` of the points against the anchored
+    tube of the table's single row."""
+    tubes = _anchored(table, np.array([0]))
+    pts = np.asarray(pts, dtype=float)[None]
+    return _inside(tubes, pts)[0], _distance(tubes, pts)[0]
 
 
 def dumped(tree):
@@ -273,14 +295,16 @@ class TestTubeGeometry:
         assert np.allclose(f @ f.T, np.eye(3), atol=1e-12)
 
     def test_contains_matches_definition(self):
-        tube = TubeSpec(np.array([0.0, 0.0]), np.array([2.0, 0.0]), 0.5)
+        table = tube_table([0.0, 0.0], [2.0, 0.0], 0.5)
         pts = np.array([[1.0, 0.2], [1.0, 0.3], [-0.1, 0.0], [2.1, 0.0], [0.0, 0.0]])
-        assert list(tube.contains(pts)) == [True, False, False, False, True]
+        inside, _dist = row_test(table, pts)
+        assert list(inside) == [True, False, False, False, True]
 
     def test_distance_exact_for_axis_tube(self):
-        tube = TubeSpec(np.array([0.0, 0.0]), np.array([1.0, 0.0]), 1.0)
+        table = tube_table([0.0, 0.0], [1.0, 0.0], 1.0)
         pts = np.array([[0.5, 1.5], [2.0, 0.0], [-1.0, 0.5]])
-        assert np.allclose(tube.distance(pts), [1.0, 1.0, 1.0])
+        _inside, dist = row_test(table, pts)
+        assert np.allclose(dist, [1.0, 1.0, 1.0])
 
 
 #: coordinates at the edges of the float range and of numpy's tolerances
@@ -322,42 +346,44 @@ class TestSparseness:
 
     def test_single_leaf_tube_sparse_with_mc_crosscheck(self):
         # One leaf tube through the cube: measure far below the threshold.
-        tube = TubeSpec(np.array([0.5, 0.5]), np.array([1.5, 1.5]), EPS1, kind="leaf")
-        tree = TreeSpec(2, 1, [tube])
-        rep = is_sparse((0, 0), tree)
+        table = tube_table([0.5, 0.5], [1.5, 1.5], EPS1)
+        rep = is_sparse((0, 0), table)
         assert rep.status == "sparse"
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 1.0, size=(1_000_000, 2))
-        mc = float(np.mean(tube.contains(pts)))
+        mc = float(np.mean(FrozenTube([0.5, 0.5], [1.5, 1.5], EPS1).contains(pts)))
         assert rep.measure_low - 3e-3 <= mc <= rep.measure_high + 3e-3
         assert rep.estimate == pytest.approx(mc, abs=2e-3)
 
     def test_cube_inside_wide_branch(self):
-        tube = TubeSpec(np.array([-1.0, 0.5]), np.array([4.0, 0.5]), 3.0, kind="wide")
-        tree = TreeSpec(2, 2, [tube])
-        rep = is_sparse((0, 0), tree)
+        rep = is_sparse((0, 0), tube_table([-1.0, 0.5], [4.0, 0.5], 3.0))
         assert rep.status == "nonsparse"
         assert rep.measure_low == pytest.approx(1.0)
 
     def test_cube_disjoint_from_tubes(self):
-        tube = TubeSpec(np.array([5.0, 5.0]), np.array([6.0, 6.0]), 0.125)
-        tree = TreeSpec(2, 3, [tube])
-        rep = is_sparse((0, 0), tree)
+        rep = is_sparse((0, 0), tube_table([5.0, 5.0], [6.0, 6.0], 0.125))
         assert rep.status == "sparse"
         assert rep.measure_high == 0.0
 
     def test_measure_bounds_ordering(self):
-        tube = TubeSpec(np.array([0.2, 0.3]), np.array([0.9, 0.8]), 0.25)
-        low, high, est, se = tube_measure_in_cube((0, 0), (1, 1), [tube], depth_cap=5)
+        table = tube_table([0.2, 0.3], [0.9, 0.8], 0.25)
+        low, high, est, se = tube_measure_in_cube((0, 0), (1, 1), table, depth_cap=5)
         assert low <= est <= high
         assert 0 <= low and high <= 1.0
 
-    def test_tube_index_candidates_cover(self):
-        tree = tree_of(1.5, 2)
-        idx = _TubeIndex(tree.tubes, cell=2.0)
-        lo, hi = np.zeros(2), np.ones(2)
-        cands = {id(t) for t in idx.candidates(lo, hi)}
-        center = (lo + hi)[None, :] / 2
-        for t in tree.tubes:
-            if float(t.distance(center)[0]) <= math.sqrt(2) / 2:
-                assert id(t) in cands
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_brackets_hold_frozen_estimates(self, k):
+        # the census on the table's rows against the frozen TubeSpec census
+        # on the tubes tree.json records: the two frames and anchors differ
+        # by rounding alone, which decides only cell corners lying exactly
+        # on a tube face or end, so each bracket holds the other's estimate
+        g = growth(1.5)
+        build = build_u(g, k + 1, check_guards=False)
+        tree = build.tree()
+        tubes = tubes_of([t.a for t in tree.tubes], [t.b for t in tree.tubes],
+                         [t.diameter for t in tree.tubes])
+        _count, _ratio, _unc, reports, _touched = count_nonsparse(g, k, build)
+        for rep in reports:
+            low, high, est, _se = cube_measure(rep.corner, tubes, 6, 4096)
+            assert rep.measure_low <= est <= rep.measure_high
+            assert low <= rep.estimate <= high

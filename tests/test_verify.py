@@ -7,7 +7,7 @@ from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import SegmentShape, SphereShape
 from oscillab.subfun import (Frame, FunctionNode, SlabOscillating, TableBuilder, TubeField,
                              assemble_full, build_u, eval_T, eval_W)
-from oscillab.treeset import GrowthParameters, TubeSpec
+from oscillab.treeset import GrowthParameters, TubeSpec, complete_frame
 from oscillab.verify import (
     EmptyDomainError,
     GridField,
@@ -168,7 +168,7 @@ class TestContent:
         # projection lower bound never exceeds the dyadic cover upper bound
         tube = TubeSpec(np.array([0.1, 0.2]), np.array([0.9, 0.7]), 0.125)
         z = ZeroSetInCube(LatticeCube((0, 0)), segment_table(tube))
-        low = content_lower_projection(z, tube.frame[0], 128)
+        low = content_lower_projection(z, complete_frame(tube.b - tube.a)[0], 128)
         up = content_upper(z, 5, box=((0.0, 0.0), (1.0, 1.0)))
         assert low <= up + 1e-9
 
@@ -248,16 +248,17 @@ class TestCensus:
 
 class TestSupportSupPoints:
     def test_matches_per_tube_loop(self, ub5):
-        tubes = ub5.level_nodes[3].support_tubes()
+        table = ub5.level_nodes[3]
         lo, hi = np.array([2.0, 3.0]), np.array([9.0, 7.5])
         ts = np.linspace(0.0, 1.0, 9)
         expected = []
-        for t in tubes:
-            seg = t.a[None, :] + ts[:, None] * (t.b - t.a)[None, :]
+        for a, b in zip(table.tube_a, table.tube_b):
+            seg = a[None, :] + ts[:, None] * (b - a)[None, :]
             expected.extend(seg[np.all((seg >= lo) & (seg <= hi), axis=1)])
-        got = _support_sup_points(tube_ends(tubes), lo, hi)
+        got = _support_sup_points(tube_ends(table), lo, hi)
         assert len(expected) > 0 and np.array_equal(got, np.array(expected))
-        assert _support_sup_points(tube_ends([]), lo, hi).shape == (0, 2)
+        # a function without tubes has no ends
+        assert _support_sup_points(tube_ends(SlabOscillating(2)), lo, hi).shape == (0, 2)
 
 
 class TestGrowthProfile:
