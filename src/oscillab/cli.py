@@ -219,6 +219,15 @@ def _load_function(path: Path, run_d: int | None = None):
     return g, ub, doc
 
 
+#: eps of the tube profile T_eps whose discrete Laplacian ``verify`` refines,
+#: over the unit box [-1/2, 1/2] x [-eps/2, eps/2]^(d-1)
+REFINE_EPS = 0.5
+
+
+def _refinement_steps(grid_h: float) -> list[float]:
+    return [grid_h * 4, grid_h * 2, grid_h]
+
+
 def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     g, ub, _doc = _load_function(function_path)
     d = g.d
@@ -226,12 +235,11 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     # harmonic-base refinement on the tube profile; the mask pins the
     # stencil minimum to the centerline, which every refinement level
     # samples at the same physical points, so the h^2 scaling is clean
-    eps = 0.5
-    fn = lambda pts: subfun.eval_T(eps, pts, d)
-    hs = [grid_h * 4, grid_h * 2, grid_h]
+    fn = lambda pts: subfun.eval_T(REFINE_EPS, pts, d)
     mask = lambda pts: np.all(np.abs(pts[:, 1:]) < grid_h / 2, axis=1)
     rows = verify.laplacian_refinement_study(
-        fn, np.array([-0.5] + [-eps / 2] * (d - 1)), 1.0, hs, mask)
+        fn, np.array([-0.5] + [-REFINE_EPS / 2] * (d - 1)), 1.0, _refinement_steps(grid_h),
+        mask)
     factors = [abs(rows[i][1]) / max(abs(rows[i + 1][1]), 1e-300)
                for i in range(len(rows) - 1)]
     checks.append(_verdict("laplacian_refinement",
@@ -445,10 +453,25 @@ def eps_d(text: str) -> float:
 
 
 def grid_step(text: str) -> float:
-    """A grid step: a finite number above 0."""
+    """A grid step of ``verify``'s refinement: a finite number above 0 at
+    which each refinement grid has an interior point on the centreline
+    mask, |x_j| < step/2.  The mask is the same on every axis j >= 2, so
+    whether such a point exists does not depend on d; the grid coordinates
+    are those ``discrete_laplacian_report`` computes, -eps/2 + h (1 + i)
+    for the interior indices i < n - 2, n = round(1/h) + 1, and only the
+    two nearest 0 need testing."""
     value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    if not (0.0 < value < math.inf and 1.0 / value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0 with a finite reciprocal, got {text}")
+    for h in _refinement_steps(value):
+        n = int(round(1.0 / h)) + 1
+        near = math.floor(REFINE_EPS / 2 / h) - 1
+        i = np.arange(max(near, 0), min(near + 2, n - 2))
+        if not np.any(np.abs(np.float64(-REFINE_EPS / 2) + h * (1 + i)) < value / 2):
+            raise argparse.ArgumentTypeError(
+                f"puts no point of the step {h:g} refinement grid on the centreline, "
+                f"got {text}")
     return value
 
 

@@ -698,7 +698,7 @@ def chain_contraction(u: FunctionNode, config: RogueConfiguration,
                       seed: int = 3) -> list[ContractionRow]:
     """Measured sup contraction along the kappa chains against the nested
     maximum principle; report-only."""
-    from .verify import sup_on, _support_sup_points, tube_ends
+    from .verify import sup_low, _support_sup_points, tube_ends
 
     rng = np.random.default_rng(seed)
     N, d = config.N, config.d
@@ -714,7 +714,7 @@ def chain_contraction(u: FunctionNode, config: RogueConfiguration,
     ends = tube_ends(u)
 
     def sup(lo, hi):
-        return sup_on(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi)).low
+        return sup_low(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi))
 
     m_q = sup(np.full(d, -half, dtype=float), np.full(d, half, dtype=float))
     rows = []

@@ -246,8 +246,22 @@ class FunctionNode:
         half-width ``slack`` centered at the given points."""
         raise NotImplementedError
 
+    def max_log(self, X: np.ndarray, slack: float | None = None) -> tuple[int, float]:
+        """The first argmax and the maximum of ``eval_log(X)`` (slack None)
+        or of ``upper_local(X, slack)``, over a batch of at least one
+        point; this default evaluates every point."""
+        vals = self.eval_log(X) if slack is None else self.upper_local(X, slack)
+        i = int(np.argmax(vals))
+        return i, float(vals[i])
+
     def covers(self, lo, hi) -> bool:
         """True only when the log-value is certainly finite at every point
+        of the closed box [lo, hi]; a node without such a certificate says
+        False."""
+        return False
+
+    def vanishes(self, lo, hi) -> bool:
+        """True only when the log-value is certainly -inf at every point
         of the closed box [lo, hi]; a node without such a certificate says
         False."""
         return False
@@ -454,6 +468,29 @@ def _distinct(a):
     return a[order][new], where
 
 
+def _best_first(bounds, evaluate):
+    """The first argmax and the maximum over tiles whose values are at most
+    their ``bounds``.  ``evaluate(t)`` gives tile t's point indices, in
+    ascending order, and its values.
+
+    The tiles are evaluated in descending bound order (in tile order on
+    ties) until one's bound falls strictly below the running maximum; the
+    later tiles' bounds are below it too, so none holds a point of the
+    maximum's value.  A tile whose bound equals the running maximum is
+    still evaluated, since it may hold that value at an earlier point.
+    Tiles bounded by -inf hold no finite value; when no tile has one, the
+    answer is (0, -inf), as np.argmax gives."""
+    best, first = NEG_INF, 0
+    for t in np.argsort(-bounds, kind="stable").tolist():
+        if bounds[t] < best or bounds[t] == NEG_INF:
+            break
+        part, vals = evaluate(t)
+        i = int(np.argmax(vals))
+        if vals[i] > best or (vals[i] == best and part[i] < first):
+            best, first = float(vals[i]), int(part[i])
+    return first, best
+
+
 def _column_bounds(X):
     """Per-coordinate min and max of the rows of X (faster than a reduction
     over axis 0 when the rows are short)."""
@@ -626,6 +663,20 @@ class TubeTable(FunctionNode):
         rows = self.near(x, r)
         return self.tube_a[rows], self.tube_b[rows]
 
+    def vanishes(self, lo, hi) -> bool:
+        """True when ``eval_log`` is -inf at every point of the closed box
+        [lo, hi]: no row with a finite amplitude (log_amp + log_c) lies
+        ``near`` the box, within its half diagonal of its centre widened by
+        ``_margin32`` = 2^-16 scale.  A finite value needs a row whose chain
+        coordinates put the point in its support, and those are off the
+        row's global-frame coordinates, as well as the ones ``near``
+        computes, by rounding alone: under 2^-45 scale each, as ``covers``
+        derives."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        r = float(np.linalg.norm(hi - lo)) / 2.0 + self._margin32
+        rows = self.near((lo + hi) / 2.0, r)
+        return not np.any(self.log_amp[rows] + self.log_c[rows] > NEG_INF)
+
     def covers(self, lo, hi) -> bool:
         """True when ``eval_log`` is finite at every point of the closed box
         [lo, hi], certified without evaluating it: every dyadic sub-box,
@@ -746,25 +797,90 @@ class TubeTable(FunctionNode):
     def upper_local(self, X, slack):
         return self._evaluate(X, float(slack))
 
+    def max_log(self, X, slack=None):
+        """The first argmax and the maximum of ``eval_log(X)`` (slack None)
+        or of ``upper_local(X, slack)``, with the bits full evaluation
+        gives, from the tiles that can hold the maximum (``_best_first``).
+        A tile is bounded by the largest peak of its candidate rows; a
+        batch that is one tile is evaluated whole.
+
+        A row's peak bounds every value ``_tile`` computes for it.  At a
+        finite value, 0 <= x_1 <= cut, so the computed argument y =
+        fl(s x_1) of log_cosh, with s = fl(fl(pi sqrt(d-1)) / eps), is at
+        most top = fl(s cut), computed by the same expression (rounding is
+        monotone).  With numpy's exp and log1p within an ulp, the computed
+        log_cosh(y) = fl(fl(y + log1p(exp(-2y))) - LOG2) is under y +
+        4u (y + 1), u = 2^-53: log1p of a value <= 1 is under log 2 +
+        2^-53, LOG2 is log 2 within 2^-54, and each of the two roundings
+        adds u (y + 1) at most.  Adding the log cos terms (cos <= 1, so
+        each is <= 0) and then log1p(-exp(-log T)) <= 0 cannot raise it, as
+        the roundings are monotone; so the profile P <= T = top + 2^-51
+        (top + 1).  Guards and box clips only drop values.  The table adds
+        the amplitudes as fl(fl(P + a) + c), a = log_amp and c = log_c; as
+        z -> z + u|z| is increasing and bounds fl(z), that is at most
+        T + a + c + 2u (T + |a| + |c|) + u^2 (T + |a|), under
+        top + a + c + 2^-50 S, S = top + |a| + |c| + 1.
+
+        The peak adds the amplitudes first, fl(fl(fl(a + c) + top) + m),
+        an order whose rounding can put it below fl(fl(P + a) + c) when a
+        and c nearly cancel; the margin m = 2^-48 times the computed S
+        (three roundings, so at least 2^-48 S (1 - 4u)) covers that.  The
+        two sums before m are off top + a + c by under 2^-51 S and the last
+        rounding takes under 2^-52 S, so the peak exceeds top + a + c +
+        2^-49 S, above every value.  A row with a + c = -inf has peak
+        -inf: it has no finite value.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        tiles = self._tiles(X)
+        if len(tiles) <= 1:
+            return super().max_log(X, slack)
+        amp = self.log_amp + self.log_c
+        live = amp > NEG_INF
+        top = PI * math.sqrt(self.d - 1) / self.eps[live] * self.cut[live]
+        margin = 2.0**-48 * (top + np.abs(self.log_amp[live]) + np.abs(self.log_c[live]) + 1.0)
+        peak = np.full(len(self), NEG_INF)
+        peak[live] = amp[live] + top + margin
+        rows = [self._tile_rows(lo, hi, slack) for _part, _P, lo, hi in tiles]
+        bounds = np.array([peak[r].max() if r.size else NEG_INF for r in rows])
+        return _best_first(bounds, lambda t: (tiles[t][0],
+                                              self._tile(tiles[t][1], rows[t], slack)))
+
     def _evaluate(self, X, slack):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.full(X.shape[0], NEG_INF)
+        for part, P, lo, hi in self._tiles(X):
+            out[part] = self._tile(P, self._tile_rows(lo, hi, slack), slack)
+        return out
+
+    def _tiles(self, X):
+        """X split into the tiles it is evaluated in, as (indices of the
+        tile's points in X, ascending; its points; their per-coordinate
+        bounds).  A point with a non-finite coordinate is in no tile: its
+        value is -inf.  A batch within TILE, or one whose (row, point)
+        pairs are few, is a single tile, however wide."""
         if X.shape[0] == 0:
-            return out
+            return []
         lo, hi = _column_bounds(X)
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            ok = np.all(np.isfinite(X), axis=1)
-            out[ok] = self._evaluate(X[ok], slack)
-            return out
+            ok = np.flatnonzero(np.all(np.isfinite(X), axis=1))
+            return [(ok[part], P, plo, phi) for part, P, plo, phi in self._tiles(X[ok])]
         if np.all(hi - lo <= TILE) or len(self) * X.shape[0] <= TILE_PAIRS:
-            return self._tile(X, lo, hi, slack)
+            return [(np.arange(X.shape[0]), X, lo, hi)]
         key = np.floor(np.minimum((X - lo) / TILE, 2.0**20)).astype(np.int64)
         lin = np.ravel_multi_index(key.T, key.max(axis=0) + 1)
         order = np.argsort(lin, kind="stable")
+        tiles = []
         for part in np.split(order, np.flatnonzero(np.diff(lin[order])) + 1):
             P = X[part]
-            out[part] = self._tile(P, *_column_bounds(P), slack)
-        return out
+            tiles.append((part, P, *_column_bounds(P)))
+        return tiles
+
+    def _tile_rows(self, lo, hi, slack):
+        """The candidate rows of a tile with bounds lo, hi: with a slack,
+        the rows whose support, widened by the slack's box, meets it."""
+        if slack is None:
+            return self._candidates(lo, hi, 0.0, 0.0)
+        return self._candidates(lo, hi, slack, slack * math.sqrt(self.d))
 
     def _candidates(self, lo, hi, pad, r):
         """Rows that can be finite in [lo, hi]: their global box widened by
@@ -806,12 +922,13 @@ class TubeTable(FunctionNode):
         return cand[meets]
 
 
-    def _tile(self, X, lo, hi, slack):
+    def _tile(self, X, cand, slack):
+        """The values at the points X of one tile, from its candidate rows
+        (``_tile_rows``)."""
         n, d = X.shape
         out = np.full(n, NEG_INF)
         pad = 0.0 if slack is None else slack
         r = 0.0 if slack is None else slack * math.sqrt(d)
-        cand = self._candidates(lo, hi, pad, r)
         if cand.size == 0:
             return out
         cand = cand[np.argsort(self.chain[cand], kind="stable")]

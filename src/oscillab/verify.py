@@ -140,14 +140,10 @@ class SupBracket:
     log_scale: bool = True
 
 
-def sup_on(fn, lo, hi, h: float, lipschitz: float | None = None,
-           extra_points: np.ndarray | None = None) -> SupBracket:
-    """Certified bracket for the supremum over the box [lo, hi].
-
-    ``fn`` is either a FunctionNode (its monotone cell bound supplies the
-    upper half) or a plain callable, in which case a Lipschitz constant is
-    required for the upper bound.
-    """
+def _sup_points(lo, hi, h: float, extra_points):
+    """The sample points of ``sup_on`` over the box [lo, hi] (a grid of
+    step at most h, then the extra points inside the box) and the slack,
+    half the grid's largest step."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if np.any(hi <= lo):
@@ -162,19 +158,40 @@ def sup_on(fn, lo, hi, h: float, lipschitz: float | None = None,
         inside = np.all((extra >= lo) & (extra <= hi), axis=1)
         pts = np.vstack([pts, extra[inside]])
     slack = max((hi[i] - lo[i]) / (ns[i] - 1) for i in range(d)) / 2.0
-    if hasattr(fn, "eval_log"):
-        vals = fn.eval_log(pts)
-        ups = fn.upper_local(pts, slack)
+    return pts, slack
+
+
+def sup_low(fn, lo, hi, h: float, extra_points: np.ndarray | None = None) -> float:
+    """The lower half of ``sup_on``'s bracket for a FunctionNode alone: the
+    largest log-value at its sample points."""
+    pts, _slack = _sup_points(lo, hi, h, extra_points)
+    return fn.max_log(pts)[1]
+
+
+def sup_on(fn, lo, hi, h: float, lipschitz: float | None = None,
+           extra_points: np.ndarray | None = None) -> SupBracket:
+    """Certified bracket for the supremum over the box [lo, hi].
+
+    ``fn`` is either a FunctionNode (its monotone cell bound supplies the
+    upper half) or a plain callable, in which case a Lipschitz constant is
+    required for the upper bound.  A FunctionNode gives both halves through
+    ``max_log``; a tube table evaluates its tiles best first and skips those
+    that cannot reach the running maximum, with the values full evaluation
+    gives.
+    """
+    pts, slack = _sup_points(lo, hi, h, extra_points)
+    if hasattr(fn, "max_log"):
+        i, low = fn.max_log(pts)
+        high = fn.max_log(pts, slack)[1]
         log_scale = True
     else:
-        vals = np.asarray(fn(pts), dtype=float)
         if lipschitz is None:
             raise DomainError("plain callables need a Lipschitz constant")
-        ups = vals + lipschitz * slack * math.sqrt(d)
+        vals = np.asarray(fn(pts), dtype=float)
+        i = int(np.argmax(vals))
+        low = float(vals[i])
+        high = float(np.max(vals + lipschitz * slack * math.sqrt(len(lo))))
         log_scale = False
-    i = int(np.argmax(vals))
-    low = float(vals[i])
-    high = float(np.max(ups)) if len(ups) else low
     return SupBracket(low, max(high, low), tuple(np.round(pts[i], 9)), log_scale)
 
 
@@ -287,18 +304,23 @@ class ZeroSetInCube:
     profiles vanish identically outside the half-tube level sets, so this
     is the true zero set, including the wall layers inside tubes where
     max(T-1, 0) dies).  ``zero_set_projection`` samples it only when the
-    function's ``covers`` cannot show the set empty."""
+    function's ``covers`` cannot show the set empty.  Where the function
+    ``vanishes`` on the cube, the set is the whole cube and nothing is
+    evaluated."""
 
     def __init__(self, cube: LatticeCube, fn):
         self.cube = cube
         self.fn = fn
         self.dimension = cube.dimension
         self._lo, self._hi = cube.bounds()
+        self._whole = fn.vanishes(self._lo, self._hi)
 
     def bounds(self):
         return self._lo, self._hi
 
     def _free(self, pts: np.ndarray) -> np.ndarray:
+        if self._whole:
+            return np.ones(len(pts), dtype=bool)
         return ~np.isfinite(self.fn.eval_log(pts))
 
     def line_hits(self, origins: np.ndarray, direction: np.ndarray,
@@ -307,6 +329,16 @@ class ZeroSetInCube:
         the cube (sampling misses only undercount)."""
         direction = np.asarray(direction, dtype=float)
         direction = direction / np.linalg.norm(direction)
+        axis = np.flatnonzero(direction)
+        if (self._whole and axis.size == 1 and direction[axis[0]] == 1.0
+                and not origins[:, axis[0]].any()):
+            # the samples of such a line are its origin with coordinate
+            # ``axis`` running over the cube's span, the first of them on
+            # its face, so the line meets the cube, all of it zero, where
+            # the origin's other coordinates lie in the cube
+            inside = (origins >= self._lo) & (origins <= self._hi)
+            inside[:, axis[0]] = True
+            return inside.all(axis=1)
         span_lo = float(np.min((self._lo) @ direction))
         span_hi = float(np.max((self._hi) @ direction))
         ts = np.linspace(span_lo, span_hi, steps)
@@ -372,7 +404,10 @@ def zero_set_projection(u, cube: LatticeCube, ends, eps_d: float,
     When ``u.covers`` the cube (the function is certainly positive on all
     of it), the answer is 0.0 without sampling.  That is the value
     sampling returns: no point of any line is zero, so no line hits and
-    every axis counts max(0, 0 - 1) = 0 cells."""
+    every axis counts max(0, 0 - 1) = 0 cells.  When ``u.vanishes`` on the
+    cube, nothing is evaluated either: every line along the first axis
+    hits (``ZeroSetInCube.line_hits``), and its value ends the search once
+    it reaches eps_d."""
     lo, hi = cube.bounds()
     if u.covers(lo, hi):
         return 0.0
@@ -396,12 +431,12 @@ def classify_cube(u, cube: LatticeCube, eps_d: float = EPS_D_DEFAULT,
     as rogue (conservative)."""
     lo, hi = cube.bounds()
     ends = near_tube_ends(u, cube)
-    bracket = sup_on(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi))
-    p1 = bracket.low >= 0.0  # log scale: sup >= 1
+    low = sup_low(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi))
+    p1 = low >= 0.0  # log scale: sup >= 1
     best_proj = zero_set_projection(u, cube, ends, eps_d, projection_samples)
     p2 = best_proj >= eps_d
     cls = "oscillating" if (p1 and p2) else "rogue"
-    return OscillationReport(cube.corner, p1, p2, cls, bracket.low, best_proj)
+    return OscillationReport(cube.corner, p1, p2, cls, low, best_proj)
 
 
 @dataclass

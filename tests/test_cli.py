@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import warnings
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_OK, RunConfig,
-                          _load_function, _parse_e_spec, main)
+from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_OK, REFINE_EPS, RunConfig,
+                          _load_function, _parse_e_spec, grid_step, main)
 from oscillab.mainlemma import RogueConfiguration
+from oscillab.subfun import eval_T
 from oscillab.treeset import _GROWTH_RE, GrowthParameters, TreeSpec, parse_growth
+from oscillab.verify import EmptyDomainError, laplacian_refinement_study
 
 
 @pytest.fixture(scope="module")
@@ -134,16 +137,45 @@ class TestVerify:
         header = (built / "census.csv").read_text().splitlines()[0]
         assert header == "corner,p1,p2,class"
 
-    @pytest.mark.parametrize("h", ["0", "nan", "inf", "-0.03125", "0.05"])
+    @pytest.mark.parametrize("h", ["0", "nan", "inf", "-0.03125", "1e-320", "0.05",
+                                   "0.01", "0.2"])
     def test_grid_h_refused(self, built, tmp_path, capsys, h):
-        # 0.05 is a step whose grids put no masked point inside the box
-        code = main(["verify", "--function", str(built / "function.json"),
-                     "--grid-h", h, "--out", str(tmp_path)])
-        assert code == EXIT_BAD_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error")
-        assert "Traceback" not in err and len(err.splitlines()) == 1
-        assert not list(tmp_path.iterdir())
+        # 0.05, 0.01 and 0.2 are steps whose grids put no masked point
+        # inside the box; the step is refused before the function is read,
+        # so also when there is no function file
+        for function in (built / "function.json", tmp_path / "missing.json"):
+            out = tmp_path / "out"
+            code = main(["verify", "--function", str(function), "--grid-h", h,
+                         "--out", str(out)])
+            assert code == EXIT_BAD_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error") and "--grid-h" in err
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_h_refused_exactly_where_the_refinement_is_empty(self, d):
+        # grid_step accepts a step when the refinement of ``verify`` finds a
+        # masked interior point on every grid, in either dimension
+        accepted = 0
+        for h in np.concatenate([np.linspace(0.01, 0.3, 59), [1 / 16, 1 / 32, 1 / 48]]):
+            try:
+                grid_step(repr(float(h)))
+                ok = True
+            except argparse.ArgumentTypeError:
+                ok = False
+            mask = lambda pts: np.all(np.abs(pts[:, 1:]) < h / 2, axis=1)
+            try:
+                laplacian_refinement_study(
+                    lambda pts: eval_T(REFINE_EPS, pts, d),
+                    np.array([-0.5] + [-REFINE_EPS / 2] * (d - 1)), 1.0,
+                    [4 * h, 2 * h, h], mask)
+                found = True
+            except EmptyDomainError:
+                found = False
+            assert ok == found, h
+            accepted += ok
+        assert 0 < accepted < 62
 
     @pytest.mark.parametrize("argv", [["verify", "--function", "F"],
                                       ["lemma", "--N", "16", "--E", "function:F"]])
@@ -177,6 +209,27 @@ def test_census_bytes(tmp_path, d, f, k):
                  "--out", str(tmp_path)]) == EXIT_OK
     digest = hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest()
     assert digest == CENSUS_DIGESTS[(d, f, k)]
+
+
+#: sha256 of growth.csv for ``build --d D --f F --k K`` then ``growth``,
+#: recorded while ``sup_on`` still evaluated every sample point; they hold
+#: for the numpy build and CPU features they were recorded with
+GROWTH_DIGESTS = {
+    (2, "t^1.5", 4): "52c90b8eca5957509c43794b2d60cfe74fc48d3d9b2701dcaf0c306ca72fccaf",
+    (2, "t^1.5", 5): "54c40917742d156db0e320ae966a053623ac09fe119e8b0002c33fc5941b2ae8",
+    (3, "t^2", 2): "23b386c1ff37a994e1312afa0b13e3c0d714867797026b776c7c7b938aea44ff",
+    (3, "t^2", 3): "3153fd4220ed34d2552a9bcd608eb21b770c25c23687dd840b775bb1328f35c7",
+}
+
+
+@pytest.mark.parametrize("d, f, k", list(GROWTH_DIGESTS))
+def test_growth_bytes(tmp_path, d, f, k):
+    assert main(["build", "--d", str(d), "--f", f, "--k", str(k),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["growth", "--function", str(tmp_path / "function.json"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "growth.csv").read_bytes()).hexdigest()
+    assert digest == GROWTH_DIGESTS[(d, f, k)]
 
 
 class TestGrowth:

@@ -9,6 +9,7 @@ from oscillab.geometry import OrthantMap
 from oscillab.treeset import GrowthParameters
 from oscillab.subfun import (
     EPS1,
+    Frame,
     SlabOscillating,
     TableBuilder,
     TubeField,
@@ -24,7 +25,9 @@ from oscillab.subfun import (
     log_L_profile,
     log_L_upper,
     log_MM,
+    _best_first,
 )
+from oscillab.verify import _sup_points, _support_sup_points, tube_ends
 
 PI = math.pi
 
@@ -570,3 +573,112 @@ class TestTubeTable:
         vals = table.eval_log(pts)
         assert np.all(vals[:2] == -np.inf)
         assert vals[2] == table.eval_log(pts[2:])[0]
+
+
+def growth_point_sets(built):
+    """``growth_profile``'s sample points and slack at each radius 2^k,
+    with the level function it measures there."""
+    d = built.d
+    for k in range(1, built.k + 1):
+        fn = built.level_nodes[min(k, len(built.level_nodes)) - 1]
+        R = 2.0**k
+        lo, hi = np.zeros(d), np.full(d, R)
+        extra = _support_sup_points(tube_ends(fn), lo, hi)
+        yield (fn, *_sup_points(lo, hi, max(0.25, R / 64.0), extra))
+
+
+def assert_max_log_exact(fn, pts, slack):
+    """``max_log`` gives the bits of np.argmax and the maximum of the full
+    evaluation, of ``eval_log`` and of ``upper_local(., slack)``."""
+    for s in (None, slack):
+        vals = fn.eval_log(pts) if s is None else fn.upper_local(pts, s)
+        i = int(np.argmax(vals))
+        first, best = fn.max_log(pts, s)
+        assert first == i
+        assert np.float64(best).tobytes() == vals[i].tobytes()
+
+
+@pytest.fixture(scope="module")
+def ub7():
+    return build_u(growth(1.5), 7, guard_samples=1000)
+
+
+class TestMaxLog:
+    """``TubeTable.max_log`` evaluates the tiles that can hold the maximum
+    and gives what full evaluation gives."""
+
+    @pytest.mark.parametrize("d, k", [(2, 7), (3, 3), (3, 4)])
+    def test_growth_point_sets(self, ub7, ub3d, d, k):
+        built = {(2, 7): ub7, (3, 3): ub3d}.get((d, k))
+        if built is None:
+            built = build_u(growth(2.0, d=3), k, guard_samples=1000)
+        tiled = 0
+        for fn, pts, slack in growth_point_sets(built):
+            assert_max_log_exact(fn, pts, slack)
+            tiled += len(fn._tiles(pts)) > 1
+        assert tiled >= k - 3
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_point_sets(self, ub7, ub3d, d):
+        built = ub7 if d == 2 else ub3d
+        rng = np.random.default_rng(47 + d)
+        for j, table in enumerate(built.level_nodes, start=1):
+            pts = rng.uniform(-2.0, 2.0**j + 2.0, size=(30_000, d))
+            pts[rng.choice(len(pts), 5, replace=False), rng.integers(0, d)] = np.nan
+            assert_max_log_exact(table, pts, rng.uniform(0.01, 1.0))
+
+    def test_zero_and_one_tile_sets(self, ub7):
+        table = ub7.level_nodes[-1]
+        rng = np.random.default_rng(53)
+        # far from every tube, over many tiles: all -inf, the first point
+        far = rng.uniform(-300.0, -200.0, size=(20_000, 2))
+        assert len(table._tiles(far)) > 1
+        assert table.max_log(far) == (0, -np.inf)
+        assert table.max_log(far, 0.5) == (0, -np.inf)
+        assert_max_log_exact(table, far, 0.5)
+        # one tile, on and off the function
+        for corner in ([40.0, 40.0], [60.0, 60.0], [-20.0, 3.0]):
+            one = np.asarray(corner) + rng.uniform(0.0, 1.0, size=(300, 2))
+            assert len(table._tiles(one)) == 1
+            assert_max_log_exact(table, one, 0.25)
+
+    def test_first_argmax_in_the_tile_evaluated_second(self):
+        # two rows whose amplitudes 2^60 and log_c = -2^60 cancel: every
+        # value is rounded to a multiple of 256, the ulp at 2^60, and both
+        # rows reach 256 at their far ends, where log L is about 299.3
+        # (row A) and 200.4 (row B), while the sums a + c + pi cut / eps,
+        # taken in that order, are about 300.0 and 201.1.  A's tile has the
+        # larger bound and goes first; B's tile holds the same maximum at
+        # an earlier point, so it must still be evaluated: its bound must
+        # not fall below 256, which takes the margin.
+        row_a = TubeField(Frame.along([0.0, 0.0], [1.0, 0.0]), 1.0, 2, 2.0**60, 95.5)
+        row_b = TubeField(Frame.along([0.0, 8.0], [1.0, 0.0]), 1.0, 2, 2.0**60, 64.0)
+        table = table_of(row_a, row_b, log_c=-(2.0**60))
+        rng = np.random.default_rng(59)
+        # far points that no row meets spread the batch over many tiles
+        filler = rng.uniform([200.0, -20.0], [260.0, -10.0], size=(40_000, 2))
+        pts = np.vstack([[[64.0, 8.0], [95.5, 0.0]], filler])
+        vals = table.eval_log(pts)
+        assert vals[0] == vals[1] == vals.max() == 256.0
+        assert len(table._tiles(pts)) > 2
+        assert table.max_log(pts) == (0, 256.0)
+
+    def test_best_first_evaluates_ties_and_stops_below(self):
+        # tiles bounded by values they attain: tile 0 (first on the tie)
+        # holds the maximum 1.0 at point 5, tile 1 at point 2; tile 2's
+        # bound is below it, so tile 2 is never evaluated
+        tiles = {0: (np.array([4, 5]), np.array([0.5, 1.0])),
+                 1: (np.array([2, 3]), np.array([1.0, -np.inf])),
+                 2: (np.array([0, 1]), np.array([0.75, 0.25]))}
+        seen = []
+
+        def evaluate(t):
+            seen.append(t)
+            return tiles[t]
+
+        assert _best_first(np.array([1.0, 1.0, 0.75]), evaluate) == (2, 1.0)
+        assert seen == [0, 1]
+        # tiles bounded by -inf hold no finite value: none is evaluated
+        seen.clear()
+        assert _best_first(np.full(3, -np.inf), evaluate) == (0, -np.inf)
+        assert seen == []

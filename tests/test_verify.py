@@ -301,6 +301,43 @@ def _tube_field(origin, direction, eps, cut, log_amp=0.0):
     return TubeField(Frame.along(origin, direction), eps, 2, log_amp, cut)
 
 
+class TestVanishes:
+    """``TubeTable.vanishes`` accepts a cube only where the function is zero
+    at every point P2 samples, and the projection it then gives without
+    evaluating is the sampled one."""
+
+    @pytest.mark.parametrize("d, a, k, N", [(2, 1.5, 6, 32), (3, 2.0, 4, 8)])
+    def test_lemma_cubes_project_as_sampled(self, d, a, k, N):
+        # the cubes of the lemma's box [-N/2, N/2)^d, as ``lemma --E
+        # function:F`` classifies them for F from ``build --k (k - 1)``
+        u = build_u(growth(a, d=d), k, guard_samples=1000).node
+        vanishing = 0
+        for corner in np.ndindex(*(N,) * d):
+            cube = LatticeCube(tuple(int(c) - N // 2 for c in corner))
+            if not u.vanishes(*cube.bounds()):
+                continue
+            vanishing += 1
+            ends = near_tube_ends(u, cube)
+            for eps_d in (0.25, math.inf):
+                sampled = _Sampled(u)
+                want = zero_set_projection(sampled, cube, ends, eps_d)
+                assert np.all(np.concatenate(sampled.values) == -np.inf), cube.corner
+                got = zero_set_projection(u, cube, ends, eps_d)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert N**d // 2 < vanishing < N**d
+
+    def test_zero_amplitude_rows_vanish(self):
+        lo, hi = np.array([2.0, 0.0]), np.array([3.0, 1.0])
+        far = (np.array([40.0, 0.0]), np.array([41.0, 1.0]))
+        for log_amp, vanishes in ((0.0, False), (-np.inf, True)):
+            rows = TableBuilder(2)
+            rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0, log_amp=log_amp))
+            table = rows.table()
+            assert table.vanishes(lo, hi) is vanishes
+            assert table.vanishes(*far)
+        assert SlabOscillating(2).vanishes(np.zeros(2), np.ones(2)) is False
+
+
 class TestCovers:
     """``TubeTable.covers`` accepts a cube only where the function is
     positive at every point P2 would sample."""
