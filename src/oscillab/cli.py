@@ -236,10 +236,9 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     # stencil minimum to the centerline, which every refinement level
     # samples at the same physical points, so the h^2 scaling is clean
     fn = lambda pts: subfun.eval_T(REFINE_EPS, pts, d)
-    mask = lambda pts: np.all(np.abs(pts[:, 1:]) < grid_h / 2, axis=1)
     rows = verify.laplacian_refinement_study(
         fn, np.array([-0.5] + [-REFINE_EPS / 2] * (d - 1)), 1.0, _refinement_steps(grid_h),
-        mask)
+        verify.centreline_mask(grid_h))
     factors = [abs(rows[i][1]) / max(abs(rows[i + 1][1]), 1e-300)
                for i in range(len(rows) - 1)]
     checks.append(_verdict("laplacian_refinement",
@@ -455,20 +454,13 @@ def eps_d(text: str) -> float:
 def grid_step(text: str) -> float:
     """A grid step of ``verify``'s refinement: a finite number above 0 at
     which each refinement grid has an interior point on the centreline
-    mask, |x_j| < step/2.  The mask is the same on every axis j >= 2, so
-    whether such a point exists does not depend on d; the grid coordinates
-    are those ``discrete_laplacian_report`` computes, -eps/2 + h (1 + i)
-    for the interior indices i < n - 2, n = round(1/h) + 1, and only the
-    two nearest 0 need testing."""
+    mask (``verify.refinement_mask_empty``, on ``cmd_verify``'s grids)."""
     value = float(text)
     if not (0.0 < value < math.inf and 1.0 / value < math.inf):
         raise argparse.ArgumentTypeError(
             f"must be a finite number above 0 with a finite reciprocal, got {text}")
     for h in _refinement_steps(value):
-        n = int(round(1.0 / h)) + 1
-        near = math.floor(REFINE_EPS / 2 / h) - 1
-        i = np.arange(max(near, 0), min(near + 2, n - 2))
-        if not np.any(np.abs(np.float64(-REFINE_EPS / 2) + h * (1 + i)) < value / 2):
+        if verify.refinement_mask_empty(-REFINE_EPS / 2, 1.0, h, value):
             raise argparse.ArgumentTypeError(
                 f"puts no point of the step {h:g} refinement grid on the centreline, "
                 f"got {text}")

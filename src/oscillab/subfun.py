@@ -663,19 +663,24 @@ class TubeTable(FunctionNode):
         rows = self.near(x, r)
         return self.tube_a[rows], self.tube_b[rows]
 
+    def _live_near(self, lo, hi, widen: float = 0.0) -> np.ndarray:
+        """The ascending rows ``near`` the closed box [lo, hi], within its
+        half diagonal of its centre widened by ``widen``, that have a
+        finite amplitude (log_amp + log_c); a row of amplitude -inf is zero
+        everywhere."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        rows = self.near((lo + hi) / 2.0, float(np.linalg.norm(hi - lo)) / 2.0 + widen)
+        return rows[np.isfinite(self.log_amp[rows] + self.log_c[rows])]
+
     def vanishes(self, lo, hi) -> bool:
         """True when ``eval_log`` is -inf at every point of the closed box
-        [lo, hi]: no row with a finite amplitude (log_amp + log_c) lies
-        ``near`` the box, within its half diagonal of its centre widened by
-        ``_margin32`` = 2^-16 scale.  A finite value needs a row whose chain
-        coordinates put the point in its support, and those are off the
-        row's global-frame coordinates, as well as the ones ``near``
-        computes, by rounding alone: under 2^-45 scale each, as ``covers``
-        derives."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        r = float(np.linalg.norm(hi - lo)) / 2.0 + self._margin32
-        rows = self.near((lo + hi) / 2.0, r)
-        return not np.any(self.log_amp[rows] + self.log_c[rows] > NEG_INF)
+        [lo, hi]: no row with a finite amplitude lies ``_live_near`` the
+        box widened by ``_margin32`` = 2^-16 scale.  A finite value needs a
+        row whose chain coordinates put the point in its support, and those
+        are off the row's global-frame coordinates, as well as the ones
+        ``near`` computes, by rounding alone: under 2^-45 scale each, as
+        ``covers`` derives."""
+        return self._live_near(lo, hi, self._margin32).size == 0
 
     def covers(self, lo, hi) -> bool:
         """True when ``eval_log`` is finite at every point of the closed box
@@ -683,13 +688,12 @@ class TubeTable(FunctionNode):
         down to COVER_DEPTH halvings of the box, lies in the finite region
         of one row and clear of all that row's guards.
 
-        The rows tried are those ``near`` the box with a finite amplitude
-        (log_amp + log_c).  A row takes a sub-box when, in the row's global
-        frame, the sub-box's coordinate ranges lie in 0 < x_1 < cut and
-        |x_j| < eps/2, and log T_eps > tau at the worst point of those
-        ranges, the least x_1 with the largest |x_j| (log T_eps grows with
-        x_1 >= 0 and falls with each |x_j|).  A guard
-        of the row is clear of the sub-box when one slab of its keep's
+        The rows tried are those ``_live_near`` the box.  A row takes a
+        sub-box when, in the row's global frame, the sub-box's coordinate
+        ranges lie in 0 < x_1 < cut and |x_j| < eps/2, and log T_eps > tau
+        at the worst point of those ranges, the least x_1 with the largest
+        |x_j| (log T_eps grows with x_1 >= 0 and falls with each |x_j|).
+        A guard of the row is clear of the sub-box when one slab of its keep's
         frame separates them: x_1 < g or x_1 > cut, or x_j < -eps/3 or
         x_j > eps/3, with the keep's g(eps), cut and eps.
 
@@ -724,9 +728,8 @@ class TubeTable(FunctionNode):
         """
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         d = self.d
-        rows = self.near((lo + hi) / 2.0, float(np.linalg.norm(hi - lo)) / 2.0)
-        # a row of zero amplitude is zero everywhere, though it still guards
-        rows = rows[np.isfinite(self.log_amp[rows] + self.log_c[rows])]
+        # a row of zero amplitude is no candidate, though it still guards
+        rows = self._live_near(lo, hi)
         if rows.size == 0:
             return False
         mu = 2.0**-24 * self._margin32

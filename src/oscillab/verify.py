@@ -77,6 +77,12 @@ class LaplacianReport:
     checked: int
 
 
+def _interior_coords(start, h: float, i):
+    """The coordinates of the interior points i = 0, 1, ... along one axis
+    of a grid from ``start`` with step h, where the stencil is taken."""
+    return start + h * (1 + i)
+
+
 def discrete_laplacian_report(field: GridField, mask=None,
                               tol: float | None = None) -> LaplacianReport:
     """(2d+1)-point stencil at interior masked points; reports the minimum
@@ -94,7 +100,8 @@ def discrete_laplacian_report(field: GridField, mask=None,
     lap = lap / field.h**2
     if mask is not None:
         pts_shape = lap.shape
-        axes = [field.origin[i] + field.h * (1 + np.arange(n)) for i, n in enumerate(pts_shape)]
+        axes = [_interior_coords(field.origin[i], field.h, np.arange(n))
+                for i, n in enumerate(pts_shape)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
         keep = np.asarray(mask(pts), dtype=bool).reshape(pts_shape)
@@ -106,10 +113,10 @@ def discrete_laplacian_report(field: GridField, mask=None,
     masked = np.where(keep, lap, np.inf)
     idx = np.unravel_index(int(np.argmin(masked)), masked.shape)
     min_val = float(masked[idx])
-    min_pt = tuple(float(field.origin[i] + field.h * (idx[i] + 1)) for i in range(d))
+    min_pt = tuple(float(_interior_coords(field.origin[i], field.h, idx[i])) for i in range(d))
     viol_idx = np.argwhere(keep & (lap < -tol))
     violations = [
-        tuple(float(field.origin[i] + field.h * (j[i] + 1)) for i in range(d))
+        tuple(float(_interior_coords(field.origin[i], field.h, j[i])) for i in range(d))
         for j in viol_idx[:100]
     ]
     return LaplacianReport(field.h, min_val, min_pt, violations, tol, int(keep.sum()))
@@ -120,11 +127,38 @@ def laplacian_refinement_study(fn, origin, extent: float, hs, mask=None):
     base the magnitude scales like h^2."""
     rows = []
     for h in hs:
-        n = int(round(extent / h)) + 1
-        field = GridField.sample(fn, origin, h, (n,) * len(origin))
+        field = GridField.sample(fn, origin, h, (_grid_size(extent, h),) * len(origin))
         rep = discrete_laplacian_report(field, mask)
         rows.append((h, rep.min_value))
     return rows
+
+
+def _grid_size(extent: float, h: float) -> int:
+    """Points per axis of ``laplacian_refinement_study``'s step-h grid."""
+    return int(round(extent / h)) + 1
+
+
+def centreline_mask(width: float):
+    """The points within width/2 of the x_1 axis in every coordinate
+    j >= 2, where a refinement pins the stencil minimum."""
+    return lambda pts: np.all(np.abs(pts[:, 1:]) < width / 2, axis=1)
+
+
+def refinement_mask_empty(start: float, extent: float, h: float, width: float) -> bool:
+    """True when ``laplacian_refinement_study``'s step-h grid, starting at
+    ``start`` with the given extent on every axis j >= 2, has no interior
+    point in ``centreline_mask(width)``, so that ``discrete_laplacian_report``
+    would raise EmptyDomainError; also when it has no interior point at
+    all.  The mask is one condition per coordinate, so one axis decides
+    for every d.  The coordinates grow with the index, so the one nearest
+    0 is one of the two that bracket it, clipped to the interior; only
+    those two are computed, and the grid is never built."""
+    last = _grid_size(extent, h) - 3
+    if last < 0:
+        return True
+    near = math.floor(-start / h) - 1
+    i = np.clip(np.array([near, near + 1]), 0, last)
+    return not np.any(np.abs(_interior_coords(np.float64(start), h, i)) < width / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +363,6 @@ class ZeroSetInCube:
         the cube (sampling misses only undercount)."""
         direction = np.asarray(direction, dtype=float)
         direction = direction / np.linalg.norm(direction)
-        axis = np.flatnonzero(direction)
-        if (self._whole and axis.size == 1 and direction[axis[0]] == 1.0
-                and not origins[:, axis[0]].any()):
-            # the samples of such a line are its origin with coordinate
-            # ``axis`` running over the cube's span, the first of them on
-            # its face, so the line meets the cube, all of it zero, where
-            # the origin's other coordinates lie in the cube
-            inside = (origins >= self._lo) & (origins <= self._hi)
-            inside[:, axis[0]] = True
-            return inside.all(axis=1)
         span_lo = float(np.min((self._lo) @ direction))
         span_hi = float(np.max((self._hi) @ direction))
         ts = np.linspace(span_lo, span_hi, steps)
@@ -405,9 +429,8 @@ def zero_set_projection(u, cube: LatticeCube, ends, eps_d: float,
     of it), the answer is 0.0 without sampling.  That is the value
     sampling returns: no point of any line is zero, so no line hits and
     every axis counts max(0, 0 - 1) = 0 cells.  When ``u.vanishes`` on the
-    cube, nothing is evaluated either: every line along the first axis
-    hits (``ZeroSetInCube.line_hits``), and its value ends the search once
-    it reaches eps_d."""
+    cube, nothing is evaluated either: ``ZeroSetInCube`` counts every
+    sample inside the cube as zero, which is what evaluating would give."""
     lo, hi = cube.bounds()
     if u.covers(lo, hi):
         return 0.0
