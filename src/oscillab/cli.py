@@ -104,20 +104,26 @@ def _svg_open(width, height, box):
 
 
 def svg_tree(tree: treeset.TreeSpec, path: Path) -> None:
-    """Tube diagram: lines with stroke width equal to the tube diameter."""
+    """Tube diagram: lines with stroke width equal to the tube diameter,
+    widest first."""
     if tree.dimension != 2:
         return
     lo, hi = tree.box()
     pad = 1.0
     parts = _svg_open(640, 640, (lo[0] - pad, lo[1] - pad,
                                  hi[0] + pad, hi[1] + pad))
-    for t in sorted(tree.tubes, key=lambda t: -t.diameter):
-        color = {"handle": "#c44", "trunk": "#c44", "wide": "#48c", "thin": "#6a6",
-                 "leaf": "#999"}.get(t.kind, "#777")
-        parts.append(
-            f'<line x1="{t.a[0]:.4f}" y1="{t.a[1]:.4f}" x2="{t.b[0]:.4f}" y2="{t.b[1]:.4f}" '
-            f'stroke="{color}" stroke-width="{t.diameter:.4f}" stroke-linecap="round" opacity="0.8"/>'
-        )
+    colors = {"handle": "#c44", "trunk": "#c44", "wide": "#48c", "thin": "#6a6", "leaf": "#999"}
+    line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s" '
+            'stroke-linecap="round" opacity="0.8"/>')
+    order = np.argsort(-tree.diameter, kind="stable")
+    fixed = lambda v: f"{v:.4f}"
+    cells = np.hstack([treeset.map_values(tree.a[order], fixed),
+                       treeset.map_values(tree.b[order], fixed),
+                       np.array([colors.get(t, "#777") for t in tree.kind[order].tolist()],
+                                dtype=object)[:, None],
+                       treeset.map_values(tree.diameter[order], fixed)[:, None]])
+    if order.size:
+        parts.append("\n".join([line] * order.size) % tuple(cells.ravel().tolist()))
     parts.append("</svg>")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(parts) + "\n")
@@ -190,11 +196,9 @@ def _read_json(path: Path):
         raise mainlemma.ConfigurationError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_function(path: Path, run_d: int | None = None):
-    """Rebuild the function ``build`` wrote to ``path`` from its f, d and k,
-    and refuse the file when the rest of what it records differs from the
-    rebuilt function; with ``run_d`` given, also refuse a function of
-    another dimension."""
+def _read_function(path: Path, run_d: int | None = None):
+    """The document ``build`` wrote to ``path``, with its f, d and k; with
+    ``run_d`` given, a function of another dimension is refused."""
     doc = _read_json(path)
     try:
         f, d, k = doc["f"], doc["d"], doc["k"]
@@ -207,6 +211,15 @@ def _load_function(path: Path, run_d: int | None = None):
     if run_d is not None and d != run_d:
         raise mainlemma.ConfigurationError(
             f"{path} holds a d = {d} function, the run has d = {run_d}")
+    return doc, f, d, k
+
+
+def _load_function(path: Path, run_d: int | None = None, read=None):
+    """Rebuild the function ``build`` wrote to ``path`` from its f, d and k,
+    and refuse the file when the rest of what it records differs from the
+    rebuilt function; ``read`` is what ``_read_function`` gave for it, if
+    it was read already."""
+    doc, f, d, k = read or _read_function(path, run_d)
     g = parse_growth(f, d)
     ub = subfun.build_u(g, k, guard_samples=GUARD_SAMPLES)
     rebuilt = _function_doc(ub)
@@ -229,8 +242,15 @@ def _refinement_steps(grid_h: float) -> list[float]:
 
 
 def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
-    g, ub, _doc = _load_function(function_path)
-    d = g.d
+    read = _read_function(function_path)
+    d = read[2]
+    # the finest refinement grid is refused before it, or the function, is built
+    side = verify.grid_size(1.0, grid_h)
+    if side**d > verify.REFINEMENT_POINTS_MAX:
+        raise mainlemma.ConfigurationError(
+            f"--grid-h {grid_h:g} needs a refinement grid of {side}^{d} points, above the "
+            f"{verify.REFINEMENT_POINTS_MAX} that verify samples at most")
+    g, ub, _doc = _load_function(function_path, read=read)
     checks = []
     # harmonic-base refinement on the tube profile; the mask pins the
     # stencil minimum to the centerline, which every refinement level

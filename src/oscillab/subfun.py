@@ -44,10 +44,10 @@ from .treeset import (
     GrowthParameters,
     ParameterRangeError,
     TreeSpec,
-    TubeSpec,
     choose_s_k,
     complete_frame,
     delta_k,
+    round12,
 )
 
 PI = math.pi
@@ -319,19 +319,6 @@ class TubeField:
         # axis-aligned bounding box of the tube around [a, b]
         r = eps / 2.0 * math.sqrt(d - 1)
         self.box = np.minimum(self.a, self.b) - r, np.maximum(self.a, self.b) + r
-
-    @classmethod
-    def junction_branch(cls, anchor, direction, eps, d, log_amp, run,
-                        tag="branch", generation=0):
-        """Branch anchored with x_1 = 2 g(eps) at ``anchor``, growing along
-        ``direction`` and truncated after ``run`` further length (so the
-        truncation face sits at anchor + run * direction)."""
-        direction = np.asarray(direction, dtype=float)
-        direction = direction / np.linalg.norm(direction)
-        g2 = 2.0 * g_threshold(eps, d)
-        origin = np.asarray(anchor, dtype=float) - g2 * direction
-        return cls(Frame.along(origin, direction), eps, d, log_amp,
-                   g2 + run, tag, generation)
 
     @property
     def anchor(self) -> np.ndarray:
@@ -635,18 +622,15 @@ class TubeTable(FunctionNode):
                          float(self.log_amp[i]), float(self.cut[i]), str(self.tag[i]),
                          int(self.generation[i]))
 
-    def anchored_tubes(self):
+    def anchored_tubes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's tube as the paper's segment from its anchor (local
-        x_1 = 2 g(eps), ``TubeField.anchor``) to its junction b, with the
-        field's eps as diameter and its tag and generation.  The endpoints
-        are rounded to 12 digits, as ``TubeSpec.to_dict`` writes them; that
-        gives back the construction's dyadic points, which the anchor,
+        x_1 = 2 g(eps), ``TubeField.anchor``) to its junction b, as the
+        arrays of the a and of the b ends.  They are rounded to 12 digits
+        by Python's ``round``, as ``tree.json`` records them; that gives
+        back the construction's dyadic points, which the anchor,
         recovered from the frame origin, misses by a rounding error."""
-        d = self.d
-        anchor = self.tube_a + (2.0 * g_threshold(self.eps, d))[:, None] * self.global_rows[:, 0]
-        ends = [[round(v, 12) for v in e] for e in np.hstack([anchor, self.tube_b]).tolist()]
-        return [TubeSpec(e[:d], e[d:], eps, g, t) for e, eps, g, t in
-                zip(ends, self.eps.tolist(), self.generation.tolist(), self.tag.tolist())]
+        g2 = 2.0 * g_threshold(self.eps, self.d)
+        return round12(self.tube_a + g2[:, None] * self.global_rows[:, 0]), round12(self.tube_b)
 
     def near(self, x, r: float) -> np.ndarray:
         """Ascending rows whose support lies within Euclidean distance r of
@@ -1082,29 +1066,31 @@ class TubeTable(FunctionNode):
 
 
 class TableBuilder:
-    """Rows of a tube table in evaluation order.  A row is added as a field
-    in the table's own coordinates (``add``), or together with all the rows
-    of a finished table seen through an isometry (``extend``); each carries
-    the keep rows, of this builder, of the junctions it sits below on the
-    branch side.  A junction's keep row comes before its branch."""
+    """Rows of a tube table in evaluation order.  Rows are added as columns
+    in the table's own coordinates (``add``, as ``_tree_rows`` makes them),
+    or as all the rows of a finished table seen through an isometry
+    (``extend``); each carries the keep rows, of this builder, of the
+    junctions it sits below on the branch side.  A junction's keep row
+    comes before its branch."""
 
     def __init__(self, d: int):
         self.d = d
         self.chains = [(0, None, None)]
         self.size = 0
         self._parts = []    # (columns, guard counts, guard rows)
-        self._fields = []   # (field, guard rows, log_c) not yet in a part
 
-    def add(self, field: TubeField, guards=(), log_c: float = 0.0) -> int:
-        """Append one field, scaled by exp(log_c); returns its row."""
-        self._fields.append((field, tuple(guards), log_c))
-        self.size += 1
-        return self.size - 1
+    def add(self, columns: dict, counts, keeps) -> None:
+        """Append rows given as the columns of ``_COLUMNS`` but the chain;
+        row i sits below the junctions of the next counts[i] rows of
+        ``keeps``, rows of this builder."""
+        n = len(columns["eps"])
+        columns = dict(columns, chain=np.zeros(n, dtype=np.intp))
+        self._parts.append((columns, np.asarray(counts), np.asarray(keeps, dtype=np.intp)))
+        self.size += n
 
     def extend(self, table: TubeTable, matrix, shift, guards=()) -> None:
         """Append the rows of ``table`` evaluated at local = matrix @ x +
         shift, below the given junctions as well as their own."""
-        self._flush()
         top = len(self.chains)
         self.chains.append((0, np.asarray(matrix, dtype=float), np.asarray(shift, dtype=float)))
         self.chains += [(top if parent == 0 else top + parent, m, s)
@@ -1123,37 +1109,130 @@ class TableBuilder:
         self._parts.append((columns, np.bincount(rows, minlength=n), keeps[order]))
         self.size += n
 
-    def _flush(self):
-        if not self._fields:
-            return
-        fs = [f for f, _g, _c in self._fields]
-        columns = {
-            "origin": np.array([f.frame.origin for f in fs]),
-            "rows": np.array([f.frame.rows for f in fs]),
-            "eps": np.array([f.eps for f in fs]),
-            "cut": np.array([f.cut for f in fs]),
-            "log_amp": np.array([f.log_amp for f in fs]),
-            "log_c": np.array([c for _f, _g, c in self._fields], dtype=float),
-            "end": np.array([f.b for f in fs]),
-            "box_lo": np.array([f.box[0] for f in fs]),
-            "box_hi": np.array([f.box[1] for f in fs]),
-            "chain": np.zeros(len(fs), dtype=np.intp),
-            "generation": np.array([f.generation for f in fs]),
-            "tag": np.array([f.tag for f in fs]),
-        }
-        counts = np.array([len(g) for _f, g, _c in self._fields])
-        keeps = np.array([k for _f, g, _c in self._fields for k in g], dtype=np.intp)
-        self._parts.append((columns, counts, keeps))
-        self._fields = []
-
     def table(self) -> TubeTable:
-        self._flush()
         columns = {name: np.concatenate([p[name] for p, _c, _k in self._parts])
                    for name in _COLUMNS}
         counts = np.concatenate([c for _p, c, _k in self._parts])
         guard_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         guard_idx = np.concatenate([k for _p, _c, k in self._parts]).astype(np.intp)
         return TubeTable(self.d, self.chains, columns, guard_ptr, guard_idx)
+
+
+def _dots(a, b):
+    """Row-wise dot products of two (n, d) arrays.  A stack of 1 x d by
+    d x 1 products runs np.dot's kernel per row, so each is the float
+    np.dot, and np.linalg.norm through it, gives for that pair alone
+    (np.einsum and reductions round differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _frames(axis):
+    """``complete_frame`` of every row of ``axis`` (n, d), as (n, d, d):
+    the row normalized, then the standard basis vectors in order, each
+    less its projections on the rows found so far and normalized, unless
+    under 1e-9 long, until d rows are found."""
+    n, d = axis.shape
+    out = np.zeros((n, d, d))
+    out[:, 0] = axis / np.sqrt(_dots(axis, axis))[:, None]
+    found = np.ones(n, dtype=np.intp)
+    for i in range(d):
+        todo = np.flatnonzero(found < d)
+        cand = np.zeros((todo.size, d))
+        cand[:, i] = 1.0
+        for r in range(d - 1):
+            sel = found[todo] > r
+            row = out[todo[sel], r]
+            cand[sel] = cand[sel] - _dots(cand[sel], row)[:, None] * row
+        norm = np.sqrt(_dots(cand, cand))
+        ok = norm > 1e-9
+        at = todo[ok]
+        out[at, found[at]] = cand[ok] / norm[ok, None]
+        found[at] += 1
+    return out
+
+
+def _branch_columns(d: int, anchor, direction, eps, run) -> dict:
+    """Frame, cut, junction and bounding box of branches (n rows) anchored
+    with x_1 = 2 g(eps) at ``anchor``, growing along ``direction`` and
+    truncated after ``run`` further length, so that the truncation face,
+    the junction, sits at anchor + run * direction / |direction|."""
+    axis = direction / np.sqrt(_dots(direction, direction))[:, None]
+    g2 = 2.0 * g_threshold(eps, d)
+    origin = anchor - g2[:, None] * axis
+    rows = _frames(axis)
+    cut = g2 + run
+    end = cut[:, None] * rows[:, 0] + origin
+    # axis-aligned bounding box of the tube around [origin, end]
+    r = (eps / 2.0 * math.sqrt(d - 1))[:, None]
+    return {"origin": origin, "rows": rows, "cut": cut, "end": end,
+            "box_lo": np.minimum(origin, end) - r, "box_hi": np.maximum(origin, end) + r}
+
+
+def _tree_rows(rows: TableBuilder, stems, order: int, generations, log_c: float = 0.0) -> None:
+    """Append a tree of branch rows to ``rows``, in depth-first order: the
+    stems, each below the junctions of the stems before it, then the
+    dyadic cell [0, 2^order)^d below the junction of the last stem.
+
+    A cell of order o >= 1 holds its 2^d subcells of order o - 1, in
+    np.ndindex order.  Each subcell has a branch from its centre to the
+    cell's centre, and its own subcells sit below that branch's junction.
+    The branches of the cells at depth m take (eps, log amplitude, tag)
+    from generations[m - 1] and generation m, but those of the cells of
+    order 0, the leaves, generation -1.  A stem is (anchor, direction,
+    eps, log amplitude, run, tag), of generation 0.  The rows below the
+    stems are scaled by exp(log_c).
+
+    The rows are made one generation at a time, and every column of all
+    of them at once (``_branch_columns``); each row then moves to its
+    cell's place in the depth-first walk."""
+    d = rows.d
+    fan = 2**d
+    offs = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
+    names = [stem[5] for stem in stems] + [tag for _eps, _amp, tag in generations]
+    # one group per stem and per generation: the rows' positions, their
+    # branches, and the rows whose junctions they sit below
+    groups = [{"pos": np.array([i]), "anchor": np.array([anchor], dtype=float),
+               "direction": np.array([direction], dtype=float), "eps": np.array([eps]),
+               "log_amp": np.array([log_amp]), "run": np.array([run]), "generation": np.array([0]),
+               "name": np.array([i]), "log_c": np.array([0.0]), "guards": np.arange(i)[None]}
+              for i, (anchor, direction, eps, log_amp, run, _tag) in enumerate(stems)]
+    # the cells of the current depth: corners, the rows of their branches
+    # and the rows whose junctions those sit below
+    corner, keep, above = np.zeros((1, d)), groups[-1]["pos"], groups[-1]["guards"]
+    for m, (eps, log_amp, _tag) in enumerate(generations, start=1):
+        edge = 2.0 ** (order - m)
+        sub = (corner[:, None, :] + offs * edge).reshape(-1, d)
+        anchor = sub + edge / 2.0
+        direction = np.repeat(corner + edge, fan, axis=0) - anchor
+        # a cell of order o and all below it take 1 + 2^d + ... + 2^(d o) rows
+        size = (fan ** (order - m + 1) - 1) // (fan - 1)
+        pos = (keep[:, None] + 1 + np.arange(fan) * size).ravel()
+        above = np.repeat(np.hstack([above, keep[:, None]]), fan, axis=0)
+        n = len(sub)
+        groups.append({"pos": pos, "anchor": anchor, "direction": direction,
+                       "eps": np.full(n, eps), "log_amp": np.full(n, log_amp),
+                       "run": np.sqrt(_dots(direction, direction)),
+                       "generation": np.full(n, m if m < order else -1),
+                       "name": np.full(n, len(stems) + m - 1), "log_c": np.full(n, float(log_c)),
+                       "guards": above})
+        corner, keep = sub, pos
+    at = np.empty(sum(len(g["pos"]) for g in groups), dtype=np.intp)
+    at[np.concatenate([g["pos"] for g in groups])] = np.arange(at.size)
+
+    def column(key):
+        return np.concatenate([g[key] for g in groups])[at]
+
+    columns = _branch_columns(d, column("anchor"), column("direction"), column("eps"),
+                              column("run"))
+    columns.update(eps=column("eps"), log_amp=column("log_amp"), log_c=column("log_c"),
+                   generation=column("generation"), tag=np.array(names)[column("name")])
+    counts = np.concatenate([np.full(len(g["pos"]), g["guards"].shape[1]) for g in groups])[at]
+    first = np.cumsum(counts) - counts
+    keeps = np.empty(int(counts.sum()), dtype=np.intp)
+    for g in groups:
+        keeps[(first[g["pos"]][:, None] + np.arange(g["guards"].shape[1])).ravel()] = \
+            g["guards"].ravel()
+    rows.add(columns, counts, keeps + rows.size)
 
 
 # ---------------------------------------------------------------------------
@@ -1391,50 +1470,6 @@ class TauBuild:
         return lo, lo + 2.0 ** (self.k + 1)
 
 
-def _leaf_fields(cell_corner, d: int, eps1: float, amp: float) -> list[TubeField]:
-    corner = np.asarray(cell_corner, dtype=float)
-    center = corner + 1.0
-    out = []
-    for offs in np.ndindex(*(2,) * d):
-        tip = corner + np.asarray(offs, dtype=float) + 0.5
-        direction = center - tip
-        run = float(np.linalg.norm(direction))
-        out.append(TubeField.junction_branch(tip, direction, eps1, d, amp, run,
-                                             tag="leaf", generation=-1))
-    return out
-
-
-def _subtree_rows(rows: TableBuilder, sched: GlueSchedule, order: int, corner: np.ndarray,
-                  parent_junction: np.ndarray, generation: int, guards: tuple,
-                  log_c: float) -> None:
-    """Rows of the dyadic cell of the given order: its branch tube running
-    to the parent junction, then all lower generations glued on below its
-    junction."""
-    d = sched.d
-    k = sched.k
-    edge = 2.0**order
-    center = corner + edge / 2.0
-    if generation <= sched.s_k:
-        diam = 2.0 ** (k + 1 - generation) * sched.eps_k
-    else:
-        diam = sched.eps1
-    amp = sched.amplitude(generation)
-    run = float(np.linalg.norm(parent_junction - center))
-    keep = rows.add(TubeField.junction_branch(
-        center, parent_junction - center, diam, d, amp, run,
-        tag="wide" if generation <= sched.s_k else "thin", generation=generation),
-        guards, log_c)
-    guards = guards + (keep,)
-    if order == 1:
-        for leaf in _leaf_fields(corner, d, sched.eps1, sched.amplitude(k + 1)):
-            rows.add(leaf, guards, log_c)
-    else:
-        half = edge / 2.0
-        for offs in np.ndindex(*(2,) * d):
-            sub = corner + np.asarray(offs, dtype=float) * half
-            _subtree_rows(rows, sched, order - 1, sub, center, generation + 1, guards, log_c)
-
-
 def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
               check_guards: bool = True, guard_samples: int = 10_000) -> TauBuild:
     """Function for the outer subtree of rank k+1 in its own frame, the box
@@ -1453,15 +1488,15 @@ def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
     # every amplitude by -log(1/p_last) normalizes the trunk instead of
     # the leaves
     shift = -trunk_amp if skip_rescale else 0.0
-    trunk_diam = 2.0**k * sched.eps_k
-    run = math.sqrt(d) * 2.0**k  # to the corner 2^(k+1) v_0
+    generations = [(2.0 ** (k + 1 - m) * sched.eps_k, sched.amplitude(m), "wide")
+                   if m <= sched.s_k else (sched.eps1, sched.amplitude(m), "thin")
+                   for m in range(1, k + 1)]
+    # the trunk's junction is the corner 2^(k+1) v_0
+    trunk = (box_center, v0, 2.0**k * sched.eps_k, trunk_amp + shift, math.sqrt(d) * 2.0**k,
+             "trunk")
     rows = TableBuilder(d)
-    trunk = rows.add(TubeField.junction_branch(box_center, v0, trunk_diam, d,
-                                               trunk_amp + shift, run,
-                                               tag="trunk", generation=0))
-    for offs in np.ndindex(*(2,) * d):
-        sub = np.asarray(offs, dtype=float) * 2.0**k
-        _subtree_rows(rows, sched, k, sub, box_center, 1, (trunk,), shift)
+    _tree_rows(rows, [trunk], k + 1, generations + [(sched.eps1, sched.amplitude(k + 1), "leaf")],
+               log_c=shift)
     table = rows.table()
 
     # The prescribed trunk amplitude suffices once k is large; at the
@@ -1472,7 +1507,7 @@ def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
         rep = certify_dominance(table, n=guard_samples, seed=97)
         if not rep.passed(LEAK_TOLERANCE):
             inflate = max(rep.required_amplitude(LOG2, LEAK_TOLERANCE), 0.0)
-            table.log_amp[trunk] = trunk_amp + shift + inflate
+            table.log_amp[0] = trunk_amp + shift + inflate
     build = TauBuild(table, sched, k, d, trunk_inflation=inflate)
     if check_guards:
         _check_tau_guards(build, guard_samples)
@@ -1539,12 +1574,12 @@ class UBuild:
 
     def tree(self) -> TreeSpec:
         """The tube set of the function: every row of its table but the
-        outgoing handle."""
-        # row 0 is the root's keep: the outgoing handle
-        tubes = self.node.anchored_tubes()[1:]
+        outgoing handle, row 0 (the root's keep)."""
+        a, b = self.node.anchored_tubes()
         d, k = self.d, self.k - 1
         s_eps = {j: choose_s_k(self.params, j) for j in range(1, k)}
-        return TreeSpec(d, self.k, tubes, EPS1,
+        return TreeSpec(d, self.k, a[1:], b[1:], self.node.eps[1:], self.node.generation[1:],
+                        self.node.tag[1:], EPS1,
                         {j: s for j, (s, _e) in s_eps.items()},
                         {j: e for j, (_s, e) in s_eps.items()},
                         {j: delta_k(self.params, j) for j in range(1, k + 1)})
@@ -1611,32 +1646,27 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
     levels: list[ULevel] = []
     checks: list[JunctionCheck] = []
 
-    # level 1: basic subtree of [0,2)^d plus its handle of diameter 2 delta_1
-    trunk_amp1 = PI * d / EPS1  # thin glue ratio at child order 0
-    handle1 = TubeField.junction_branch(np.ones(d), v0, 2.0 * delta_k(params, 1), d,
-                                        trunk_amp1, math.sqrt(d), tag="handle", generation=0)
-    leaves = _leaf_fields(np.zeros(d), d, EPS1, 0.0)
+    # the handles of levels k, ..., 2 at their junctions 2^(j-1) v_0, of
+    # diameter 2^j delta_j and unit amplitude until their level is
+    # certified, then level 1's, with the thin glue ratio at child order 0
+    handles = [(np.full(d, 2.0 ** (j - 1)), v0, 2.0**j * delta_k(params, j), 0.0,
+                math.sqrt(d) * (2.0 ** (j - 1) if j < k else 2.0**k), "handle")
+               for j in range(k, 1, -1)]
+    handles.append((np.ones(d), v0, 2.0 * delta_k(params, 1), PI * d / EPS1, math.sqrt(d),
+                    "handle"))
+    # level 1: the basic subtree of [0,2)^d below its handle; the outer
+    # subtrees reflected into level j + 1: tau_1 = u_1 by construction,
+    # then rank-j ones
+    leaves = [(EPS1, 0.0, "leaf")]
     u1 = TableBuilder(d)
-    u1.add(handle1)
-    for leaf in leaves:
-        u1.add(leaf, (0,))
-    # the outer subtrees reflected into level j + 1: tau_1 = u_1 by
-    # construction, then rank-j ones
+    _tree_rows(u1, handles[-1:], 1, leaves)
     taus = [u1.table()] + [
         build_tau(params, j - 1, check_guards=check_guards,
                   guard_samples=max(guard_samples // 4, 512)).node
         for j in range(2, k)]
 
     rows = TableBuilder(d)
-    for j in range(k, 1, -1):
-        # the level-j handle at its junction 2^(j-1) v_0
-        run = math.sqrt(d) * (2.0 ** (j - 1) if j < k else 2.0**k)
-        rows.add(TubeField.junction_branch(np.full(d, 2.0 ** (j - 1)), v0,
-                                           2.0**j * delta_k(params, j), d, 0.0, run,
-                                           tag="handle", generation=0), range(k - j))
-    rows.add(handle1, range(k - 1))
-    for leaf in leaves:
-        rows.add(leaf, range(k))
+    _tree_rows(rows, handles, 1, leaves)
     for j in range(1, k):
         for idx in np.ndindex(*(2,) * d):
             if any(idx):

@@ -17,12 +17,14 @@ the field's diameter, kind and generation.  The kinds are
   handle  the handle of the corner cell at each level j, and all 2**d
           handles at level 1: diameter 2**j * delta_j, generation 0.
 
-``TubeSpec`` is only the record ``tree.json`` holds.  The tube geometry
-lives in the rows of the function's ``subfun.TubeTable``: the tube of a
-row of diameter eps is the set of points whose coordinates in the row's
-global frame (``global_rows``, measured from ``tube_a``) satisfy
-2 g(eps) <= x_1 <= cut and |x_j| < eps/2 (square cross-section).  The
-sparseness census reads those arrays.
+``TreeSpec`` holds that tube set as columns and writes ``tree.json`` from
+them; ``TubeSpec`` is only the record of one tube, made when a reader asks
+for the tubes one by one.  The tube geometry lives in the rows of the
+function's ``subfun.TubeTable``: the tube of a row of diameter eps is the
+set of points whose coordinates in the row's global frame
+(``global_rows``, measured from ``tube_a``) satisfy 2 g(eps) <= x_1 <= cut
+and |x_j| < eps/2 (square cross-section).  The sparseness census reads
+those arrays.
 """
 
 from __future__ import annotations
@@ -209,34 +211,57 @@ class TubeSpec:
         if allclose(self.a, self.b):
             raise ParameterRangeError("tube endpoints must be distinct")
 
-    def to_dict(self) -> dict:
-        return {
-            "a": [round(float(v), 12) for v in self.a],
-            "b": [round(float(v), 12) for v in self.b],
-            "diameter": round(float(self.diameter), 12),
-            "generation": self.generation,
-            "kind": self.kind,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TubeSpec":
-        return cls(
-            np.asarray(d["a"]), np.asarray(d["b"]), d["diameter"],
-            d.get("generation", 0), d.get("kind", "leaf"),
-        )
+def map_values(values, fn) -> np.ndarray:
+    """fn(v) for every float v of ``values``, as an object array of their
+    shape.  fn is called once per distinct bit pattern, so that 0.0 and
+    -0.0 stay apart."""
+    values = np.asarray(values, dtype=float)
+    bits = values.ravel().view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    new = np.ones(bits.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    where = np.empty(bits.size, dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    out = np.array([fn(v) for v in ordered[new].view(float).tolist()], dtype=object)
+    return out[where].reshape(values.shape)
+
+
+def round12(values) -> np.ndarray:
+    """Python's ``round(v, 12)`` of every float of ``values``."""
+    return map_values(values, lambda v: round(v, 12)).astype(float)
+
+
+#: tubes ``TreeSpec.dump`` formats at a time, which bounds the memory of
+#: the text it holds
+DUMP_CHUNK = 2048
 
 
 @dataclass
 class TreeSpec:
-    """A finite tube-union tree with its construction parameters."""
+    """A finite tube-union tree with its construction parameters.  The
+    tubes are columns: the a and b ends (n, d), and the diameter,
+    generation and kind of each; ``tubes`` makes them ``TubeSpec``
+    records."""
 
     dimension: int
     rank: int
-    tubes: list[TubeSpec]
+    a: np.ndarray
+    b: np.ndarray
+    diameter: np.ndarray
+    generation: np.ndarray
+    kind: np.ndarray
     eps1: float = EPS1
     s_values: dict = field(default_factory=dict)
     eps_values: dict = field(default_factory=dict)
     delta_values: dict = field(default_factory=dict)
+
+    @property
+    def tubes(self) -> list[TubeSpec]:
+        return [TubeSpec(a, b, e, g, t) for a, b, e, g, t in
+                zip(self.a, self.b, self.diameter.tolist(), self.generation.tolist(),
+                    self.kind.tolist())]
 
     def branches(self) -> list[TubeSpec]:
         """Tubes of diameter above 2*eps1 (everything wider than leaf scale)."""
@@ -246,36 +271,84 @@ class TreeSpec:
         lo = np.zeros(self.dimension)
         return lo, lo + 2.0**self.rank
 
+    def check(self) -> None:
+        """Refuse a tree with a tube that ``TubeSpec`` refuses, a diameter
+        not above 0 or ends that ``np.allclose`` takes as one point, or
+        with a value that is not finite (JSON has no such number)."""
+        a, b, diameter = self.a, self.b, self.diameter
+        with np.errstate(invalid="ignore", over="ignore"):
+            finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1) & np.isfinite(diameter)
+            close = np.all(np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b), axis=1)
+        bad = np.flatnonzero(~finite | ~(diameter > 0) | close)
+        if bad.size:
+            i = int(bad[0])
+            if not finite[i]:
+                raise ParameterRangeError(f"tube {i} has a value that is not finite")
+            if not diameter[i] > 0:
+                raise ParameterRangeError(
+                    f"tube diameter must be positive, got {diameter[i]} (tube {i})")
+            raise ParameterRangeError(f"tube endpoints must be distinct (tube {i})")
+
     def dump(self, fp) -> None:
-        """Write the tree as JSON to the text file ``fp``, streamed rather
-        than formatted in memory first."""
-        json.dump(
-            {
-                "dimension": self.dimension,
-                "rank": self.rank,
-                "eps1": self.eps1,
-                "s_values": {str(k): v for k, v in self.s_values.items()},
-                "eps_values": {str(k): round(v, 12) for k, v in self.eps_values.items()},
-                "delta_values": {str(k): round(v, 12) for k, v in self.delta_values.items()},
-                "tubes": [t.to_dict() for t in self.tubes],
-            },
-            fp,
-            indent=1,
-        )
-        fp.write("\n")
+        """Write the tree to the text file ``fp`` as ``json.dump(..., indent=1)``
+        writes it, with each tube's values rounded to 12 digits.  The
+        header goes through json; the tubes go through one fixed template,
+        DUMP_CHUNK at a time, each float written as its repr, as json
+        does."""
+        self.check()
+        head = json.dumps({
+            "dimension": self.dimension,
+            "rank": self.rank,
+            "eps1": self.eps1,
+            "s_values": {str(k): v for k, v in self.s_values.items()},
+            "eps_values": {str(k): round(v, 12) for k, v in self.eps_values.items()},
+            "delta_values": {str(k): round(v, 12) for k, v in self.delta_values.items()},
+            "tubes": [],
+        }, indent=1)
+        n, d = self.a.shape
+        if n == 0:
+            fp.write(head + "\n")
+            return
+        # head ends with the empty list and the closing brace
+        fp.write(head[:-len("[]\n}")] + "[\n")
+        text = lambda v: repr(round(v, 12))
+        coords = ",\n    ".join(["%s"] * d)
+        template = ('  {\n   "a": [\n    ' + coords + '\n   ],\n   "b": [\n    ' + coords
+                    + '\n   ],\n   "diameter": %s,\n   "generation": %s,\n   "kind": %s\n  }')
+        generations, kinds = self.generation.tolist(), self.kind.tolist()
+        names = {t: json.dumps(t) for t in set(kinds)}
+        fields = np.hstack([map_values(self.a, text), map_values(self.b, text),
+                            map_values(self.diameter, text)[:, None],
+                            np.array([str(g) for g in generations], dtype=object)[:, None],
+                            np.array([names[t] for t in kinds], dtype=object)[:, None]])
+        for start in range(0, n, DUMP_CHUNK):
+            part = fields[start:start + DUMP_CHUNK]
+            fp.write((",\n" if start else "")
+                     + ",\n".join([template] * len(part)) % tuple(part.ravel().tolist()))
+        fp.write("\n ]\n}\n")
 
     @classmethod
     def from_json(cls, text: str) -> "TreeSpec":
         d = json.loads(text)
-        return cls(
+        tubes = d["tubes"]
+        # a tube whose ends have another number of coordinates cannot take
+        # this shape: a ValueError, as for malformed JSON
+        shape = (len(tubes), d["dimension"])
+        tree = cls(
             dimension=d["dimension"],
             rank=d["rank"],
-            tubes=[TubeSpec.from_dict(t) for t in d["tubes"]],
+            a=np.array([t["a"] for t in tubes], dtype=float).reshape(shape),
+            b=np.array([t["b"] for t in tubes], dtype=float).reshape(shape),
+            diameter=np.array([t["diameter"] for t in tubes], dtype=float),
+            generation=np.array([t.get("generation", 0) for t in tubes], dtype=np.int64),
+            kind=np.array([t.get("kind", "leaf") for t in tubes], dtype=str),
             eps1=d["eps1"],
             s_values={int(k): v for k, v in d["s_values"].items()},
             eps_values={int(k): v for k, v in d["eps_values"].items()},
             delta_values={int(k): v for k, v in d["delta_values"].items()},
         )
+        tree.check()
+        return tree
 
 
 # ---------------------------------------------------------------------------

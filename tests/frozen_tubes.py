@@ -1,4 +1,5 @@
-"""Frozen reference for the tube geometry, kept as an independent oracle.
+"""Frozen references for the tube geometry and the tube rows, kept as
+independent oracles.
 
 A tube of diameter delta around the segment [a, b] is the set of points
 whose coordinate along the segment lies in [0, |b - a|] and whose
@@ -7,12 +8,20 @@ all below delta/2 in absolute value (square cross-section).  This is the
 geometry ``TubeSpec`` computed, and the sparseness measure on it, as they
 were before both moved to the rows of ``subfun.TubeTable``; the tests
 compare the table against it.
+
+The rows of ``subfun.build_tau`` and ``subfun.build_u`` are made as they
+were before ``subfun._tree_rows`` made them as columns: one ``TubeField``
+per branch (``junction_branch``, through ``Frame.along`` and
+``np.linalg.norm``), the cells walked recursively, and the fields turned
+into columns at the end (``FieldRows``).  ``tree_rows`` takes the
+arguments of ``subfun._tree_rows``, so that it can stand in for it.
 """
 
 import math
 
 import numpy as np
 
+from oscillab.subfun import Frame, TableBuilder, TubeField, g_threshold
 from oscillab.treeset import complete_frame
 
 
@@ -122,3 +131,109 @@ def cube_measure(corner, tubes, depth_cap, mc_samples, seed=2024):
     centre = (lo + 0.5)[None, :]
     near = [t for t in tubes if float(t.distance(centre)[0]) <= math.sqrt(len(lo)) / 2]
     return tube_measure_in_cube(lo, lo + 1.0, near, depth_cap, mc_samples, seed)
+
+
+def junction_branch(anchor, direction, eps, d, log_amp, run, tag="branch", generation=0):
+    """Branch anchored with x_1 = 2 g(eps) at ``anchor``, growing along
+    ``direction`` and truncated after ``run`` further length (so the
+    truncation face sits at anchor + run * direction)."""
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    g2 = 2.0 * g_threshold(eps, d)
+    origin = np.asarray(anchor, dtype=float) - g2 * direction
+    return TubeField(Frame.along(origin, direction), eps, d, log_amp, g2 + run, tag, generation)
+
+
+def leaf_fields(cell_corner, d, eps1, amp):
+    corner = np.asarray(cell_corner, dtype=float)
+    center = corner + 1.0
+    out = []
+    for offs in np.ndindex(*(2,) * d):
+        tip = corner + np.asarray(offs, dtype=float) + 0.5
+        direction = center - tip
+        run = float(np.linalg.norm(direction))
+        out.append(junction_branch(tip, direction, eps1, d, amp, run, tag="leaf", generation=-1))
+    return out
+
+
+def subtree_rows(rows, generations, order, corner, parent_junction, generation, guards, log_c):
+    """Rows of the dyadic cell of the given order: its branch tube running
+    to the parent junction, then all lower generations glued on below its
+    junction; generations[m - 1] is the (eps, log amplitude, tag) of
+    generation m, generations[-1] that of the leaves."""
+    d = rows.d
+    edge = 2.0**order
+    center = corner + edge / 2.0
+    diam, amp, tag = generations[generation - 1]
+    run = float(np.linalg.norm(parent_junction - center))
+    keep = rows.add(junction_branch(center, parent_junction - center, diam, d, amp, run,
+                                    tag=tag, generation=generation), guards, log_c)
+    guards = guards + (keep,)
+    if order == 1:
+        eps, amp, _tag = generations[-1]
+        for leaf in leaf_fields(corner, d, eps, amp):
+            rows.add(leaf, guards, log_c)
+    else:
+        half = edge / 2.0
+        for offs in np.ndindex(*(2,) * d):
+            sub = corner + np.asarray(offs, dtype=float) * half
+            subtree_rows(rows, generations, order - 1, sub, center, generation + 1, guards, log_c)
+
+
+class FieldRows:
+    """Rows of a tube table added one ``TubeField`` at a time, each below
+    the junctions of the given rows and scaled by exp(log_c); ``part``
+    gives them as the columns ``TableBuilder.add`` takes."""
+
+    def __init__(self, d):
+        self.d = d
+        self.fields = []
+
+    def add(self, field, guards=(), log_c=0.0):
+        """Append one field; returns its row."""
+        self.fields.append((field, tuple(guards), log_c))
+        return len(self.fields) - 1
+
+    def part(self):
+        fs = [f for f, _g, _c in self.fields]
+        columns = {
+            "origin": np.array([f.frame.origin for f in fs]),
+            "rows": np.array([f.frame.rows for f in fs]),
+            "eps": np.array([f.eps for f in fs]),
+            "cut": np.array([f.cut for f in fs]),
+            "log_amp": np.array([f.log_amp for f in fs]),
+            "log_c": np.array([c for _f, _g, c in self.fields], dtype=float),
+            "end": np.array([f.b for f in fs]),
+            "box_lo": np.array([f.box[0] for f in fs]),
+            "box_hi": np.array([f.box[1] for f in fs]),
+            "generation": np.array([f.generation for f in fs]),
+            "tag": np.array([f.tag for f in fs]),
+        }
+        counts = np.array([len(g) for _f, g, _c in self.fields])
+        keeps = np.array([k for _f, g, _c in self.fields for k in g], dtype=np.intp)
+        return columns, counts, keeps
+
+    def table(self):
+        rows = TableBuilder(self.d)
+        rows.add(*self.part())
+        return rows.table()
+
+
+def tree_rows(rows, stems, order, generations, log_c=0.0):
+    """``subfun._tree_rows`` one field at a time."""
+    d = rows.d
+    fields = FieldRows(d)
+    for i, (anchor, direction, eps, log_amp, run, tag) in enumerate(stems):
+        fields.add(junction_branch(anchor, direction, eps, d, log_amp, run, tag=tag), range(i))
+    guards = tuple(range(len(stems)))
+    if order == 1:
+        eps, amp, _tag = generations[-1]
+        for leaf in leaf_fields(np.zeros(d), d, eps, amp):
+            fields.add(leaf, guards, log_c)
+    else:
+        centre = np.full(d, 2.0 ** (order - 1))
+        for offs in np.ndindex(*(2,) * d):
+            sub = np.asarray(offs, dtype=float) * 2.0 ** (order - 1)
+            subtree_rows(fields, generations, order - 1, sub, centre, 1, guards, log_c)
+    columns, counts, keeps = fields.part()
+    rows.add(columns, counts, keeps + rows.size)

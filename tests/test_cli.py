@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscillab import subfun, verify
 from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_OK, REFINE_EPS, RunConfig,
                           _load_function, _parse_e_spec, grid_step, main)
 from oscillab.mainlemma import RogueConfiguration
@@ -174,8 +175,34 @@ class TestVerify:
             except EmptyDomainError:
                 found = False
             assert ok == found, h
+            # and verify samples the finest grid of every step it accepts
+            assert not ok or verify.grid_size(1.0, h) ** d <= verify.REFINEMENT_POINTS_MAX
             accepted += ok
         assert 0 < accepted < 62
+
+    @pytest.mark.parametrize("function, h", [("built", "0.0001"), ("built", "1e-15"),
+                                             ("built_d3", "0.0078125")])
+    def test_grid_h_refused_above_the_grid_cap(self, request, tmp_path, capsys, monkeypatch,
+                                               function, h):
+        # the finest refinement grid would hold more than
+        # REFINEMENT_POINTS_MAX points (1/128 only in d = 3: 129^3 of them);
+        # the step is refused from the dimension the function file records,
+        # before the function is rebuilt or any grid is sampled
+        assert grid_step(h) == float(h)
+        path = request.getfixturevalue(function) / "function.json"
+
+        def never(*args, **kwargs):
+            raise AssertionError("built before the step was refused")
+
+        monkeypatch.setattr(verify.GridField, "sample", never)
+        monkeypatch.setattr(subfun, "build_u", never)
+        out = tmp_path / "out"
+        code = main(["verify", "--function", str(path), "--grid-h", h, "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "--grid-h" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["verify", "--function", "F"],
                                       ["lemma", "--N", "16", "--E", "function:F"]])
@@ -230,6 +257,43 @@ def test_growth_bytes(tmp_path, d, f, k):
                  "--out", str(tmp_path)]) == EXIT_OK
     digest = hashlib.sha256((tmp_path / "growth.csv").read_bytes()).hexdigest()
     assert digest == GROWTH_DIGESTS[(d, f, k)]
+
+
+#: sha256 of tree.json, tree.svg (d = 2 only) and function.json for
+#: ``build --d D --f F --k K``, recorded while the rows were made one tube
+#: field at a time and tree.json was written by ``json.dump``; they hold
+#: for the numpy build and CPU features they were recorded with
+BUILD_DIGESTS = {
+    (2, "t^1.5", 3): ("5cd46b9d40dfcf4b0c744db9a6381821ebcd1327a86425ec7170dec3efca5891",
+                      "0e8d532a02df86b505923dd8764a64eb137327f5e5415b9b48d80a362f69dc75",
+                      "d5dbb1dedb29c16f9f3f0763604839de52ef08d21fcd190d6a963131139f7329"),
+    (2, "t^1.5", 4): ("ccd11ca715e41ea7e7255979eadd9e78f87c13c172dd2dda4831a8811ed065cc",
+                      "b7ff0d80a46dfd43083738f859550c7f6e6e3df585f9606c0407be26ba5c2c09",
+                      "0ec7ee8e91ba4283b28eb1de143c3f769fcf233e30c4a16547aae42f7dc2420f"),
+    (2, "t^1.5", 5): ("5f57f20ea93d16f22788cfa428441f9733bf40f11ac7cfb55ee225275e5bbdeb",
+                      "529b353320360b10afc2e961ffa0394b073fef333e2835d8b819dae4d03d8835",
+                      "75e9e47e592b662c99eaabcbc79716051c4ed896e52c09950d546afb6edbf85f"),
+    (2, "t^1.5", 6): ("4381a1bde75a740ff1d969718fa08a45a02abde857553e8015d6e61181073e72",
+                      "3167b660557bf4ee6ca0d260147046dc1168a294652771974a41bb6c9f3d9166",
+                      "d80811cac88b0973473f05e8f3a30408c3b55deece5ebefc15f40af62fb3cf8a"),
+    (3, "t^2", 2): ("e55f6c1a8ce02d1fd04cb299b5f0840ac70c59ca2ee25ffbb09f37d394343deb", None,
+                    "b2c4a23aed50e71409d7f70540b2adf3f34cbb92c207efa747bbe232864f7d50"),
+    (3, "t^2", 3): ("5db51b8aeedb6889b7e268fe836abd3aae980298c547f7a5b1f3f3a0a2da3fc8", None,
+                    "aad6030f8ddd3d67db62bd1b3663894953196ca36ed2fd8cf2853b7adb2ec801"),
+}
+
+
+@pytest.mark.parametrize("d, f, k", list(BUILD_DIGESTS))
+def test_build_bytes(tmp_path, d, f, k):
+    assert main(["build", "--d", str(d), "--f", f, "--k", str(k),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    if (tmp_path / name).exists() else None
+                    for name in ("tree.json", "tree.svg", "function.json"))
+    assert digests == BUILD_DIGESTS[(d, f, k)]
+    # the file is what json.dump(..., indent=1) writes for the data it holds
+    text = (tmp_path / "tree.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
 
 
 class TestGrowth:

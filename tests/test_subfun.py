@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from frozen_tubes import tubes_of
+import frozen_tubes
+from frozen_tubes import FieldRows, junction_branch, tubes_of
+from oscillab import subfun
+from oscillab.cli import GUARD_SAMPLES
 from oscillab.geometry import OrthantMap
 from oscillab.treeset import GrowthParameters
 from oscillab.subfun import (
@@ -25,6 +28,7 @@ from oscillab.subfun import (
     log_L_profile,
     log_L_upper,
     log_MM,
+    _COLUMNS,
     _best_first,
 )
 from oscillab.verify import _sup_points, _support_sup_points, tube_ends
@@ -44,7 +48,7 @@ def support_tubes(table):
 
 def table_of(*fields, log_c=0.0):
     """A table of the given fields, each below no junction."""
-    rows = TableBuilder(fields[0].d)
+    rows = FieldRows(fields[0].d)
     for f in fields:
         rows.add(f, log_c=log_c)
     return rows.table()
@@ -154,7 +158,7 @@ class TestGlueSchedule:
 
 class TestNodes:
     def test_isometry_preserves_values_exactly(self):
-        field = TubeField.junction_branch(
+        field = junction_branch(
             np.array([0.5, 0.5]), np.array([1.0, 1.0]), 0.25, 2, 3.0, 2.0
         )
         table = table_of(field)
@@ -169,7 +173,7 @@ class TestNodes:
         assert np.array_equal(direct, mapped.eval_log(pts))
 
     def test_scale_node(self):
-        field = TubeField.junction_branch(
+        field = junction_branch(
             np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.25, 2, 0.0, 1.0
         )
         pts = np.array([[0.7, 0.5]])
@@ -178,13 +182,13 @@ class TestNodes:
 
     def test_guarded_max_discards_inside_guard(self):
         d = 2
-        keep = TubeField.junction_branch(
+        keep = junction_branch(
             np.zeros(d), np.array([1.0, 0.0]), 1.0, d, 0.0, 5.0
         )
-        intr = TubeField.junction_branch(
+        intr = junction_branch(
             np.array([2.0, 0.0]), np.array([1.0, 0.0]), 1.0, d, 50.0, 5.0
         )
-        rows = TableBuilder(d)
+        rows = FieldRows(d)
         rows.add(intr, (rows.add(keep),))
         table = rows.table()
         gm, keep_row, intr_row = table, table.span(0, 1), table.span(1, 2)
@@ -199,7 +203,7 @@ class TestNodes:
         )
 
     def test_upper_local_bounds_cell_sup(self):
-        field = table_of(TubeField.junction_branch(
+        field = table_of(junction_branch(
             np.array([0.5, 0.5]), np.array([1.0, 1.0]), 0.25, 2, 1.0, 2.0
         ))
         rng = np.random.default_rng(5)
@@ -212,7 +216,7 @@ class TestNodes:
             assert np.all(vals <= bound + 1e-9)
 
     def test_tube_field_support_matches_tube(self):
-        field = table_of(TubeField.junction_branch(
+        field = table_of(junction_branch(
             np.array([1.0, 1.0]), np.array([0.0, 1.0]), 0.5, 2, 0.0, 2.0
         ))
         (tube,) = support_tubes(field)
@@ -276,6 +280,38 @@ class TestTauBuild:
         assert tau.node.log_amp[0] == pytest.approx(0.0 + tau.trunk_inflation)
         assert tau.node.log_c[0] == 0.0
         assert np.all(tau.node.log_c[1:] == -tau.schedule.amplitude(0))
+
+
+def assert_same_rows(new, old):
+    """Every column of two tube tables and their guards, bit for bit."""
+    for name in _COLUMNS + ("guard_ptr", "guard_idx"):
+        x, y = getattr(new, name), getattr(old, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+
+
+class TestFrozenRows:
+    """The rows ``_tree_rows`` makes as columns are, bit for bit, those the
+    former path made one tube field at a time (``frozen_tubes.tree_rows``)."""
+
+    @pytest.mark.parametrize("skip_rescale", [False, True])
+    @pytest.mark.parametrize("d, a, k", [(2, a, k) for a in (1.5, 2.0) for k in range(1, 6)]
+                             + [(3, 2.0, k) for k in range(1, 4)])
+    def test_outer_subtree(self, monkeypatch, d, a, k, skip_rescale):
+        g = growth(a, d)
+        new = build_tau(g, k, skip_rescale, check_guards=False).node
+        monkeypatch.setattr(subfun, "_tree_rows", frozen_tubes.tree_rows)
+        assert_same_rows(new, build_tau(g, k, skip_rescale, check_guards=False).node)
+
+    def test_every_level_of_u7(self, monkeypatch):
+        # the handles and level-1 leaves, the certified amplitudes and the
+        # reflected outer subtrees, as ``build`` makes them
+        new = build_u(growth(1.5), 7, guard_samples=GUARD_SAMPLES)
+        monkeypatch.setattr(subfun, "_tree_rows", frozen_tubes.tree_rows)
+        old = build_u(growth(1.5), 7, guard_samples=GUARD_SAMPLES)
+        assert len(new.level_nodes) == len(old.level_nodes) == 7
+        for x, y in zip(new.level_nodes, old.level_nodes):
+            assert_same_rows(x, y)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 from functools import lru_cache
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frozen_tubes import FrozenTube, cube_measure, tubes_of
-from oscillab.subfun import TableBuilder, TubeField, build_tau, build_u
+from frozen_tubes import FieldRows, FrozenTube, cube_measure, junction_branch, tubes_of
+from oscillab.subfun import build_tau, build_u
 from oscillab.treeset import (
     EPS1,
     GrowthParameters,
@@ -47,16 +48,17 @@ def outer_subtree(a, k):
     """The rows of the rank-(k+1) outer subtree, trunk first, and its
     schedule."""
     tau = build_tau(growth(a), k, check_guards=False)
-    return tau.node.anchored_tubes(), tau.schedule
+    table = tau.node
+    tree = TreeSpec(2, k + 1, *table.anchored_tubes(), table.eps, table.generation, table.tag)
+    return tree.tubes, tau.schedule
 
 
 def tube_table(a, b, diameter):
     """A one-row tube table whose anchored tube is the tube of the given
     diameter around [a, b]."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    rows = TableBuilder(len(a))
-    rows.add(TubeField.junction_branch(a, b - a, diameter, len(a), 0.0,
-                                       float(np.linalg.norm(b - a))))
+    rows = FieldRows(len(a))
+    rows.add(junction_branch(a, b - a, diameter, len(a), 0.0, float(np.linalg.norm(b - a))))
     return rows.table()
 
 
@@ -337,6 +339,67 @@ class TestEndpointTest:
         with pytest.raises(ParameterRangeError):
             TubeSpec(np.array([1.0, 2.0]), np.array([1.0 + 1e-9, 2.0]), 0.5)
         TubeSpec(np.array([1.0, 2.0]), np.array([1.0 + 1e-3, 2.0]), 0.5)
+
+
+def json_dumped(tree):
+    """The tree as ``json.dump(..., indent=1)`` wrote it from each tube's
+    record, every value rounded to 12 digits."""
+    tubes = [{"a": [round(float(v), 12) for v in t.a], "b": [round(float(v), 12) for v in t.b],
+              "diameter": round(float(t.diameter), 12), "generation": t.generation,
+              "kind": t.kind} for t in tree.tubes]
+    return json.dumps({
+        "dimension": tree.dimension,
+        "rank": tree.rank,
+        "eps1": tree.eps1,
+        "s_values": {str(k): v for k, v in tree.s_values.items()},
+        "eps_values": {str(k): round(v, 12) for k, v in tree.eps_values.items()},
+        "delta_values": {str(k): round(v, 12) for k, v in tree.delta_values.items()},
+        "tubes": tubes,
+    }, indent=1) + "\n"
+
+
+def small_tree(d=2, **bad):
+    """Three tubes in [0, 4)^d; ``bad`` sets column[row] = value."""
+    a = np.array([[0.0] * d, [1.0] * d, [-0.0] + [3.0] * (d - 1)])
+    b = np.array([[1.0] * d, [2.0] + [1e-13] * (d - 1), [1234.5678901234567] * d])
+    columns = dict(a=a, b=b, diameter=np.array([0.5, 0.125, 1 / 3]),
+                   generation=np.array([0, -1, 2]), kind=np.array(["trunk", "leaf", 'w\u00e9"']))
+    for name, (row, value) in bad.items():
+        columns[name][row] = value
+    return TreeSpec(d, 2, **columns, s_values={1: 1}, eps_values={1: 0.1},
+                    delta_values={1: 2 / 3, 2: 0.5})
+
+
+class TestTreeWriter:
+    @pytest.mark.parametrize("make", [lambda: tree_of(1.5, 3), lambda: tree_of(2.0, 2, d=3),
+                                      small_tree, lambda: small_tree(d=3)],
+                             ids=["d2", "d3", "small", "small_d3"])
+    def test_writes_what_json_wrote(self, make):
+        tree = make()
+        assert dumped(tree) == json_dumped(tree)
+
+    def test_empty_tree(self):
+        tree = small_tree()
+        empty = TreeSpec(2, 2, tree.a[:0], tree.b[:0], tree.diameter[:0], tree.generation[:0],
+                         tree.kind[:0])
+        assert dumped(empty) == json_dumped(empty)
+        assert TreeSpec.from_json(dumped(empty)).tubes == []
+
+    @pytest.mark.parametrize("bad", [
+        {"diameter": (1, 0.0)}, {"diameter": (1, -0.125)}, {"diameter": (0, math.nan)},
+        {"diameter": (2, math.inf)}, {"a": (0, math.inf)}, {"b": (2, -math.inf)},
+        {"a": (1, math.nan)}, {"b": (1, 1.0 + 1e-9)}, {"b": (0, 1e-9)}])
+    def test_refuses_what_a_tube_record_refuses(self, bad):
+        # a bad row: a diameter not above 0, ends np.allclose takes as one
+        # point, or a value that is not finite, which json would write as
+        # a bare NaN or Infinity; nothing is written
+        tree = small_tree(**bad)
+        fp = io.StringIO()
+        with pytest.raises(ParameterRangeError):
+            tree.dump(fp)
+        assert fp.getvalue() == ""
+        with pytest.raises(ParameterRangeError):
+            TreeSpec.from_json(json_dumped(tree))
 
 
 class TestSparseness:

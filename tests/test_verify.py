@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frozen_tubes import FieldRows
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import SegmentShape, SphereShape
 from oscillab.subfun import (Frame, FunctionNode, SlabOscillating, TableBuilder, TubeField,
@@ -34,7 +35,7 @@ def segment_table(tube: TubeSpec):
     """A one-row table of the tube's segment and diameter: its support,
     and so its complement in the zero set, lies inside the tube."""
     length = float(np.linalg.norm(tube.b - tube.a))
-    rows = TableBuilder(len(tube.a))
+    rows = FieldRows(len(tube.a))
     rows.add(TubeField(Frame.along(tube.a, tube.b - tube.a), tube.diameter, len(tube.a),
                        0.0, length))
     return rows.table()
@@ -330,7 +331,7 @@ class TestVanishes:
         lo, hi = np.array([2.0, 0.0]), np.array([3.0, 1.0])
         far = (np.array([40.0, 0.0]), np.array([41.0, 1.0]))
         for log_amp, vanishes in ((0.0, False), (-np.inf, True)):
-            rows = TableBuilder(2)
+            rows = FieldRows(2)
             rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0, log_amp=log_amp))
             table = rows.table()
             assert table.vanishes(lo, hi) is vanishes
@@ -379,9 +380,9 @@ class TestCovers:
         # whose guard crosses it: the function is zero on the guard
         wide = _tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0)
         keep = _tube_field([10.5, -5.0], [0.0, 1.0], 0.05, 10.0, log_amp=-np.inf)
-        alone = TableBuilder(2)
+        alone = FieldRows(2)
         alone.add(wide)
-        guarded = TableBuilder(2)
+        guarded = FieldRows(2)
         guarded.add(wide, (guarded.add(keep),))
         lo, hi = np.array([10.0, 0.0]), np.array([11.0, 1.0])
         assert alone.table().covers(lo, hi)
@@ -392,14 +393,14 @@ class TestCovers:
     def test_refuses_the_cut_face(self):
         lo, hi = np.array([10.0, 0.0]), np.array([11.0, 1.0])
         for cut, accepted in ((20.0, True), (10.5, False)):
-            rows = TableBuilder(2)
+            rows = FieldRows(2)
             rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, cut))
             assert rows.table().covers(lo, hi) is accepted
 
     def test_refuses_the_wall_layer(self):
         # the cube lies in the row's support, 0.1 <= x_1 <= 1.1, where
         # T = cosh(pi x_1 / 4) cos(pi x_2 / 4) dips below one at its corners
-        rows = TableBuilder(2)
+        rows = FieldRows(2)
         rows.add(_tube_field([-0.1, 0.5], [1.0, 0.0], 4.0, 20.0))
         table = rows.table()
         assert not table.covers(np.zeros(2), np.ones(2))
