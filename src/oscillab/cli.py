@@ -173,10 +173,21 @@ def _function_doc(ub: subfun.UBuild) -> dict:
     return _clean(doc)
 
 
+def _build_u(g: GrowthParameters, k: int, named: str):
+    """``build_u`` with the CLI's guard samples.  A function too large for
+    this host's memory is a configuration error naming ``named``, its k:
+    nothing caps k, since a larger host may build it."""
+    try:
+        return subfun.build_u(g, k, guard_samples=GUARD_SAMPLES)
+    except MemoryError as exc:
+        raise mainlemma.ConfigurationError(
+            f"{named} does not fit in this host's memory ({exc})") from exc
+
+
 def cmd_build(cfg: RunConfig) -> int:
     # one level above the census scale, so [0, 2^k)^d sits inside the
     # enclosing rank as the nesting requires
-    ub = subfun.build_u(cfg.growth(), cfg.k + 1, guard_samples=GUARD_SAMPLES)
+    ub = _build_u(cfg.growth(), cfg.k + 1, f"the function of --k {cfg.k}")
     tree = ub.tree()
     cfg.out.mkdir(parents=True, exist_ok=True)
     with open(cfg.out / "tree.json", "w") as fp:
@@ -221,7 +232,7 @@ def _load_function(path: Path, run_d: int | None = None, read=None):
     it was read already."""
     doc, f, d, k = read or _read_function(path, run_d)
     g = parse_growth(f, d)
-    ub = subfun.build_u(g, k, guard_samples=GUARD_SAMPLES)
+    ub = _build_u(g, k, f"{path}: the function of k = {k}")
     rebuilt = _function_doc(ub)
     changed = [key for key in ("kind", "levels", "checks", "orthant_components")
                if doc.get(key) != rebuilt[key]]
@@ -300,7 +311,8 @@ def cmd_growth(cfg: RunConfig, function_path: Path) -> int:
         # below the threshold
         if high > lm + 1e-9:
             sup_ok = False
-    checks.append(_verdict("level_sup_below_threshold", sup_ok,
+    # the levels start at k = 3: below that the check ran on nothing
+    checks.append(_verdict("level_sup_below_threshold", sup_ok if rows else None,
                            levels=[{"R": r[0], "log_M": r[1], "log_M_upper": r[5],
                                     "log_threshold": r[2]} for r in rows]))
     checks.append(_verdict("growth_ratio_bounded",

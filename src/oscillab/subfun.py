@@ -32,7 +32,7 @@ Every amplitude is carried as a logarithm; evaluation returns log-values
 from __future__ import annotations
 
 import copy
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -449,32 +449,77 @@ def _distinct(a):
     """Sorted distinct values of an integer array and each entry's index
     among them (np.unique would import numpy.ma, a megabyte of memory)."""
     order = np.argsort(a, kind="stable")
-    new = np.diff(a[order], prepend=-1) != 0
+    new = _run_heads(a[order])
     where = np.empty(a.size, dtype=np.intp)
     where[order] = np.cumsum(new) - 1
     return a[order][new], where
 
 
-def _best_first(bounds, evaluate):
-    """The first argmax and the maximum over tiles whose values are at most
-    their ``bounds``.  ``evaluate(t)`` gives tile t's point indices, in
-    ascending order, and its values.
+def _run_heads(a):
+    """Which entries of a differ from the one before them (the first
+    always does): the heads of its runs of equal values."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
 
-    The tiles are evaluated in descending bound order (in tile order on
-    ties) until one's bound falls strictly below the running maximum; the
-    later tiles' bounds are below it too, so none holds a point of the
+
+def _ranges(start, count):
+    """The runs start[i], ..., start[i] + count[i] - 1, one after another."""
+    if start.size == 1:
+        return np.arange(start[0], start[0] + count[0])
+    end = np.cumsum(count)
+    return np.repeat(start + count - end, count) + np.arange(end[-1] if end.size else 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _steps(shape):
+    """Every index of an array of the given shape, as rows, in C order
+    (read-only, as it is shared)."""
+    out = np.indices(shape).reshape(len(shape), -1).T
+    out.flags.writeable = False
+    return out
+
+
+def _blocks(tiles, rows, points):
+    """The tiles in runs that are evaluated together: as many whole tiles
+    in a row as make at most TILE_PAIRS (row, point) pairs, counting each
+    tile's rows against the most points any tile of the run has; a larger
+    tile is a run of its own."""
+    starts, total, wide = [], 0, 0
+    for i, (m, n) in enumerate(zip(rows.tolist(), points.tolist())):
+        if not total or (total + m) * max(wide, n) > TILE_PAIRS:
+            starts.append(i)
+            total = wide = 0
+        total, wide = total + m, max(wide, n)
+    return [tiles[a:b] for a, b in zip(starts, starts[1:] + [tiles.size])]
+
+
+def _best_first(bounds, rows, points, evaluate):
+    """The first argmax and the maximum over tiles whose values are at most
+    their ``bounds``.  ``evaluate(ts)`` gives the indices and the values
+    of the points of the tiles ts, which have ``rows[ts]`` candidate rows
+    and ``points[ts]`` points; tiles are evaluated in runs of ``_blocks``.
+
+    The tiles are taken in descending bound order (in tile order on ties)
+    until a run's first bound falls strictly below the running maximum;
+    the later tiles' bounds are below it too, so none holds a point of the
     maximum's value.  A tile whose bound equals the running maximum is
     still evaluated, since it may hold that value at an earlier point.
     Tiles bounded by -inf hold no finite value; when no tile has one, the
     answer is (0, -inf), as np.argmax gives."""
     best, first = NEG_INF, 0
-    for t in np.argsort(-bounds, kind="stable").tolist():
-        if bounds[t] < best or bounds[t] == NEG_INF:
+    order = np.argsort(-bounds, kind="stable")
+    order = order[bounds[order] > NEG_INF]
+    for ts in _blocks(order, rows[order], points[order]):
+        if bounds[ts[0]] < best:
             break
-        part, vals = evaluate(t)
-        i = int(np.argmax(vals))
-        if vals[i] > best or (vals[i] == best and part[i] < first):
-            best, first = float(vals[i]), int(part[i])
+        part, vals = evaluate(ts)
+        top = vals.max()
+        if top > best or top == best > NEG_INF:
+            at = int(part[vals == top].min())
+            first = at if top > best else min(first, at)
+            best = float(top)
     return first, best
 
 
@@ -490,7 +535,7 @@ _COLUMNS = ("origin", "rows", "eps", "cut", "log_amp", "log_c", "end", "box_lo",
             "box_hi", "chain", "generation", "tag")
 #: per-row arrays a row range of a table takes as views
 _ROW_ARRAYS = _COLUMNS + ("half", "tube_a", "tube_b", "global_rows", "glo", "ghi",
-                          "rows32", "offset32")
+                          "rows32", "offset32", "_support_lo", "_support_hi")
 
 
 class TubeTable(FunctionNode):
@@ -515,11 +560,14 @@ class TubeTable(FunctionNode):
     row lies outside the range drop out, since that keep is never a
     candidate there.
 
-    A batch wider than TILE is split into tiles of that extent.  A tile
-    meets only the fields whose global boxes it touches, found through a
-    fixed grid of TILE cells, and whose tubes reach its box; their frame
-    coordinates are computed in single precision for every point, and
-    exactly only near their supports.
+    A batch wider than TILE is split into tiles of that extent
+    (``_tiles``).  A tile meets only the fields whose global boxes it
+    touches, found through a fixed grid of TILE cells, and whose tubes
+    reach its box; the rows of every tile of a batch are looked up at
+    once (``_candidates``).  The tiles are then evaluated in array passes
+    (``_pass``), as many whole tiles as make at most TILE_PAIRS (row,
+    point) pairs at a time: every pair's frame coordinates are computed
+    in single precision, and exactly only near the supports.
     """
 
     def __init__(self, d: int, chains: list, columns: dict,
@@ -536,6 +584,11 @@ class TubeTable(FunctionNode):
         for parent, _m, _s in chains[1:]:
             self._closure.append(self._closure[parent] + (len(self._closure),))
         self.half = self.eps / 2.0
+        # the support as ranges of its frame coordinates: 0 <= x_1 <= cut
+        # and -eps/2 <= x_j <= eps/2
+        self._support_hi = np.column_stack([self.cut] + [self.half] * (d - 1))
+        self._support_lo = -self._support_hi
+        self._support_lo[:, 0] = 0.0
 
         # tube endpoints (a is the frame origin), frame rows and bounding
         # boxes in global coordinates
@@ -572,7 +625,7 @@ class TubeTable(FunctionNode):
         clo = np.floor(glo / TILE).astype(np.int64) - self._cell0
         chi = np.floor(ghi / TILE).astype(np.int64) - self._cell0
         self._cells = chi.max(axis=0) + 1
-        self._strides = [int(np.prod(self._cells[ax + 1:])) for ax in range(d)]
+        self._strides = np.array([int(np.prod(self._cells[ax + 1:])) for ax in range(d)])
         span = chi - clo + 1
         size = np.prod(span, axis=1)
         owner = np.repeat(np.arange(len(self.eps)), size)
@@ -584,7 +637,10 @@ class TubeTable(FunctionNode):
         order = np.argsort(lin, kind="stable")
         self._cell_fields = owner[order]
         self._cell_ptr = np.searchsorted(lin[order], np.arange(int(np.prod(self._cells)) + 1))
-        self._cell_lo, self._cell_hi = glo[self._cell_fields], ghi[self._cell_fields]
+        self._cell_count = np.diff(self._cell_ptr)
+        # each cell entry's global box as (lo, -hi), so that one test
+        # (<= the box's (hi, -lo)) says whether it meets a box
+        self._cell_box = np.concatenate([glo, -ghi], axis=1)[self._cell_fields]
 
     # -- structure ---------------------------------------------------------
 
@@ -636,8 +692,7 @@ class TubeTable(FunctionNode):
         """Ascending rows whose support lies within Euclidean distance r of
         the point x, measured in the row's own global frame."""
         x = np.asarray(x, dtype=float)
-        # _candidates keeps the grid's ascending row order
-        rows = self._candidates(x, x, r, r)
+        rows = self._candidates(x[None, :], x[None, :], r, r)[1]
         loc = np.einsum("fji,fi->fj", self.global_rows[rows], x - self.tube_a[rows])
         dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.cut[rows]), 0.0)
         dt = np.maximum(np.abs(loc[:, 1:]) - self.half[rows, None], 0.0)
@@ -682,7 +737,7 @@ class TubeTable(FunctionNode):
         x_j > eps/3, with the keep's g(eps), cut and eps.
 
         Every range is widened by mu = 2^-40 scale (2^-24 ``_margin32``).
-        The coordinates computed here and the chain coordinates ``_tile``
+        The coordinates computed here and the chain coordinates ``_pass``
         evaluates are images of a point under the same stored frame rows
         (``global_rows`` are the rows times the chains' signed
         permutations, exactly) and the same affine maps, so they differ by
@@ -791,7 +846,7 @@ class TubeTable(FunctionNode):
         A tile is bounded by the largest peak of its candidate rows; a
         batch that is one tile is evaluated whole.
 
-        A row's peak bounds every value ``_tile`` computes for it.  At a
+        A row's peak bounds every value ``_pass`` computes for it.  At a
         finite value, 0 <= x_1 <= cut, so the computed argument y =
         fl(s x_1) of log_cosh, with s = fl(fl(pi sqrt(d-1)) / eps), is at
         most top = fl(s cut), computed by the same expression (rounding is
@@ -818,169 +873,228 @@ class TubeTable(FunctionNode):
         -inf: it has no finite value.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        tiles = self._tiles(X)
-        if len(tiles) <= 1:
+        order, ptr, lo, hi = self._tiles(X)
+        if ptr.size <= 2:
             return super().max_log(X, slack)
+        cptr, crows = self._candidates(lo, hi, *self._pads(slack))
         amp = self.log_amp + self.log_c
         live = amp > NEG_INF
         top = PI * math.sqrt(self.d - 1) / self.eps[live] * self.cut[live]
         margin = 2.0**-48 * (top + np.abs(self.log_amp[live]) + np.abs(self.log_c[live]) + 1.0)
         peak = np.full(len(self), NEG_INF)
         peak[live] = amp[live] + top + margin
-        rows = [self._tile_rows(lo, hi, slack) for _part, _P, lo, hi in tiles]
-        bounds = np.array([peak[r].max() if r.size else NEG_INF for r in rows])
-        return _best_first(bounds, lambda t: (tiles[t][0],
-                                              self._tile(tiles[t][1], rows[t], slack)))
+        count = cptr[1:] - cptr[:-1]
+        bounds = np.full(count.size, NEG_INF)
+        some = count > 0
+        if crows.size:
+            bounds[some] = np.maximum.reduceat(peak[crows], cptr[:-1][some])
+        return _best_first(bounds, count, ptr[1:] - ptr[:-1], lambda ts: self._pass(
+            X, order, ptr, cptr, crows, ts, slack))
 
     def _evaluate(self, X, slack):
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        order, ptr, lo, hi = self._tiles(X)
+        cptr, crows = self._candidates(lo, hi, *self._pads(slack))
         out = np.full(X.shape[0], NEG_INF)
-        for part, P, lo, hi in self._tiles(X):
-            out[part] = self._tile(P, self._tile_rows(lo, hi, slack), slack)
+        rows, points = cptr[1:] - cptr[:-1], ptr[1:] - ptr[:-1]
+        # tiles of like size together, so that little of a run is padding
+        tiles = np.flatnonzero(rows)
+        tiles = tiles[np.argsort(points[tiles], kind="stable")]
+        for ts in _blocks(tiles, rows[tiles], points[tiles]):
+            part, vals = self._pass(X, order, ptr, cptr, crows, ts, slack)
+            out[part] = vals
         return out
 
-    def _tiles(self, X):
-        """X split into the tiles it is evaluated in, as (indices of the
-        tile's points in X, ascending; its points; their per-coordinate
-        bounds).  A point with a non-finite coordinate is in no tile: its
-        value is -inf.  A batch within TILE, or one whose (row, point)
-        pairs are few, is a single tile, however wide."""
-        if X.shape[0] == 0:
-            return []
-        lo, hi = _column_bounds(X)
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            ok = np.flatnonzero(np.all(np.isfinite(X), axis=1))
-            return [(ok[part], P, plo, phi) for part, P, plo, phi in self._tiles(X[ok])]
-        if np.all(hi - lo <= TILE) or len(self) * X.shape[0] <= TILE_PAIRS:
-            return [(np.arange(X.shape[0]), X, lo, hi)]
-        key = np.floor(np.minimum((X - lo) / TILE, 2.0**20)).astype(np.int64)
-        lin = np.ravel_multi_index(key.T, key.max(axis=0) + 1)
-        order = np.argsort(lin, kind="stable")
-        tiles = []
-        for part in np.split(order, np.flatnonzero(np.diff(lin[order])) + 1):
-            P = X[part]
-            tiles.append((part, P, *_column_bounds(P)))
-        return tiles
-
-    def _tile_rows(self, lo, hi, slack):
-        """The candidate rows of a tile with bounds lo, hi: with a slack,
-        the rows whose support, widened by the slack's box, meets it."""
+    def _pads(self, slack):
+        """How far a row's global box (pad) and its support along its own
+        axes (r) are widened for ``upper_local(., slack)``; neither is for
+        ``eval_log``."""
         if slack is None:
-            return self._candidates(lo, hi, 0.0, 0.0)
-        return self._candidates(lo, hi, slack, slack * math.sqrt(self.d))
+            return 0.0, 0.0
+        return slack, slack * math.sqrt(self.d)
+
+    def _tiles(self, X):
+        """X split into the tiles it is evaluated in, as arrays: the finite
+        points' indices in X grouped by tile, ascending within each
+        (order), the tile pointers into it (ptr, T + 1 of them) and each
+        tile's per-coordinate bounds (lo, hi, T x d).  A point with a
+        non-finite coordinate is in no tile: its value is -inf.  A batch
+        within TILE, or one whose (row, point) pairs are few, is a single
+        tile, however wide."""
+        n, d = X.shape
+        lo, hi = _column_bounds(X) if n else (np.zeros(d), np.zeros(d))
+        order = np.arange(n)
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            order = np.flatnonzero(np.all(np.isfinite(X), axis=1))
+            n = order.size
+            lo, hi = _column_bounds(X[order]) if n else (lo, hi)
+        if n == 0:
+            return order, np.zeros(1, dtype=np.intp), np.zeros((0, d)), np.zeros((0, d))
+        if np.all(hi - lo <= TILE) or len(self) * n <= TILE_PAIRS:
+            return order, np.array([0, n]), lo[None, :], hi[None, :]
+        key = np.floor(np.minimum((X[order] - lo) / TILE, 2.0**20)).astype(np.int64)
+        lin = np.ravel_multi_index(key.T, key.max(axis=0) + 1)
+        del key
+        by = np.argsort(lin, kind="stable")
+        order = order[by]
+        start = np.flatnonzero(_run_heads(lin[by]))
+        del lin, by
+        # per coordinate, so that the sorted points are never all copied
+        cols = [X[order, i] for i in range(d)]
+        return (order, np.concatenate([start, [n]]),
+                np.column_stack([np.minimum.reduceat(c, start) for c in cols]),
+                np.column_stack([np.maximum.reduceat(c, start) for c in cols]))
 
     def _candidates(self, lo, hi, pad, r):
-        """Rows that can be finite in [lo, hi]: their global box widened by
-        ``pad`` meets it, and so does their support widened by ``r`` along
-        each of the tube's own axes."""
-        ranges = []
-        for ax, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            c0 = max(math.floor((a - pad) / TILE) - int(self._cell0[ax]), 0)
-            c1 = min(math.floor((b + pad) / TILE) - int(self._cell0[ax]),
-                     int(self._cells[ax]) - 1)
-            if c1 < c0:
-                return np.zeros(0, dtype=np.intp)
-            step = self._strides[ax]
-            ranges.append(range(c0 * step, (c1 + 1) * step, step))
-        cells = [sum(idx) for idx in itertools.product(*ranges)]
-        if len(cells) == 1:
-            s, e = self._cell_ptr[cells[0]], self._cell_ptr[cells[0] + 1]
-            cand, clo, chi = self._cell_fields[s:e], self._cell_lo[s:e], self._cell_hi[s:e]
+        """The rows that can be finite in each box [lo[t], hi[t]] of a
+        (T, d) pair of bounds, as CSR (ptr, rows), ascending within each
+        box: their global box widened by ``pad`` meets it, and so does
+        their support widened by ``r`` along each of the tube's own axes.
+        The boxes' cells of the TILE grid are enumerated all at once, and
+        the (box, row) pairs those cells hold are tested TILE_PAIRS at a
+        time."""
+        T, d = lo.shape
+        lo_pad, hi_pad = lo - pad, hi + pad
+        # each box's first cell and its number of cells along every axis,
+        # clipped to the grid (in floating point, so a far box cannot
+        # overflow); c0 + step for every step within the span
+        c0 = np.maximum(np.floor(lo_pad / TILE) - self._cell0, 0.0)
+        span = np.minimum(np.floor(hi_pad / TILE) - self._cell0, self._cells - 1.0) - c0
+        span = np.maximum(span + 1.0, 0.0).astype(np.int64)
+        steps = _steps(tuple(span.max(axis=0, initial=0).tolist()))
+        box, step = np.nonzero((steps < span[:, None, :]).all(axis=2))
+        cell = (c0.astype(np.int64) @ self._strides)[box] + (steps @ self._strides)[step]
+        count = self._cell_count[cell]
+        boxes = (np.concatenate([hi_pad, -lo_pad], axis=1), (lo + hi) / 2.0, (hi - lo) / 2.0)
+        held = np.cumsum(count)
+        if held.size and held[-1] > TILE_PAIRS:
+            cuts = np.searchsorted(held, np.arange(TILE_PAIRS, held[-1], TILE_PAIRS),
+                                   side="right").tolist()
+            parts = [self._held_rows(boxes, r, box[s:e], cell[s:e], count[s:e])
+                     for s, e in zip([0] + cuts, cuts + [cell.size])]
+            box, rows = (np.concatenate(part) for part in zip(*parts))
         else:
-            cand = _distinct(np.concatenate(
-                [self._cell_fields[self._cell_ptr[c]:self._cell_ptr[c + 1]] for c in cells]))[0]
-            clo = chi = None
-        # the grid holds the rows of the whole table; keep this range's
-        cand = cand - self._first
-        mine = (cand >= 0) & (cand < len(self))
-        cand = cand[mine]
-        if clo is None:
-            clo, chi = self.glo[cand], self.ghi[cand]
-        else:
-            clo, chi = clo[mine], chi[mine]
-        cand = cand[np.all((clo <= hi + pad) & (chi >= lo - pad), axis=1)]
-        centre, extent = (lo + hi) / 2.0, (hi - lo) / 2.0
+            box, rows = self._held_rows(boxes, r, box, cell, count)
+        if steps.shape[0] > 1:
+            # a row held by several of a box's cells is one candidate
+            key = np.sort(box * len(self) + rows)
+            key = key[_run_heads(key)]
+            box, rows = np.divmod(key, len(self))
+        return np.searchsorted(box, np.arange(T + 1)), rows
+
+    def _held_rows(self, boxes, r, box, cell, count):
+        """For (box, cell) pairs, the (box, row) pairs of the rows of this
+        range that the cell holds (``count`` of them) and that
+        ``_candidates`` keeps for the box, ascending for each (box, cell)
+        pair.  ``boxes`` holds the boxes' padded bounds as (hi, -lo), their
+        centres and half extents."""
+        bounds, centre, extent = boxes
+        at = _ranges(self._cell_ptr[cell], count)
+        box = np.repeat(box, count)
+        # rows of the whole table: those outside this range wrap to large
+        cand = (self._cell_fields[at] - self._first).astype(np.uint64)
+        keep = (self._cell_box[at] <= bounds[box]).all(axis=1) & (cand < len(self))
+        box, cand = box[keep], cand[keep].astype(np.intp)
         rows = self.global_rows[cand]
-        proj = np.einsum("fji,fi->fj", rows, centre - self.tube_a[cand])
-        reach = np.abs(rows) @ extent + (r + self._margin32)
-        meets = (proj[:, 0] + reach[:, 0] >= 0.0) & (proj[:, 0] - reach[:, 0] <= self.cut[cand])
-        for j in range(1, self.d):
-            meets &= np.abs(proj[:, j]) - reach[:, j] <= self.half[cand]
-        return cand[meets]
+        proj = np.einsum("fji,fi->fj", rows, centre[box] - self.tube_a[cand])
+        reach = (np.abs(rows) @ extent[box, :, None])[:, :, 0]
+        reach += r + self._margin32
+        # the ranges proj -+ reach meet the support's: for j >= 1, |p| - r
+        # <= eps/2 is p - r <= eps/2 and -(p + r) <= eps/2, exactly
+        meets = ((proj + reach >= self._support_lo[cand]).all(axis=1)
+                 & (proj - reach <= self._support_hi[cand]).all(axis=1))
+        return box[meets], cand[meets]
 
+    def _pass(self, X, order, ptr, cptr, crows, ts, slack):
+        """The values of the points of the tiles ts (``_tiles``) from their
+        candidate rows (``_candidates``), as the points' indices in X and
+        their values, tile after tile, in one pass over the (row, point)
+        pairs of the tiles.
 
-    def _tile(self, X, cand, slack):
-        """The values at the points X of one tile, from its candidate rows
-        (``_tile_rows``)."""
-        n, d = X.shape
-        out = np.full(n, NEG_INF)
-        pad = 0.0 if slack is None else slack
-        r = 0.0 if slack is None else slack * math.sqrt(d)
-        if cand.size == 0:
-            return out
-        cand = cand[np.argsort(self.chain[cand], kind="stable")]
-        fchain = self.chain[cand]
-        # the points in the coordinates of every chain in use, applying its
-        # isometries one at a time from the outermost
-        chains = sorted(set(fchain.tolist()))
-        pos = np.zeros(len(self.chains), dtype=np.intp)
-        pos[chains] = np.arange(len(chains))
-        Y = np.empty((len(chains), d, n))
-        for k, c in enumerate(chains):
-            y = X.T
-            for link in self._closure[c][1:]:
+        The pairs are a (rows, width) array: the rows of every tile, each
+        against its tile's points, padded to the widest tile.  The rows
+        go by slab, a (chain, tile) pair, whose points are mapped into the
+        chain's coordinates once.  A pair's frame coordinates are computed
+        in single precision, one broadcast per slab; pairs within the
+        rounding margin of the row's support (or of its slack-widened
+        copy), and clear of its guards, go on to the exact coordinates,
+        EXACT_BLOCK at a time."""
+        d = self.d
+        pad, r = self._pads(slack)
+        npts = ptr[ts + 1] - ptr[ts]
+        nrows = cptr[ts + 1] - cptr[ts]
+        width = int(npts.max())
+        cols = np.arange(width)
+        # the tiles' points, each tile's padded with its last
+        part = np.take(order, ptr[ts, None] + np.minimum(cols, npts[:, None] - 1))
+        f = crows[_ranges(cptr[ts], nrows)]
+        tile = np.repeat(np.arange(ts.size), nrows)
+        key = self.chain[f] * ts.size + tile
+        by = np.argsort(key, kind="stable")
+        f, tile = f[by], tile[by]
+        head = _run_heads(key[by])
+        first, slab = np.flatnonzero(head), np.cumsum(head) - 1
+        # every slab's points in its chain's coordinates, applying the
+        # chain's isometries one at a time from the outermost: Y[:, k] is
+        # slab k, and row e's points are slab[e]'s
+        Y = np.empty((d, first.size, width))
+        chain = self.chain[f[first]]
+        runs = np.flatnonzero(_run_heads(chain)).tolist()
+        for a, b in zip(runs, runs[1:] + [first.size]):
+            y = np.take(X.T, part[tile[first[a:b]]], axis=1)
+            for link in self._closure[int(chain[a])][1:]:
                 _parent, m, s = self.chains[link]
                 y = _affine(y, m, s)
-            Y[k] = y
-        # single-precision frame coordinates rows . y - rows . origin of
-        # every (candidate, point) pair, one broadcast per chain; pairs
-        # within the rounding margin of the support (or of its slack-widened
-        # copy) go on to the exact coordinates
+            Y[:, a:b] = y
+        # single-precision frame coordinates rows . y - rows . origin
         Y32 = Y.astype(np.float32)
-        rows, offset = self.rows32[cand], self.offset32[cand]
-        loc = [np.empty((cand.size, n), dtype=np.float32) for _ in range(d)]
-        tmp = np.empty((cand.size, n), dtype=np.float32)
-        groups = np.flatnonzero(np.diff(fchain)).tolist()
-        for s, e in zip([0] + [g + 1 for g in groups], [g + 1 for g in groups] + [cand.size]):
-            y = Y32[pos[fchain[s]]]
+        rows, offset = self.rows32[f], self.offset32[f]
+        loc = [np.empty((f.size, width), dtype=np.float32) for _ in range(d)]
+        tmp = np.empty((f.size, width), dtype=np.float32)
+        for k, (s, e) in enumerate(zip(first.tolist(), [*first[1:].tolist(), f.size])):
+            y = Y32[:, k]
             for j in range(d):
                 np.multiply(y[0], rows[s:e, j, 0, None], out=loc[j][s:e])
                 for i in range(1, d):
                     loc[j][s:e] += np.multiply(y[i], rows[s:e, j, i, None], out=tmp[s:e])
                 loc[j][s:e] -= offset[s:e, j, None]
-        del tmp, y, Y32
+        del tmp, Y32
         margin = r + self._margin32 * (1.0 + 2.0 * pad)
         near = ((loc[0] > np.float32(-margin))
-                & (loc[0] < (self.cut[cand] + margin).astype(np.float32)[:, None]))
-        reach = (self.half[cand] + margin).astype(np.float32)[:, None]
+                & (loc[0] < (self.cut[f] + margin).astype(np.float32)[:, None]))
+        reach = (self.half[f] + margin).astype(np.float32)[:, None]
         for t in loc[1:]:
             near &= np.abs(t) < reach
-        cp = pos[fchain]
+        if ts.size > 1:
+            # the padding repeats a tile's last point
+            near &= cols < npts[tile, None]
+        Y = Y.reshape(d, -1)
         if slack is None:
-            gone = self._guarded(cand, cp, loc, Y, self._margin32)
+            gone = self._guarded(f, tile, slab * width, loc, Y)
             if gone is not None:
                 near &= ~gone
         del loc
+        out = np.full(ts.size * width, NEG_INF)
         fi, pi = np.nonzero(near)
         for k in range(0, fi.size, EXACT_BLOCK):
             fk, pk = fi[k:k + EXACT_BLOCK], pi[k:k + EXACT_BLOCK]
-            f, ck = cand[fk], cp[fk]
-            loc = self._exact_coords(f, ck, pk, Y)
+            g, y = f[fk], np.take(Y, slab[fk] * width + pk, axis=1)
+            loc = self._exact_coords(g, y)
+            at = tile[fk] * width + pk
             if slack is None:
-                vals, pk = self._profile(f, pk, loc)
+                vals, at = self._profile(g, at, loc)
             else:
-                vals = self._upper_profile(f, loc, r)
+                vals = self._upper_profile(g, loc, r)
                 for i in range(d):
-                    yi = Y[ck, i, pk]
-                    vals[(yi < self.box_lo[f, i] - pad) | (yi > self.box_hi[f, i] + pad)] = NEG_INF
-            np.maximum.at(out, pk, vals)
-        return out
+                    vals[(y[i] < self.box_lo[g, i] - pad) | (y[i] > self.box_hi[g, i] + pad)] = NEG_INF
+            np.maximum.at(out, at, vals)
+        real = cols < npts[:, None]
+        return part[real], out.reshape(ts.size, width)[real]
 
-    def _exact_coords(self, f, cp, pi, Y):
-        """Frame coordinates of field f at point pi, from the points in the
-        field's chain coordinates Y[cp]."""
-        return _frame_coords([Y[cp, i, pi] - self.origin[f, i] for i in range(self.d)],
-                             self.rows[f])
+    def _exact_coords(self, f, Y):
+        """Frame coordinates of rows f at the points Y (d, n), given in
+        the rows' chain coordinates."""
+        return _frame_coords([Y[i] - self.origin[f, i] for i in range(self.d)], self.rows[f])
 
     def _guard_pairs(self, rows):
         """The guards of the given rows as (position in ``rows``, keep row)
@@ -988,35 +1102,38 @@ class TubeTable(FunctionNode):
         negative."""
         start = self.guard_ptr[rows]
         count = self.guard_ptr[rows + 1] - start
-        first = np.cumsum(count) - count
-        flat = self.guard_idx[np.repeat(start - first, count) + np.arange(int(count.sum()))]
+        flat = self.guard_idx[_ranges(start, count)]
         return np.repeat(np.arange(rows.size), count), flat - self._first
 
-    def _guarded(self, cand, cp, loc, Y, margin):
-        """(candidate, point) pairs of the tile where one of the field's
-        guards contains the point, or None.  A guard is the core of its
-        keep field, so only guards whose keep is a candidate can contain a
-        point of the tile; each is tested once, on the keep's single
-        precision coordinates, and exactly where those are within the
-        margin of its boundary."""
-        owner, flat = self._guard_pairs(cand)
+    def _guarded(self, f, tile, base, loc, Y):
+        """The (row, point) pairs of ``_pass`` where one of the row's guards
+        contains the point, or None.  Row e's points in its chain's
+        coordinates are Y[:, base[e] + p].  A guard is the core of its
+        keep field, so only a guard whose keep is a row of the same tile
+        can contain a point of it; each such keep is tested once on the
+        tile's points, on its single precision coordinates, and exactly
+        where those are within ``_margin32`` of the guard's boundary."""
+        owner, flat = self._guard_pairs(f)
         if flat.size == 0:
             return None
-        order = np.argsort(cand)
-        at = np.minimum(np.searchsorted(cand[order], flat), cand.size - 1)
-        live = cand[order][at] == flat
+        # the keep's position among the same tile's rows, if it is one
+        key = tile * len(self) + f
+        order = np.argsort(key)
+        want = tile[owner] * len(self) + flat
+        at = np.minimum(np.searchsorted(key[order], want), key.size - 1)
+        live = (flat >= 0) & (key[order][at] == want)
         if not live.any():
             return None
         # a guard is named by its keep row: the keep's anchored G region,
         # g <= x_1 <= cut and |x_j| <= eps/3 in the keep's frame
-        guards, slot = _distinct(flat[live])
-        keep = np.empty(guards.size, dtype=np.intp)
-        keep[slot] = order[at[live]]
+        keep, slot = _distinct(order[at[live]])
+        g = f[keep]
+        lo, hi = g_threshold(self.eps[g], self.d), self.cut[g]
+        wall = self.eps[g] / 3.0
+        mid = (lo + hi) / 2.0
+        margin = self._margin32
         # |x1 - mid| against the half length and |t| against the half
         # width, each with the margin inwards (surely inside) and outwards
-        lo, hi = g_threshold(self.eps[guards], self.d), self.cut[guards]
-        wall = self.eps[guards] / 3.0
-        mid = (lo + hi) / 2.0
         tests = [(loc[0], mid, hi - mid)] + [(t, None, wall) for t in loc[1:]]
         inside = maybe = True
         for coord, centre, half in tests:
@@ -1031,17 +1148,17 @@ class TubeTable(FunctionNode):
         for b in range(0, gi.size, EXACT_BLOCK):
             gb, pb = gi[b:b + EXACT_BLOCK], pi[b:b + EXACT_BLOCK]
             k = keep[gb]
-            ex = self._exact_coords(cand[k], cp[k], pb, Y)
+            ex = self._exact_coords(f[k], np.take(Y, base[k] + pb, axis=1))
             ok = (ex[0] >= lo[gb]) & (ex[0] <= hi[gb])
             for t in ex[1:]:
                 ok &= np.abs(t) <= wall[gb]
             inside[gb, pb] = ok
-        # OR over each candidate's guards, taking the r-th guard of every
-        # candidate at once (the pairs are grouped by candidate)
+        # OR over each row's guards, taking the r-th guard of every row at
+        # once (the pairs are grouped by row)
         owner = owner[live]
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        rank = np.arange(owner.size) - np.repeat(starts, np.diff(starts, append=owner.size))
-        gone = np.zeros((cand.size, inside.shape[1]), dtype=bool)
+        head = _run_heads(owner)
+        rank = np.arange(owner.size) - np.flatnonzero(head)[np.cumsum(head) - 1]
+        gone = np.zeros((f.size, inside.shape[1]), dtype=bool)
         for r in range(int(rank.max()) + 1):
             sel = rank == r
             gone[owner[sel]] |= inside[slot[sel]]

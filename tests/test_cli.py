@@ -104,6 +104,38 @@ class TestBuild:
         assert all(key(t.b, t.diameter) in rows for t in tree.tubes)
 
 
+class TestOutOfMemory:
+    """A function too large for the host is a configuration error that
+    names its k, with nothing written; build_u is made to raise, so the
+    tests allocate nothing big."""
+
+    @pytest.fixture
+    def no_memory(self, monkeypatch):
+        def build_u(*args, **kwargs):
+            raise MemoryError("Unable to allocate 21.3 MiB for an array")
+
+        monkeypatch.setattr(subfun, "build_u", build_u)
+
+    def test_build(self, tmp_path, capsys, no_memory):
+        out = tmp_path / "out"
+        code = main(["build", "--d", "2", "--f", "t^1.5", "--k", "10", "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: the function of --k 10 ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "growth"])
+    def test_function_file(self, built, tmp_path, capsys, no_memory, command):
+        code = main([command, "--function", str(built / "function.json"),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "the function of k = 4 " in err
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestFunctionFile:
     """A function file whose recorded levels or checks differ from the
     function rebuilt from its f, d and k is refused."""
@@ -309,6 +341,21 @@ class TestGrowth:
         for level in sup["levels"]:
             # the verdict rests on the certified upper bound
             assert level["log_M"] <= level["log_M_upper"] <= level["log_threshold"]
+
+    def test_no_level_measured_is_flagged(self, tmp_path, capsys):
+        # build --k 1 makes a k = 2 function; the levels start at R = 2^3,
+        # so the sup check ran on nothing
+        assert main(["build", "--d", "2", "--f", "t^1.5", "--k", "1",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        code = main(["growth", "--function", str(tmp_path / "function.json"),
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "growth.json").read_text())
+        sup = next(c for c in doc["checks"] if c["check"] == "level_sup_below_threshold")
+        assert sup["status"] == "flagged" and sup["levels"] == []
+        assert "[flagged] level_sup_below_threshold" in capsys.readouterr().out
+        assert (tmp_path / "growth.csv").read_text().splitlines() == [
+            "R,log_M,log_threshold,denominator,ratio,log_M_upper"]
 
     @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"f": "t^1.5"}',
                                       '{"f": 1.5, "d": 2, "k": 3}'])

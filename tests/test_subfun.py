@@ -28,6 +28,7 @@ from oscillab.subfun import (
     log_L_profile,
     log_L_upper,
     log_MM,
+    TILE_PAIRS,
     _COLUMNS,
     _best_first,
 )
@@ -623,6 +624,11 @@ def growth_point_sets(built):
         yield (fn, *_sup_points(lo, hi, max(0.25, R / 64.0), extra))
 
 
+def tile_count(table, pts):
+    """The number of tiles ``TubeTable._tiles`` splits pts into."""
+    return table._tiles(np.atleast_2d(pts))[1].size - 1
+
+
 def assert_max_log_exact(fn, pts, slack):
     """``max_log`` gives the bits of np.argmax and the maximum of the full
     evaluation, of ``eval_log`` and of ``upper_local(., slack)``."""
@@ -639,19 +645,27 @@ def ub7():
     return build_u(growth(1.5), 7, guard_samples=1000)
 
 
+@pytest.fixture(scope="module")
+def ub3d4():
+    return build_u(growth(2.0, d=3), 4, guard_samples=1000)
+
+
+@pytest.fixture
+def growth_builds(ub7, ub3d, ub3d4):
+    return {(2, 7): ub7, (3, 3): ub3d, (3, 4): ub3d4}
+
+
 class TestMaxLog:
     """``TubeTable.max_log`` evaluates the tiles that can hold the maximum
     and gives what full evaluation gives."""
 
     @pytest.mark.parametrize("d, k", [(2, 7), (3, 3), (3, 4)])
-    def test_growth_point_sets(self, ub7, ub3d, d, k):
-        built = {(2, 7): ub7, (3, 3): ub3d}.get((d, k))
-        if built is None:
-            built = build_u(growth(2.0, d=3), k, guard_samples=1000)
+    def test_growth_point_sets(self, growth_builds, d, k):
+        built = growth_builds[d, k]
         tiled = 0
         for fn, pts, slack in growth_point_sets(built):
             assert_max_log_exact(fn, pts, slack)
-            tiled += len(fn._tiles(pts)) > 1
+            tiled += tile_count(fn, pts) > 1
         assert tiled >= k - 3
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -668,14 +682,14 @@ class TestMaxLog:
         rng = np.random.default_rng(53)
         # far from every tube, over many tiles: all -inf, the first point
         far = rng.uniform(-300.0, -200.0, size=(20_000, 2))
-        assert len(table._tiles(far)) > 1
+        assert tile_count(table, far) > 1
         assert table.max_log(far) == (0, -np.inf)
         assert table.max_log(far, 0.5) == (0, -np.inf)
         assert_max_log_exact(table, far, 0.5)
         # one tile, on and off the function
         for corner in ([40.0, 40.0], [60.0, 60.0], [-20.0, 3.0]):
             one = np.asarray(corner) + rng.uniform(0.0, 1.0, size=(300, 2))
-            assert len(table._tiles(one)) == 1
+            assert tile_count(table, one) == 1
             assert_max_log_exact(table, one, 0.25)
 
     def test_first_argmax_in_the_tile_evaluated_second(self):
@@ -696,25 +710,111 @@ class TestMaxLog:
         pts = np.vstack([[[64.0, 8.0], [95.5, 0.0]], filler])
         vals = table.eval_log(pts)
         assert vals[0] == vals[1] == vals.max() == 256.0
-        assert len(table._tiles(pts)) > 2
+        assert tile_count(table, pts) > 2
         assert table.max_log(pts) == (0, 256.0)
 
     def test_best_first_evaluates_ties_and_stops_below(self):
         # tiles bounded by values they attain: tile 0 (first on the tie)
         # holds the maximum 1.0 at point 5, tile 1 at point 2; tile 2's
-        # bound is below it, so tile 2 is never evaluated
+        # bound is below it, so tile 2 is never evaluated once a run
+        # before it has reached 1.0
         tiles = {0: (np.array([4, 5]), np.array([0.5, 1.0])),
                  1: (np.array([2, 3]), np.array([1.0, -np.inf])),
                  2: (np.array([0, 1]), np.array([0.75, 0.25]))}
         seen = []
 
-        def evaluate(t):
-            seen.append(t)
-            return tiles[t]
+        def evaluate(ts):
+            seen.append(ts.tolist())
+            return tuple(np.concatenate([tiles[t][i] for t in ts.tolist()]) for i in (0, 1))
 
-        assert _best_first(np.array([1.0, 1.0, 0.75]), evaluate) == (2, 1.0)
-        assert seen == [0, 1]
+        bounds, rows = np.array([1.0, 1.0, 0.75]), np.ones(3, dtype=np.intp)
+        # every tile a run of its own
+        assert _best_first(bounds, rows, np.full(3, TILE_PAIRS), evaluate) == (2, 1.0)
+        assert seen == [[0], [1]]
+        # tiles 0 and 1 in one run, tile 2 in the next: the tie is settled
+        # within the run, and the stop rule holds between runs
+        seen.clear()
+        assert _best_first(bounds, rows, np.full(3, TILE_PAIRS // 2), evaluate) == (2, 1.0)
+        assert seen == [[0, 1]]
+        # all three in one run
+        seen.clear()
+        assert _best_first(bounds, rows, np.ones(3, dtype=np.intp), evaluate) == (2, 1.0)
+        assert seen == [[0, 1, 2]]
         # tiles bounded by -inf hold no finite value: none is evaluated
         seen.clear()
-        assert _best_first(np.full(3, -np.inf), evaluate) == (0, -np.inf)
+        assert _best_first(np.full(3, -np.inf), rows, rows, evaluate) == (0, -np.inf)
         assert seen == []
+
+
+class TestArrayPasses:
+    """A batch's tiles are evaluated in array passes, with the bits and
+    the candidate rows of the per-tile path kept in ``frozen_tubes``."""
+
+    @pytest.mark.parametrize("d, k", [(2, 7), (3, 3), (3, 4)])
+    def test_growth_point_sets_match_per_tile_path(self, growth_builds, d, k):
+        for fn, pts, slack in growth_point_sets(growth_builds[d, k]):
+            assert np.array_equal(fn.eval_log(pts), frozen_tubes.evaluate(fn, pts))
+            assert (fn.upper_local(pts, slack).tobytes()
+                    == frozen_tubes.evaluate(fn, pts, slack).tobytes())
+
+    @pytest.mark.parametrize("d, k", [(2, 7), (3, 4)])
+    def test_tiles_and_candidates_match_per_tile_path(self, growth_builds, d, k):
+        # the same tiles, each with the rows the per-tile lookup gives,
+        # ascending; also for near's one-point boxes
+        for fn, pts, slack in growth_point_sets(growth_builds[d, k]):
+            tiles = frozen_tubes.tiles(fn, pts)
+            order, ptr, lo, hi = fn._tiles(pts)
+            assert ptr.size - 1 == len(tiles)
+            for s in (None, slack):
+                cptr, crows = fn._candidates(lo, hi, *fn._pads(s))
+                for t, (part, _P, tlo, thi) in enumerate(tiles):
+                    assert np.array_equal(order[ptr[t]:ptr[t + 1]], part)
+                    assert np.array_equal(lo[t], tlo) and np.array_equal(hi[t], thi)
+                    assert np.array_equal(crows[cptr[t]:cptr[t + 1]],
+                                          frozen_tubes.tile_rows(fn, tlo, thi, s))
+            for x in pts[::max(1, len(pts) // 50)]:
+                rows = fn._candidates(x[None, :], x[None, :], 0.75, 0.75)[1]
+                assert np.array_equal(rows, frozen_tubes.candidates(fn, x, x, 0.75, 0.75))
+
+    def test_certificate_samples_match_per_tile_path(self, monkeypatch):
+        # every batch build_u(7) evaluates, the guard and face samples of
+        # its junction certificates
+        seen = []
+        eval_log = subfun.TubeTable.eval_log
+
+        def record(table, X):
+            seen.append((table, np.array(X)))
+            return eval_log(table, X)
+
+        monkeypatch.setattr(subfun.TubeTable, "eval_log", record)
+        build_u(growth(1.5), 7, guard_samples=1000)
+        monkeypatch.undo()
+        assert len(seen) >= 2 * 37
+        for table, X in seen:
+            assert table.eval_log(X).tobytes() == frozen_tubes.evaluate(table, X).tobytes()
+
+    def test_passes_and_candidate_lookups(self, monkeypatch, ub7):
+        calls = {"_candidates": 0, "_pass": 0}
+        tiles = []
+        for name in calls:
+            method = getattr(subfun.TubeTable, name)
+
+            def counted(table, *args, _name=name, _method=method):
+                calls[_name] += 1
+                if _name == "_candidates":
+                    tiles.append(args[0].shape[0])
+                return _method(table, *args)
+
+            monkeypatch.setattr(subfun.TubeTable, name, counted)
+        # one candidate lookup per max_log half, however many tiles
+        fn, pts, slack = list(growth_point_sets(ub7))[-1]
+        for s in (None, slack):
+            calls["_candidates"] = 0
+            fn.max_log(pts, s)
+            assert calls["_candidates"] == 1 and tiles[-1] > 1000
+        # the certificates of build_u(7): 561 tiles in far fewer passes
+        calls.update(_candidates=0, _pass=0)
+        tiles.clear()
+        build_u(growth(1.5), 7, guard_samples=GUARD_SAMPLES)
+        assert calls["_candidates"] == 2 * 37 and sum(tiles) == 561
+        assert calls["_pass"] * 4 < sum(tiles)
