@@ -24,9 +24,7 @@ from .treeset import (
     parse_growth,
 )
 from .subfun import (
-    FunctionNode,
     GlueSchedule,
-    assemble_full,
     build_tau,
     build_u,
     eval_L,

@@ -298,7 +298,7 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
 
 def cmd_growth(cfg: RunConfig, function_path: Path) -> int:
     g, ub, _doc = _load_function(function_path)
-    prof = verify.growth_profile(ub.node, ub.k, g, nodes_per_level=ub.level_nodes)
+    prof = verify.growth_profile(ub.level_nodes, g)
     checks = []
     sup_ok = True
     rows = []

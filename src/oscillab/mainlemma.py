@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import LatticeCube, containing_dyadic
-from .subfun import FunctionNode
+from .subfun import TubeTable
 
 TWO_SQRT = {2: 2.0 * math.sqrt(2.0), 3: 2.0 * math.sqrt(3.0)}
 
@@ -693,12 +693,12 @@ class ContractionRow:
     per_step: list
 
 
-def chain_contraction(u: FunctionNode, config: RogueConfiguration,
+def chain_contraction(u: TubeTable, config: RogueConfiguration,
                       result: KappaResult, max_cubes: int = 64, h: float = 0.25,
                       seed: int = 3) -> list[ContractionRow]:
     """Measured sup contraction along the kappa chains against the nested
     maximum principle; report-only."""
-    from .verify import sup_low, _support_sup_points, tube_ends
+    from .verify import sup_low, _support_sup_points
 
     rng = np.random.default_rng(seed)
     N, d = config.N, config.d
@@ -711,7 +711,7 @@ def chain_contraction(u: FunctionNode, config: RogueConfiguration,
         return []
     pick = central[rng.choice(len(central), size=min(max_cubes, len(central)),
                               replace=False)]
-    ends = tube_ends(u)
+    ends = u.tube_a, u.tube_b
 
     def sup(lo, hi):
         return sup_low(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi))

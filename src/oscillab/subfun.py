@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import OrthantMap
 from .treeset import (
     EPS1,
     GrowthParameters,
@@ -236,69 +235,10 @@ class GuardRegion:
 
 
 class FunctionNode:
-    """Base class; subclasses implement log-space evaluation."""
-
-    def eval_log(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def upper_local(self, X: np.ndarray, slack: float) -> np.ndarray:
-        """Upper bound for the node's log-sup over axis-aligned boxes of
-        half-width ``slack`` centered at the given points."""
-        raise NotImplementedError
-
-    def max_log(self, X: np.ndarray, slack: float | None = None) -> tuple[int, float]:
-        """The first argmax and the maximum of ``eval_log(X)`` (slack None)
-        or of ``upper_local(X, slack)``, over a batch of at least one
-        point; this default evaluates every point."""
-        vals = self.eval_log(X) if slack is None else self.upper_local(X, slack)
-        i = int(np.argmax(vals))
-        return i, float(vals[i])
-
-    def covers(self, lo, hi) -> bool:
-        """True only when the log-value is certainly finite at every point
-        of the closed box [lo, hi]; a node without such a certificate says
-        False."""
-        return False
-
-    def vanishes(self, lo, hi) -> bool:
-        """True only when the log-value is certainly -inf at every point
-        of the closed box [lo, hi]; a node without such a certificate says
-        False."""
-        return False
-
-    def near_ends(self, x, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """Endpoint arrays (a, b) of the support tubes within Euclidean
-        distance r of the point x; none for a function without tubes."""
-        empty = np.zeros((0, np.size(x)))
-        return empty, empty
-
-
-class BaseW(FunctionNode):
-    def __init__(self, d: int):
-        self.d = d
-
-    def eval_log(self, X):
-        X = np.atleast_2d(X)
-        out = np.full(X.shape[0], NEG_INF)
-        on = np.abs(X[:, 0]) <= 0.25
-        if on.any():
-            with np.errstate(divide="ignore"):
-                out[on] = np.log(np.maximum(np.cos(2 * PI * X[on, 0]), 0.0)) + np.sum(
-                    log_cosh(2 * PI * X[on, 1:] / math.sqrt(self.d - 1)), axis=1
-                )
-        return out
-
-    def upper_local(self, X, slack):
-        X = np.atleast_2d(X)
-        x1 = np.maximum(np.abs(X[:, 0]) - slack, 0.0)
-        out = np.full(X.shape[0], NEG_INF)
-        on = x1 <= 0.25
-        if on.any():
-            out[on] = np.log(np.cos(2 * PI * x1[on])) + np.sum(
-                log_cosh(2 * PI * (np.abs(X[on, 1:]) + slack) / math.sqrt(self.d - 1)),
-                axis=1,
-            )
-        return out
+    """An empty base class of ``TubeTable``.  It stays only because the
+    benchmark's layer tracer (``bench/layers.py``) finds the evaluation
+    methods it times through ``_subclasses(subfun.FunctionNode)``; nothing
+    else needs it."""
 
 
 class TubeField:
@@ -328,31 +268,6 @@ class TubeField:
     def guard(self, reach: float | None = None) -> GuardRegion:
         return GuardRegion(self.frame, self.eps, self.d,
                            self.cut if reach is None else reach)
-
-
-class SumNode(FunctionNode):
-    def __init__(self, children: list[FunctionNode]):
-        self.children = children
-
-    def eval_log(self, X):
-        X = np.atleast_2d(X)
-        out = np.full(X.shape[0], NEG_INF)
-        for c in self.children:
-            out = np.logaddexp(out, c.eval_log(X))
-        return out
-
-    def upper_local(self, X, slack):
-        X = np.atleast_2d(X)
-        out = np.full(X.shape[0], NEG_INF)
-        for c in self.children:
-            out = np.logaddexp(out, c.upper_local(X, slack))
-        return out
-
-    def near_ends(self, x, r):
-        """The near ends of every summand, in summand order."""
-        ends = [c.near_ends(x, r) for c in self.children]
-        return (np.concatenate([a for a, _b in ends]),
-                np.concatenate([b for _a, b in ends]))
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +660,9 @@ class TubeTable(FunctionNode):
         frame origin (``tube_a``), one in each difference, and the d-term
         dot products, which ``_frame_coords`` rounds once and einsum d
         times.  For d <= 3 and chains of at most 8 links (``build_u``'s have
-        one, ``assemble_full``'s copies two) that is under 2^5 roundings of
-        relative size 2^-53 of magnitudes up to 4 scale, times a row norm
-        factor sqrt(d) <= 2: under 2^-45 scale.
+        one) that is under 2^5 roundings of relative size 2^-53 of
+        magnitudes up to 4 scale, times a row norm factor sqrt(d) <= 2:
+        under 2^-45 scale.
 
         tau = 2^-44 (A + sum_j sec theta_j + 1) bounds the rounding of log
         T twice over, where A = pi sqrt(d-1) cut / eps is the largest
@@ -875,7 +790,9 @@ class TubeTable(FunctionNode):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         order, ptr, lo, hi = self._tiles(X)
         if ptr.size <= 2:
-            return super().max_log(X, slack)
+            vals = self.eval_log(X) if slack is None else self.upper_local(X, slack)
+            i = int(np.argmax(vals))
+            return i, float(vals[i])
         cptr, crows = self._candidates(lo, hi, *self._pads(slack))
         amp = self.log_amp + self.log_c
         live = amp > NEG_INF
@@ -1041,7 +958,10 @@ class TubeTable(FunctionNode):
         chain = self.chain[f[first]]
         runs = np.flatnonzero(_run_heads(chain)).tolist()
         for a, b in zip(runs, runs[1:] + [first.size]):
-            y = np.take(X.T, part[tile[first[a:b]]], axis=1)
+            # gather each coordinate's points; np.take(X.T, ...) would copy
+            # all of X first, and X[idx] gathers rows of d values slowly
+            idx = part[tile[first[a:b]]]
+            y = np.stack([x[idx] for x in X.T])
             for link in self._closure[int(chain[a])][1:]:
                 _parent, m, s = self.chains[link]
                 y = _affine(y, m, s)
@@ -1819,65 +1739,3 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
                     point=worst, gap=rep.guard_gap)
     level_nodes = [table.junction(k - j) for j in range(1, k)] + [table]
     return UBuild(table, params, k, levels, checks, level_nodes)
-
-
-def assemble_full(params: GrowthParameters, k: int, u: UBuild | None = None,
-                  **kwargs) -> tuple[SumNode, UBuild]:
-    """Sum of the 2^d orthant reflections of the level-k function; supports
-    evaluation on [-2^k, 2^k]^d."""
-    if u is None:
-        u = build_u(params, k, **kwargs)
-    d = params.d
-    copies = []
-    for j in range(2**d):
-        rows = TableBuilder(d)
-        rows.extend(u.node, OrthantMap.from_index(j, d).matrix(), np.zeros(d))
-        copies.append(rows.table())
-    return SumNode(copies), u
-
-
-# ---------------------------------------------------------------------------
-# The everywhere-oscillating slab function (exponential-growth prologue)
-# ---------------------------------------------------------------------------
-
-
-class SlabOscillating(FunctionNode):
-    """Maximum of integer translates of W along each axis: oscillates in
-    every basic cube, with exponential growth."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def eval_log(self, X):
-        X = np.atleast_2d(X)
-        d = self.d
-        out = np.full(X.shape[0], NEG_INF)
-        for axis in range(d):
-            frac = X[:, axis] - np.round(X[:, axis])
-            on = np.abs(frac) <= 0.25
-            if not on.any():
-                continue
-            with np.errstate(divide="ignore"):
-                vals = np.log(np.maximum(np.cos(2 * PI * frac[on]), 0.0))
-            for j in range(d):
-                if j != axis:
-                    vals = vals + log_cosh(2 * PI * X[on, j] / math.sqrt(d - 1))
-            out[on] = np.maximum(out[on], vals)
-        return out
-
-    def upper_local(self, X, slack):
-        X = np.atleast_2d(X)
-        d = self.d
-        out = np.full(X.shape[0], NEG_INF)
-        for axis in range(d):
-            frac = np.abs(X[:, axis] - np.round(X[:, axis]))
-            frac = np.maximum(frac - slack, 0.0)
-            on = frac <= 0.25
-            if not on.any():
-                continue
-            vals = np.log(np.cos(2 * PI * frac[on]))
-            for j in range(d):
-                if j != axis:
-                    vals = vals + log_cosh(2 * PI * (np.abs(X[on, j]) + slack) / math.sqrt(d - 1))
-            out[on] = np.maximum(out[on], vals)
-        return out

@@ -43,23 +43,22 @@ class GridField:
     origin: np.ndarray
     h: float
     values: np.ndarray
-    log_scale: bool = False
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         if self.h <= 0:
             raise DomainError(f"grid spacing must be positive, got {self.h}")
-        if not self.log_scale and not np.all(np.isfinite(self.values)):
-            raise DomainError("linear grid fields must be finite everywhere")
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("grid fields must be finite everywhere")
 
     @classmethod
-    def sample(cls, fn, origin, h: float, shape, log_scale: bool = False) -> "GridField":
+    def sample(cls, fn, origin, h: float, shape) -> "GridField":
         origin = np.asarray(origin, dtype=float)
         axes = [origin[i] + h * np.arange(shape[i]) for i in range(len(shape))]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.column_stack([m.ravel() for m in mesh])
         vals = fn(pts)
-        return cls(origin, h, np.asarray(vals, dtype=float).reshape(shape), log_scale)
+        return cls(origin, h, np.asarray(vals, dtype=float).reshape(shape))
 
     def points(self) -> np.ndarray:
         axes = [self.origin[i] + self.h * np.arange(n) for i, n in enumerate(self.values.shape)]
@@ -178,7 +177,6 @@ class SupBracket:
     low: float     # value attained at a sample point: a true lower bound
     high: float    # cell-max upper bound
     argmax: tuple
-    log_scale: bool = True
 
 
 def _sup_points(lo, hi, h: float, extra_points):
@@ -202,53 +200,34 @@ def _sup_points(lo, hi, h: float, extra_points):
     return pts, slack
 
 
-def sup_low(fn, lo, hi, h: float, extra_points: np.ndarray | None = None) -> float:
-    """The lower half of ``sup_on``'s bracket for a FunctionNode alone: the
-    largest log-value at its sample points."""
+def sup_low(fn: TubeTable, lo, hi, h: float, extra_points: np.ndarray | None = None) -> float:
+    """The lower half of ``sup_on``'s bracket alone: the largest log-value
+    at its sample points."""
     pts, _slack = _sup_points(lo, hi, h, extra_points)
     return fn.max_log(pts)[1]
 
 
-def sup_on(fn, lo, hi, h: float, lipschitz: float | None = None,
+def sup_on(fn: TubeTable, lo, hi, h: float,
            extra_points: np.ndarray | None = None) -> SupBracket:
-    """Certified bracket for the supremum over the box [lo, hi].
-
-    ``fn`` is either a FunctionNode (its monotone cell bound supplies the
-    upper half) or a plain callable, in which case a Lipschitz constant is
-    required for the upper bound.  A FunctionNode gives both halves through
-    ``max_log``; a tube table evaluates its tiles best first and skips those
-    that cannot reach the running maximum, with the values full evaluation
+    """Certified bracket for the log-supremum over the box [lo, hi]: the
+    largest ``eval_log`` at the sample points below, the largest
+    ``upper_local`` (the table's monotone cell bound) above, both through
+    ``max_log``, which evaluates the tiles best first and skips those that
+    cannot reach the running maximum, with the values full evaluation
     gives.
     """
     pts, slack = _sup_points(lo, hi, h, extra_points)
-    if hasattr(fn, "max_log"):
-        i, low = fn.max_log(pts)
-        high = fn.max_log(pts, slack)[1]
-        log_scale = True
-    else:
-        if lipschitz is None:
-            raise DomainError("plain callables need a Lipschitz constant")
-        vals = np.asarray(fn(pts), dtype=float)
-        i = int(np.argmax(vals))
-        low = float(vals[i])
-        high = float(np.max(vals + lipschitz * slack * math.sqrt(len(lo))))
-        log_scale = False
-    return SupBracket(low, max(high, low), tuple(np.round(pts[i], 9)), log_scale)
-
-
-def tube_ends(fn) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (a, b) of a function's support tubes: the rows of a
-    TubeTable; none for any other function."""
-    if isinstance(fn, TubeTable):
-        return fn.tube_a, fn.tube_b
-    return np.zeros((0, 0)), np.zeros((0, 0))
+    i, low = fn.max_log(pts)
+    high = fn.max_log(pts, slack)[1]
+    return SupBracket(low, max(high, low), tuple(np.round(pts[i], 9)))
 
 
 def _support_sup_points(ends, lo, hi) -> np.ndarray:
     """Candidate maximizers: per tube, samples along the centerline clipped
     to the box (the profile is monotone along the axis, so the within-box
     maximum sits on the centerline near the clipped far end).  ``ends`` is
-    the (a, b) pair of endpoint arrays of ``tube_ends``."""
+    the (a, b) pair of endpoint arrays of a table's rows (``tube_a``,
+    ``tube_b``) or of ``near_tube_ends``."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     a, b = ends
@@ -420,7 +399,7 @@ class OscillationReport:
 def near_tube_ends(u, cube: LatticeCube) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays (a, b) of the support tubes of ``u`` within sqrt(d)/2
     of the cube's centre, which holds every tube meeting the cube
-    (``FunctionNode.near_ends``)."""
+    (``TubeTable.near_ends``)."""
     lo, hi = cube.bounds()
     return u.near_ends((lo + hi) / 2.0, math.sqrt(cube.dimension) / 2.0)
 
@@ -517,20 +496,20 @@ def lower_bound_denominator(R: float, f: GrowthParameters) -> float:
     return R * math.log(2.0 + ratio) ** (d / (d - 1)) / (1.0 + ratio ** (1.0 / (d - 1)))
 
 
-def growth_profile(u, k_max: int, f: GrowthParameters, h: float = 0.25,
-                   nodes_per_level=None) -> GrowthProfile:
+def growth_profile(levels: list[TubeTable], f: GrowthParameters,
+                   h: float = 0.25) -> GrowthProfile:
     """Measured log M_u(2^k) against the lower-bound denominator, per dyadic
     radius, as the bracket of ``sup_on``: the ratios use the sampled lower
-    bound, ``log_m_upper`` is the certified upper bound.  When per-level
-    nodes are supplied each radius is measured on its own level function."""
+    bound, ``log_m_upper`` is the certified upper bound.  Radius 2^k is
+    measured on its own level function, ``levels[k - 1]`` (``build_u``'s
+    ``level_nodes``), for k = 1 .. len(levels)."""
     radii, logs, dens, ratios, uppers = [], [], [], [], []
     d = f.d
-    for k in range(1, k_max + 1):
+    for k, fn in enumerate(levels, start=1):
         R = 2.0**k
-        fn = u if nodes_per_level is None else nodes_per_level[min(k, len(nodes_per_level)) - 1]
         lo = np.zeros(d)
         hi = np.full(d, R)
-        extra = _support_sup_points(tube_ends(fn), lo, hi)
+        extra = _support_sup_points((fn.tube_a, fn.tube_b), lo, hi)
         bracket = sup_on(fn, lo, hi, max(h, R / 64.0), extra_points=extra)
         radii.append(R)
         logs.append(bracket.low)

@@ -159,8 +159,7 @@ class TestCriterion5:
 class TestCriterion6:
     def test_growth_sandwich(self, growth_f, u7):
         t0 = time.time()
-        prof = verify.growth_profile(u7.node, 7, growth_f,
-                                     nodes_per_level=u7.level_nodes)
+        prof = verify.growth_profile(u7.level_nodes, growth_f)
         rows = []
         sup_ok = True
         for k in range(3, 7):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from slab_function import SlabOscillating
 from oscillab.mainlemma import (
     RhoField,
     RogueConfiguration,
@@ -15,7 +16,7 @@ from oscillab.mainlemma import (
 )
 from oscillab.geometry import LatticeCube
 from oscillab.potential import SegmentShape, frostman
-from oscillab.subfun import SlabOscillating, build_u
+from oscillab.subfun import build_u
 from oscillab.treeset import (
     EPS1,
     GrowthParameters,

@@ -13,10 +13,8 @@ from oscillab.treeset import GrowthParameters
 from oscillab.subfun import (
     EPS1,
     Frame,
-    SlabOscillating,
     TableBuilder,
     TubeField,
-    assemble_full,
     build_tau,
     build_u,
     eval_L,
@@ -32,7 +30,7 @@ from oscillab.subfun import (
     _COLUMNS,
     _best_first,
 )
-from oscillab.verify import _sup_points, _support_sup_points, tube_ends
+from oscillab.verify import _sup_points, _support_sup_points
 
 PI = math.pi
 
@@ -389,54 +387,6 @@ class TestUBuild:
 
 
 @pytest.fixture(scope="module")
-def assembled():
-    g = growth(1.5)
-    u = build_u(g, 3, guard_samples=1000)
-    full, _ = assemble_full(g, 3, u)
-    return full
-
-
-class TestAssembleFull:
-
-    def test_orthant_symmetry(self, assembled):
-        rng = np.random.default_rng(23)
-        pts = rng.uniform(-7, 7, size=(300, 2))
-        base = assembled.eval_log(pts)
-        for j in range(4):
-            m = OrthantMap.from_index(j, 2)
-            assert np.allclose(
-                assembled.eval_log(np.array([m.apply(p) for p in pts])),
-                base, atol=1e-9, equal_nan=True,
-            )
-
-    def test_zero_on_hyperplanes_outside_tubes(self, assembled):
-        tubes = [t for copy in assembled.children for t in support_tubes(copy)]
-        rng = np.random.default_rng(29)
-        pts = np.zeros((200, 2))
-        pts[:, 1] = rng.uniform(-7.5, 7.5, size=200)
-        vals = assembled.eval_log(pts)
-        for p, v in zip(pts, vals):
-            covered = any(t.contains(p[None, :])[0] for t in tubes)
-            if not covered:
-                assert v == -np.inf
-
-
-class TestSlabOscillating:
-    def test_sup_at_least_one_per_cube(self):
-        u = SlabOscillating(2)
-        for corner in [(0, 0), (3, -2), (-5, 7)]:
-            c = np.asarray(corner, dtype=float)
-            pts = c + np.random.default_rng(1).uniform(0, 1, size=(400, 2))
-            pts = np.vstack([pts, c + 0.0 + np.array([[0.0, 0.5]])])
-            assert np.max(u.eval_log(pts)) >= -1e-12
-
-    def test_zero_band(self):
-        u = SlabOscillating(2)
-        pts = np.array([[0.5, 0.5], [0.4, 0.6], [3.5, -1.5]])
-        assert np.all(u.eval_log(pts) == -np.inf)
-
-
-@pytest.fixture(scope="module")
 def ub3d():
     return build_u(growth(2.0, d=3), 3, guard_samples=1000)
 
@@ -616,11 +566,10 @@ def growth_point_sets(built):
     """``growth_profile``'s sample points and slack at each radius 2^k,
     with the level function it measures there."""
     d = built.d
-    for k in range(1, built.k + 1):
-        fn = built.level_nodes[min(k, len(built.level_nodes)) - 1]
+    for k, fn in enumerate(built.level_nodes, start=1):
         R = 2.0**k
         lo, hi = np.zeros(d), np.full(d, R)
-        extra = _support_sup_points(tube_ends(fn), lo, hi)
+        extra = _support_sup_points((fn.tube_a, fn.tube_b), lo, hi)
         yield (fn, *_sup_points(lo, hi, max(0.25, R / 64.0), extra))
 
 

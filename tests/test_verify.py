@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from frozen_tubes import FieldRows
+from slab_function import SlabOscillating
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import SegmentShape, SphereShape
-from oscillab.subfun import (Frame, FunctionNode, SlabOscillating, TableBuilder, TubeField,
-                             assemble_full, build_u, eval_T, eval_W)
+from oscillab.subfun import Frame, TableBuilder, TubeField, build_u, eval_T
 from oscillab.treeset import GrowthParameters, TubeSpec, complete_frame
 from oscillab.verify import (
     EmptyDomainError,
@@ -23,12 +23,9 @@ from oscillab.verify import (
     rogue_census,
     sup_on,
     lower_bound_denominator,
-    tube_ends,
     zero_set_projection,
     _support_sup_points,
 )
-
-PI = math.pi
 
 
 def segment_table(tube: TubeSpec):
@@ -84,34 +81,18 @@ class TestLaplacian:
 
 
 class TestSupOn:
-    def test_W_sup_on_strip(self):
-        # sup of W over [-1/4,1/4] x [-1,1] is cosh(2 pi), at (0, +-1)
-        from oscillab.subfun import BaseW
-
-        node = BaseW(2)
-        br = sup_on(node, (-0.25, -1.0), (0.25, 1.0), 0.01)
-        target = math.log(math.cosh(2 * PI))
-        assert br.low == pytest.approx(target, abs=1e-3)
-        assert br.low <= target <= br.high
-
-    def test_T_zero_on_transverse_face(self):
-        fn = lambda pts: eval_T(0.5, pts, 2)
-        br = sup_on(fn, (0.0, 0.25), (1.0, 0.5), 0.02, lipschitz=100.0)
-        assert br.low == 0.0
-
-    def test_bracket_contains_affine_maxima(self):
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            a = rng.uniform(-3, 3, size=2)
-            b = float(rng.uniform(-1, 1))
-            fn = lambda pts: pts @ a + b
-            lo = rng.uniform(-2, 0, size=2)
-            hi = lo + rng.uniform(0.5, 2, size=2)
-            br = sup_on(fn, lo, hi, 0.2, lipschitz=float(np.linalg.norm(a)))
-            corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])
-            true = float(np.max(corners @ a + b))
-            assert br.low <= true + 1e-12
-            assert br.high >= true - 1e-12
+    def test_one_row_table_bracket(self):
+        # the bracket holds the maximum over a dense grid of the box
+        rows = FieldRows(2)
+        rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0))
+        table = rows.table()
+        lo, hi = np.array([2.0, 0.0]), np.array([3.0, 1.0])
+        br = sup_on(table, lo, hi, 0.1)
+        axes = [np.linspace(a, b, 201) for a, b in zip(lo, hi)]
+        dense = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        top = np.max(table.eval_log(dense))
+        assert np.isfinite(top)
+        assert br.low <= top <= br.high
 
 
 class TestContent:
@@ -214,37 +195,21 @@ class TestCensus:
         assert res.count == 0 and res.gamma == 0.0
 
     def test_zero_function_all_rogue(self):
-        class Zero(FunctionNode):
-            def eval_log(self, X):
-                return np.full(np.atleast_2d(X).shape[0], -np.inf)
-
-            def upper_local(self, X, slack):
-                return self.eval_log(X)
-
-        res = rogue_census(Zero(), (0, 0), (4, 4), growth(1.5))
+        # a table whose every row has amplitude zero (log amplitude -inf)
+        rows = FieldRows(2)
+        rows.add(_tube_field([0.0, 2.0], [1.0, 0.0], 4.0, 20.0, log_amp=-np.inf))
+        res = rogue_census(rows.table(), (0, 0), (4, 4), growth(1.5))
         assert res.count == 16
         assert res.gamma == pytest.approx(16 / 4.0**1.5)
 
     def test_table_census_builds_no_tube_spec(self, ub5, monkeypatch):
-        # the census takes each cube's tubes from the tables' own arrays,
-        # for a level and for the sum of a function's orthant copies
-        full, _ = assemble_full(ub5.params, 3, build_u(ub5.params, 3, guard_samples=1000))
+        # the census takes each cube's tubes from the table's own arrays
         made = []
         post_init = TubeSpec.__post_init__
         monkeypatch.setattr(TubeSpec, "__post_init__",
                             lambda self: made.append(self) or post_init(self))
         res = rogue_census(ub5.level_nodes[3], (0, 0), (8, 8), ub5.params)
         assert res.total == 64 and made == []
-        res = rogue_census(full, (-4, -4), (4, 4), ub5.params)
-        assert res.total == 64 and made == []
-
-    def test_assembled_census_symmetry(self):
-        g = growth(1.5)
-        u = build_u(g, 3, guard_samples=1000)
-        full, _ = assemble_full(g, 3, u)
-        res_pos = rogue_census(u.level_nodes[-1], (0, 0), (4, 4), g)
-        res_full = rogue_census(full, (-4, -4), (4, 4), g)
-        assert res_full.count == 4 * res_pos.count
 
 
 class TestSupportSupPoints:
@@ -256,16 +221,14 @@ class TestSupportSupPoints:
         for a, b in zip(table.tube_a, table.tube_b):
             seg = a[None, :] + ts[:, None] * (b - a)[None, :]
             expected.extend(seg[np.all((seg >= lo) & (seg <= hi), axis=1)])
-        got = _support_sup_points(tube_ends(table), lo, hi)
+        got = _support_sup_points((table.tube_a, table.tube_b), lo, hi)
         assert len(expected) > 0 and np.array_equal(got, np.array(expected))
-        # a function without tubes has no ends
-        assert _support_sup_points(tube_ends(SlabOscillating(2)), lo, hi).shape == (0, 2)
 
 
 class TestGrowthProfile:
     def test_monotone_and_bounded(self, ub5):
         g = ub5.params
-        prof = growth_profile(ub5.node, ub5.k, g, nodes_per_level=ub5.level_nodes)
+        prof = growth_profile(ub5.level_nodes, g)
         assert all(b >= a - 1e-9 for a, b in zip(prof.log_m, prof.log_m[1:]))
         assert all(lo <= hi for lo, hi in zip(prof.log_m, prof.log_m_upper))
         assert prof.max_ratio() < 100.0
@@ -284,9 +247,10 @@ class TestGrowthProfile:
         assert max(vals2) / min(vals2) < 2.0
 
 
-class _Sampled(FunctionNode):
+class _Sampled:
     """A table's ``eval_log`` that keeps every value it hands out.  It has
-    no ``covers`` certificate, so ``zero_set_projection`` samples it."""
+    no ``covers`` or ``vanishes`` certificate, so ``zero_set_projection``
+    samples it."""
 
     def __init__(self, table):
         self.table = table
@@ -296,6 +260,12 @@ class _Sampled(FunctionNode):
         vals = self.table.eval_log(X)
         self.values.append(vals)
         return vals
+
+    def covers(self, lo, hi):
+        return False
+
+    def vanishes(self, lo, hi):
+        return False
 
 
 def _tube_field(origin, direction, eps, cut, log_amp=0.0):
@@ -336,7 +306,6 @@ class TestVanishes:
             table = rows.table()
             assert table.vanishes(lo, hi) is vanishes
             assert table.vanishes(*far)
-        assert SlabOscillating(2).vanishes(np.zeros(2), np.ones(2)) is False
 
 
 class TestCovers:
@@ -413,6 +382,3 @@ class TestCovers:
         mid = handle.anchor + 3.0 * handle.frame.rows[0]
         cube = LatticeCube(tuple(int(math.floor(v)) for v in mid))
         assert node.covers(*cube.bounds())
-
-    def test_slab_function_has_no_certificate(self):
-        assert SlabOscillating(2).covers(np.zeros(2), np.ones(2)) is False
