@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -325,7 +326,7 @@ def cmd_growth(cfg: RunConfig, function_path: Path) -> int:
     return _emit(cfg.out, "growth", checks)
 
 
-def _parse_e_spec(spec: str, cfg: RunConfig) -> mainlemma.RogueConfiguration:
+def _parse_e_spec(spec: str, cfg: RunConfig, load) -> mainlemma.RogueConfiguration:
     kwargs = dict(c0=cfg.c0, alpha=cfg.alpha)
     if cfg.delta0 is not None:
         kwargs["delta0"] = cfg.delta0
@@ -355,16 +356,18 @@ def _parse_e_spec(spec: str, cfg: RunConfig) -> mainlemma.RogueConfiguration:
             raise GrowthValidationError(f"bad cube list in {spec!r}: {exc}") from exc
         return mainlemma.RogueConfiguration(cfg.N, cfg.d, E, **kwargs)
     if spec.startswith("function:"):
-        _g, ub, _doc = _load_function(Path(spec.split(":", 1)[1]), cfg.d)
+        ub = load(Path(spec.split(":", 1)[1]))
         return mainlemma.RogueConfiguration.from_function(
             ub.node, cfg.N, cfg.d, cfg.eps_d, **kwargs)
     raise GrowthValidationError(f"bad E spec {spec!r}")
 
 
 def cmd_lemma(cfg: RunConfig, e_spec: str, function_path: Path | None = None) -> int:
-    config = _parse_e_spec(e_spec, cfg)
+    # --E function:F and --function F may name one file: it is built once
+    load = functools.cache(lambda path: _load_function(path, cfg.d)[1])
+    config = _parse_e_spec(e_spec, cfg, load)
     if function_path is not None:
-        _g, ub, _doc = _load_function(function_path, cfg.d)
+        ub = load(function_path)
     rho = mainlemma.RhoField.compute(config)
     cover = mainlemma.build_cover(config, rho)
     result = mainlemma.kappa_chains(config, rho, cover)

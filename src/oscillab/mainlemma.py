@@ -94,14 +94,14 @@ class RogueConfiguration:
     @classmethod
     def from_function(cls, u, N: int, d: int, eps_d: float = 0.25, **kw) -> "RogueConfiguration":
         """E = the basic cubes of Q failing the zero-set content property
-        (the census's P2)."""
-        from .verify import near_tube_ends, zero_set_projection
+        (the census's P2), from one row lookup per cube."""
+        from .verify import zero_set_projection
 
         half = N // 2
         bad = set()
         for corner in np.ndindex(*(N,) * d):
             cube = LatticeCube(tuple(int(c) - half for c in corner))
-            if zero_set_projection(u, cube, near_tube_ends(u, cube), eps_d) < eps_d:
+            if zero_set_projection(u, cube, u.box_rows(*cube.bounds()), eps_d) < eps_d:
                 bad.add(cube.corner)
         return cls(N, d, bad, **kw)
 
@@ -697,7 +697,8 @@ def chain_contraction(u: TubeTable, config: RogueConfiguration,
                       result: KappaResult, max_cubes: int = 64, h: float = 0.25,
                       seed: int = 3) -> list[ContractionRow]:
     """Measured sup contraction along the kappa chains against the nested
-    maximum principle; report-only."""
+    maximum principle; report-only.  A box's ``box_rows`` hold every row
+    with a centerline sample in it."""
     from .verify import sup_low, _support_sup_points
 
     rng = np.random.default_rng(seed)
@@ -711,10 +712,11 @@ def chain_contraction(u: TubeTable, config: RogueConfiguration,
         return []
     pick = central[rng.choice(len(central), size=min(max_cubes, len(central)),
                               replace=False)]
-    ends = u.tube_a, u.tube_b
 
     def sup(lo, hi):
-        return sup_low(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi))
+        held = u.box_rows(lo, hi).rows
+        extra = _support_sup_points((u.tube_a[held], u.tube_b[held]), lo, hi)
+        return sup_low(u, lo, hi, h, extra_points=extra)
 
     m_q = sup(np.full(d, -half, dtype=float), np.full(d, half, dtype=float))
     rows = []

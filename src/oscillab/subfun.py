@@ -453,6 +453,19 @@ _ROW_ARRAYS = _COLUMNS + ("half", "tube_a", "tube_b", "global_rows", "glo", "ghi
                           "rows32", "offset32", "_support_lo", "_support_hi")
 
 
+@dataclass
+class BoxRows:
+    """``TubeTable.box_rows``: ascending, the rows within the half diagonal
+    of [lo, hi] plus ``_margin32`` of its centre and those ``near`` within
+    the half diagonal; ``vanishes`` when the table is zero on the box."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    rows: np.ndarray
+    near: np.ndarray
+    vanishes: bool
+
+
 class TubeTable(FunctionNode):
     """The built function as flat arrays, one row per tube field.
 
@@ -606,43 +619,42 @@ class TubeTable(FunctionNode):
     def near(self, x, r: float) -> np.ndarray:
         """Ascending rows whose support lies within Euclidean distance r of
         the point x, measured in the row's own global frame."""
-        x = np.asarray(x, dtype=float)
+        rows, dist2 = self._distances(np.asarray(x, dtype=float), r)
+        return rows[dist2 <= r * r]
+
+    def _distances(self, x, r: float):
+        """x's ascending candidate rows at radius r, each with its squared distance."""
         rows = self._candidates(x[None, :], x[None, :], r, r)[1]
         loc = np.einsum("fji,fi->fj", self.global_rows[rows], x - self.tube_a[rows])
         dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.cut[rows]), 0.0)
         dt = np.maximum(np.abs(loc[:, 1:]) - self.half[rows, None], 0.0)
-        return rows[dx**2 + np.sum(dt**2, axis=1) <= r * r]
+        return rows, dx**2 + np.sum(dt**2, axis=1)
 
-    def near_ends(self, x, r):
-        rows = self.near(x, r)
-        return self.tube_a[rows], self.tube_b[rows]
-
-    def _live_near(self, lo, hi, widen: float = 0.0) -> np.ndarray:
-        """The ascending rows ``near`` the closed box [lo, hi], within its
-        half diagonal of its centre widened by ``widen``, that have a
-        finite amplitude (log_amp + log_c); a row of amplitude -inf is zero
-        everywhere."""
+    def box_rows(self, lo, hi) -> BoxRows:
+        """One row lookup for the closed box [lo, hi]: the rows within its
+        half diagonal r plus ``_margin32`` = 2^-16 scale of its centre, and
+        those within r, filtered with ``near``'s bits (candidates grow with
+        the radius, and each distance is the row's own).  The box
+        ``vanishes`` when no row of the wider set has a finite amplitude
+        (log_amp + log_c): a finite value needs a row whose support holds
+        the point, up to roundings under 2^-45 scale (``covers``)."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        rows = self.near((lo + hi) / 2.0, float(np.linalg.norm(hi - lo)) / 2.0 + widen)
-        return rows[np.isfinite(self.log_amp[rows] + self.log_c[rows])]
+        r = float(np.linalg.norm(hi - lo)) / 2.0
+        wide = r + self._margin32
+        rows, dist2 = self._distances((lo + hi) / 2.0, wide)
+        near = rows[dist2 <= r * r]
+        rows = rows[dist2 <= wide * wide]
+        live = np.isfinite(self.log_amp[rows] + self.log_c[rows])
+        return BoxRows(lo, hi, rows, near, not live.any())
 
-    def vanishes(self, lo, hi) -> bool:
-        """True when ``eval_log`` is -inf at every point of the closed box
-        [lo, hi]: no row with a finite amplitude lies ``_live_near`` the
-        box widened by ``_margin32`` = 2^-16 scale.  A finite value needs a
-        row whose chain coordinates put the point in its support, and those
-        are off the row's global-frame coordinates, as well as the ones
-        ``near`` computes, by rounding alone: under 2^-45 scale each, as
-        ``covers`` derives."""
-        return self._live_near(lo, hi, self._margin32).size == 0
-
-    def covers(self, lo, hi) -> bool:
+    def covers(self, box: BoxRows) -> bool:
         """True when ``eval_log`` is finite at every point of the closed box
-        [lo, hi], certified without evaluating it: every dyadic sub-box,
-        down to COVER_DEPTH halvings of the box, lies in the finite region
-        of one row and clear of all that row's guards.
+        [lo, hi] of ``box``, certified without evaluating it: every dyadic
+        sub-box, down to COVER_DEPTH halvings of the box, lies in the finite
+        region of one row and clear of all that row's guards.
 
-        The rows tried are those ``_live_near`` the box.  A row takes a
+        The rows tried are the box's ``near`` rows that have a finite
+        amplitude (log_amp + log_c).  A row takes a
         sub-box when, in the row's global frame, the sub-box's coordinate
         ranges lie in 0 < x_1 < cut and |x_j| < eps/2, and log T_eps > tau
         at the worst point of those ranges, the least x_1 with the largest
@@ -680,10 +692,10 @@ class TubeTable(FunctionNode):
         A sub-box on which no row is positive even at its best point is
         zero throughout, so the box is refused as soon as one turns up.
         """
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        lo, hi, rows = box.lo, box.hi, box.near
         d = self.d
         # a row of zero amplitude is no candidate, though it still guards
-        rows = self._live_near(lo, hi)
+        rows = rows[np.isfinite(self.log_amp[rows] + self.log_c[rows])]
         if rows.size == 0:
             return False
         mu = 2.0**-24 * self._margin32
@@ -1405,6 +1417,10 @@ def _profile_floor(d: int) -> float:
     return -2.0 * d * LOG2
 
 
+#: the largest ``DominanceReport.face_seam`` a junction passes with
+LEAK_TOLERANCE = -4.0
+
+
 @dataclass
 class DominanceReport:
     """Sampled dominance certificate for one junction.
@@ -1430,14 +1446,14 @@ class DominanceReport:
     face_seam: float
     face_point: np.ndarray | None
 
-    def passed(self, leak_tol: float = -4.0) -> bool:
-        return self.guard_gap < 0 and self.solid_gap < 0 and self.face_seam <= leak_tol
+    def passed(self) -> bool:
+        return self.guard_gap < 0 and self.solid_gap < 0 and self.face_seam <= LEAK_TOLERANCE
 
-    def required_amplitude(self, margin: float, leak_tol: float = -4.0) -> float:
+    def required_amplitude(self, margin: float) -> float:
         """Smallest keep amplitude passing this certificate, assuming the
         report was computed against a unit-amplitude keep."""
         return max(self.guard_gap + margin, self.solid_gap + margin,
-                   self.face_seam - leak_tol + margin)
+                   self.face_seam - LEAK_TOLERANCE + margin)
 
 
 def certify_dominance(node: TubeTable, n: int = 10_000, seed: int = 99) -> DominanceReport:
@@ -1542,8 +1558,8 @@ def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
     inflate = 0.0
     if check_guards:
         rep = certify_dominance(table, n=guard_samples, seed=97)
-        if not rep.passed(LEAK_TOLERANCE):
-            inflate = max(rep.required_amplitude(LOG2, LEAK_TOLERANCE), 0.0)
+        if not rep.passed():
+            inflate = max(rep.required_amplitude(LOG2), 0.0)
             table.log_amp[0] = trunk_amp + shift + inflate
     build = TauBuild(table, sched, k, d, trunk_inflation=inflate)
     if check_guards:
@@ -1551,11 +1567,7 @@ def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
     return build
 
 
-LEAK_TOLERANCE = -4.0
-
-
-def _check_tau_guards(build: TauBuild, guard_samples: int,
-                      leak_tol: float = LEAK_TOLERANCE):
+def _check_tau_guards(build: TauBuild, guard_samples: int):
     """Certify one representative junction per generation (siblings are
     reflections of each other with identical constants): the trunk's, then
     each first child's, rows 0, 1, 2, ... down to the leaves."""
@@ -1564,10 +1576,10 @@ def _check_tau_guards(build: TauBuild, guard_samples: int,
     while len(node) > 1:
         label = "trunk" if gen == 0 else f"generation {gen}"
         rep = certify_dominance(node, n=guard_samples, seed=101 + gen)
-        passed = rep.passed(leak_tol)
+        passed = rep.passed()
         worst = rep.guard_point if rep.guard_gap >= 0 else (
             rep.solid_point if rep.solid_gap >= 0 and rep.solid_point is not None
-            else (rep.face_point if rep.face_seam > leak_tol and rep.face_point is not None
+            else (rep.face_point if rep.face_seam > LEAK_TOLERANCE and rep.face_point is not None
                   else rep.guard_point))
         build.checks.append(JunctionCheck(
             f"tau[k={build.k}] gen {gen} ({label})", rep.guard_gap,
@@ -1719,13 +1731,13 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
         # solidly-covered face points, and towers over the wall-sliver seam
         # by the tolerance
         demand = max(probe.guard_gap, probe.solid_gap)
-        amp = max(lm, probe.required_amplitude(margin, LEAK_TOLERANCE))
+        amp = max(lm, probe.required_amplitude(margin))
         inflated = amp > lm
         levels.append(ULevel(j, lm, amp, demand, inflated))
         table.log_amp[handle] = amp
         if check_guards:
             rep = certify_dominance(node, n=guard_samples, seed=900 + j)
-            passed = rep.passed(LEAK_TOLERANCE)
+            passed = rep.passed()
             worst = rep.guard_point
             checks.append(JunctionCheck(f"u level {j + 1} handle",
                                         rep.guard_gap, rep.solid_gap,

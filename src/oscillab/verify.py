@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeCube, enumerate_basic_cubes
-from .subfun import TubeTable
+from .subfun import BoxRows, TubeTable
 from .treeset import GrowthParameters
 
 EPS_D_DEFAULT = 0.25
@@ -226,8 +226,8 @@ def _support_sup_points(ends, lo, hi) -> np.ndarray:
     """Candidate maximizers: per tube, samples along the centerline clipped
     to the box (the profile is monotone along the axis, so the within-box
     maximum sits on the centerline near the clipped far end).  ``ends`` is
-    the (a, b) pair of endpoint arrays of a table's rows (``tube_a``,
-    ``tube_b``) or of ``near_tube_ends``."""
+    the (a, b) pair of endpoint arrays (``tube_a``, ``tube_b``) of a
+    table's rows."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     a, b = ends
@@ -325,15 +325,14 @@ class ZeroSetInCube:
     is the true zero set, including the wall layers inside tubes where
     max(T-1, 0) dies).  ``zero_set_projection`` samples it only when the
     function's ``covers`` cannot show the set empty.  Where the function
-    ``vanishes`` on the cube, the set is the whole cube and nothing is
-    evaluated."""
+    ``vanishes`` on the cube (``BoxRows.vanishes``), the set is the whole
+    cube and nothing is evaluated."""
 
-    def __init__(self, cube: LatticeCube, fn):
-        self.cube = cube
+    def __init__(self, cube: LatticeCube, fn, vanishes: bool):
         self.fn = fn
         self.dimension = cube.dimension
         self._lo, self._hi = cube.bounds()
-        self._whole = fn.vanishes(self._lo, self._hi)
+        self._whole = vanishes
 
     def bounds(self):
         return self._lo, self._hi
@@ -364,18 +363,6 @@ class ZeroSetInCube:
             free[inside] = self._free(pts[inside])
         return free.reshape(n, len(ts)).any(axis=1)
 
-    def intersects_box(self, lo, hi) -> bool:
-        lo = np.maximum(np.asarray(lo, dtype=float), self._lo)
-        hi = np.minimum(np.asarray(hi, dtype=float), self._hi)
-        if np.any(hi <= lo):
-            return False
-        corners = np.array([
-            [lo[i] if not (j >> i) & 1 else hi[i] for i in range(len(lo))]
-            for j in range(2 ** len(lo))
-        ])
-        center = (lo + hi) / 2.0
-        return bool(self._free(np.vstack([corners, center[None, :]])).any())
-
 
 # ---------------------------------------------------------------------------
 # Oscillation classification and census
@@ -396,53 +383,48 @@ class OscillationReport:
         return self.classification == "rogue"
 
 
-def near_tube_ends(u, cube: LatticeCube) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays (a, b) of the support tubes of ``u`` within sqrt(d)/2
-    of the cube's centre, which holds every tube meeting the cube
-    (``TubeTable.near_ends``)."""
-    lo, hi = cube.bounds()
-    return u.near_ends((lo + hi) / 2.0, math.sqrt(cube.dimension) / 2.0)
+#: sample lines per projection axis of P2
+PROJECTION_SAMPLES = 64
 
 
-def zero_set_projection(u, cube: LatticeCube, ends, eps_d: float,
-                        samples: int = 64) -> float:
+def zero_set_projection(u, cube: LatticeCube, box: BoxRows, eps_d: float) -> float:
     """P2's certificate: the best projection lower bound on the content of
     the zero set of ``u`` in the cube, over the coordinate axes and the axes
-    of the first four tubes of ``ends`` (from ``near_tube_ends``), stopping
-    once it reaches eps_d.
+    of the first four tubes ``near`` the cube in ``box`` (its
+    ``box_rows``), stopping once it reaches eps_d.
 
     When ``u.covers`` the cube (the function is certainly positive on all
     of it), the answer is 0.0 without sampling.  That is the value
     sampling returns: no point of any line is zero, so no line hits and
-    every axis counts max(0, 0 - 1) = 0 cells.  When ``u.vanishes`` on the
-    cube, nothing is evaluated either: ``ZeroSetInCube`` counts every
-    sample inside the cube as zero, which is what evaluating would give."""
-    lo, hi = cube.bounds()
-    if u.covers(lo, hi):
+    every axis counts max(0, 0 - 1) = 0 cells.  When the box ``vanishes``,
+    nothing is evaluated either: ``ZeroSetInCube`` counts every sample
+    inside the cube as zero, which is what evaluating would give."""
+    if u.covers(box):
         return 0.0
-    zset = ZeroSetInCube(cube, u)
-    a, b = ends
+    zset = ZeroSetInCube(cube, u, box.vanishes)
+    first = box.near[:4]
     axes = list(np.eye(cube.dimension))
-    axes += [(bi - ai) / np.linalg.norm(bi - ai) for ai, bi in zip(a[:4], b[:4])]
+    axes += [(b - a) / np.linalg.norm(b - a) for a, b in zip(u.tube_a[first], u.tube_b[first])]
     best = 0.0
     for ax in axes:
-        best = max(best, content_lower_projection(zset, ax, samples))
+        best = max(best, content_lower_projection(zset, ax, PROJECTION_SAMPLES))
         if best >= eps_d:
             break
     return best
 
 
 def classify_cube(u, cube: LatticeCube, eps_d: float = EPS_D_DEFAULT,
-                  h: float = 0.125, projection_samples: int = 64) -> OscillationReport:
+                  h: float = 0.125) -> OscillationReport:
     """P1 by a certified supremum lower bound (grid plus tube centerlines),
     P2 by the projection lower bound on the zero set's content.  A cube is
     rogue when either certification fails; near-threshold uncertainty counts
     as rogue (conservative)."""
     lo, hi = cube.bounds()
-    ends = near_tube_ends(u, cube)
+    box = u.box_rows(lo, hi)
+    ends = u.tube_a[box.near], u.tube_b[box.near]
     low = sup_low(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi))
     p1 = low >= 0.0  # log scale: sup >= 1
-    best_proj = zero_set_projection(u, cube, ends, eps_d, projection_samples)
+    best_proj = zero_set_projection(u, cube, box, eps_d)
     p2 = best_proj >= eps_d
     cls = "oscillating" if (p1 and p2) else "rogue"
     return OscillationReport(cube.corner, p1, p2, cls, low, best_proj)

@@ -3,16 +3,16 @@ the chain contraction: a function that oscillates in every basic cube,
 with exponential growth, and is no tube table.
 
 It defines each method its callers use: ``eval_log`` and ``max_log`` (the
-census's P1 and ``chain_contraction``'s suprema), ``near_ends`` and
-``tube_a``/``tube_b`` (it has no tubes), and ``covers``/``vanishes``,
-which say False, so that P2 samples its zero set.
+census's P1 and ``chain_contraction``'s suprema), ``box_rows`` and
+``tube_a``/``tube_b`` (it has no tubes, and no box vanishes), and
+``covers``, which says False, so that P2 samples its zero set.
 """
 
 import math
 
 import numpy as np
 
-from oscillab.subfun import NEG_INF, PI, log_cosh
+from oscillab.subfun import NEG_INF, PI, BoxRows, log_cosh
 
 
 class SlabOscillating:
@@ -45,11 +45,10 @@ class SlabOscillating:
         i = int(np.argmax(vals))
         return i, float(vals[i])
 
-    def near_ends(self, x, r):
-        return self.tube_a, self.tube_b
+    def box_rows(self, lo, hi):
+        none = np.zeros(0, dtype=np.intp)
+        return BoxRows(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), none, none,
+                       False)
 
-    def covers(self, lo, hi):
-        return False
-
-    def vanishes(self, lo, hi):
+    def covers(self, box):
         return False

@@ -143,7 +143,9 @@ class TestFunctionFile:
     @pytest.mark.parametrize("argv", [
         ["verify", "--function", "F"], ["growth", "--function", "F"],
         ["lemma", "--d", "2", "--N", "16", "--function", "F"],
-        ["lemma", "--d", "2", "--N", "16", "--c0", "0.5", "--E", "function:F"]])
+        ["lemma", "--d", "2", "--N", "16", "--c0", "0.5", "--E", "function:F"],
+        ["lemma", "--d", "2", "--N", "16", "--c0", "0.5", "--E", "function:F",
+         "--function", "F"]])
     def test_edited_amplitude_refused(self, built, tmp_path, capsys, argv):
         doc = json.loads((built / "function.json").read_text())
         doc["levels"][-1]["amplitude"] += 1.0
@@ -260,14 +262,76 @@ CENSUS_DIGESTS = {
 }
 
 
+#: sha256 of the same censuses' reports (``_report_digest``), which
+#: census.csv records only as classes; recorded while every cube looked its
+#: rows up three times
+CENSUS_REPORT_DIGESTS = {
+    (2, "t^1.5", 3): "48aeecddeacf110ad130d1db56154f8e03d0a46cda78bae33a3b2e763107ab6a",
+    (2, "t^1.5", 4): "e8e9179e43193466f8c18eb88542efb5e3a5bb78253f4140c84dbdc69c451ef2",
+    (3, "t^2", 2): "44bb7b06e8e95565e62baa0eb6a79bbeba41c2aacae4d262529f73ab101ea80b",
+    (3, "t^2", 3): "7c4cbb35934a6af29111afcfc78c903fe4180c114c3694fb2e13f832b600e639",
+}
+
+
+def _report_digest(reports):
+    """sha256 of every report's corner, P1 and P2 flags, and its sup_low
+    and projection as raw float64 bytes."""
+    h = hashlib.sha256()
+    for r in reports:
+        h.update(np.array(r.cube, dtype=np.int64).tobytes())
+        h.update(bytes([r.p1_satisfied, r.p2_satisfied]))
+        h.update(np.array([r.sup_low, r.projection]).tobytes())
+    return h.hexdigest()
+
+
+def _keep_results(monkeypatch, owner, name, kept):
+    """Wrap ``owner.name`` so that every result it returns is appended to
+    ``kept``."""
+    call = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: kept.append(call(*a, **k)) or kept[-1])
+
+
 @pytest.mark.parametrize("d, f, k", list(CENSUS_DIGESTS))
-def test_census_bytes(tmp_path, d, f, k):
+def test_census_bytes(tmp_path, monkeypatch, d, f, k):
+    censuses = []
+    _keep_results(monkeypatch, verify, "rogue_census", censuses)
     assert main(["build", "--d", str(d), "--f", f, "--k", str(k),
                  "--out", str(tmp_path)]) == EXIT_OK
     assert main(["verify", "--function", str(tmp_path / "function.json"),
                  "--out", str(tmp_path)]) == EXIT_OK
     digest = hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest()
     assert digest == CENSUS_DIGESTS[(d, f, k)]
+    [census] = censuses
+    assert _report_digest(census.reports) == CENSUS_REPORT_DIGESTS[(d, f, k)]
+
+
+#: for ``build --d 2 --f t^1.5 --k 5`` then ``lemma --d 2 --N 32 --E
+#: function:F --function F`` (the README's line): the size and the sha256 of
+#: the sorted corners of the rogue set ``from_function`` finds, and the
+#: sha256 of contraction.csv, recorded while every cube looked its rows up
+#: three times and ``chain_contraction`` sampled every row's centreline
+LEMMA_FUNCTION_DIGESTS = (
+    99, "b266b5232864c374fb209dfb72a2a74a6cb79a27b0aa6c3f8189050b2d813019",
+    "059eb2195e61bd2a48a33fe8d3a03c1c43ba3207b7d6f5a1c5180e1009acf8ca")
+
+
+def test_lemma_function_bytes(tmp_path, monkeypatch):
+    assert main(["build", "--d", "2", "--f", "t^1.5", "--k", "5",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    path = str(tmp_path / "function.json")
+    builds, configs = [], []
+    _keep_results(monkeypatch, subfun, "build_u", builds)
+    _keep_results(monkeypatch, RogueConfiguration, "from_function", configs)
+    out = tmp_path / "lemma"
+    assert main(["lemma", "--d", "2", "--N", "32", "--E", f"function:{path}",
+                 "--function", path, "--out", str(out)]) == EXIT_OK
+    # both options name one file, which is built once
+    assert len(builds) == 1
+    [config] = configs
+    corners = np.array(sorted(config.E), dtype=np.int64)
+    assert (len(config.E), hashlib.sha256(corners.tobytes()).hexdigest(),
+            hashlib.sha256((out / "contraction.csv").read_bytes()).hexdigest()
+            ) == LEMMA_FUNCTION_DIGESTS
 
 
 #: sha256 of growth.csv for ``build --d D --f F --k K`` then ``growth``,
@@ -413,7 +477,8 @@ class TestLemma:
     def test_e_spec_parser_total(self, spec):
         # every spec either parses or raises an error main maps to exit 3
         try:
-            config = _parse_e_spec(spec, RunConfig(d=2, N=16))
+            config = _parse_e_spec(spec, RunConfig(d=2, N=16),
+                                   lambda path: _load_function(path, 2)[1])
         except CONFIG_ERRORS:
             return
         assert isinstance(config, RogueConfiguration)

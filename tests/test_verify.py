@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from frozen_tubes import FieldRows
 from slab_function import SlabOscillating
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import SegmentShape, SphereShape
-from oscillab.subfun import Frame, TableBuilder, TubeField, build_u, eval_T
+from oscillab.mainlemma import RogueConfiguration
+from oscillab.subfun import Frame, TableBuilder, TubeField, TubeTable, build_u, eval_T
 from oscillab.treeset import GrowthParameters, TubeSpec, complete_frame
 from oscillab.verify import (
     EmptyDomainError,
@@ -19,7 +21,6 @@ from oscillab.verify import (
     discrete_laplacian_report,
     growth_profile,
     laplacian_refinement_study,
-    near_tube_ends,
     rogue_census,
     sup_on,
     lower_bound_denominator,
@@ -40,6 +41,23 @@ def segment_table(tube: TubeSpec):
 
 def growth(a, d=2):
     return GrowthParameters(d=d, index=a).validate()
+
+
+class _ZeroSetCells(ZeroSetInCube):
+    """A zero set that ``content_upper`` can cover: a cell meets it when one
+    of its corners or its centre, clipped to the cube, is a zero point."""
+
+    def intersects_box(self, lo, hi):
+        lo = np.maximum(np.asarray(lo, dtype=float), self._lo)
+        hi = np.minimum(np.asarray(hi, dtype=float), self._hi)
+        if np.any(hi <= lo):
+            return False
+        corners = np.array([
+            [lo[i] if not (j >> i) & 1 else hi[i] for i in range(len(lo))]
+            for j in range(2 ** len(lo))
+        ])
+        center = (lo + hi) / 2.0
+        return bool(self._free(np.vstack([corners, center[None, :]])).any())
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +167,7 @@ class TestContent:
     def test_sandwich_on_zero_sets(self):
         # projection lower bound never exceeds the dyadic cover upper bound
         tube = TubeSpec(np.array([0.1, 0.2]), np.array([0.9, 0.7]), 0.125)
-        z = ZeroSetInCube(LatticeCube((0, 0)), segment_table(tube))
+        z = _ZeroSetCells(LatticeCube((0, 0)), segment_table(tube), False)
         low = content_lower_projection(z, complete_frame(tube.b - tube.a)[0], 128)
         up = content_upper(z, 5, box=((0.0, 0.0), (1.0, 1.0)))
         assert low <= up + 1e-9
@@ -158,7 +176,7 @@ class TestContent:
         # the complement of a diameter-1/8 tube inside a unit cube projects
         # along the tube axis to measure at least 3/4
         tube = TubeSpec(np.array([-0.5, 0.5]), np.array([1.5, 0.5]), 0.125)
-        z = ZeroSetInCube(LatticeCube((0, 0)), segment_table(tube))
+        z = ZeroSetInCube(LatticeCube((0, 0)), segment_table(tube), False)
         val = content_lower_projection(z, np.array([1.0, 0.0]), 256)
         assert val >= 0.75
 
@@ -212,6 +230,58 @@ class TestCensus:
         assert res.total == 64 and made == []
 
 
+def _count_lookups(monkeypatch):
+    """Count the row lookups (``TubeTable._candidates`` calls) made outside
+    evaluation; returns the counter, a one-element list."""
+    depth, lookups = [0], [0]
+
+    def evaluating(method):
+        def run(self, *args):
+            depth[0] += 1
+            try:
+                return method(self, *args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    for name in ("eval_log", "upper_local", "max_log"):
+        monkeypatch.setattr(TubeTable, name, evaluating(getattr(TubeTable, name)))
+    candidates = TubeTable._candidates
+
+    def counted(self, *args):
+        lookups[0] += depth[0] == 0
+        return candidates(self, *args)
+
+    monkeypatch.setattr(TubeTable, "_candidates", counted)
+    return lookups
+
+
+class TestBoxRows:
+    """``TubeTable.box_rows`` is each cube's one row lookup, and its rows
+    are ``near``'s."""
+
+    def test_one_lookup_per_cube(self, ub5, monkeypatch):
+        lookups = _count_lookups(monkeypatch)
+        res = rogue_census(ub5.level_nodes[3], (0, 0), (8, 8), ub5.params)
+        assert res.total == 64 and lookups == [64]
+        lookups[0] = 0
+        RogueConfiguration.from_function(ub5.node, 8, 2, c0=0.9)
+        assert lookups == [64]
+
+    @pytest.mark.parametrize("level, lo, hi", [
+        (3, (0, 0), (16, 16)), (4, (-8, -8), (8, 8)), (4, (0, 0), (32, 32))])
+    def test_rows_are_near_at_both_radii(self, ub5, level, lo, hi):
+        table = ub5.level_nodes[level]
+        for cube in enumerate_basic_cubes(lo, hi):
+            lo_c, hi_c = cube.bounds()
+            box = table.box_rows(lo_c, hi_c)
+            centre, r = (lo_c + hi_c) / 2.0, math.sqrt(2) / 2.0
+            assert np.array_equal(box.near, table.near(centre, r))
+            assert np.array_equal(box.rows, table.near(centre, r + table._margin32))
+            live = np.isfinite(table.log_amp[box.rows] + table.log_c[box.rows])
+            assert box.vanishes == (not live.any())
+
+
 class TestSupportSupPoints:
     def test_matches_per_tube_loop(self, ub5):
         table = ub5.level_nodes[3]
@@ -223,6 +293,21 @@ class TestSupportSupPoints:
             expected.extend(seg[np.all((seg >= lo) & (seg <= hi), axis=1)])
         got = _support_sup_points((table.tube_a, table.tube_b), lo, hi)
         assert len(expected) > 0 and np.array_equal(got, np.array(expected))
+
+    @pytest.mark.parametrize("edge", [1.0, 3.0, 16.0])
+    def test_box_rows_hold_every_sample(self, ub5, edge):
+        # chain_contraction's boxes take the samples of their box_rows only
+        table = ub5.node
+        rng = np.random.default_rng(5)
+        sampled = 0
+        for lo in rng.integers(-4, 32, size=(40, 2)).astype(float):
+            hi = lo + edge
+            rows = table.box_rows(lo, hi).rows
+            want = _support_sup_points((table.tube_a, table.tube_b), lo, hi)
+            got = _support_sup_points((table.tube_a[rows], table.tube_b[rows]), lo, hi)
+            assert np.array_equal(got, want)
+            sampled += len(want) > 0
+        assert sampled > 10
 
 
 class TestGrowthProfile:
@@ -248,12 +333,13 @@ class TestGrowthProfile:
 
 
 class _Sampled:
-    """A table's ``eval_log`` that keeps every value it hands out.  It has
-    no ``covers`` or ``vanishes`` certificate, so ``zero_set_projection``
-    samples it."""
+    """A table's ``eval_log`` that keeps every value it hands out, with its
+    rows.  It has no ``covers`` or ``vanishes`` certificate, so
+    ``zero_set_projection`` samples it."""
 
     def __init__(self, table):
         self.table = table
+        self.tube_a, self.tube_b = table.tube_a, table.tube_b
         self.values = []
 
     def eval_log(self, X):
@@ -261,11 +347,17 @@ class _Sampled:
         self.values.append(vals)
         return vals
 
-    def covers(self, lo, hi):
+    def covers(self, box):
         return False
 
-    def vanishes(self, lo, hi):
-        return False
+    @staticmethod
+    def uncertified(box):
+        """``box`` with its ``vanishes`` certificate taken away."""
+        return dataclasses.replace(box, vanishes=False)
+
+
+def _covers(table, lo, hi):
+    return table.covers(table.box_rows(lo, hi))
 
 
 def _tube_field(origin, direction, eps, cut, log_amp=0.0):
@@ -273,7 +365,7 @@ def _tube_field(origin, direction, eps, cut, log_amp=0.0):
 
 
 class TestVanishes:
-    """``TubeTable.vanishes`` accepts a cube only where the function is zero
+    """``BoxRows.vanishes`` accepts a cube only where the function is zero
     at every point P2 samples, and the projection it then gives without
     evaluating is the sampled one."""
 
@@ -285,15 +377,15 @@ class TestVanishes:
         vanishing = 0
         for corner in np.ndindex(*(N,) * d):
             cube = LatticeCube(tuple(int(c) - N // 2 for c in corner))
-            if not u.vanishes(*cube.bounds()):
+            box = u.box_rows(*cube.bounds())
+            if not box.vanishes:
                 continue
             vanishing += 1
-            ends = near_tube_ends(u, cube)
             for eps_d in (0.25, math.inf):
                 sampled = _Sampled(u)
-                want = zero_set_projection(sampled, cube, ends, eps_d)
+                want = zero_set_projection(sampled, cube, sampled.uncertified(box), eps_d)
                 assert np.all(np.concatenate(sampled.values) == -np.inf), cube.corner
-                got = zero_set_projection(u, cube, ends, eps_d)
+                got = zero_set_projection(u, cube, box, eps_d)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert N**d // 2 < vanishing < N**d
 
@@ -304,8 +396,8 @@ class TestVanishes:
             rows = FieldRows(2)
             rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0, log_amp=log_amp))
             table = rows.table()
-            assert table.vanishes(lo, hi) is vanishes
-            assert table.vanishes(*far)
+            assert table.box_rows(lo, hi).vanishes is vanishes
+            assert table.box_rows(*far).vanishes
 
 
 class TestCovers:
@@ -317,12 +409,13 @@ class TestCovers:
         """The census cubes of [0, 2^k)^d that ``covers`` accepts, after
         checking that the function is finite at every sample of every P2
         axis there, so that sampling gives the projection 0.0 as well."""
-        cubes = [c for c in enumerate_basic_cubes((0,) * table.d, (2**k,) * table.d)
-                 if table.covers(*c.bounds())]
+        boxes = {c: table.box_rows(*c.bounds())
+                 for c in enumerate_basic_cubes((0,) * table.d, (2**k,) * table.d)}
+        cubes = [c for c, box in boxes.items() if table.covers(box)]
         for cube in cubes:
             u = _Sampled(table)
             # an infinite threshold samples every axis
-            proj = zero_set_projection(u, cube, near_tube_ends(table, cube), math.inf)
+            proj = zero_set_projection(u, cube, u.uncertified(boxes[cube]), math.inf)
             vals = np.concatenate(u.values)
             assert vals.size and np.all(np.isfinite(vals)), cube.corner
             assert proj == 0.0
@@ -354,9 +447,9 @@ class TestCovers:
         guarded = FieldRows(2)
         guarded.add(wide, (guarded.add(keep),))
         lo, hi = np.array([10.0, 0.0]), np.array([11.0, 1.0])
-        assert alone.table().covers(lo, hi)
+        assert _covers(alone.table(), lo, hi)
         table = guarded.table()
-        assert not table.covers(lo, hi)
+        assert not _covers(table, lo, hi)
         assert table.eval_log([[10.5, 0.5]])[0] == -np.inf
 
     def test_refuses_the_cut_face(self):
@@ -364,7 +457,7 @@ class TestCovers:
         for cut, accepted in ((20.0, True), (10.5, False)):
             rows = FieldRows(2)
             rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, cut))
-            assert rows.table().covers(lo, hi) is accepted
+            assert _covers(rows.table(), lo, hi) is accepted
 
     def test_refuses_the_wall_layer(self):
         # the cube lies in the row's support, 0.1 <= x_1 <= 1.1, where
@@ -372,13 +465,13 @@ class TestCovers:
         rows = FieldRows(2)
         rows.add(_tube_field([-0.1, 0.5], [1.0, 0.0], 4.0, 20.0))
         table = rows.table()
-        assert not table.covers(np.zeros(2), np.ones(2))
+        assert not _covers(table, np.zeros(2), np.ones(2))
         assert table.eval_log([[0.0, 0.0]])[0] == -np.inf
-        assert table.covers(np.array([2.0, 0.0]), np.array([3.0, 1.0]))
+        assert _covers(table, np.array([2.0, 0.0]), np.array([3.0, 1.0]))
 
     def test_accepts_the_wide_branch_cube(self, ub5):
         node = ub5.level_nodes[-1]
         handle = node.field(0)
         mid = handle.anchor + 3.0 * handle.frame.rows[0]
         cube = LatticeCube(tuple(int(math.floor(v)) for v in mid))
-        assert node.covers(*cube.bounds())
+        assert _covers(node, *cube.bounds())
