@@ -281,10 +281,7 @@ def cmd_verify(cfg: RunConfig, function_path: Path, grid_h: float) -> int:
     k = ub.k - 1
     table = ub.level_nodes[k]
     census = verify.rogue_census(table, (0,) * d, (2**k,) * d, g, cfg.eps_d)
-    nonbranch_ok = all(
-        np.any(table.eps[table.near(np.add(r.cube, 0.5), math.sqrt(d) / 2)]
-               > 2 * treeset.EPS1)
-        for r in census.reports if r.rogue)
+    nonbranch_ok = all(r.widest > 2 * treeset.EPS1 for r in census.reports if r.rogue)
     checks.append(_verdict("rogue_census", census.gamma <= 10.0,
                            count=census.count, gamma=census.gamma,
                            f_value=census.f_value))
@@ -451,7 +448,9 @@ def cmd_report(cfg: RunConfig) -> int:
     for name in ("verify", "growth", "lemma", "potential"):
         p = cfg.out / f"{name}.json"
         if p.exists():
-            doc = json.loads(p.read_text())
+            doc = _read_json(p)
+            if not isinstance(doc, dict):
+                raise mainlemma.ConfigurationError(f"{p} is not a JSON object")
             merged[name] = doc
             ok = ok and doc.get("passed", False)
     write_json(cfg.out / "report.json", {"tools": merged, "passed": ok})

@@ -101,7 +101,7 @@ class RogueConfiguration:
         bad = set()
         for corner in np.ndindex(*(N,) * d):
             cube = LatticeCube(tuple(int(c) - half for c in corner))
-            if zero_set_projection(u, cube, u.box_rows(*cube.bounds()), eps_d) < eps_d:
+            if zero_set_projection(u, u.box_rows(*cube.bounds()), eps_d) < eps_d:
                 bad.add(cube.corner)
         return cls(N, d, bad, **kw)
 

@@ -265,9 +265,8 @@ class TubeField:
         g2 = 2.0 * g_threshold(self.eps, self.d)
         return self.frame.from_local(np.array([[g2] + [0.0] * (self.d - 1)]))[0]
 
-    def guard(self, reach: float | None = None) -> GuardRegion:
-        return GuardRegion(self.frame, self.eps, self.d,
-                           self.cut if reach is None else reach)
+    def guard(self) -> GuardRegion:
+        return GuardRegion(self.frame, self.eps, self.d, self.cut)
 
 
 # ---------------------------------------------------------------------------
@@ -616,32 +615,24 @@ class TubeTable(FunctionNode):
         g2 = 2.0 * g_threshold(self.eps, self.d)
         return round12(self.tube_a + g2[:, None] * self.global_rows[:, 0]), round12(self.tube_b)
 
-    def near(self, x, r: float) -> np.ndarray:
-        """Ascending rows whose support lies within Euclidean distance r of
-        the point x, measured in the row's own global frame."""
-        rows, dist2 = self._distances(np.asarray(x, dtype=float), r)
-        return rows[dist2 <= r * r]
-
-    def _distances(self, x, r: float):
-        """x's ascending candidate rows at radius r, each with its squared distance."""
-        rows = self._candidates(x[None, :], x[None, :], r, r)[1]
-        loc = np.einsum("fji,fi->fj", self.global_rows[rows], x - self.tube_a[rows])
-        dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.cut[rows]), 0.0)
-        dt = np.maximum(np.abs(loc[:, 1:]) - self.half[rows, None], 0.0)
-        return rows, dx**2 + np.sum(dt**2, axis=1)
-
     def box_rows(self, lo, hi) -> BoxRows:
-        """One row lookup for the closed box [lo, hi]: the rows within its
-        half diagonal r plus ``_margin32`` = 2^-16 scale of its centre, and
-        those within r, filtered with ``near``'s bits (candidates grow with
-        the radius, and each distance is the row's own).  The box
-        ``vanishes`` when no row of the wider set has a finite amplitude
-        (log_amp + log_c): a finite value needs a row whose support holds
-        the point, up to roundings under 2^-45 scale (``covers``)."""
+        """The table's one row lookup, for the closed box [lo, hi]: the
+        rows whose support lies within its half diagonal r plus
+        ``_margin32`` = 2^-16 scale of its centre, and those within r
+        (candidates grow with the radius), each at its exact distance in
+        the row's global frame.  The box ``vanishes`` when no row of the
+        wider set has a finite amplitude (log_amp + log_c): a finite value
+        needs a row whose support holds the point, up to roundings under
+        2^-45 scale (``covers``)."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         r = float(np.linalg.norm(hi - lo)) / 2.0
         wide = r + self._margin32
-        rows, dist2 = self._distances((lo + hi) / 2.0, wide)
+        x = (lo + hi) / 2.0
+        rows = self._candidates(x[None, :], x[None, :], wide, wide)[1]
+        loc = np.einsum("fji,fi->fj", self.global_rows[rows], x - self.tube_a[rows])
+        dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.cut[rows]), 0.0)
+        dt = np.maximum(np.abs(loc[:, 1:]) - self.half[rows, None], 0.0)
+        dist2 = dx**2 + np.sum(dt**2, axis=1)
         near = rows[dist2 <= r * r]
         rows = rows[dist2 <= wide * wide]
         live = np.isfinite(self.log_amp[rows] + self.log_c[rows])
@@ -769,9 +760,9 @@ class TubeTable(FunctionNode):
     def max_log(self, X, slack=None):
         """The first argmax and the maximum of ``eval_log(X)`` (slack None)
         or of ``upper_local(X, slack)``, with the bits full evaluation
-        gives, from the tiles that can hold the maximum (``_best_first``).
-        A tile is bounded by the largest peak of its candidate rows; a
-        batch that is one tile is evaluated whole.
+        gives, from the tiles that can hold the maximum (``_best_first``),
+        with one tiling and one candidate lookup.  A tile is bounded by the
+        largest peak of its candidate rows; an empty batch gives (0, -inf).
 
         A row's peak bounds every value ``_pass`` computes for it.  At a
         finite value, 0 <= x_1 <= cut, so the computed argument y =
@@ -801,22 +792,21 @@ class TubeTable(FunctionNode):
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         order, ptr, lo, hi = self._tiles(X)
-        if ptr.size <= 2:
-            vals = self.eval_log(X) if slack is None else self.upper_local(X, slack)
-            i = int(np.argmax(vals))
-            return i, float(vals[i])
         cptr, crows = self._candidates(lo, hi, *self._pads(slack))
-        amp = self.log_amp + self.log_c
+        # a row of amplitude -inf keeps peak -inf: in the formula its
+        # margin is inf, and -inf + inf is nan
+        amp = self.log_amp[crows] + self.log_c[crows]
         live = amp > NEG_INF
-        top = PI * math.sqrt(self.d - 1) / self.eps[live] * self.cut[live]
-        margin = 2.0**-48 * (top + np.abs(self.log_amp[live]) + np.abs(self.log_c[live]) + 1.0)
-        peak = np.full(len(self), NEG_INF)
+        rows = crows[live]
+        top = PI * math.sqrt(self.d - 1) / self.eps[rows] * self.cut[rows]
+        margin = 2.0**-48 * (top + np.abs(self.log_amp[rows]) + np.abs(self.log_c[rows]) + 1.0)
+        peak = np.full(crows.size, NEG_INF)
         peak[live] = amp[live] + top + margin
         count = cptr[1:] - cptr[:-1]
         bounds = np.full(count.size, NEG_INF)
         some = count > 0
         if crows.size:
-            bounds[some] = np.maximum.reduceat(peak[crows], cptr[:-1][some])
+            bounds[some] = np.maximum.reduceat(peak, cptr[:-1][some])
         return _best_first(bounds, count, ptr[1:] - ptr[:-1], lambda ts: self._pass(
             X, order, ptr, cptr, crows, ts, slack))
 
@@ -1673,7 +1663,7 @@ def _cell_reflection(cell_index, edge: float):
 
 
 def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
-            guard_samples: int = 10_000, margin: float = LOG2) -> UBuild:
+            guard_samples: int = 10_000) -> UBuild:
     """The nested function on [0, 2^k)^d with its handle sticking out.
 
     Level j+1 glues the level-j function and 2^d - 1 reflected rank-j outer
@@ -1681,7 +1671,7 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
     The handle amplitude is the growth threshold M_j whenever that already
     dominates the arriving branches on the sampled guard boundary; when the
     sampled demand exceeds it (small-k regime) the amplitude is inflated to
-    demand + margin and the level is flagged.
+    demand + log 2 and the level is flagged.
 
     The table's rows are the handles of levels k, k-1, ..., 1, the leaves
     of level 1, then the reflected subtrees of levels 2, ..., k; so level j
@@ -1731,7 +1721,7 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
         # solidly-covered face points, and towers over the wall-sliver seam
         # by the tolerance
         demand = max(probe.guard_gap, probe.solid_gap)
-        amp = max(lm, probe.required_amplitude(margin))
+        amp = max(lm, probe.required_amplitude(LOG2))
         inflated = amp > lm
         levels.append(ULevel(j, lm, amp, demand, inflated))
         table.log_amp[handle] = amp

@@ -483,7 +483,7 @@ def tube_measure_in_cube(cube_lo, cube_hi, table, depth_cap: int = 8,
     cube_lo = np.asarray(cube_lo, dtype=float)
     cube_hi = np.asarray(cube_hi, dtype=float)
     d = len(cube_lo)
-    rows = table.near((cube_lo + cube_hi) / 2.0, float(np.linalg.norm(cube_hi - cube_lo) / 2.0))
+    rows = table.box_rows(cube_lo, cube_hi).near
     tubes = _anchored(table, rows)
     bits = np.array(list(np.ndindex(*(2,) * d))[::-1], dtype=bool)
     lo, hi = cube_lo[None], cube_hi[None]

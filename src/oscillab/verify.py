@@ -72,7 +72,6 @@ class LaplacianReport:
     min_value: float
     min_point: tuple
     violations: list
-    tolerance: float
     checked: int
 
 
@@ -82,10 +81,9 @@ def _interior_coords(start, h: float, i):
     return start + h * (1 + i)
 
 
-def discrete_laplacian_report(field: GridField, mask=None,
-                              tol: float | None = None) -> LaplacianReport:
+def discrete_laplacian_report(field: GridField, mask=None) -> LaplacianReport:
     """(2d+1)-point stencil at interior masked points; reports the minimum
-    and every point where the stencil falls below -tol."""
+    and every point where the stencil is negative."""
     v = field.values
     d = v.ndim
     if any(n < 3 for n in v.shape):
@@ -108,17 +106,16 @@ def discrete_laplacian_report(field: GridField, mask=None,
         keep = np.ones_like(lap, dtype=bool)
     if not keep.any():
         raise EmptyDomainError("mask excludes all interior grid points")
-    tol = 0.0 if tol is None else tol
     masked = np.where(keep, lap, np.inf)
     idx = np.unravel_index(int(np.argmin(masked)), masked.shape)
     min_val = float(masked[idx])
     min_pt = tuple(float(_interior_coords(field.origin[i], field.h, idx[i])) for i in range(d))
-    viol_idx = np.argwhere(keep & (lap < -tol))
+    viol_idx = np.argwhere(keep & (lap < 0.0))
     violations = [
         tuple(float(_interior_coords(field.origin[i], field.h, j[i])) for i in range(d))
         for j in viol_idx[:100]
     ]
-    return LaplacianReport(field.h, min_val, min_pt, violations, tol, int(keep.sum()))
+    return LaplacianReport(field.h, min_val, min_pt, violations, int(keep.sum()))
 
 
 def laplacian_refinement_study(fn, origin, extent: float, hs, mask=None):
@@ -324,15 +321,15 @@ class ZeroSetInCube:
     profiles vanish identically outside the half-tube level sets, so this
     is the true zero set, including the wall layers inside tubes where
     max(T-1, 0) dies).  ``zero_set_projection`` samples it only when the
-    function's ``covers`` cannot show the set empty.  Where the function
-    ``vanishes`` on the cube (``BoxRows.vanishes``), the set is the whole
-    cube and nothing is evaluated."""
+    function's ``covers`` cannot show the set empty.  The cube is the box
+    of ``box`` (its ``BoxRows``); where the function ``vanishes`` on it,
+    the set is the whole cube and nothing is evaluated."""
 
-    def __init__(self, cube: LatticeCube, fn, vanishes: bool):
+    def __init__(self, fn, box: BoxRows):
         self.fn = fn
-        self.dimension = cube.dimension
-        self._lo, self._hi = cube.bounds()
-        self._whole = vanishes
+        self.dimension = box.lo.size
+        self._lo, self._hi = box.lo, box.hi
+        self._whole = box.vanishes
 
     def bounds(self):
         return self._lo, self._hi
@@ -342,15 +339,14 @@ class ZeroSetInCube:
             return np.ones(len(pts), dtype=bool)
         return ~np.isfinite(self.fn.eval_log(pts))
 
-    def line_hits(self, origins: np.ndarray, direction: np.ndarray,
-                  steps: int = 96) -> np.ndarray:
+    def line_hits(self, origins: np.ndarray, direction: np.ndarray) -> np.ndarray:
         """A line counts when it certifiably contains a zero point inside
         the cube (sampling misses only undercount)."""
         direction = np.asarray(direction, dtype=float)
         direction = direction / np.linalg.norm(direction)
         span_lo = float(np.min((self._lo) @ direction))
         span_hi = float(np.max((self._hi) @ direction))
-        ts = np.linspace(span_lo, span_hi, steps)
+        ts = np.linspace(span_lo, span_hi, LINE_STEPS)
         n = origins.shape[0]
         offs = ts[None, :] - (origins @ direction)[:, None]
         pts = origins[:, None, :] + offs[:, :, None] * direction[None, None, :]
@@ -377,6 +373,7 @@ class OscillationReport:
     classification: str  # oscillating | rogue
     sup_low: float = float("nan")
     projection: float = float("nan")
+    widest: float = 0.0  # the largest eps among the cube's near rows
 
     @property
     def rogue(self) -> bool:
@@ -385,13 +382,19 @@ class OscillationReport:
 
 #: sample lines per projection axis of P2
 PROJECTION_SAMPLES = 64
+#: sample points per line of P2
+LINE_STEPS = 96
+#: grid step of P1's samples
+P1_STEP = 0.125
+#: least grid step of ``growth_profile``'s samples
+GROWTH_STEP = 0.25
 
 
-def zero_set_projection(u, cube: LatticeCube, box: BoxRows, eps_d: float) -> float:
+def zero_set_projection(u, box: BoxRows, eps_d: float) -> float:
     """P2's certificate: the best projection lower bound on the content of
-    the zero set of ``u`` in the cube, over the coordinate axes and the axes
-    of the first four tubes ``near`` the cube in ``box`` (its
-    ``box_rows``), stopping once it reaches eps_d.
+    the zero set of ``u`` in the cube of ``box`` (its ``box_rows``), over
+    the coordinate axes and the axes of the first four tubes ``near`` the
+    cube, stopping once it reaches eps_d.
 
     When ``u.covers`` the cube (the function is certainly positive on all
     of it), the answer is 0.0 without sampling.  That is the value
@@ -401,9 +404,9 @@ def zero_set_projection(u, cube: LatticeCube, box: BoxRows, eps_d: float) -> flo
     inside the cube as zero, which is what evaluating would give."""
     if u.covers(box):
         return 0.0
-    zset = ZeroSetInCube(cube, u, box.vanishes)
+    zset = ZeroSetInCube(u, box)
     first = box.near[:4]
-    axes = list(np.eye(cube.dimension))
+    axes = list(np.eye(zset.dimension))
     axes += [(b - a) / np.linalg.norm(b - a) for a, b in zip(u.tube_a[first], u.tube_b[first])]
     best = 0.0
     for ax in axes:
@@ -413,8 +416,7 @@ def zero_set_projection(u, cube: LatticeCube, box: BoxRows, eps_d: float) -> flo
     return best
 
 
-def classify_cube(u, cube: LatticeCube, eps_d: float = EPS_D_DEFAULT,
-                  h: float = 0.125) -> OscillationReport:
+def classify_cube(u, cube: LatticeCube, eps_d: float = EPS_D_DEFAULT) -> OscillationReport:
     """P1 by a certified supremum lower bound (grid plus tube centerlines),
     P2 by the projection lower bound on the zero set's content.  A cube is
     rogue when either certification fails; near-threshold uncertainty counts
@@ -422,12 +424,13 @@ def classify_cube(u, cube: LatticeCube, eps_d: float = EPS_D_DEFAULT,
     lo, hi = cube.bounds()
     box = u.box_rows(lo, hi)
     ends = u.tube_a[box.near], u.tube_b[box.near]
-    low = sup_low(u, lo, hi, h, extra_points=_support_sup_points(ends, lo, hi))
+    low = sup_low(u, lo, hi, P1_STEP, extra_points=_support_sup_points(ends, lo, hi))
     p1 = low >= 0.0  # log scale: sup >= 1
-    best_proj = zero_set_projection(u, cube, box, eps_d)
+    best_proj = zero_set_projection(u, box, eps_d)
     p2 = best_proj >= eps_d
     cls = "oscillating" if (p1 and p2) else "rogue"
-    return OscillationReport(cube.corner, p1, p2, cls, low, best_proj)
+    return OscillationReport(cube.corner, p1, p2, cls, low, best_proj,
+                             float(np.max(u.eps[box.near], initial=0.0)))
 
 
 @dataclass
@@ -439,12 +442,12 @@ class CensusResult:
     reports: list
 
 
-def rogue_census(u, lo, hi, f: GrowthParameters, eps_d: float = EPS_D_DEFAULT,
-                 h: float = 0.125) -> CensusResult:
+def rogue_census(u, lo, hi, f: GrowthParameters,
+                 eps_d: float = EPS_D_DEFAULT) -> CensusResult:
     """Exact rogue count over the basic cubes of the box, divided by
     f(edge length), with every cube's report."""
     cubes = enumerate_basic_cubes(lo, hi)
-    reports = [classify_cube(u, c, eps_d, h) for c in cubes]
+    reports = [classify_cube(u, c, eps_d) for c in cubes]
     count = sum(1 for r in reports if r.rogue)
     edge = float(max(b - a for a, b in zip(lo, hi)))
     fval = float(f(edge))
@@ -478,8 +481,7 @@ def lower_bound_denominator(R: float, f: GrowthParameters) -> float:
     return R * math.log(2.0 + ratio) ** (d / (d - 1)) / (1.0 + ratio ** (1.0 / (d - 1)))
 
 
-def growth_profile(levels: list[TubeTable], f: GrowthParameters,
-                   h: float = 0.25) -> GrowthProfile:
+def growth_profile(levels: list[TubeTable], f: GrowthParameters) -> GrowthProfile:
     """Measured log M_u(2^k) against the lower-bound denominator, per dyadic
     radius, as the bracket of ``sup_on``: the ratios use the sampled lower
     bound, ``log_m_upper`` is the certified upper bound.  Radius 2^k is
@@ -492,7 +494,7 @@ def growth_profile(levels: list[TubeTable], f: GrowthParameters,
         lo = np.zeros(d)
         hi = np.full(d, R)
         extra = _support_sup_points((fn.tube_a, fn.tube_b), lo, hi)
-        bracket = sup_on(fn, lo, hi, max(h, R / 64.0), extra_points=extra)
+        bracket = sup_on(fn, lo, hi, max(GROWTH_STEP, R / 64.0), extra_points=extra)
         radii.append(R)
         logs.append(bracket.low)
         uppers.append(bracket.high)

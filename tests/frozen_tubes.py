@@ -23,6 +23,10 @@ tile evaluated on its own (``tile``), with its guards tested on the
 tile's (candidate, point) matrix (``guarded``).  ``evaluate(table, X,
 slack)`` stands in for ``TubeTable.eval_log`` (slack None) and
 ``upper_local``.
+
+``near(table, x, r)`` finds the rows within distance r of a point from
+the distance to every row of the table, where ``TubeTable.box_rows``
+looks them up through the table's grid.
 """
 
 import itertools
@@ -334,6 +338,16 @@ def candidates(table, lo, hi, pad, r):
     for j in range(1, table.d):
         meets &= np.abs(proj[:, j]) - reach[:, j] <= table.half[cand]
     return cand[meets]
+
+
+def near(table, x, r):
+    """Ascending rows of the table whose support lies within Euclidean
+    distance r of the point x, measured in the row's own global frame,
+    from each row's squared distance with the bits ``box_rows`` computes."""
+    loc = np.einsum("fji,fi->fj", table.global_rows, x - table.tube_a)
+    dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - table.cut), 0.0)
+    dt = np.maximum(np.abs(loc[:, 1:]) - table.half[:, None], 0.0)
+    return np.flatnonzero(dx**2 + np.sum(dt**2, axis=1) <= r * r)
 
 
 def tile(table, X, cand, slack):

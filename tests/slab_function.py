@@ -4,7 +4,7 @@ with exponential growth, and is no tube table.
 
 It defines each method its callers use: ``eval_log`` and ``max_log`` (the
 census's P1 and ``chain_contraction``'s suprema), ``box_rows`` and
-``tube_a``/``tube_b`` (it has no tubes, and no box vanishes), and
+``tube_a``/``tube_b``/``eps`` (it has no tubes, and no box vanishes), and
 ``covers``, which says False, so that P2 samples its zero set.
 """
 
@@ -22,6 +22,7 @@ class SlabOscillating:
     def __init__(self, d: int):
         self.d = d
         self.tube_a = self.tube_b = np.zeros((0, d))
+        self.eps = np.zeros(0)
 
     def eval_log(self, X):
         X = np.atleast_2d(X)

@@ -142,8 +142,7 @@ class TestCriterion5:
                 if not r.rogue:
                     continue
                 # a branch is a row wider than the leaves (as cmd_verify reads it)
-                rows = u7.node.near(np.add(r.cube, 0.5), math.sqrt(2) / 2)
-                if not np.any(u7.node.eps[rows] > 2 * treeset.EPS1):
+                if not r.widest > 2 * treeset.EPS1:
                     nonbranch_bad += 1
         elapsed = time.time() - t0
         spread = max(gammas.values()) / min(gammas.values())

@@ -118,7 +118,7 @@ class TestTreeCensus:
             hit = 0
             for corner in np.ndindex(2**k, 2**k):
                 center = np.asarray(corner, dtype=float) + 0.5
-                rows = table.near(center, r)
+                rows = table.box_rows(center - 0.5, center + 0.5).near
                 rows = rows[table.eps[rows] > 2 * EPS1]
                 pts = np.broadcast_to(center, (rows.size, 1, 2))
                 if np.any(_distance(_anchored(table, rows), pts) <= r):

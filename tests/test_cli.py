@@ -532,6 +532,21 @@ class TestReport:
         doc = json.loads((built / "report.json").read_text())
         assert "verify" in doc["tools"] and "growth" in doc["tools"]
 
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[1, 2]", None])
+    def test_malformed_tool_report(self, tmp_path, capsys, content):
+        # None: a directory where the report should be
+        path = tmp_path / "verify.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code = main(["report", "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "verify.json" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestOptions:
     """Each subcommand takes exactly the options it reads; a command line

@@ -540,8 +540,9 @@ class TestTubeTable:
 
     @pytest.mark.parametrize("d, a, k, levels", [(2, 1.5, 6, (3, 4, 5)), (3, 2.0, 4, (2, 3))])
     def test_near_matches_tube_distance(self, d, a, k, levels):
-        # near(c, r) at every unit-cube centre against the frozen distance
-        # to every support tube, up to the rounding of the two frames
+        # the near rows of every unit cube against the distance to every
+        # row, and against the frozen distance to every support tube, up
+        # to the rounding of the two frames
         built = build_u(growth(a, d=d), k, guard_samples=1000)
         r = math.sqrt(d) / 2.0
         for level in levels:
@@ -549,7 +550,8 @@ class TestTubeTable:
             centres = np.array(list(np.ndindex(*(2**level,) * d))) + 0.5
             dist = np.array([t.distance(centres) for t in support_tubes(table)])
             for c, col in zip(centres, dist.T):
-                rows = table.near(c, r)
+                rows = table.box_rows(c - 0.5, c + 0.5).near
+                assert np.array_equal(rows, frozen_tubes.near(table, c, r))
                 assert np.all(np.diff(rows) > 0)
                 assert set(np.flatnonzero(col <= r - 1e-12)) <= set(rows.tolist())
                 assert np.all(col[rows] <= r + 1e-12)
@@ -640,6 +642,37 @@ class TestMaxLog:
             one = np.asarray(corner) + rng.uniform(0.0, 1.0, size=(300, 2))
             assert tile_count(table, one) == 1
             assert_max_log_exact(table, one, 0.25)
+
+    def test_one_tiling_per_call(self, ub7, monkeypatch):
+        table = ub7.level_nodes[-1]
+        rng = np.random.default_rng(61)
+        one = np.array([40.0, 40.0]) + rng.uniform(0.0, 1.0, size=(300, 2))
+        # one tile where every value is -inf, and one with rows that are
+        # not finite
+        off = rng.uniform(-300.0, -299.0, size=(300, 2))
+        holes = one.copy()
+        holes[::7, 0] = np.nan
+        holes[3, 1] = np.inf
+        spread = rng.uniform(-2.0, 130.0, size=(30_000, 2))
+        batches = (one, off, holes, np.full((4, 2), np.nan), spread)
+        tilings = []
+        tiles = subfun.TubeTable._tiles
+        monkeypatch.setattr(subfun.TubeTable, "_tiles",
+                            lambda self, X: tilings.append(len(X)) or tiles(self, X))
+        for pts in batches:
+            for s in (None, 0.25):
+                tilings.clear()
+                table.max_log(pts, s)
+                assert tilings == [len(pts)]
+        monkeypatch.undo()
+        assert [tile_count(table, pts) for pts in batches[:4]] == [1, 1, 1, 0]
+        for pts in batches:
+            assert_max_log_exact(table, pts, 0.25)
+        assert table.max_log(off) == table.max_log(off, 0.25) == (0, -np.inf)
+        # an empty batch has no argmax: the answer of a batch without a
+        # finite value
+        empty = np.zeros((0, 2))
+        assert table.max_log(empty) == table.max_log(empty, 0.25) == (0, -np.inf)
 
     def test_first_argmax_in_the_tile_evaluated_second(self):
         # two rows whose amplitudes 2^60 and log_c = -2^60 cancel: every

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import frozen_tubes
 from frozen_tubes import FieldRows
 from slab_function import SlabOscillating
+from oscillab.cli import main
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import SegmentShape, SphereShape
 from oscillab.mainlemma import RogueConfiguration
@@ -167,7 +169,9 @@ class TestContent:
     def test_sandwich_on_zero_sets(self):
         # projection lower bound never exceeds the dyadic cover upper bound
         tube = TubeSpec(np.array([0.1, 0.2]), np.array([0.9, 0.7]), 0.125)
-        z = _ZeroSetCells(LatticeCube((0, 0)), segment_table(tube), False)
+        table = segment_table(tube)
+        z = _ZeroSetCells(table, table.box_rows(*LatticeCube((0, 0)).bounds()))
+        assert not z._whole
         low = content_lower_projection(z, complete_frame(tube.b - tube.a)[0], 128)
         up = content_upper(z, 5, box=((0.0, 0.0), (1.0, 1.0)))
         assert low <= up + 1e-9
@@ -176,7 +180,9 @@ class TestContent:
         # the complement of a diameter-1/8 tube inside a unit cube projects
         # along the tube axis to measure at least 3/4
         tube = TubeSpec(np.array([-0.5, 0.5]), np.array([1.5, 0.5]), 0.125)
-        z = ZeroSetInCube(LatticeCube((0, 0)), segment_table(tube), False)
+        table = segment_table(tube)
+        z = ZeroSetInCube(table, table.box_rows(*LatticeCube((0, 0)).bounds()))
+        assert not z._whole
         val = content_lower_projection(z, np.array([1.0, 0.0]), 256)
         assert val >= 0.75
 
@@ -257,8 +263,9 @@ def _count_lookups(monkeypatch):
 
 
 class TestBoxRows:
-    """``TubeTable.box_rows`` is each cube's one row lookup, and its rows
-    are ``near``'s."""
+    """``TubeTable.box_rows`` is each cube's one row lookup and the table's
+    only row query, and its rows are those within each radius of the
+    cube's centre by the distance to every row (``frozen_tubes.near``)."""
 
     def test_one_lookup_per_cube(self, ub5, monkeypatch):
         lookups = _count_lookups(monkeypatch)
@@ -267,17 +274,33 @@ class TestBoxRows:
         lookups[0] = 0
         RogueConfiguration.from_function(ub5.node, 8, 2, c0=0.9)
         assert lookups == [64]
+        assert not hasattr(TubeTable, "near")
+
+    def test_verify_looks_each_cube_up_once(self, tmp_path, monkeypatch):
+        # verify on build --k 4: one lookup for each of the census's 256
+        # cubes, and none more for its nonbranch check, which reads the
+        # census's reports
+        assert main(["build", "--d", "2", "--f", "t^1.5", "--k", "4",
+                     "--out", str(tmp_path)]) == 0
+        lookups = _count_lookups(monkeypatch)
+        assert main(["verify", "--function", str(tmp_path / "function.json"),
+                     "--out", str(tmp_path)]) == 0
+        assert lookups == [256]
 
     @pytest.mark.parametrize("level, lo, hi", [
-        (3, (0, 0), (16, 16)), (4, (-8, -8), (8, 8)), (4, (0, 0), (32, 32))])
+        (3, (0, 0), (16, 16)), (4, (-8, -8), (8, 8)), (4, (0, 0), (32, 32)),
+        (None, (-4, -4), (20, 20))])
     def test_rows_are_near_at_both_radii(self, ub5, level, lo, hi):
-        table = ub5.level_nodes[level]
+        # level None: the tree-set view, every row but row 0
+        table = (ub5.node.span(1, len(ub5.node)) if level is None
+                 else ub5.level_nodes[level])
         for cube in enumerate_basic_cubes(lo, hi):
             lo_c, hi_c = cube.bounds()
             box = table.box_rows(lo_c, hi_c)
             centre, r = (lo_c + hi_c) / 2.0, math.sqrt(2) / 2.0
-            assert np.array_equal(box.near, table.near(centre, r))
-            assert np.array_equal(box.rows, table.near(centre, r + table._margin32))
+            assert np.array_equal(box.near, frozen_tubes.near(table, centre, r))
+            assert np.array_equal(box.rows,
+                                  frozen_tubes.near(table, centre, r + table._margin32))
             live = np.isfinite(table.log_amp[box.rows] + table.log_c[box.rows])
             assert box.vanishes == (not live.any())
 
@@ -383,9 +406,9 @@ class TestVanishes:
             vanishing += 1
             for eps_d in (0.25, math.inf):
                 sampled = _Sampled(u)
-                want = zero_set_projection(sampled, cube, sampled.uncertified(box), eps_d)
+                want = zero_set_projection(sampled, sampled.uncertified(box), eps_d)
                 assert np.all(np.concatenate(sampled.values) == -np.inf), cube.corner
-                got = zero_set_projection(u, cube, box, eps_d)
+                got = zero_set_projection(u, box, eps_d)
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert N**d // 2 < vanishing < N**d
 
@@ -415,7 +438,7 @@ class TestCovers:
         for cube in cubes:
             u = _Sampled(table)
             # an infinite threshold samples every axis
-            proj = zero_set_projection(u, cube, u.uncertified(boxes[cube]), math.inf)
+            proj = zero_set_projection(u, u.uncertified(boxes[cube]), math.inf)
             vals = np.concatenate(u.values)
             assert vals.size and np.all(np.isfinite(vals)), cube.corner
             assert proj == 0.0
