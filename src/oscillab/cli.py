@@ -451,8 +451,10 @@ def cmd_report(cfg: RunConfig) -> int:
             doc = _read_json(p)
             if not isinstance(doc, dict):
                 raise mainlemma.ConfigurationError(f"{p} is not a JSON object")
+            if type(doc.get("passed")) is not bool:
+                raise mainlemma.ConfigurationError(f'{p}: "passed" must be true or false')
             merged[name] = doc
-            ok = ok and doc.get("passed", False)
+            ok = ok and doc["passed"]
     write_json(cfg.out / "report.json", {"tools": merged, "passed": ok})
     print(f"aggregated {len(merged)} tool reports -> {cfg.out / 'report.json'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -445,8 +445,8 @@ def _column_bounds(X):
 
 
 #: per-row columns of a tube table, in the coordinates of the row's chain
-_COLUMNS = ("origin", "rows", "eps", "cut", "log_amp", "log_c", "end", "box_lo",
-            "box_hi", "chain", "generation", "tag")
+_COLUMNS = ("origin", "rows", "eps", "cut", "log_amp", "end", "box_lo", "box_hi",
+            "chain", "generation", "tag")
 #: per-row arrays a row range of a table takes as views
 _ROW_ARRAYS = _COLUMNS + ("half", "tube_a", "tube_b", "global_rows", "glo", "ghi",
                           "rows32", "offset32", "_support_lo", "_support_hi")
@@ -468,13 +468,14 @@ class BoxRows:
 class TubeTable(FunctionNode):
     """The built function as flat arrays, one row per tube field.
 
-    A row holds the field's frame, eps, cut, log amplitude and log_c (the
-    rescale factor of its subtree), its local and global bounding boxes,
-    the isometry chain it is seen through, and (in CSR form, as row
-    indices) the keep rows of the junctions it sits below on the branch
-    side: each such junction discards the row inside the keep's anchored
-    G region, its guard.  ``eval_log`` is the max over rows of the field's
-    profile at the chain-mapped point, dropped where one of its guards
+    A row holds the field's frame, eps, cut and log amplitude, its local
+    and global bounding boxes, its chain (the one isometry it is seen
+    through, ``chains[chain]``, a (matrix, shift) pair mapping a point x
+    to matrix @ x + shift; chain 0 is the identity), and (in CSR form, as
+    row indices) the keep rows of the junctions it sits below on the
+    branch side: each such junction discards the row inside the keep's
+    anchored G region, its guard.  ``eval_log`` is the max over rows of
+    the field's profile at the mapped point, dropped where one of its guards
     contains the point; ``upper_local`` is the same max without guards,
     each field cut off outside its bounding box padded by the slack.
     Every point's value is a function of that point alone, whatever batch
@@ -505,11 +506,7 @@ class TubeTable(FunctionNode):
         self.guard_ptr, self.guard_idx = guard_ptr, guard_idx
         # index of row 0 in the arrays the guard rows and the grid refer to
         self._first = 0
-        # chains: (parent chain, matrix, shift); chain 0 is the identity
         self.chains = chains
-        self._closure = [(0,)]
-        for parent, _m, _s in chains[1:]:
-            self._closure.append(self._closure[parent] + (len(self._closure),))
         self.half = self.eps / 2.0
         # the support as ranges of its frame coordinates: 0 <= x_1 <= cut
         # and -eps/2 <= x_j <= eps/2
@@ -526,12 +523,11 @@ class TubeTable(FunctionNode):
                             for bits in np.ndindex(*(2,) * d)], axis=1)
         for c in range(1, len(chains)):
             sel = np.flatnonzero(self.chain == c)
-            for link in reversed(self._closure[c][1:]):
-                _parent, m, s = chains[link]
-                self.tube_a[sel] = (self.tube_a[sel] - s) @ m
-                self.tube_b[sel] = (self.tube_b[sel] - s) @ m
-                self.global_rows[sel] = self.global_rows[sel] @ m
-                corners[sel] = (corners[sel] - s) @ m
+            m, s = chains[c]
+            self.tube_a[sel] = (self.tube_a[sel] - s) @ m
+            self.tube_b[sel] = (self.tube_b[sel] - s) @ m
+            self.global_rows[sel] = self.global_rows[sel] @ m
+            corners[sel] = (corners[sel] - s) @ m
         lo, hi = corners.min(axis=1), corners.max(axis=1)
         # every support point, in global and in chain coordinates, lies
         # within ``scale`` of the origin; global boxes widened by 1e-9 scale,
@@ -621,9 +617,9 @@ class TubeTable(FunctionNode):
         ``_margin32`` = 2^-16 scale of its centre, and those within r
         (candidates grow with the radius), each at its exact distance in
         the row's global frame.  The box ``vanishes`` when no row of the
-        wider set has a finite amplitude (log_amp + log_c): a finite value
-        needs a row whose support holds the point, up to roundings under
-        2^-45 scale (``covers``)."""
+        wider set has a finite amplitude: a finite value needs a row whose
+        support holds the point, up to roundings under 2^-45 scale
+        (``covers``)."""
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         r = float(np.linalg.norm(hi - lo)) / 2.0
         wide = r + self._margin32
@@ -635,8 +631,7 @@ class TubeTable(FunctionNode):
         dist2 = dx**2 + np.sum(dt**2, axis=1)
         near = rows[dist2 <= r * r]
         rows = rows[dist2 <= wide * wide]
-        live = np.isfinite(self.log_amp[rows] + self.log_c[rows])
-        return BoxRows(lo, hi, rows, near, not live.any())
+        return BoxRows(lo, hi, rows, near, not np.isfinite(self.log_amp[rows]).any())
 
     def covers(self, box: BoxRows) -> bool:
         """True when ``eval_log`` is finite at every point of the closed box
@@ -645,11 +640,11 @@ class TubeTable(FunctionNode):
         region of one row and clear of all that row's guards.
 
         The rows tried are the box's ``near`` rows that have a finite
-        amplitude (log_amp + log_c).  A row takes a
-        sub-box when, in the row's global frame, the sub-box's coordinate
-        ranges lie in 0 < x_1 < cut and |x_j| < eps/2, and log T_eps > tau
-        at the worst point of those ranges, the least x_1 with the largest
-        |x_j| (log T_eps grows with x_1 >= 0 and falls with each |x_j|).
+        amplitude.  A row takes a sub-box when, in the row's global frame,
+        the sub-box's coordinate ranges lie in 0 < x_1 < cut and |x_j| <
+        eps/2, and log T_eps > tau at the worst point of those ranges, the
+        least x_1 with the largest |x_j| (log T_eps grows with x_1 >= 0 and
+        falls with each |x_j|).
         A guard of the row is clear of the sub-box when one slab of its keep's
         frame separates them: x_1 < g or x_1 > cut, or x_j < -eps/3 or
         x_j > eps/3, with the keep's g(eps), cut and eps.
@@ -659,13 +654,12 @@ class TubeTable(FunctionNode):
         evaluates are images of a point under the same stored frame rows
         (``global_rows`` are the rows times the chains' signed
         permutations, exactly) and the same affine maps, so they differ by
-        rounding alone: one rounding per chain link of the point and of the
-        frame origin (``tube_a``), one in each difference, and the d-term
-        dot products, which ``_frame_coords`` rounds once and einsum d
-        times.  For d <= 3 and chains of at most 8 links (``build_u``'s have
-        one) that is under 2^5 roundings of relative size 2^-53 of
-        magnitudes up to 4 scale, times a row norm factor sqrt(d) <= 2:
-        under 2^-45 scale.
+        rounding alone: one rounding for the chain's isometry of the point
+        and one of the frame origin (``tube_a``), one in each difference,
+        and the d-term dot products, which ``_frame_coords`` rounds once
+        and einsum d times.  For d <= 3 that is under 2^5 roundings of
+        relative size 2^-53 of magnitudes up to 4 scale, times a row norm
+        factor sqrt(d) <= 2: under 2^-45 scale.
 
         tau = 2^-44 (A + sum_j sec theta_j + 1) bounds the rounding of log
         T twice over, where A = pi sqrt(d-1) cut / eps is the largest
@@ -686,7 +680,7 @@ class TubeTable(FunctionNode):
         lo, hi, rows = box.lo, box.hi, box.near
         d = self.d
         # a row of zero amplitude is no candidate, though it still guards
-        rows = rows[np.isfinite(self.log_amp[rows] + self.log_c[rows])]
+        rows = rows[np.isfinite(self.log_amp[rows])]
         if rows.size == 0:
             return False
         mu = 2.0**-24 * self._margin32
@@ -776,30 +770,27 @@ class TubeTable(FunctionNode):
         each is <= 0) and then log1p(-exp(-log T)) <= 0 cannot raise it, as
         the roundings are monotone; so the profile P <= T = top + 2^-51
         (top + 1).  Guards and box clips only drop values.  The table adds
-        the amplitudes as fl(fl(P + a) + c), a = log_amp and c = log_c; as
-        z -> z + u|z| is increasing and bounds fl(z), that is at most
-        T + a + c + 2u (T + |a| + |c|) + u^2 (T + |a|), under
-        top + a + c + 2^-50 S, S = top + |a| + |c| + 1.
+        the amplitude a = log_amp as fl(P + a); as z -> z + u|z| is
+        increasing and bounds fl(z), that is at most T + a + u (T + |a|),
+        under top + a + 2^-50 S, S = top + |a| + 1.
 
-        The peak adds the amplitudes first, fl(fl(fl(a + c) + top) + m),
-        an order whose rounding can put it below fl(fl(P + a) + c) when a
-        and c nearly cancel; the margin m = 2^-48 times the computed S
-        (three roundings, so at least 2^-48 S (1 - 4u)) covers that.  The
-        two sums before m are off top + a + c by under 2^-51 S and the last
-        rounding takes under 2^-52 S, so the peak exceeds top + a + c +
-        2^-49 S, above every value.  A row with a + c = -inf has peak
-        -inf: it has no finite value.
+        The peak is fl(fl(a + top) + m), with the margin m = 2^-48 times
+        the computed S (three roundings, so at least 2^-48 S (1 - 4u)).
+        fl(a + top) is off top + a by under 2^-53 S and the last rounding
+        takes under 2^-52 S, so the peak exceeds top + a + 2^-49 S, above
+        every value.  A row with a = -inf has peak -inf: it has no finite
+        value.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         order, ptr, lo, hi = self._tiles(X)
         cptr, crows = self._candidates(lo, hi, *self._pads(slack))
         # a row of amplitude -inf keeps peak -inf: in the formula its
         # margin is inf, and -inf + inf is nan
-        amp = self.log_amp[crows] + self.log_c[crows]
+        amp = self.log_amp[crows]
         live = amp > NEG_INF
         rows = crows[live]
         top = PI * math.sqrt(self.d - 1) / self.eps[rows] * self.cut[rows]
-        margin = 2.0**-48 * (top + np.abs(self.log_amp[rows]) + np.abs(self.log_c[rows]) + 1.0)
+        margin = 2.0**-48 * (top + np.abs(amp[live]) + 1.0)
         peak = np.full(crows.size, NEG_INF)
         peak[live] = amp[live] + top + margin
         count = cptr[1:] - cptr[:-1]
@@ -932,8 +923,8 @@ class TubeTable(FunctionNode):
 
         The pairs are a (rows, width) array: the rows of every tile, each
         against its tile's points, padded to the widest tile.  The rows
-        go by slab, a (chain, tile) pair, whose points are mapped into the
-        chain's coordinates once.  A pair's frame coordinates are computed
+        go by slab, a (chain, tile) pair, whose points are mapped through
+        the chain's isometry once.  A pair's frame coordinates are computed
         in single precision, one broadcast per slab; pairs within the
         rounding margin of the row's support (or of its slack-widened
         copy), and clear of its guards, go on to the exact coordinates,
@@ -953,9 +944,8 @@ class TubeTable(FunctionNode):
         f, tile = f[by], tile[by]
         head = _run_heads(key[by])
         first, slab = np.flatnonzero(head), np.cumsum(head) - 1
-        # every slab's points in its chain's coordinates, applying the
-        # chain's isometries one at a time from the outermost: Y[:, k] is
-        # slab k, and row e's points are slab[e]'s
+        # every slab's points in its chain's coordinates: Y[:, k] is slab
+        # k, and row e's points are slab[e]'s
         Y = np.empty((d, first.size, width))
         chain = self.chain[f[first]]
         runs = np.flatnonzero(_run_heads(chain)).tolist()
@@ -964,10 +954,7 @@ class TubeTable(FunctionNode):
             # all of X first, and X[idx] gathers rows of d values slowly
             idx = part[tile[first[a:b]]]
             y = np.stack([x[idx] for x in X.T])
-            for link in self._closure[int(chain[a])][1:]:
-                _parent, m, s = self.chains[link]
-                y = _affine(y, m, s)
-            Y[:, a:b] = y
+            Y[:, a:b] = _affine(y, *self.chains[chain[a]]) if chain[a] else y
         # single-precision frame coordinates rows . y - rows . origin
         Y32 = Y.astype(np.float32)
         rows, offset = self.rows32[f], self.offset32[f]
@@ -1087,21 +1074,20 @@ class TubeTable(FunctionNode):
         return gone
 
     def _profile(self, f, pi, loc):
-        """The rows' log amplitude (times their rescale factor) plus log L_eps
-        truncated at the cut, at frame coordinates, at the pairs where it
-        is finite."""
+        """The rows' log amplitude plus log L_eps truncated at the cut, at
+        frame coordinates, at the pairs where it is finite."""
         local = np.column_stack(loc)
         vals = log_L_profile(self.eps[f], self.d, local)
         vals[local[:, 0] > self.cut[f]] = NEG_INF
         ok = np.isfinite(vals)
         f = f[ok]
-        return vals[ok] + self.log_amp[f] + self.log_c[f], pi[ok]
+        return vals[ok] + self.log_amp[f], pi[ok]
 
     def _upper_profile(self, f, loc, r):
-        """``log_L_upper`` plus the rows' log amplitude and rescale factor at
-        frame coordinates, for every pair."""
+        """``log_L_upper`` plus the rows' log amplitude at frame
+        coordinates, for every pair."""
         return (log_L_upper(self.eps[f], self.d, self.cut[f], np.column_stack(loc), r)
-                + self.log_amp[f] + self.log_c[f])
+                + self.log_amp[f])
 
 
 class TableBuilder:
@@ -1114,7 +1100,7 @@ class TableBuilder:
 
     def __init__(self, d: int):
         self.d = d
-        self.chains = [(0, None, None)]
+        self.chains = [(np.eye(d), np.zeros(d))]
         self.size = 0
         self._parts = []    # (columns, guard counts, guard rows)
 
@@ -1129,11 +1115,14 @@ class TableBuilder:
 
     def extend(self, table: TubeTable, matrix, shift, guards=()) -> None:
         """Append the rows of ``table`` evaluated at local = matrix @ x +
-        shift, below the given junctions as well as their own."""
+        shift, below the given junctions as well as their own.  A row
+        seen through (m, s) in ``table`` is seen through their composition
+        (m @ matrix, m @ shift + s) here; the identity, chain 0, composes
+        to (matrix, shift) itself."""
         top = len(self.chains)
-        self.chains.append((0, np.asarray(matrix, dtype=float), np.asarray(shift, dtype=float)))
-        self.chains += [(top if parent == 0 else top + parent, m, s)
-                        for parent, m, s in table.chains[1:]]
+        matrix, shift = np.asarray(matrix, dtype=float), np.asarray(shift, dtype=float)
+        self.chains.append((matrix, shift))
+        self.chains += [(m @ matrix, m @ shift + s) for m, s in table.chains[1:]]
         columns = {name: getattr(table, name) for name in _COLUMNS}
         columns["chain"] = top + table.chain
         n = len(table)
@@ -1207,7 +1196,7 @@ def _branch_columns(d: int, anchor, direction, eps, run) -> dict:
             "box_lo": np.minimum(origin, end) - r, "box_hi": np.maximum(origin, end) + r}
 
 
-def _tree_rows(rows: TableBuilder, stems, order: int, generations, log_c: float = 0.0) -> None:
+def _tree_rows(rows: TableBuilder, stems, order: int, generations) -> None:
     """Append a tree of branch rows to ``rows``, in depth-first order: the
     stems, each below the junctions of the stems before it, then the
     dyadic cell [0, 2^order)^d below the junction of the last stem.
@@ -1218,8 +1207,8 @@ def _tree_rows(rows: TableBuilder, stems, order: int, generations, log_c: float 
     The branches of the cells at depth m take (eps, log amplitude, tag)
     from generations[m - 1] and generation m, but those of the cells of
     order 0, the leaves, generation -1.  A stem is (anchor, direction,
-    eps, log amplitude, run, tag), of generation 0.  The rows below the
-    stems are scaled by exp(log_c).
+    eps, log amplitude, run, tag), of generation 0.  Every row is seen
+    through the identity, chain 0.
 
     The rows are made one generation at a time, and every column of all
     of them at once (``_branch_columns``); each row then moves to its
@@ -1233,7 +1222,7 @@ def _tree_rows(rows: TableBuilder, stems, order: int, generations, log_c: float 
     groups = [{"pos": np.array([i]), "anchor": np.array([anchor], dtype=float),
                "direction": np.array([direction], dtype=float), "eps": np.array([eps]),
                "log_amp": np.array([log_amp]), "run": np.array([run]), "generation": np.array([0]),
-               "name": np.array([i]), "log_c": np.array([0.0]), "guards": np.arange(i)[None]}
+               "name": np.array([i]), "guards": np.arange(i)[None]}
               for i, (anchor, direction, eps, log_amp, run, _tag) in enumerate(stems)]
     # the cells of the current depth: corners, the rows of their branches
     # and the rows whose junctions those sit below
@@ -1252,8 +1241,7 @@ def _tree_rows(rows: TableBuilder, stems, order: int, generations, log_c: float 
                        "eps": np.full(n, eps), "log_amp": np.full(n, log_amp),
                        "run": np.sqrt(_dots(direction, direction)),
                        "generation": np.full(n, m if m < order else -1),
-                       "name": np.full(n, len(stems) + m - 1), "log_c": np.full(n, float(log_c)),
-                       "guards": above})
+                       "name": np.full(n, len(stems) + m - 1), "guards": above})
         corner, keep = sub, pos
     at = np.empty(sum(len(g["pos"]) for g in groups), dtype=np.intp)
     at[np.concatenate([g["pos"] for g in groups])] = np.arange(at.size)
@@ -1263,7 +1251,7 @@ def _tree_rows(rows: TableBuilder, stems, order: int, generations, log_c: float 
 
     columns = _branch_columns(d, column("anchor"), column("direction"), column("eps"),
                               column("run"))
-    columns.update(eps=column("eps"), log_amp=column("log_amp"), log_c=column("log_c"),
+    columns.update(eps=column("eps"), log_amp=column("log_amp"),
                    generation=column("generation"), tag=np.array(names)[column("name")])
     counts = np.concatenate([np.full(len(g["pos"]), g["guards"].shape[1]) for g in groups])[at]
     first = np.cumsum(counts) - counts
@@ -1311,17 +1299,6 @@ class GlueSchedule:
         """log amplitude of generation-m branches after the final rescale
         that normalizes the leaves to amplitude one."""
         return float(sum(self.ratios[generation:]))
-
-    def to_dict(self):
-        return {
-            "d": self.d,
-            "k": self.k,
-            "s_k": self.s_k,
-            "eps_k": round(self.eps_k, 12),
-            "eps1": self.eps1,
-            "ratios": [round(r, 8) for r in self.ratios],
-            "log_M": round(self.log_M, 8),
-        }
 
 
 def log_MM(params: GrowthParameters, k: int) -> float:
@@ -1379,9 +1356,9 @@ def _facet_samples(region: GuardRegion, n: int, rng) -> np.ndarray:
 
 def _face_points(table: TubeTable, n_per_face: int, rng) -> np.ndarray:
     """Global-coordinate samples on the truncation faces of the rows of
-    ``table`` below none of its junctions, in row order, mapped through
-    their isometry chains; each face's samples are kept a hair inside its
-    transverse walls, where the profile is identically zero."""
+    ``table`` below none of its junctions, in row order, mapped back
+    through their isometries; each face's samples are kept a hair inside
+    its transverse walls, where the profile is identically zero."""
     d = table.d
     count = np.diff(table.guard_ptr)
     innermost = np.full(len(table), -1)
@@ -1392,13 +1369,9 @@ def _face_points(table: TubeTable, n_per_face: int, rng) -> np.ndarray:
         r = 0.995 * f.eps / 2.0
         loc = rng.uniform(-r, r, size=(n_per_face, d))
         loc[:, 0] = f.cut
-        # x_global = A @ y + c for y in the row's chain coordinates, with
-        # y' = M y + b inverted link by link from the outermost
-        A, c = np.eye(d), np.zeros(d)
-        for link in table._closure[table.chain[i]][1:]:
-            _parent, m, s = table.chains[link]
-            A, c = A @ m.T, c - A @ m.T @ s
-        out.append(f.frame.from_local(loc) @ A.T + c)
+        # y = m x + s in the row's chain coordinates, so x = m^T (y - s)
+        m, s = table.chains[table.chain[i]]
+        out.append(f.frame.from_local(loc) @ m - m.T @ s)
     return np.vstack(out) if out else np.zeros((0, d))
 #: profile floor separating the solidly-alive part of the keep tube (where
 #: T - 1 >= 2^(-2d), attained at the anchor's wall corner) from the
@@ -1454,7 +1427,6 @@ def certify_dominance(node: TubeTable, n: int = 10_000, seed: int = 99) -> Domin
     rng = np.random.default_rng(seed)
     keep, branch = node.span(0, 1), node.span(1, len(node))
     top = node.field(0)
-    log_amp = top.log_amp + float(node.log_c[0])
     G = _facet_samples(top.guard(), n, rng)
     F = _face_points(branch, max(n // 8, 64), rng)
     # one batch each for the keep and the branch: a point's value does not
@@ -1470,7 +1442,7 @@ def certify_dominance(node: TubeTable, n: int = 10_000, seed: int = 99) -> Domin
     solid_gap, solid_pt = NEG_INF, None
     face_seam, face_pt = NEG_INF, None
     if F.size:
-        profile = kf - log_amp
+        profile = kf - top.log_amp
         solid = np.isfinite(bf) & (profile >= _profile_floor(top.d))
         if solid.any():
             g2 = bf[solid] - kf[solid]
@@ -1478,7 +1450,7 @@ def certify_dominance(node: TubeTable, n: int = 10_000, seed: int = 99) -> Domin
             solid_gap, solid_pt = float(g2[i]), F[solid][i]
         sliver = np.isfinite(bf) & ~solid
         if sliver.any():
-            g3 = bf[sliver] - log_amp
+            g3 = bf[sliver] - top.log_amp
             i = int(np.argmax(g3))
             face_seam, face_pt = float(g3[i]), F[sliver][i]
     return DominanceReport(guard_gap, guard_pt, solid_gap, solid_pt,
@@ -1507,11 +1479,6 @@ class TauBuild:
     checks: list[JunctionCheck] = field(default_factory=list)
     trunk_inflation: float = 0.0
 
-    @property
-    def box(self):
-        lo = np.zeros(self.d)
-        return lo, lo + 2.0 ** (self.k + 1)
-
 
 def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
               check_guards: bool = True, guard_samples: int = 10_000) -> TauBuild:
@@ -1531,15 +1498,15 @@ def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
     # every amplitude by -log(1/p_last) normalizes the trunk instead of
     # the leaves
     shift = -trunk_amp if skip_rescale else 0.0
-    generations = [(2.0 ** (k + 1 - m) * sched.eps_k, sched.amplitude(m), "wide")
-                   if m <= sched.s_k else (sched.eps1, sched.amplitude(m), "thin")
+    generations = [(2.0 ** (k + 1 - m) * sched.eps_k, sched.amplitude(m) + shift, "wide")
+                   if m <= sched.s_k else (sched.eps1, sched.amplitude(m) + shift, "thin")
                    for m in range(1, k + 1)]
     # the trunk's junction is the corner 2^(k+1) v_0
     trunk = (box_center, v0, 2.0**k * sched.eps_k, trunk_amp + shift, math.sqrt(d) * 2.0**k,
              "trunk")
     rows = TableBuilder(d)
-    _tree_rows(rows, [trunk], k + 1, generations + [(sched.eps1, sched.amplitude(k + 1), "leaf")],
-               log_c=shift)
+    _tree_rows(rows, [trunk], k + 1,
+               generations + [(sched.eps1, sched.amplitude(k + 1) + shift, "leaf")])
     table = rows.table()
 
     # The prescribed trunk amplitude suffices once k is large; at the
@@ -1553,35 +1520,37 @@ def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
             table.log_amp[0] = trunk_amp + shift + inflate
     build = TauBuild(table, sched, k, d, trunk_inflation=inflate)
     if check_guards:
-        _check_tau_guards(build, guard_samples)
+        # one representative junction per generation (siblings are
+        # reflections of each other with identical constants): the
+        # trunk's, then each first child's, rows 0, 1, ..., k
+        for gen in range(k + 1):
+            label = "trunk" if gen == 0 else f"generation {gen}"
+            build.checks.append(_certify_junction(
+                table.junction(gen), f"tau[k={k}] gen {gen} ({label})", guard_samples, 101 + gen))
     return build
 
 
-def _check_tau_guards(build: TauBuild, guard_samples: int):
-    """Certify one representative junction per generation (siblings are
-    reflections of each other with identical constants): the trunk's, then
-    each first child's, rows 0, 1, 2, ... down to the leaves."""
-    gen = 0
-    node = build.node.junction(gen)
-    while len(node) > 1:
-        label = "trunk" if gen == 0 else f"generation {gen}"
-        rep = certify_dominance(node, n=guard_samples, seed=101 + gen)
-        passed = rep.passed()
-        worst = rep.guard_point if rep.guard_gap >= 0 else (
-            rep.solid_point if rep.solid_gap >= 0 and rep.solid_point is not None
-            else (rep.face_point if rep.face_seam > LEAK_TOLERANCE and rep.face_point is not None
-                  else rep.guard_point))
-        build.checks.append(JunctionCheck(
-            f"tau[k={build.k}] gen {gen} ({label})", rep.guard_gap,
-            rep.solid_gap, rep.face_seam, tuple(np.round(worst, 6)), passed))
-        if not passed:
-            raise GuardConsistencyError(
-                f"guard dominance violated at generation {gen} of tau rank "
-                f"{build.k + 1}: guard gap {rep.guard_gap:.3g}, solid gap "
-                f"{rep.solid_gap:.3g}, face seam {rep.face_seam:.3g} at {worst}",
-                point=worst, gap=rep.guard_gap)
-        gen += 1
-        node = build.node.junction(gen)
+def _certify_junction(node: TubeTable, label: str, n: int, seed: int) -> JunctionCheck:
+    """The sampled certificate (``certify_dominance``) of the junction of
+    ``node`` as the check ``label``, at its worst sample: the guard's,
+    unless the guard passed and the solid gap or the face seam failed.
+    A failed junction raises ``GuardConsistencyError``."""
+    rep = certify_dominance(node, n=n, seed=seed)
+    worst = rep.guard_point
+    if rep.guard_gap < 0 and rep.solid_gap >= 0:
+        worst = rep.solid_point
+    elif rep.guard_gap < 0 and rep.face_seam > LEAK_TOLERANCE:
+        worst = rep.face_point
+    check = JunctionCheck(label, rep.guard_gap, rep.solid_gap, rep.face_seam,
+                          tuple(np.round(worst, 6)), rep.passed())
+    if not check.passed:
+        raise GuardConsistencyError(
+            f"junction dominance violated at {label}: guard gap {rep.guard_gap:.3g}, solid gap "
+            f"{rep.solid_gap:.3g}, face seam {rep.face_seam:.3g} at {worst}",
+            point=worst, gap=rep.guard_gap)
+    return check
+
+
 @dataclass
 class ULevel:
     j: int
@@ -1605,11 +1574,6 @@ class UBuild:
     @property
     def d(self):
         return self.params.d
-
-    @property
-    def box(self):
-        lo = np.zeros(self.d)
-        return lo, lo + 2.0**self.k
 
     def tree(self) -> TreeSpec:
         """The tube set of the function: every row of its table but the
@@ -1726,18 +1690,7 @@ def build_u(params: GrowthParameters, k: int, check_guards: bool = True,
         levels.append(ULevel(j, lm, amp, demand, inflated))
         table.log_amp[handle] = amp
         if check_guards:
-            rep = certify_dominance(node, n=guard_samples, seed=900 + j)
-            passed = rep.passed()
-            worst = rep.guard_point
-            checks.append(JunctionCheck(f"u level {j + 1} handle",
-                                        rep.guard_gap, rep.solid_gap,
-                                        rep.face_seam,
-                                        tuple(np.round(worst, 6)), passed))
-            if not passed:
-                raise GuardConsistencyError(
-                    f"handle dominance violated at level {j + 1}: guard gap "
-                    f"{rep.guard_gap:.3g}, solid gap {rep.solid_gap:.3g}, "
-                    f"face seam {rep.face_seam:.3g}",
-                    point=worst, gap=rep.guard_gap)
+            checks.append(_certify_junction(node, f"u level {j + 1} handle", guard_samples,
+                                            900 + j))
     level_nodes = [table.junction(k - j) for j in range(1, k)] + [table]
     return UBuild(table, params, k, levels, checks, level_nodes)

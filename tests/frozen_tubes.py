@@ -184,7 +184,7 @@ def leaf_fields(cell_corner, d, eps1, amp):
     return out
 
 
-def subtree_rows(rows, generations, order, corner, parent_junction, generation, guards, log_c):
+def subtree_rows(rows, generations, order, corner, parent_junction, generation, guards):
     """Rows of the dyadic cell of the given order: its branch tube running
     to the parent junction, then all lower generations glued on below its
     junction; generations[m - 1] is the (eps, log amplitude, tag) of
@@ -195,50 +195,49 @@ def subtree_rows(rows, generations, order, corner, parent_junction, generation, 
     diam, amp, tag = generations[generation - 1]
     run = float(np.linalg.norm(parent_junction - center))
     keep = rows.add(junction_branch(center, parent_junction - center, diam, d, amp, run,
-                                    tag=tag, generation=generation), guards, log_c)
+                                    tag=tag, generation=generation), guards)
     guards = guards + (keep,)
     if order == 1:
         eps, amp, _tag = generations[-1]
         for leaf in leaf_fields(corner, d, eps, amp):
-            rows.add(leaf, guards, log_c)
+            rows.add(leaf, guards)
     else:
         half = edge / 2.0
         for offs in np.ndindex(*(2,) * d):
             sub = corner + np.asarray(offs, dtype=float) * half
-            subtree_rows(rows, generations, order - 1, sub, center, generation + 1, guards, log_c)
+            subtree_rows(rows, generations, order - 1, sub, center, generation + 1, guards)
 
 
 class FieldRows:
     """Rows of a tube table added one ``TubeField`` at a time, each below
-    the junctions of the given rows and scaled by exp(log_c); ``part``
-    gives them as the columns ``TableBuilder.add`` takes."""
+    the junctions of the given rows; ``part`` gives them as the columns
+    ``TableBuilder.add`` takes."""
 
     def __init__(self, d):
         self.d = d
         self.fields = []
 
-    def add(self, field, guards=(), log_c=0.0):
+    def add(self, field, guards=()):
         """Append one field; returns its row."""
-        self.fields.append((field, tuple(guards), log_c))
+        self.fields.append((field, tuple(guards)))
         return len(self.fields) - 1
 
     def part(self):
-        fs = [f for f, _g, _c in self.fields]
+        fs = [f for f, _g in self.fields]
         columns = {
             "origin": np.array([f.frame.origin for f in fs]),
             "rows": np.array([f.frame.rows for f in fs]),
             "eps": np.array([f.eps for f in fs]),
             "cut": np.array([f.cut for f in fs]),
             "log_amp": np.array([f.log_amp for f in fs]),
-            "log_c": np.array([c for _f, _g, c in self.fields], dtype=float),
             "end": np.array([f.b for f in fs]),
             "box_lo": np.array([f.box[0] for f in fs]),
             "box_hi": np.array([f.box[1] for f in fs]),
             "generation": np.array([f.generation for f in fs]),
             "tag": np.array([f.tag for f in fs]),
         }
-        counts = np.array([len(g) for _f, g, _c in self.fields])
-        keeps = np.array([k for _f, g, _c in self.fields for k in g], dtype=np.intp)
+        counts = np.array([len(g) for _f, g in self.fields])
+        keeps = np.array([k for _f, g in self.fields for k in g], dtype=np.intp)
         return columns, counts, keeps
 
     def table(self):
@@ -247,7 +246,7 @@ class FieldRows:
         return rows.table()
 
 
-def tree_rows(rows, stems, order, generations, log_c=0.0):
+def tree_rows(rows, stems, order, generations):
     """``subfun._tree_rows`` one field at a time."""
     d = rows.d
     fields = FieldRows(d)
@@ -257,12 +256,12 @@ def tree_rows(rows, stems, order, generations, log_c=0.0):
     if order == 1:
         eps, amp, _tag = generations[-1]
         for leaf in leaf_fields(np.zeros(d), d, eps, amp):
-            fields.add(leaf, guards, log_c)
+            fields.add(leaf, guards)
     else:
         centre = np.full(d, 2.0 ** (order - 1))
         for offs in np.ndindex(*(2,) * d):
             sub = np.asarray(offs, dtype=float) * 2.0 ** (order - 1)
-            subtree_rows(fields, generations, order - 1, sub, centre, 1, guards, log_c)
+            subtree_rows(fields, generations, order - 1, sub, centre, 1, guards)
     columns, counts, keeps = fields.part()
     rows.add(columns, counts, keeps + rows.size)
 
@@ -361,18 +360,14 @@ def tile(table, X, cand, slack):
         return out
     cand = cand[np.argsort(table.chain[cand], kind="stable")]
     fchain = table.chain[cand]
-    # the points in the coordinates of every chain in use, applying its
-    # isometries one at a time from the outermost
+    # the points in the coordinates of every chain in use, through its
+    # isometry (chain 0 is the identity)
     chains = sorted(set(fchain.tolist()))
     pos = np.zeros(len(table.chains), dtype=np.intp)
     pos[chains] = np.arange(len(chains))
     Y = np.empty((len(chains), d, n))
     for k, c in enumerate(chains):
-        y = X.T
-        for link in table._closure[c][1:]:
-            _parent, m, s = table.chains[link]
-            y = _affine(y, m, s)
-        Y[k] = y
+        Y[k] = _affine(X.T, *table.chains[c]) if c else X.T
     # single-precision frame coordinates rows . y - rows . origin of
     # every (candidate, point) pair, one broadcast per chain; pairs
     # within the rounding margin of the support (or of its slack-widened
@@ -482,19 +477,18 @@ def guarded(table, cand, cp, loc, Y, margin):
 
 
 def profile(table, f, pi, loc):
-    """The rows' log amplitude (times their rescale factor) plus log L_eps
-    truncated at the cut, at frame coordinates, at the pairs where it
-    is finite."""
+    """The rows' log amplitude plus log L_eps truncated at the cut, at
+    frame coordinates, at the pairs where it is finite."""
     local = np.column_stack(loc)
     vals = log_L_profile(table.eps[f], table.d, local)
     vals[local[:, 0] > table.cut[f]] = NEG_INF
     ok = np.isfinite(vals)
     f = f[ok]
-    return vals[ok] + table.log_amp[f] + table.log_c[f], pi[ok]
+    return vals[ok] + table.log_amp[f], pi[ok]
 
 
 def upper_profile(table, f, loc, r):
-    """``log_L_upper`` plus the rows' log amplitude and rescale factor at
-    frame coordinates, for every pair."""
+    """``log_L_upper`` plus the rows' log amplitude at frame coordinates,
+    for every pair."""
     return (log_L_upper(table.eps[f], table.d, table.cut[f], np.column_stack(loc), r)
-            + table.log_amp[f] + table.log_c[f])
+            + table.log_amp[f])

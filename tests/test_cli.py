@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oscillab import subfun, verify
-from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_OK, REFINE_EPS, RunConfig,
-                          _load_function, _parse_e_spec, grid_step, main)
+from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK,
+                          REFINE_EPS, RunConfig, _load_function, _parse_e_spec, grid_step,
+                          main)
 from oscillab.mainlemma import RogueConfiguration
 from oscillab.subfun import eval_T
 from oscillab.treeset import _GROWTH_RE, GrowthParameters, TreeSpec, parse_growth
@@ -161,6 +162,22 @@ class TestFunctionFile:
 
 
 class TestVerify:
+    def test_failed_junction_exits_2(self, built, tmp_path, capsys, monkeypatch):
+        # a junction that fails its certificate while the function is
+        # rebuilt is a failed check: exit 2, one line
+        def failing_build(*args, **kwargs):
+            raise subfun.GuardConsistencyError(
+                "junction dominance violated at u level 3 handle", point=(1.0, 2.0), gap=0.5)
+
+        monkeypatch.setattr(subfun, "build_u", failing_build)
+        code = main(["verify", "--function", str(built / "function.json"),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CHECK_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("check failed") and "u level 3 handle" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_smoke(self, built):
         code = main(["verify", "--function", str(built / "function.json"),
                      "--grid-h", "0.03125", "--out", str(built)])
@@ -526,13 +543,19 @@ class TestPotential:
 
 
 class TestReport:
-    def test_aggregation(self, built):
-        code = main(["report", "--out", str(built)])
+    def test_aggregation(self, built, tmp_path):
+        for command in ("verify", "growth"):
+            code = main([command, "--function", str(built / "function.json"),
+                         "--out", str(tmp_path)])
+            assert code == EXIT_OK
+        code = main(["report", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        doc = json.loads((built / "report.json").read_text())
-        assert "verify" in doc["tools"] and "growth" in doc["tools"]
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert sorted(doc["tools"]) == ["growth", "verify"] and doc["passed"] is True
 
-    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[1, 2]", None])
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe", b"[1, 2]", None,
+                                         b'{"passed": "no"}', b'{"passed": 1}',
+                                         b'{"passed": null}', b'{"tool": "verify"}'])
     def test_malformed_tool_report(self, tmp_path, capsys, content):
         # None: a directory where the report should be
         path = tmp_path / "verify.json"

@@ -45,11 +45,11 @@ def support_tubes(table):
     return tubes_of(table.tube_a, table.tube_b, table.eps)
 
 
-def table_of(*fields, log_c=0.0):
+def table_of(*fields):
     """A table of the given fields, each below no junction."""
     rows = FieldRows(fields[0].d)
     for f in fields:
-        rows.add(f, log_c=log_c)
+        rows.add(f)
     return rows.table()
 
 
@@ -171,14 +171,6 @@ class TestNodes:
         assert np.isfinite(direct).any()
         assert np.array_equal(direct, mapped.eval_log(pts))
 
-    def test_scale_node(self):
-        field = junction_branch(
-            np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0.25, 2, 0.0, 1.0
-        )
-        pts = np.array([[0.7, 0.5]])
-        scaled = table_of(field, log_c=2.5).eval_log(pts)[0]
-        assert scaled == pytest.approx(table_of(field).eval_log(pts)[0] + 2.5)
-
     def test_guarded_max_discards_inside_guard(self):
         d = 2
         keep = junction_branch(
@@ -275,10 +267,13 @@ class TestTauBuild:
     def test_skip_rescale_normalizes_trunk(self):
         tau = build_tau(growth(1.5), 2, skip_rescale=True, check_guards=False)
         # trunk amplitude is zero in the unbounded-oscillation variant, and
-        # the rest of the subtree is rescaled by the trunk's prescribed one
+        # the rest of the subtree is rescaled by the trunk's prescribed one:
+        # each row's amplitude is its generation's less the trunk's
         assert tau.node.log_amp[0] == pytest.approx(0.0 + tau.trunk_inflation)
-        assert tau.node.log_c[0] == 0.0
-        assert np.all(tau.node.log_c[1:] == -tau.schedule.amplitude(0))
+        sched, gen = tau.schedule, tau.node.generation[1:]
+        want = [sched.amplitude(m if m > 0 else tau.k + 1) - sched.amplitude(0) for m in gen]
+        assert set(gen.tolist()) == {1, 2, -1}
+        assert tau.node.log_amp[1:].tobytes() == np.array(want).tobytes()
 
 
 def assert_same_rows(new, old):
@@ -378,6 +373,24 @@ class TestUBuild:
         near_face = np.max(pts, axis=1) > 2.0**j - 2.5
         assert np.all(~differs | near_handle | near_face)
 
+    def test_failed_junction_raises(self, ub):
+        # level 3's handle on a copy of its table: at its certified
+        # amplitude the junction passes as the build recorded it; one below
+        # the demand its probe sampled, on the same samples, it fails
+        rows = TableBuilder(2)
+        rows.extend(ub.level_nodes[2], np.eye(2), np.zeros(2))
+        copy = rows.table()
+        assert copy.log_amp[0] == ub.levels[1].amplitude
+        label = "u level 3 handle"
+        assert subfun._certify_junction(copy.junction(0), label, 2000, 902) == ub.checks[1]
+        copy.log_amp[0] = ub.levels[1].demand - 1.0
+        with pytest.raises(subfun.GuardConsistencyError, match=label) as failed:
+            subfun._certify_junction(copy.junction(0), label, 2000, 502)
+        rep = subfun.certify_dominance(copy.junction(0), n=2000, seed=502)
+        assert max(rep.guard_gap, rep.solid_gap) == pytest.approx(1.0)
+        assert failed.value.gap == rep.guard_gap and len(failed.value.point) == 2
+        assert ub.node.log_amp[ub.k - 3] == ub.levels[1].amplitude
+
     def test_levels_metadata(self, ub):
         assert [l.j for l in ub.levels] == [1, 2, 3, 4]
         for l in ub.levels:
@@ -392,16 +405,10 @@ def ub3d():
 
 
 def _chain_points(table, c, X):
-    """X in the coordinates of chain c: each isometry of the chain applied
-    as X @ matrix.T + shift, the outermost first."""
-    path = []
-    while c != 0:
-        path.append(c)
-        c = table.chains[c][0]
-    for c in reversed(path):
-        _parent, m, s = table.chains[c]
-        X = X @ m.T + s
-    return X
+    """X in the coordinates of chain c, through its isometry as X @
+    matrix.T + shift."""
+    m, s = table.chains[c]
+    return X @ m.T + s
 
 
 def reference_values(table, X, slack, guards=True):
@@ -433,7 +440,7 @@ def reference_values(table, X, slack, guards=True):
                 vals[table.field(k).guard().contains(points(k)[sel])] = -np.inf
         else:
             vals = log_L_upper(f.eps, d, f.cut, loc, slack * math.sqrt(d))
-        out[sel] = np.maximum(out[sel], vals + f.log_amp + table.log_c[i])
+        out[sel] = np.maximum(out[sel], vals + f.log_amp)
     return out
 
 
@@ -510,7 +517,6 @@ class TestTubeTable:
         rows.extend(level, np.eye(d), np.zeros(d))
         flat = rows.table()
         flat.log_amp[:] = 0.0
-        flat.log_c[:] = 0.0
         rng = np.random.default_rng(43)
         pts = _near_tube_points(flat, 8, rng)
         vals, ref = flat.eval_log(pts), reference_values(flat, pts, None)
@@ -526,6 +532,48 @@ class TestTubeTable:
             assert len(table) == (4 ** (j + 1) - 1) // 3
             assert table.tag[0] == "handle"
             assert np.array_equal(table.eps, ub.node.eps[ub.k - j:ub.k - j + len(table)])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_isometry_per_chain(self, ub, ub3d, d):
+        # the identity, then one signed permutation and dyadic shift for
+        # each reflected outer subtree; no rescale column
+        built = ub if d == 2 else ub3d
+        table = built.node
+        assert "log_c" not in _COLUMNS and not hasattr(table, "log_c")
+        assert len(table.chains) == 1 + (2**d - 1) * (built.k - 1)
+        assert np.array_equal(np.unique(table.chain), np.arange(len(table.chains)))
+        assert [len(c) for c in table.chains] == [2] * len(table.chains)
+        assert np.array_equal(table.chains[0][0], np.eye(d)) and not table.chains[0][1].any()
+        for m, s in table.chains:
+            assert m.shape == (d, d) and s.shape == (d,)
+            assert np.array_equal(np.abs(m), np.eye(d)) and np.all(s == np.round(s))
+
+    def test_extend_composes_isometries(self, ub):
+        # a level extended twice is seen through the composition of the
+        # two isometries: on a dyadic grid its values are, bit for bit,
+        # those of the points mapped through both in turn
+        level = ub.level_nodes[2]
+        m1, s1 = np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([8.0, 0.5])
+        m2, s2 = np.array([[-1.0, 0.0], [0.0, 1.0]]), np.array([-4.0, 2.25])
+        rows = TableBuilder(2)
+        rows.extend(level, m1, s1)
+        once = rows.table()
+        rows = TableBuilder(2)
+        rows.extend(once, m2, s2)
+        twice = rows.table()
+        # each extension adds one chain, for the rows seen through the
+        # identity, and composes the others
+        assert len(twice.chains) == len(once.chains) + 1 == len(level.chains) + 2
+        steps = np.arange(-8, 73) / 8.0
+        z = np.stack(np.meshgrid(steps, steps), axis=-1).reshape(-1, 2)
+        y = (z - s1) @ m1
+        x = (y - s2) @ m2
+        assert np.array_equal(y @ m1.T + s1, z) and np.array_equal(x @ m2.T + s2, y)
+        vals = twice.eval_log(x)
+        assert np.isfinite(vals).sum() > 1000
+        assert vals.tobytes() == once.eval_log(y).tobytes() == level.eval_log(z).tobytes()
+        up = twice.upper_local(x, 0.25)
+        assert up.tobytes() == level.upper_local(z, 0.25).tobytes()
 
     def test_batch_independent(self, ub):
         table = ub.level_nodes[-1]
@@ -674,26 +722,38 @@ class TestMaxLog:
         empty = np.zeros((0, 2))
         assert table.max_log(empty) == table.max_log(empty, 0.25) == (0, -np.inf)
 
-    def test_first_argmax_in_the_tile_evaluated_second(self):
-        # two rows whose amplitudes 2^60 and log_c = -2^60 cancel: every
-        # value is rounded to a multiple of 256, the ulp at 2^60, and both
-        # rows reach 256 at their far ends, where log L is about 299.3
-        # (row A) and 200.4 (row B), while the sums a + c + pi cut / eps,
-        # taken in that order, are about 300.0 and 201.1.  A's tile has the
-        # larger bound and goes first; B's tile holds the same maximum at
-        # an earlier point, so it must still be evaluated: its bound must
-        # not fall below 256, which takes the margin.
+    def test_first_argmax_in_the_tile_evaluated_second(self, monkeypatch):
+        # two rows of amplitude 2^60: every value is rounded to a multiple
+        # of 256, the ulp at 2^60, and both rows reach 2^60 + 256 at their
+        # far ends, where log L is about 299.3 (row A) and 200.4 (row B).
+        # A's tile comes first in tile order, padded with TILE_PAIRS points
+        # off its tube, so that B's tile is a later run.  B holds the same
+        # maximum at an earlier point, so it must still be evaluated.
         row_a = TubeField(Frame.along([0.0, 0.0], [1.0, 0.0]), 1.0, 2, 2.0**60, 95.5)
-        row_b = TubeField(Frame.along([0.0, 8.0], [1.0, 0.0]), 1.0, 2, 2.0**60, 64.0)
-        table = table_of(row_a, row_b, log_c=-(2.0**60))
+        row_b = TubeField(Frame.along([40.0, 8.0], [1.0, 0.0]), 1.0, 2, 2.0**60, 64.0)
+        table = table_of(row_a, row_b)
         rng = np.random.default_rng(59)
-        # far points that no row meets spread the batch over many tiles
+        pad = rng.uniform([93.0, 1.0], [95.0, 2.0], size=(TILE_PAIRS, 2))
+        # far points that no row meets spread the batch over many tiles;
+        # the first one fixes the tile grid's corner
         filler = rng.uniform([200.0, -20.0], [260.0, -10.0], size=(40_000, 2))
-        pts = np.vstack([[[64.0, 8.0], [95.5, 0.0]], filler])
+        filler[0] = [92.0, -20.0]
+        pts = np.vstack([[[104.0, 8.0], [95.5, 0.0]], pad, filler])
         vals = table.eval_log(pts)
-        assert vals[0] == vals[1] == vals.max() == 256.0
+        assert vals[0] == vals[1] == vals.max() == 2.0**60 + 256.0
         assert tile_count(table, pts) > 2
-        assert table.max_log(pts) == (0, 256.0)
+        runs = []
+        run = subfun.TubeTable._pass
+
+        def recorded(self, *args):
+            part, vals = run(self, *args)
+            runs.append(part)
+            return part, vals
+
+        monkeypatch.setattr(subfun.TubeTable, "_pass", recorded)
+        assert table.max_log(pts) == (0, 2.0**60 + 256.0)
+        # A's tile alone, then B's
+        assert [sorted(set(part.tolist()) & {0, 1}) for part in runs] == [[1], [0]]
 
     def test_best_first_evaluates_ties_and_stops_below(self):
         # tiles bounded by values they attain: tile 0 (first on the tie)
