@@ -94,16 +94,15 @@ class RogueConfiguration:
     @classmethod
     def from_function(cls, u, N: int, d: int, eps_d: float = 0.25, **kw) -> "RogueConfiguration":
         """E = the basic cubes of Q failing the zero-set content property
-        (the census's P2), from one row lookup per cube."""
+        (the census's P2), from one row lookup, one ``covers`` search and
+        P2's axis rounds over all N^d cubes together
+        (``verify.zero_set_projection``)."""
         from .verify import zero_set_projection
 
-        half = N // 2
-        bad = set()
-        for corner in np.ndindex(*(N,) * d):
-            cube = LatticeCube(tuple(int(c) - half for c in corner))
-            if zero_set_projection(u, u.box_rows(*cube.bounds()), eps_d) < eps_d:
-                bad.add(cube.corner)
-        return cls(N, d, bad, **kw)
+        corners = np.indices((N,) * d).reshape(d, -1).T - N // 2
+        lo = corners.astype(float)
+        proj = zero_set_projection(u, u.box_rows(lo, lo + 1.0), eps_d)
+        return cls(N, d, {tuple(c) for c in corners[proj < eps_d].tolist()}, **kw)
 
     @property
     def k_max(self) -> int:

@@ -289,8 +289,8 @@ TILE_PAIRS = 2**16
 #: covering each part (2^(d COVER_DEPTH) sub-boxes at most)
 COVER_DEPTH = 4
 
-#: sub-boxes ``TubeTable.covers`` tests at a time
-COVER_BLOCK = 256
+#: (sub-box, row) pairs ``TubeTable.covers`` tests at a time
+COVER_BLOCK = 4096
 
 
 def _affine(Y, matrix, shift):
@@ -386,6 +386,11 @@ def _ranges(start, count):
     return np.repeat(start + count - end, count) + np.arange(end[-1] if end.size else 0)
 
 
+def _pointers(owner, n):
+    """CSR pointers of n groups from the ascending group of each entry."""
+    return np.searchsorted(owner, np.arange(n + 1))
+
+
 @functools.lru_cache(maxsize=64)
 def _steps(shape):
     """Every index of an array of the given shape, as rows, in C order
@@ -454,15 +459,23 @@ _ROW_ARRAYS = _COLUMNS + ("half", "tube_a", "tube_b", "global_rows", "glo", "ghi
 
 @dataclass
 class BoxRows:
-    """``TubeTable.box_rows``: ascending, the rows within the half diagonal
-    of [lo, hi] plus ``_margin32`` of its centre and those ``near`` within
-    the half diagonal; ``vanishes`` when the table is zero on the box."""
+    """``TubeTable.box_rows`` of n boxes [lo[i], hi[i]], as CSR lists
+    ascending within each box: ``rows[ptr[i]:ptr[i + 1]]``, the rows
+    within the half diagonal of box i plus ``_margin32`` of its centre, and
+    ``near[near_ptr[i]:near_ptr[i + 1]]``, those within the half diagonal;
+    ``vanishes[i]`` when the table is zero on box i.  For one box, ``rows``
+    and ``near`` are its own."""
 
     lo: np.ndarray
     hi: np.ndarray
+    ptr: np.ndarray
     rows: np.ndarray
+    near_ptr: np.ndarray
     near: np.ndarray
-    vanishes: bool
+    vanishes: np.ndarray
+
+    def __len__(self):
+        return self.lo.shape[0]
 
 
 class TubeTable(FunctionNode):
@@ -612,32 +625,41 @@ class TubeTable(FunctionNode):
         return round12(self.tube_a + g2[:, None] * self.global_rows[:, 0]), round12(self.tube_b)
 
     def box_rows(self, lo, hi) -> BoxRows:
-        """The table's one row lookup, for the closed box [lo, hi]: the
-        rows whose support lies within its half diagonal r plus
-        ``_margin32`` = 2^-16 scale of its centre, and those within r
-        (candidates grow with the radius), each at its exact distance in
-        the row's global frame.  The box ``vanishes`` when no row of the
-        wider set has a finite amplitude: a finite value needs a row whose
-        support holds the point, up to roundings under 2^-45 scale
+        """The table's one row lookup, for the closed boxes [lo[i], hi[i]]
+        of a (n, d) pair of bounds (or one box, given as two points): per
+        box, the rows whose support lies within its half diagonal r plus
+        ``_margin32`` = 2^-16 scale of its centre, and those within r,
+        each at its exact distance in the row's global frame.  All boxes
+        are looked up in one ``_candidates`` call at the largest radius
+        (candidates grow with the radius).  A box ``vanishes`` when no row
+        of its wider set has a finite amplitude: a finite value needs a row
+        whose support holds the point, up to roundings under 2^-45 scale
         (``covers``)."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        r = float(np.linalg.norm(hi - lo)) / 2.0
+        lo = np.atleast_2d(np.asarray(lo, dtype=float))
+        hi = np.atleast_2d(np.asarray(hi, dtype=float))
+        n = lo.shape[0]
+        r = np.linalg.norm(hi - lo, axis=1) / 2.0
         wide = r + self._margin32
         x = (lo + hi) / 2.0
-        rows = self._candidates(x[None, :], x[None, :], wide, wide)[1]
-        loc = np.einsum("fji,fi->fj", self.global_rows[rows], x - self.tube_a[rows])
+        top = float(wide.max(initial=0.0))
+        ptr, rows = self._candidates(x, x, top, top)
+        box = np.repeat(np.arange(n), np.diff(ptr))
+        loc = np.einsum("fji,fi->fj", self.global_rows[rows], x[box] - self.tube_a[rows])
         dx = np.maximum(np.maximum(-loc[:, 0], loc[:, 0] - self.cut[rows]), 0.0)
         dt = np.maximum(np.abs(loc[:, 1:]) - self.half[rows, None], 0.0)
         dist2 = dx**2 + np.sum(dt**2, axis=1)
-        near = rows[dist2 <= r * r]
-        rows = rows[dist2 <= wide * wide]
-        return BoxRows(lo, hi, rows, near, not np.isfinite(self.log_amp[rows]).any())
+        near = dist2 <= (r * r)[box]
+        held = dist2 <= (wide * wide)[box]
+        finite = np.bincount(box[held][np.isfinite(self.log_amp[rows[held]])], minlength=n)
+        return BoxRows(lo, hi, _pointers(box[held], n), rows[held],
+                       _pointers(box[near], n), rows[near], finite == 0)
 
-    def covers(self, box: BoxRows) -> bool:
-        """True when ``eval_log`` is finite at every point of the closed box
-        [lo, hi] of ``box``, certified without evaluating it: every dyadic
-        sub-box, down to COVER_DEPTH halvings of the box, lies in the finite
-        region of one row and clear of all that row's guards.
+    def covers(self, boxes: BoxRows) -> np.ndarray:
+        """For each box [lo, hi] of ``boxes``, True when ``eval_log`` is
+        finite at every point of the closed box, certified without
+        evaluating it: every dyadic sub-box, down to COVER_DEPTH halvings
+        of the box, lies in the finite region of one row and clear of all
+        that row's guards.
 
         The rows tried are the box's ``near`` rows that have a finite
         amplitude.  A row takes a sub-box when, in the row's global frame,
@@ -675,72 +697,115 @@ class TubeTable(FunctionNode):
         far above the 2^-52 below which log1p(-exp(-log T)) would be -inf.
 
         A sub-box on which no row is positive even at its best point is
-        zero throughout, so the box is refused as soon as one turns up.
+        zero throughout, and its box is refused.  The sub-boxes of all
+        boxes are searched a level at a time, as (sub-box, row) pairs,
+        COVER_BLOCK at a time; a box drops out of the search once it is
+        refused.  The verdict is a predicate of the tree of sub-boxes, so
+        it does not depend on the order they are searched in.
         """
-        lo, hi, rows = box.lo, box.hi, box.near
-        d = self.d
-        # a row of zero amplitude is no candidate, though it still guards
-        rows = rows[np.isfinite(self.log_amp[rows])]
-        if rows.size == 0:
-            return False
+        n, d = len(boxes), self.d
         mu = 2.0**-24 * self._margin32
-        eps, cut, half = self.eps[rows], self.cut[rows], self.half[rows]
+        # the (box, row) pairs tried: a row of zero amplitude is no
+        # candidate, though it still guards
+        owner = np.repeat(np.arange(n), np.diff(boxes.near_ptr))
+        live = np.isfinite(self.log_amp[boxes.near])
+        owner, rows = owner[live], boxes.near[live]
+        ptr = _pointers(owner, n)
+        accepted = np.diff(ptr) > 0
+        # the guards of every pair, as the slots of the distinct (box, keep)
+        # pairs of its box, ``kptr`` per box
+        gpair, flat = self._guard_pairs(rows)
+        mine = flat >= 0
+        gpair, flat = gpair[mine], flat[mine]
+        kkey, kslot = _distinct(owner[gpair] * len(self) + flat)
+        kbox, keeps = np.divmod(kkey, len(self))
+        kptr, gptr = _pointers(kbox, n), _pointers(gpair, rows.size)
+        kcut, kwall = self.cut[keeps], self.eps[keeps] / 3.0
+        kg = g_threshold(self.eps[keeps], d)
+        corners = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
+        box = np.flatnonzero(accepted)
+        lo, edge = boxes.lo[box], boxes.hi - boxes.lo
+        for level in range(COVER_DEPTH + 1):
+            if box.size == 0:
+                break
+            held = np.cumsum(np.diff(ptr)[box])
+            cuts = np.searchsorted(held, np.arange(COVER_BLOCK, held[-1], COVER_BLOCK),
+                                   side="right").tolist()
+            uncovered = np.zeros(box.size, dtype=bool)
+            for s, e in zip([0] + cuts, cuts + [box.size]):
+                dead, uncovered[s:e] = self._cover_block(
+                    box[s:e], lo[s:e], edge, mu, ptr, rows, (kptr, gptr, kslot),
+                    (keeps, kg, kcut, kwall))
+                accepted[box[s:e][dead]] = False
+            split = uncovered & accepted[box]
+            if level == COVER_DEPTH:
+                accepted[box[split]] = False
+                break
+            edge = edge / 2.0
+            lo = (lo[split, None, :] + corners * edge[box[split]][:, None, :]).reshape(-1, d)
+            box = np.repeat(box[split], 2**d)
+        return accepted
+
+    def _cover_block(self, box, lo, edge, mu, ptr, rows, guards, keeps):
+        """``covers`` on the sub-boxes [lo[e], lo[e] + edge[box[e]]] of the
+        boxes ``box``: which sub-boxes no row is positive on even at its
+        best point, and which no row covers.  ``ptr``/``rows`` are each
+        box's rows; ``guards`` are the CSR slots of the (box, keep) pairs
+        that guard each (box, row) pair, ``keeps`` those pairs' keep rows,
+        g(eps), cut and eps/3."""
+        d = self.d
+        kptr, gptr, kslot = guards
+        keep_rows, kg, kcut, kwall = keeps
+        count = np.diff(ptr)[box]
+        pair = _ranges(ptr[box], count)
+        sub = np.repeat(np.arange(box.size), count)
+        f = rows[pair]
+        low, high = self._frame_ranges(f, lo[sub], edge[box][sub], mu)
+        eps, cut, half = self.eps[f], self.cut[f], self.half[f]
         slope = PI * math.sqrt(d - 1) / eps
         top = slope * cut  # A, the largest argument of log_cosh
-        # guard[s, c]: keep row keeps[s] guards candidate c
-        owner, flat = self._guard_pairs(rows)
-        mine = flat >= 0
-        keeps, slot = _distinct(flat[mine])
-        guard = np.zeros((keeps.size, rows.size), dtype=bool)
-        guard[slot, owner[mine]] = True
-        g, wall = g_threshold(self.eps[keeps], d), self.eps[keeps] / 3.0
-        corners = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
-        # depth first, COVER_BLOCK sub-boxes at a time, so that a box with
-        # a part no row covers is refused before all its parts are tried
-        stack = [(lo[None, :], hi - lo, 0)]
-        while stack:
-            boxes, edge, level = stack.pop()
-            low, high = self._frame_ranges(rows, boxes, edge, mu)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # a sub-box where no row is positive even at its best point,
-                # the largest x_1 <= cut with the least |x_j|, is zero
-                # throughout, and so is every part of it
-                best = np.minimum(high[..., 0], cut)
-                cosines = np.cos(PI * np.maximum(np.maximum(low[..., 1:], -high[..., 1:]), 0.0)
-                                 / eps[:, None])
-                alive = (best >= 0.0) & (low[..., 0] <= cut) & np.all(cosines > 0.0, axis=-1)
-                alive &= log_cosh(slope * best) + np.sum(np.log(cosines), axis=-1) > 0.0
-                if not alive.any(axis=1).all():
-                    return False
-                x1 = low[..., 0]
-                xj = np.maximum(-low[..., 1:], high[..., 1:])
-                cosines = np.cos(PI * xj / eps[:, None])
-                sec = np.sum(1.0 / cosines, axis=-1)
-                log_t = log_cosh(slope * x1) + np.sum(np.log(cosines), axis=-1)
-                ok = ((x1 > 0.0) & (high[..., 0] < cut) & np.all(xj < half[:, None], axis=-1)
-                      & (sec < 2.0**40) & (log_t > 2.0**-44 * (top + sec + 1.0)))
-            if keeps.size:
-                low, high = self._frame_ranges(keeps, boxes, edge, mu)
-                clear = ((high[..., 0] < g) | (low[..., 0] > self.cut[keeps])
-                         | np.any((high[..., 1:] < -wall[:, None])
-                                  | (low[..., 1:] > wall[:, None]), axis=-1))
-                ok &= ~(~clear @ guard)
-            boxes = boxes[~ok.any(axis=1)]
-            if boxes.size and level == COVER_DEPTH:
-                return False
-            parts = (boxes[:, None, :] + corners * (edge / 2.0)).reshape(-1, d)
-            stack += [(parts[i:i + COVER_BLOCK], edge / 2.0, level + 1)
-                      for i in range(0, len(parts), COVER_BLOCK)]
-        return True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a sub-box where no row is positive even at its best point,
+            # the largest x_1 <= cut with the least |x_j|, is zero
+            # throughout, and so is every part of it
+            best = np.minimum(high[:, 0], cut)
+            cosines = np.cos(PI * np.maximum(np.maximum(low[:, 1:], -high[:, 1:]), 0.0)
+                             / eps[:, None])
+            alive = (best >= 0.0) & (low[:, 0] <= cut) & np.all(cosines > 0.0, axis=-1)
+            alive &= log_cosh(slope * best) + np.sum(np.log(cosines), axis=-1) > 0.0
+            x1 = low[:, 0]
+            xj = np.maximum(-low[:, 1:], high[:, 1:])
+            cosines = np.cos(PI * xj / eps[:, None])
+            sec = np.sum(1.0 / cosines, axis=-1)
+            log_t = log_cosh(slope * x1) + np.sum(np.log(cosines), axis=-1)
+            ok = ((x1 > 0.0) & (high[:, 0] < cut) & np.all(xj < half[:, None], axis=-1)
+                  & (sec < 2.0**40) & (log_t > 2.0**-44 * (top + sec + 1.0)))
+        # each sub-box's (box, keep) slots, then each pair's guards among them
+        kcount = np.diff(kptr)[box]
+        slot = _ranges(kptr[box], kcount)
+        if slot.size:
+            ksub = np.repeat(np.arange(box.size), kcount)
+            low, high = self._frame_ranges(keep_rows[slot], lo[ksub], edge[box][ksub], mu)
+            wall = kwall[slot, None]
+            clear = ((high[:, 0] < kg[slot]) | (low[:, 0] > kcut[slot])
+                     | np.any((high[:, 1:] < -wall) | (low[:, 1:] > wall), axis=-1))
+            gcount = np.diff(gptr)[pair]
+            g = _ranges(gptr[pair], gcount)
+            owner = np.repeat(np.arange(pair.size), gcount)
+            first = np.cumsum(kcount) - kcount
+            at = first[sub[owner]] + kslot[g] - kptr[box[sub[owner]]]
+            ok[owner[~clear[at]]] = False
+        dead = np.bincount(sub[alive], minlength=box.size) == 0
+        return dead, np.bincount(sub[ok], minlength=box.size) == 0
 
     def _frame_ranges(self, rows, lo, edge, mu):
-        """Low and high ends (boxes, rows, d) of the global-frame
-        coordinates of the given rows over the boxes [lo, lo + edge],
-        widened by mu."""
+        """Low and high ends (pairs, d) of the global-frame coordinates of
+        row rows[p] over the box [lo[p], lo[p] + edge[p]], widened by
+        mu."""
         frames = self.global_rows[rows]
         half = edge / 2.0
-        proj = np.einsum("fji,nfi->nfj", frames, (lo + half)[:, None, :] - self.tube_a[rows])
-        reach = np.abs(frames) @ half + mu
+        proj = np.einsum("fji,fi->fj", frames, (lo + half) - self.tube_a[rows])
+        reach = (np.abs(frames) @ half[:, :, None])[:, :, 0] + mu
         return proj - reach, proj + reach
 
     # -- evaluation --------------------------------------------------------
@@ -890,7 +955,7 @@ class TubeTable(FunctionNode):
             key = np.sort(box * len(self) + rows)
             key = key[_run_heads(key)]
             box, rows = np.divmod(key, len(self))
-        return np.searchsorted(box, np.arange(T + 1)), rows
+        return _pointers(box, T), rows
 
     def _held_rows(self, boxes, r, box, cell, count):
         """For (box, cell) pairs, the (box, row) pairs of the rows of this
@@ -1118,13 +1183,15 @@ class TableBuilder:
         shift, below the given junctions as well as their own.  A row
         seen through (m, s) in ``table`` is seen through their composition
         (m @ matrix, m @ shift + s) here; the identity, chain 0, composes
-        to (matrix, shift) itself."""
+        to (matrix, shift) itself.  Only the chains the rows use are
+        composed, renumbered in order."""
         top = len(self.chains)
         matrix, shift = np.asarray(matrix, dtype=float), np.asarray(shift, dtype=float)
-        self.chains.append((matrix, shift))
-        self.chains += [(m @ matrix, m @ shift + s) for m, s in table.chains[1:]]
+        used, chain = _distinct(table.chain)
+        self.chains += [(matrix, shift) if c == 0 else (m @ matrix, m @ shift + s)
+                        for c in used.tolist() for m, s in [table.chains[c]]]
         columns = {name: getattr(table, name) for name in _COLUMNS}
-        columns["chain"] = top + table.chain
+        columns["chain"] = top + chain
         n = len(table)
         ptr = table.guard_ptr
         own = table.guard_idx[ptr[0]:ptr[-1]] - table._first

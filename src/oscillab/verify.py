@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeCube, enumerate_basic_cubes
-from .subfun import BoxRows, TubeTable
+from .subfun import TILE, BoxRows, TubeTable, _distinct, _run_heads
 from .treeset import GrowthParameters
 
 EPS_D_DEFAULT = 0.25
@@ -184,17 +184,25 @@ def _sup_points(lo, hi, h: float, extra_points):
     hi = np.asarray(hi, dtype=float)
     if np.any(hi <= lo):
         raise DomainError(f"empty region {lo} .. {hi}")
-    d = lo.shape[0]
-    ns = [max(2, int(math.ceil((hi[i] - lo[i]) / h)) + 1) for i in range(d)]
-    axes = [np.linspace(lo[i], hi[i], ns[i]) for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    pts, ns = _sup_grids(lo[None], hi[None], h)
+    pts = pts[0]
     if extra_points is not None and len(extra_points):
         extra = np.atleast_2d(extra_points)
         inside = np.all((extra >= lo) & (extra <= hi), axis=1)
         pts = np.vstack([pts, extra[inside]])
-    slack = max((hi[i] - lo[i]) / (ns[i] - 1) for i in range(d)) / 2.0
+    slack = max((hi[i] - lo[i]) / (n - 1) for i, n in enumerate(ns)) / 2.0
     return pts, slack
+
+
+def _sup_grids(lo, hi, h: float):
+    """The grids of step at most h over the boxes [lo[k], hi[k]], all of
+    the first one's extent, in C order (n, G, d), and their points per
+    axis."""
+    d = lo.shape[1]
+    ns = [max(2, int(math.ceil((hi[0, i] - lo[0, i]) / h)) + 1) for i in range(d)]
+    grid = np.indices(ns).reshape(d, -1)
+    return np.stack([_spaced(lo[:, i], hi[:, i], ns[i])[:, grid[i]] for i in range(d)],
+                    axis=-1), ns
 
 
 def sup_low(fn: TubeTable, lo, hi, h: float, extra_points: np.ndarray | None = None) -> float:
@@ -230,10 +238,15 @@ def _support_sup_points(ends, lo, hi) -> np.ndarray:
     a, b = ends
     if len(a) == 0:
         return np.zeros((0, len(lo)))
-    ts = np.linspace(0.0, 1.0, 9)
-    seg = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+    seg = _centerline_points(a, b)
     inside = np.all((seg >= lo) & (seg <= hi), axis=2)
     return seg[inside]
+
+
+def _centerline_points(a, b) -> np.ndarray:
+    """Nine evenly spaced points of each segment [a[i], b[i]], (n, 9, d)."""
+    ts = np.linspace(0.0, 1.0, 9)
+    return a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -288,76 +301,139 @@ def content_lower_projection(shape, axis: np.ndarray, samples: int = 256) -> flo
     axes.  ``shape`` implements line_hits(origins, direction) plus a
     bounding box.
     """
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    shadow_factor = float(np.sum(np.abs(axis)))
+    axis, frame, shadow_factor = _projection_axis(axis)
     lo, hi = shape.bounds()
-    d = lo.shape[0]
-    from .treeset import complete_frame
-
-    frame = complete_frame(axis)
-    corners = np.array([
-        [lo[i] if not (j >> i) & 1 else hi[i] for i in range(d)]
-        for j in range(2**d)
-    ])
-    tcoords = corners @ frame[1:].T
-    tlo, thi = tcoords.min(axis=0), tcoords.max(axis=0)
-    n = max(2, int(round(samples ** (1.0 / (d - 1)))))
-    axes = [np.linspace(tlo[i], thi[i], n) for i in range(d - 1)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    tpts = np.column_stack([m.ravel() for m in mesh])
-    origins = tpts @ frame[1:]
-    hits = shape.line_hits(origins, axis)
-    cell = float(np.prod((thi - tlo) / (n - 1)))
+    origins, cell = _projection_lines(frame[None], lo[None], hi[None], samples)
+    hits = shape.line_hits(origins[0], axis)
     # n samples certify at most n-1 cells of the shadow (conservative)
     count = max(0.0, float(np.sum(hits)) - 1.0)
-    return count * cell / shadow_factor
+    return count * float(cell[0]) / shadow_factor
+
+
+def _projection_axis(axis):
+    """``axis`` as a projection takes it: the unit axis, its completed
+    frame (rows) and the shadow factor |axis|_1."""
+    from .treeset import complete_frame
+
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    return axis, complete_frame(axis), float(np.sum(np.abs(axis)))
+
+
+def _spaced(start, stop, num: int) -> np.ndarray:
+    """np.linspace(start[k], stop[k], num) for every k, as rows, with the
+    bits of each call on its own."""
+    start, stop = np.asarray(start, dtype=float), np.asarray(stop, dtype=float)
+    i = np.arange(num, dtype=float)
+    delta = stop - start
+    step = delta / (num - 1)
+    with np.errstate(invalid="ignore"):
+        y = np.where((step == 0)[:, None], i / (num - 1) * delta[:, None], i * step[:, None])
+    y += start[:, None]
+    y[:, -1] = stop
+    return y
+
+
+def _projection_lines(frames, lo, hi, samples: int):
+    """The sample lines of ``content_lower_projection`` for P (frame,
+    box) pairs: the origins (P, L, d) of the lines along frames[p, 0], on
+    a grid of n^(d-1) points spanning the shadow of the box [lo[p], hi[p]]
+    on the other frame rows, and the shadow area (P,) each line certifies.
+    The matrix products are made per pair, stacked, so each pair's values
+    are those of a call on that pair alone."""
+    P, d = lo.shape
+    bits = ((np.arange(2**d)[:, None] >> np.arange(d)) & 1).astype(bool)
+    corners = np.where(bits, hi[:, None, :], lo[:, None, :])
+    tcoords = corners @ frames[:, 1:].transpose(0, 2, 1)
+    tlo, thi = tcoords.min(axis=1), tcoords.max(axis=1)
+    n = max(2, int(round(samples ** (1.0 / (d - 1)))))
+    grid = np.indices((n,) * (d - 1)).reshape(d - 1, -1)
+    tpts = np.stack([_spaced(tlo[:, i], thi[:, i], n)[:, grid[i]] for i in range(d - 1)],
+                    axis=-1)
+    return tpts @ frames[:, 1:], np.prod((thi - tlo) / (n - 1), axis=1)
 
 
 class ZeroSetInCube:
-    """The zero set of a tube-supported function within one basic cube.
+    """The zero set of a tube-supported function within each box of one
+    ``box_rows`` lookup (a level's cubes).
 
     A point is certified zero exactly when the log-value is -inf (the
     profiles vanish identically outside the half-tube level sets, so this
     is the true zero set, including the wall layers inside tubes where
-    max(T-1, 0) dies).  ``zero_set_projection`` samples it only when the
-    function's ``covers`` cannot show the set empty.  The cube is the box
-    of ``box`` (its ``BoxRows``); where the function ``vanishes`` on it,
-    the set is the whole cube and nothing is evaluated."""
+    max(T-1, 0) dies).  ``zero_set_projection`` samples it only where the
+    function's ``covers`` cannot show it empty.  Where the function
+    ``vanishes`` on a box, the set is the whole box and nothing is
+    evaluated.  With one box it is a shape for ``content_lower_projection``
+    (``bounds``, ``line_hits``)."""
 
-    def __init__(self, fn, box: BoxRows):
+    def __init__(self, fn, boxes: BoxRows):
         self.fn = fn
-        self.dimension = box.lo.size
-        self._lo, self._hi = box.lo, box.hi
-        self._whole = box.vanishes
+        self.dimension = boxes.lo.shape[1]
+        self._lo, self._hi, self._whole = boxes.lo, boxes.hi, boxes.vanishes
 
     def bounds(self):
-        return self._lo, self._hi
-
-    def _free(self, pts: np.ndarray) -> np.ndarray:
-        if self._whole:
-            return np.ones(len(pts), dtype=bool)
-        return ~np.isfinite(self.fn.eval_log(pts))
+        return self._lo[0], self._hi[0]
 
     def line_hits(self, origins: np.ndarray, direction: np.ndarray) -> np.ndarray:
-        """A line counts when it certifiably contains a zero point inside
-        the cube (sampling misses only undercount)."""
+        """``hits`` of lines through the first box."""
         direction = np.asarray(direction, dtype=float)
         direction = direction / np.linalg.norm(direction)
-        span_lo = float(np.min((self._lo) @ direction))
-        span_hi = float(np.max((self._hi) @ direction))
-        ts = np.linspace(span_lo, span_hi, LINE_STEPS)
-        n = origins.shape[0]
-        offs = ts[None, :] - (origins @ direction)[:, None]
-        pts = origins[:, None, :] + offs[:, :, None] * direction[None, None, :]
-        pts = pts.reshape(-1, self.dimension)
+        return self.hits(np.zeros(1, dtype=np.intp), origins[None], direction[None])[0]
+
+    def hits(self, at, origins, direction) -> np.ndarray:
+        """Which lines origins[p, l] + t direction[p] (unit) certifiably
+        contain a zero point inside box at[p], sampled at LINE_STEPS points
+        spanning the box along the direction (sampling misses only
+        undercount).  Every LINE_COARSE-th sample of every line is taken
+        first, then the others on the lines with no zero point yet: a line
+        is hit when any of its samples is zero, in either order.
+
+        Each stage evaluates one batch per class of box corners modulo
+        TILE, SAMPLE_BATCH samples at most.  The boxes of a class are TILE
+        apart and the batch holds its least corner (evaluated, and its
+        value dropped), at which the table anchors its TILE grid
+        (``TubeTable._tiles``): each box's samples are a tile of their own,
+        with the box's own candidate rows, as in a call per box."""
+        d = self.dimension
+        lo, hi = self._lo[at], self._hi[at]
+        # stacked products, each the one a call on its box alone makes
+        span_lo = (lo[:, None, :] @ direction[:, :, None])[:, 0, 0]
+        span_hi = (hi[:, None, :] @ direction[:, :, None])[:, 0, 0]
+        ts = _spaced(span_lo, span_hi, LINE_STEPS)
+        along = (origins @ direction[:, :, None])[:, :, 0]
+        steps = np.arange(LINE_STEPS)
+        coarse = steps % LINE_COARSE == 0
+        corner = np.floor(lo).astype(np.int64) % int(TILE)
+        classes, cls = _distinct(corner @ int(TILE) ** np.arange(d))
+        hit = np.zeros(along.shape, dtype=bool)
+        for samples in (steps[coarse], steps[~coarse]):
+            for c in range(classes.size):
+                p, line = np.nonzero((cls == c)[:, None] & ~hit)
+                step = max(1, SAMPLE_BATCH // samples.size)
+                for i in range(0, p.size, step):
+                    q, j = p[i:i + step], line[i:i + step]
+                    hit[q, j] = self._sample(at[q], origins[q, j],
+                                             ts[q[:, None], samples] - along[q, j, None],
+                                             direction[q])
+        return hit
+
+    def _sample(self, box, origins, offs, direction) -> np.ndarray:
+        """Whether each line origins[q] + offs[q, s] direction[q] has a zero
+        point among its samples inside box box[q]."""
+        pts = origins[:, None, :] + offs[:, :, None] * direction[:, None, :]
+        del offs
+        lo, hi = self._lo[box], self._hi[box]
         # per column: a reduction over rows of length d is slow
-        inside = np.logical_and.reduce([(c >= a) & (c <= b)
-                                        for c, a, b in zip(pts.T, self._lo, self._hi)])
-        free = np.zeros(pts.shape[0], dtype=bool)
-        if inside.any():
-            free[inside] = self._free(pts[inside])
-        return free.reshape(n, len(ts)).any(axis=1)
+        inside = np.logical_and.reduce([(pts[..., i] >= lo[:, i, None])
+                                        & (pts[..., i] <= hi[:, i, None])
+                                        for i in range(self.dimension)])
+        live = inside & ~self._whole[box][:, None]
+        if not live.any():
+            return inside.any(axis=1)
+        X = np.vstack([pts[live], lo[live.any(axis=1)].min(axis=0)])
+        del pts
+        inside[live] = ~np.isfinite(self.fn.eval_log(X)[:-1])
+        return inside.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,53 +460,109 @@ class OscillationReport:
 PROJECTION_SAMPLES = 64
 #: sample points per line of P2
 LINE_STEPS = 96
+#: stride of the samples a P2 line takes first
+LINE_COARSE = 8
+#: census sample points evaluated in one call at most, which bounds its
+#: memory
+SAMPLE_BATCH = 2**14
 #: grid step of P1's samples
 P1_STEP = 0.125
 #: least grid step of ``growth_profile``'s samples
 GROWTH_STEP = 0.25
 
 
-def zero_set_projection(u, box: BoxRows, eps_d: float) -> float:
-    """P2's certificate: the best projection lower bound on the content of
-    the zero set of ``u`` in the cube of ``box`` (its ``box_rows``), over
-    the coordinate axes and the axes of the first four tubes ``near`` the
-    cube, stopping once it reaches eps_d.
+def zero_set_projection(u, boxes: BoxRows, eps_d: float) -> np.ndarray:
+    """P2's certificate for each box of ``boxes`` (a ``box_rows`` lookup):
+    the best projection lower bound on the content of the zero set of
+    ``u`` in the box, over the coordinate axes and the axes of the first
+    four tubes ``near`` it, stopping once it reaches eps_d.
 
-    When ``u.covers`` the cube (the function is certainly positive on all
+    Where ``u.covers`` a box (the function is certainly positive on all
     of it), the answer is 0.0 without sampling.  That is the value
     sampling returns: no point of any line is zero, so no line hits and
-    every axis counts max(0, 0 - 1) = 0 cells.  When the box ``vanishes``,
-    nothing is evaluated either: ``ZeroSetInCube`` counts every sample
-    inside the cube as zero, which is what evaluating would give."""
-    if u.covers(box):
-        return 0.0
-    zset = ZeroSetInCube(u, box)
-    first = box.near[:4]
-    axes = list(np.eye(zset.dimension))
-    axes += [(b - a) / np.linalg.norm(b - a) for a, b in zip(u.tube_a[first], u.tube_b[first])]
-    best = 0.0
-    for ax in axes:
-        best = max(best, content_lower_projection(zset, ax, PROJECTION_SAMPLES))
-        if best >= eps_d:
-            break
+    every axis counts max(0, 0 - 1) = 0 cells.  The other boxes are
+    sampled in rounds, one axis a round, each round taking every box
+    still below eps_d that has that axis (``ZeroSetInCube.hits``): a box
+    ends with the value the axes taken in turn give it."""
+    n, d = boxes.lo.shape
+    best = np.zeros(n)
+    open_ = ~np.asarray(u.covers(boxes), dtype=bool)
+    zset = ZeroSetInCube(u, boxes)
+    tubes = np.diff(boxes.near_ptr)
+    for a in range(d + 4):
+        at = np.flatnonzero(open_ & (best < eps_d) & (tubes > a - d))
+        if at.size == 0:
+            continue
+        if a < d:
+            axes = np.zeros((1, d))
+            axes[0, a] = 1.0
+            which = np.zeros(at.size, dtype=np.intp)
+        else:
+            rows, which = _distinct(boxes.near[boxes.near_ptr[at] + a - d])
+            ends = u.tube_b[rows] - u.tube_a[rows]
+            axes = [e / np.linalg.norm(e) for e in ends]
+        axis, frame, shadow = (np.array(v) for v in zip(*map(_projection_axis, axes)))
+        # normalized once more, as ``ZeroSetInCube.line_hits`` takes it
+        direction = np.array([x / np.linalg.norm(x) for x in axis])
+        origins, cell = _projection_lines(frame[which], boxes.lo[at], boxes.hi[at],
+                                          PROJECTION_SAMPLES)
+        hits = zset.hits(at, origins, direction[which])
+        count = np.maximum(0.0, hits.sum(axis=1) - 1.0)
+        best[at] = np.maximum(best[at], count * cell / shadow[which])
     return best
 
 
+def _sup_lows(u, boxes: BoxRows, h: float) -> np.ndarray:
+    """``sup_low`` of each box of ``boxes`` (all of the first one's
+    extent) with the centerline points of its near rows: the points of as
+    many boxes as make about SAMPLE_BATCH go to one ``eval_log``, and the
+    maxima are taken per box."""
+    lo, hi, ptr = boxes.lo, boxes.hi, boxes.near_ptr
+    n, d = lo.shape
+    low = np.empty(n)
+    step = max(1, SAMPLE_BATCH // math.prod(_sup_grids(lo[:1], hi[:1], h)[1]))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        pts = _sup_grids(lo[a:b], hi[a:b], h)[0].reshape(-1, d)
+        owner = np.repeat(np.arange(a, b), np.diff(ptr[a:b + 1]))
+        near = boxes.near[ptr[a]:ptr[b]]
+        seg = _centerline_points(u.tube_a[near], u.tube_b[near])
+        inside = np.all((seg >= lo[owner, None]) & (seg <= hi[owner, None]), axis=2)
+        owner = np.repeat(owner, inside.sum(axis=1))
+        vals = u.eval_log(np.concatenate([pts, seg[inside]]))
+        low[a:b] = vals[:len(pts)].reshape(b - a, -1).max(axis=1)
+        if owner.size:
+            first = np.flatnonzero(_run_heads(owner))
+            extra = np.maximum.reduceat(vals[len(pts):], first)
+            low[owner[first]] = np.maximum(low[owner[first]], extra)
+    return low
+
+
+def classify_cubes(u, corners, eps_d: float = EPS_D_DEFAULT) -> list[OscillationReport]:
+    """The reports of the basic cubes with the given corners (n, d), from
+    one row lookup, P1's batches, one ``covers`` search and P2's axis
+    rounds over all of them.  P1 by a certified supremum lower bound (grid
+    plus tube centerlines), P2 by the projection lower bound on the zero
+    set's content.  A cube is rogue when either certification fails;
+    near-threshold uncertainty counts as rogue (conservative)."""
+    corners = np.asarray(corners, dtype=np.int64)
+    lo = corners.astype(float)
+    boxes = u.box_rows(lo, lo + 1.0)
+    low = _sup_lows(u, boxes, P1_STEP)
+    proj = zero_set_projection(u, boxes, eps_d)
+    widest = np.zeros(len(corners))
+    some = np.diff(boxes.near_ptr) > 0
+    if some.any():
+        widest[some] = np.maximum.reduceat(u.eps[boxes.near], boxes.near_ptr[:-1][some])
+    p1, p2 = (low >= 0.0).tolist(), (proj >= eps_d).tolist()  # P1 on log scale: sup >= 1
+    return [OscillationReport(tuple(c), a, b, "oscillating" if (a and b) else "rogue", s, p, w)
+            for c, a, b, s, p, w in zip(corners.tolist(), p1, p2, low.tolist(), proj.tolist(),
+                                        widest.tolist())]
+
+
 def classify_cube(u, cube: LatticeCube, eps_d: float = EPS_D_DEFAULT) -> OscillationReport:
-    """P1 by a certified supremum lower bound (grid plus tube centerlines),
-    P2 by the projection lower bound on the zero set's content.  A cube is
-    rogue when either certification fails; near-threshold uncertainty counts
-    as rogue (conservative)."""
-    lo, hi = cube.bounds()
-    box = u.box_rows(lo, hi)
-    ends = u.tube_a[box.near], u.tube_b[box.near]
-    low = sup_low(u, lo, hi, P1_STEP, extra_points=_support_sup_points(ends, lo, hi))
-    p1 = low >= 0.0  # log scale: sup >= 1
-    best_proj = zero_set_projection(u, box, eps_d)
-    p2 = best_proj >= eps_d
-    cls = "oscillating" if (p1 and p2) else "rogue"
-    return OscillationReport(cube.corner, p1, p2, cls, low, best_proj,
-                             float(np.max(u.eps[box.near], initial=0.0)))
+    """``classify_cubes`` of the one cube."""
+    return classify_cubes(u, [cube.corner], eps_d)[0]
 
 
 @dataclass
@@ -445,9 +577,10 @@ class CensusResult:
 def rogue_census(u, lo, hi, f: GrowthParameters,
                  eps_d: float = EPS_D_DEFAULT) -> CensusResult:
     """Exact rogue count over the basic cubes of the box, divided by
-    f(edge length), with every cube's report."""
+    f(edge length), with every cube's report, all classified together
+    (``classify_cubes``)."""
     cubes = enumerate_basic_cubes(lo, hi)
-    reports = [classify_cube(u, c, eps_d) for c in cubes]
+    reports = classify_cubes(u, [c.corner for c in cubes], eps_d)
     count = sum(1 for r in reports if r.rogue)
     edge = float(max(b - a for a, b in zip(lo, hi)))
     fval = float(f(edge))

@@ -27,6 +27,13 @@ slack)`` stands in for ``TubeTable.eval_log`` (slack None) and
 ``near(table, x, r)`` finds the rows within distance r of a point from
 the distance to every row of the table, where ``TubeTable.box_rows``
 looks them up through the table's grid.
+
+A census cube is classified as it was before ``verify.classify_cubes``
+classified a level's cubes together (``classify_cube``): its rows from
+``near``, P1 from one ``max_log`` of its own points, ``covers`` searched
+depth first on its own sub-boxes, and P2's axes taken in turn, each
+through ``content_lower_projection`` on one ``ZeroSet`` whose lines are
+sampled in one pass.
 """
 
 import itertools
@@ -35,8 +42,10 @@ import math
 import numpy as np
 
 from oscillab.subfun import (
+    COVER_DEPTH,
     EXACT_BLOCK,
     NEG_INF,
+    PI,
     TILE,
     TILE_PAIRS,
     Frame,
@@ -47,10 +56,19 @@ from oscillab.subfun import (
     _distinct,
     _frame_coords,
     g_threshold,
+    log_cosh,
     log_L_profile,
     log_L_upper,
 )
 from oscillab.treeset import complete_frame
+from oscillab.verify import (
+    LINE_STEPS,
+    P1_STEP,
+    PROJECTION_SAMPLES,
+    OscillationReport,
+    _sup_points,
+    _support_sup_points,
+)
 
 
 class FrozenTube:
@@ -492,3 +510,151 @@ def upper_profile(table, f, loc, r):
     for every pair."""
     return (log_L_upper(table.eps[f], table.d, table.cut[f], np.column_stack(loc), r)
             + table.log_amp[f])
+
+
+def box_rows(table, lo, hi):
+    """A cube's (rows, near, vanishes) by the distance to every row."""
+    centre, r = (lo + hi) / 2.0, float(np.linalg.norm(hi - lo)) / 2.0
+    rows = near(table, centre, r + table._margin32)
+    return rows, near(table, centre, r), not np.isfinite(table.log_amp[rows]).any()
+
+
+def covers(table, lo, hi, near_rows):
+    """``TubeTable.covers`` of one box, searched depth first, 256 sub-boxes
+    at a time."""
+    d = table.d
+    rows = near_rows[np.isfinite(table.log_amp[near_rows])]
+    if rows.size == 0:
+        return False
+    mu = 2.0**-24 * table._margin32
+    eps, cut, half = table.eps[rows], table.cut[rows], table.half[rows]
+    slope = PI * math.sqrt(d - 1) / eps
+    top = slope * cut
+    start = table.guard_ptr[rows]
+    count = table.guard_ptr[rows + 1] - start
+    flat = np.concatenate([table.guard_idx[a:a + c] for a, c in zip(start, count)]
+                          + [np.zeros(0, dtype=np.intp)]) - table._first
+    owner = np.repeat(np.arange(rows.size), count)
+    mine = flat >= 0
+    keeps, slot = _distinct(flat[mine])
+    guard = np.zeros((keeps.size, rows.size), dtype=bool)
+    guard[slot, owner[mine]] = True
+    g, wall = g_threshold(table.eps[keeps], d), table.eps[keeps] / 3.0
+    corners = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
+    stack = [(lo[None, :], hi - lo, 0)]
+    while stack:
+        boxes, edge, level = stack.pop()
+        low, high = _frame_ranges(table, rows, boxes, edge, mu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            best = np.minimum(high[..., 0], cut)
+            cosines = np.cos(PI * np.maximum(np.maximum(low[..., 1:], -high[..., 1:]), 0.0)
+                             / eps[:, None])
+            alive = (best >= 0.0) & (low[..., 0] <= cut) & np.all(cosines > 0.0, axis=-1)
+            alive &= log_cosh(slope * best) + np.sum(np.log(cosines), axis=-1) > 0.0
+            if not alive.any(axis=1).all():
+                return False
+            x1 = low[..., 0]
+            xj = np.maximum(-low[..., 1:], high[..., 1:])
+            cosines = np.cos(PI * xj / eps[:, None])
+            sec = np.sum(1.0 / cosines, axis=-1)
+            log_t = log_cosh(slope * x1) + np.sum(np.log(cosines), axis=-1)
+            ok = ((x1 > 0.0) & (high[..., 0] < cut) & np.all(xj < half[:, None], axis=-1)
+                  & (sec < 2.0**40) & (log_t > 2.0**-44 * (top + sec + 1.0)))
+        if keeps.size:
+            low, high = _frame_ranges(table, keeps, boxes, edge, mu)
+            clear = ((high[..., 0] < g) | (low[..., 0] > table.cut[keeps])
+                     | np.any((high[..., 1:] < -wall[:, None])
+                              | (low[..., 1:] > wall[:, None]), axis=-1))
+            ok &= ~(~clear @ guard)
+        boxes = boxes[~ok.any(axis=1)]
+        if boxes.size and level == COVER_DEPTH:
+            return False
+        parts = (boxes[:, None, :] + corners * (edge / 2.0)).reshape(-1, d)
+        stack += [(parts[i:i + 256], edge / 2.0, level + 1) for i in range(0, len(parts), 256)]
+    return True
+
+
+def _frame_ranges(table, rows, lo, edge, mu):
+    frames = table.global_rows[rows]
+    half = edge / 2.0
+    proj = np.einsum("fji,nfi->nfj", frames, (lo + half)[:, None, :] - table.tube_a[rows])
+    reach = np.abs(frames) @ half + mu
+    return proj - reach, proj + reach
+
+
+class ZeroSet:
+    """The zero set of a table in one cube, its lines sampled in one pass."""
+
+    def __init__(self, table, lo, hi, whole):
+        self.table, self.dimension = table, lo.size
+        self._lo, self._hi, self._whole = lo, hi, whole
+
+    def bounds(self):
+        return self._lo, self._hi
+
+    def line_hits(self, origins, direction):
+        direction = np.asarray(direction, dtype=float)
+        direction = direction / np.linalg.norm(direction)
+        ts = np.linspace(float(np.min(self._lo @ direction)), float(np.max(self._hi @ direction)),
+                         LINE_STEPS)
+        offs = ts[None, :] - (origins @ direction)[:, None]
+        pts = (origins[:, None, :] + offs[:, :, None] * direction[None, None, :])
+        pts = pts.reshape(-1, self.dimension)
+        inside = np.logical_and.reduce([(c >= a) & (c <= b)
+                                        for c, a, b in zip(pts.T, self._lo, self._hi)])
+        free = np.zeros(pts.shape[0], dtype=bool)
+        if inside.any():
+            free[inside] = True if self._whole else ~np.isfinite(self.table.eval_log(pts[inside]))
+        return free.reshape(origins.shape[0], len(ts)).any(axis=1)
+
+
+def content_lower_projection(shape, axis, samples):
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    shadow_factor = float(np.sum(np.abs(axis)))
+    lo, hi = shape.bounds()
+    d = lo.shape[0]
+    frame = complete_frame(axis)
+    corners = np.array([[lo[i] if not (j >> i) & 1 else hi[i] for i in range(d)]
+                        for j in range(2**d)])
+    tcoords = corners @ frame[1:].T
+    tlo, thi = tcoords.min(axis=0), tcoords.max(axis=0)
+    n = max(2, int(round(samples ** (1.0 / (d - 1)))))
+    axes = [np.linspace(tlo[i], thi[i], n) for i in range(d - 1)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    origins = np.column_stack([m.ravel() for m in mesh]) @ frame[1:]
+    hits = shape.line_hits(origins, axis)
+    cell = float(np.prod((thi - tlo) / (n - 1)))
+    return max(0.0, float(np.sum(hits)) - 1.0) * cell / shadow_factor
+
+
+def zero_set_projection(table, lo, hi, near_rows, whole, eps_d):
+    """P2's projection of one cube: 0.0 where ``covers``, else the axes
+    in turn until one reaches eps_d."""
+    if covers(table, lo, hi, near_rows):
+        return 0.0
+    zset = ZeroSet(table, lo, hi, whole)
+    first = near_rows[:4]
+    axes = list(np.eye(table.d))
+    axes += [(b - a) / np.linalg.norm(b - a)
+             for a, b in zip(table.tube_a[first], table.tube_b[first])]
+    best = 0.0
+    for ax in axes:
+        best = max(best, content_lower_projection(zset, ax, PROJECTION_SAMPLES))
+        if best >= eps_d:
+            break
+    return best
+
+
+def classify_cube(table, corner, eps_d=0.25):
+    """The census report of the basic cube at ``corner``, on its own."""
+    lo = np.asarray(corner, dtype=float)
+    hi = lo + 1.0
+    _rows, near_rows, whole = box_rows(table, lo, hi)
+    ends = table.tube_a[near_rows], table.tube_b[near_rows]
+    pts, _slack = _sup_points(lo, hi, P1_STEP, _support_sup_points(ends, lo, hi))
+    low = table.max_log(pts)[1]
+    proj = zero_set_projection(table, lo, hi, near_rows, whole, eps_d)
+    p1, p2 = low >= 0.0, proj >= eps_d
+    return OscillationReport(tuple(corner), p1, p2, "oscillating" if (p1 and p2) else "rogue",
+                             low, proj, float(np.max(table.eps[near_rows], initial=0.0)))

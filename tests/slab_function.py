@@ -47,9 +47,10 @@ class SlabOscillating:
         return i, float(vals[i])
 
     def box_rows(self, lo, hi):
-        none = np.zeros(0, dtype=np.intp)
-        return BoxRows(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), none, none,
-                       False)
+        lo = np.atleast_2d(np.asarray(lo, dtype=float))
+        hi = np.atleast_2d(np.asarray(hi, dtype=float))
+        ptr, none = np.zeros(lo.shape[0] + 1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        return BoxRows(lo, hi, ptr, none, ptr, none, np.zeros(lo.shape[0], dtype=bool))
 
-    def covers(self, box):
-        return False
+    def covers(self, boxes):
+        return np.zeros(len(boxes), dtype=bool)

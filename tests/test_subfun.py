@@ -561,9 +561,11 @@ class TestTubeTable:
         rows = TableBuilder(2)
         rows.extend(once, m2, s2)
         twice = rows.table()
-        # each extension adds one chain, for the rows seen through the
-        # identity, and composes the others
-        assert len(twice.chains) == len(once.chains) + 1 == len(level.chains) + 2
+        # each extension composes the chains its rows use, 7 of the whole
+        # table's 13, after the builder's own identity
+        assert len(level.chains) == 13
+        assert len(twice.chains) - 1 == len(once.chains) - 1 == 7
+        assert np.array_equal(np.unique(once.chain), np.arange(1, 8))
         steps = np.arange(-8, 73) / 8.0
         z = np.stack(np.meshgrid(steps, steps), axis=-1).reshape(-1, 2)
         y = (z - s1) @ m1

@@ -11,9 +11,12 @@ from oscillab.cli import main
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import SegmentShape, SphereShape
 from oscillab.mainlemma import RogueConfiguration
-from oscillab.subfun import Frame, TableBuilder, TubeField, TubeTable, build_u, eval_T
+from oscillab.subfun import (TILE_PAIRS, Frame, TableBuilder, TubeField, TubeTable, build_u,
+                             eval_T)
 from oscillab.treeset import GrowthParameters, TubeSpec, complete_frame
 from oscillab.verify import (
+    LINE_COARSE,
+    LINE_STEPS,
     EmptyDomainError,
     GridField,
     ZeroSetInCube,
@@ -50,8 +53,9 @@ class _ZeroSetCells(ZeroSetInCube):
     of its corners or its centre, clipped to the cube, is a zero point."""
 
     def intersects_box(self, lo, hi):
-        lo = np.maximum(np.asarray(lo, dtype=float), self._lo)
-        hi = np.minimum(np.asarray(hi, dtype=float), self._hi)
+        cube_lo, cube_hi = self.bounds()
+        lo = np.maximum(np.asarray(lo, dtype=float), cube_lo)
+        hi = np.minimum(np.asarray(hi, dtype=float), cube_hi)
         if np.any(hi <= lo):
             return False
         corners = np.array([
@@ -59,7 +63,7 @@ class _ZeroSetCells(ZeroSetInCube):
             for j in range(2 ** len(lo))
         ])
         center = (lo + hi) / 2.0
-        return bool(self._free(np.vstack([corners, center[None, :]])).any())
+        return bool((~np.isfinite(self.fn.eval_log(np.vstack([corners, center[None, :]])))).any())
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +175,7 @@ class TestContent:
         tube = TubeSpec(np.array([0.1, 0.2]), np.array([0.9, 0.7]), 0.125)
         table = segment_table(tube)
         z = _ZeroSetCells(table, table.box_rows(*LatticeCube((0, 0)).bounds()))
-        assert not z._whole
+        assert not z._whole[0]
         low = content_lower_projection(z, complete_frame(tube.b - tube.a)[0], 128)
         up = content_upper(z, 5, box=((0.0, 0.0), (1.0, 1.0)))
         assert low <= up + 1e-9
@@ -182,7 +186,7 @@ class TestContent:
         tube = TubeSpec(np.array([-0.5, 0.5]), np.array([1.5, 0.5]), 0.125)
         table = segment_table(tube)
         z = ZeroSetInCube(table, table.box_rows(*LatticeCube((0, 0)).bounds()))
-        assert not z._whole
+        assert not z._whole[0]
         val = content_lower_projection(z, np.array([1.0, 0.0]), 256)
         assert val >= 0.75
 
@@ -236,6 +240,61 @@ class TestCensus:
         assert res.total == 64 and made == []
 
 
+def _same_report(report, frozen):
+    """Two reports alike bit for bit."""
+    assert (report.cube, report.p1_satisfied, report.p2_satisfied, report.classification) == (
+        frozen.cube, frozen.p1_satisfied, frozen.p2_satisfied, frozen.classification)
+    for name in ("sup_low", "projection", "widest"):
+        assert (np.float64(getattr(report, name)).tobytes()
+                == np.float64(getattr(frozen, name)).tobytes()), (report.cube, name)
+
+
+@pytest.fixture(scope="module")
+def ub6():
+    return build_u(growth(1.5), 6)
+
+
+class TestCensusOracle:
+    """``classify_cubes``, which classifies a level's cubes together,
+    against the per-cube path it replaced (``frozen_tubes.classify_cube``),
+    report by report and bit for bit."""
+
+    @pytest.mark.parametrize("d, k", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+    def test_census_reports(self, ub5, ub6, d, k):
+        table = ((ub5 if k < 5 else ub6).level_nodes[k] if d == 2
+                 else build_u(growth(2.0, d=3), 4, guard_samples=1000).level_nodes[k])
+        res = rogue_census(table, (0,) * d, (2**k,) * d, growth(1.5))
+        assert res.total == 2 ** (d * k) and 0 < res.count < res.total
+        for report in res.reports:
+            _same_report(report, frozen_tubes.classify_cube(table, report.cube))
+
+    def test_function_rogue_set(self, ub6):
+        # the lemma's E for --E function: at N = 32 on build --k 5
+        N, u = 32, ub6.node
+        want = set()
+        for corner in np.ndindex(N, N):
+            lo = np.array(corner, dtype=float) - N // 2
+            _rows, near, whole = frozen_tubes.box_rows(u, lo, lo + 1.0)
+            if frozen_tubes.zero_set_projection(u, lo, lo + 1.0, near, whole, 0.25) < 0.25:
+                want.add(tuple(int(c) for c in lo))
+        assert len(want) == 99
+        assert RogueConfiguration.from_function(u, N, 2, c0=0.5).E == want
+
+    def test_line_hit_only_at_a_fine_sample(self):
+        # one wide row along x_1 cut at x_1 = 0.99: the cube's zero set is
+        # the slab 0.99 < x_1 <= 1, where a line along x_1 has one sample,
+        # its last, which the coarse stage does not take
+        assert (LINE_STEPS - 1) % LINE_COARSE
+        rows = FieldRows(2)
+        rows.add(_tube_field([-2.0, 0.5], [1.0, 0.0], 4.0, 2.99))
+        table = rows.table()
+        line = np.column_stack([np.linspace(0.0, 1.0, LINE_STEPS), np.full(LINE_STEPS, 0.5)])
+        assert np.isinf(table.eval_log(line)).tolist() == [False] * (LINE_STEPS - 1) + [True]
+        report = classify_cube(table, LatticeCube((0, 0)))
+        _same_report(report, frozen_tubes.classify_cube(table, (0, 0)))
+        assert report.p2_satisfied and report.projection == pytest.approx(1.0)
+
+
 def _count_lookups(monkeypatch):
     """Count the row lookups (``TubeTable._candidates`` calls) made outside
     evaluation; returns the counter, a one-element list."""
@@ -263,21 +322,21 @@ def _count_lookups(monkeypatch):
 
 
 class TestBoxRows:
-    """``TubeTable.box_rows`` is each cube's one row lookup and the table's
-    only row query, and its rows are those within each radius of the
+    """``TubeTable.box_rows`` is a level's one row lookup and the table's
+    only row query, and its rows are those within each radius of each
     cube's centre by the distance to every row (``frozen_tubes.near``)."""
 
-    def test_one_lookup_per_cube(self, ub5, monkeypatch):
+    def test_one_lookup_per_level(self, ub5, monkeypatch):
         lookups = _count_lookups(monkeypatch)
         res = rogue_census(ub5.level_nodes[3], (0, 0), (8, 8), ub5.params)
-        assert res.total == 64 and lookups == [64]
+        assert res.total == 64 and lookups == [1]
         lookups[0] = 0
         RogueConfiguration.from_function(ub5.node, 8, 2, c0=0.9)
-        assert lookups == [64]
+        assert lookups == [1]
         assert not hasattr(TubeTable, "near")
 
-    def test_verify_looks_each_cube_up_once(self, tmp_path, monkeypatch):
-        # verify on build --k 4: one lookup for each of the census's 256
+    def test_verify_looks_the_level_up_once(self, tmp_path, monkeypatch):
+        # verify on build --k 4: one lookup for all of the census's 256
         # cubes, and none more for its nonbranch check, which reads the
         # census's reports
         assert main(["build", "--d", "2", "--f", "t^1.5", "--k", "4",
@@ -285,7 +344,39 @@ class TestBoxRows:
         lookups = _count_lookups(monkeypatch)
         assert main(["verify", "--function", str(tmp_path / "function.json"),
                      "--out", str(tmp_path)]) == 0
-        assert lookups == [256]
+        assert lookups == [1]
+
+    def test_one_tile_per_cube_in_p2(self, ub5, monkeypatch):
+        # every batch of P2 samples that the table splits holds each
+        # cube's samples as a tile of its own
+        table = ub5.level_nodes[4]
+        sampling, batches = [False], []
+        sample, tiles = ZeroSetInCube._sample, TubeTable._tiles
+
+        def sampled(self, *args):
+            sampling[0] = True
+            try:
+                return sample(self, *args)
+            finally:
+                sampling[0] = False
+
+        def tiled(self, X):
+            out = tiles(self, X)
+            if sampling[0] and len(X) * len(self) > TILE_PAIRS:
+                batches.append(out)
+            return out
+
+        monkeypatch.setattr(ZeroSetInCube, "_sample", sampled)
+        monkeypatch.setattr(TubeTable, "_tiles", tiled)
+        res = rogue_census(table, (0, 0), (16, 16), ub5.params)
+        assert res.total == 256
+        count = 0
+        for _order, ptr, lo, hi in batches:
+            cube = np.floor(lo)
+            assert np.all(hi <= cube + 1.0)
+            assert len({tuple(c) for c in cube.tolist()}) == len(ptr) - 1
+            count += len(ptr) - 1
+        assert len(batches) > 50 and count > 300
 
     @pytest.mark.parametrize("level, lo, hi", [
         (3, (0, 0), (16, 16)), (4, (-8, -8), (8, 8)), (4, (0, 0), (32, 32)),
@@ -294,14 +385,18 @@ class TestBoxRows:
         # level None: the tree-set view, every row but row 0
         table = (ub5.node.span(1, len(ub5.node)) if level is None
                  else ub5.level_nodes[level])
-        for cube in enumerate_basic_cubes(lo, hi):
-            lo_c, hi_c = cube.bounds()
-            box = table.box_rows(lo_c, hi_c)
-            centre, r = (lo_c + hi_c) / 2.0, math.sqrt(2) / 2.0
-            assert np.array_equal(box.near, frozen_tubes.near(table, centre, r))
-            assert np.array_equal(box.rows,
-                                  frozen_tubes.near(table, centre, r + table._margin32))
-            assert box.vanishes == (not np.isfinite(table.log_amp[box.rows]).any())
+        corners = np.array([c.corner for c in enumerate_basic_cubes(lo, hi)], dtype=float)
+        boxes = table.box_rows(corners, corners + 1.0)
+        assert len(boxes) == len(corners)
+        for i, corner in enumerate(corners):
+            rows = boxes.rows[boxes.ptr[i]:boxes.ptr[i + 1]]
+            near = boxes.near[boxes.near_ptr[i]:boxes.near_ptr[i + 1]]
+            centre, r = corner + 0.5, math.sqrt(2) / 2.0
+            assert np.array_equal(near, frozen_tubes.near(table, centre, r))
+            assert np.array_equal(rows, frozen_tubes.near(table, centre, r + table._margin32))
+            assert boxes.vanishes[i] == (not np.isfinite(table.log_amp[rows]).any())
+            one = table.box_rows(corner, corner + 1.0)
+            assert np.array_equal(one.rows, rows) and np.array_equal(one.near, near)
 
 
 class TestSupportSupPoints:
@@ -369,17 +464,17 @@ class _Sampled:
         self.values.append(vals)
         return vals
 
-    def covers(self, box):
-        return False
+    def covers(self, boxes):
+        return np.zeros(len(boxes), dtype=bool)
 
     @staticmethod
-    def uncertified(box):
-        """``box`` with its ``vanishes`` certificate taken away."""
-        return dataclasses.replace(box, vanishes=False)
+    def uncertified(boxes):
+        """``boxes`` with their ``vanishes`` certificates taken away."""
+        return dataclasses.replace(boxes, vanishes=np.zeros(len(boxes), dtype=bool))
 
 
 def _covers(table, lo, hi):
-    return table.covers(table.box_rows(lo, hi))
+    return bool(table.covers(table.box_rows(lo, hi))[0])
 
 
 def _tube_field(origin, direction, eps, cut, log_amp=0.0):
@@ -400,7 +495,7 @@ class TestVanishes:
         for corner in np.ndindex(*(N,) * d):
             cube = LatticeCube(tuple(int(c) - N // 2 for c in corner))
             box = u.box_rows(*cube.bounds())
-            if not box.vanishes:
+            if not box.vanishes[0]:
                 continue
             vanishing += 1
             for eps_d in (0.25, math.inf):
@@ -418,8 +513,10 @@ class TestVanishes:
             rows = FieldRows(2)
             rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0, log_amp=log_amp))
             table = rows.table()
-            assert table.box_rows(lo, hi).vanishes is vanishes
-            assert table.box_rows(*far).vanishes
+            assert table.box_rows(lo, hi).vanishes.tolist() == [vanishes]
+            assert table.box_rows(*far).vanishes.tolist() == [True]
+            both = table.box_rows(np.stack([lo, far[0]]), np.stack([hi, far[1]]))
+            assert both.vanishes.tolist() == [vanishes, True]
 
 
 class TestCovers:
@@ -431,13 +528,15 @@ class TestCovers:
         """The census cubes of [0, 2^k)^d that ``covers`` accepts, after
         checking that the function is finite at every sample of every P2
         axis there, so that sampling gives the projection 0.0 as well."""
-        boxes = {c: table.box_rows(*c.bounds())
-                 for c in enumerate_basic_cubes((0,) * table.d, (2**k,) * table.d)}
-        cubes = [c for c, box in boxes.items() if table.covers(box)]
+        cubes = enumerate_basic_cubes((0,) * table.d, (2**k,) * table.d)
+        lo = np.array([c.corner for c in cubes], dtype=float)
+        accepted = table.covers(table.box_rows(lo, lo + 1.0))
+        cubes = [c for c, ok in zip(cubes, accepted) if ok]
         for cube in cubes:
             u = _Sampled(table)
             # an infinite threshold samples every axis
-            proj = zero_set_projection(u, u.uncertified(boxes[cube]), math.inf)
+            proj = zero_set_projection(u, u.uncertified(table.box_rows(*cube.bounds())),
+                                       math.inf)
             vals = np.concatenate(u.values)
             assert vals.size and np.all(np.isfinite(vals)), cube.corner
             assert proj == 0.0
@@ -473,6 +572,21 @@ class TestCovers:
         table = guarded.table()
         assert not _covers(table, lo, hi)
         assert table.eval_log([[10.5, 0.5]])[0] == -np.inf
+
+    def test_refuses_guarded_cubes_of_a_level(self):
+        # a wide row covering a row of cubes, below two thin keeps of zero
+        # amplitude whose guards cross two of them: searched together, the
+        # cubes are refused exactly where a keep's guard crosses them
+        rows = FieldRows(2)
+        keeps = [rows.add(_tube_field([x, -5.0], [0.0, 1.0], 0.05, 10.0, log_amp=-np.inf))
+                 for x in (10.5, 12.5)]
+        rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0), keeps)
+        table = rows.table()
+        lo = np.column_stack([np.arange(6.0, 16.0), np.zeros(10)])
+        accepted = table.covers(table.box_rows(lo, lo + 1.0))
+        assert accepted.tolist() == [x not in (10, 12) for x in range(6, 16)]
+        assert [_covers(table, a, a + 1.0) for a in lo] == accepted.tolist()
+        assert np.all(table.eval_log([[10.5, 0.5], [12.5, 0.5]]) == -np.inf)
 
     def test_refuses_the_cut_face(self):
         lo, hi = np.array([10.0, 0.0]), np.array([11.0, 1.0])
