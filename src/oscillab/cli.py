@@ -401,6 +401,9 @@ def cmd_lemma(cfg: RunConfig, e_spec: str, function_path: Path | None = None) ->
 
 def cmd_potential(cfg: RunConfig, oracle: str | None, walks: int,
                   run_claims: bool) -> int:
+    # every oracle takes --walks, even one that runs no walk
+    if walks < 1:
+        raise potential.KernelDomainError(f"walks must be positive, got {walks}")
     checks = []
     if oracle == "annulus" or oracle is None:
         target = potential.annulus_exact(cfg.d, 0.25, 0.5)
@@ -550,7 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = command("potential", "potential-theory oracles and claims",
                  "--d", "--seed", "--out")
-    po.add_argument("--oracle", default=None, choices=(None, "annulus", "equilibrium"))
+    po.add_argument("--oracle", default=None, choices=("annulus", "equilibrium"),
+                    help="run only this oracle (default: both)")
     po.add_argument("--walks", type=int, default=100_000)
     po.add_argument("--claims", action="store_true")
 

@@ -126,10 +126,12 @@ def equilibrium(points: np.ndarray, d: int | None = None, tol: float = 1e-6,
     if len(pts) < 2:
         raise KernelDomainError("equilibrium needs at least 2 distinct points")
     K = _kernel_matrix(pts, d)
+    # 2.0 * K @ w parses as (2.0 * K) @ w: scale the matrix once
+    K2 = 2.0 * K
     n = len(pts)
     w = np.full(n, 1.0 / n)
     f = float(w @ K @ w)
-    grad = 2.0 * K @ w
+    grad = K2 @ w
     step = 1.0 / (np.abs(K).max() * 2.0)
     prev_w, prev_g = None, None
     residual = np.inf
@@ -143,17 +145,18 @@ def equilibrium(points: np.ndarray, d: int | None = None, tol: float = 1e-6,
             # concave objectives); fall back to the conservative step
             if denom < -1e-300:
                 step = float(np.dot(dw, dw) / -denom)
-            step = float(np.clip(step, 1e-12, 1e6))
+            step = min(max(step, 1e-12), 1e6)
         trial = step
         prev_w, prev_g = w, grad
         for _ in range(60):
             w_new = _project_simplex(w + trial * grad)
             f_new = float(w_new @ K @ w_new)
-            if f_new >= f - 1e-14 * abs(f) or np.allclose(w_new, w):
+            # np.allclose(w_new, w) on finite weights, without its dispatch
+            if f_new >= f - 1e-14 * abs(f) or (abs(w_new - w) <= 1e-8 + 1e-5 * abs(w)).all():
                 break
             trial *= 0.25
         w, f = w_new, f_new
-        grad = 2.0 * K @ w
+        grad = K2 @ w
         # KKT: the potential 2 K w is constant on the support and no larger
         # off it
         active = w > 1e-14
@@ -239,6 +242,17 @@ def frostman_growth_certificate(res: FrostmanResult, n_balls: int = 10_000,
 # ---------------------------------------------------------------------------
 
 
+def _norms(q: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``q``: the squared columns added one
+    after another, then ``sqrt``.  For d <= 3 columns this is the order in
+    which ``np.linalg.norm(q, axis=1)`` adds them, so the bits are the
+    same, without its dispatch and without a reduction over a short axis."""
+    s = q[:, 0] * q[:, 0]
+    for j in range(1, q.shape[1]):
+        s = s + q[:, j] * q[:, j]
+    return np.sqrt(s)
+
+
 class Shape:
     """Compact set descriptor with exact or conservative distance queries."""
 
@@ -250,12 +264,14 @@ class Shape:
     def bounds(self):
         raise NotImplementedError
 
-    def intersects_box(self, lo, hi) -> bool:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        center = (lo + hi) / 2.0
-        r = float(np.linalg.norm(hi - lo)) / 2.0
-        return float(self.distance(center[None, :])[0]) <= r
+    def intersects_boxes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per row i, whether the shape may meet the box [lo_i, hi_i]: its
+        distance from the box centre is at most half the diagonal."""
+        side = hi - lo
+        # a stack of 1 x d by d x 1 products runs np.dot's kernel per box, so
+        # each squared diagonal is the one np.linalg.norm(hi_i - lo_i) takes
+        r = np.sqrt((side[:, None, :] @ side[:, :, None])[:, 0, 0]) / 2.0
+        return self.distance((lo + hi) / 2.0) <= r
 
     def line_hits(self, origins: np.ndarray, direction: np.ndarray,
                   steps: int = 128) -> np.ndarray:
@@ -285,7 +301,7 @@ class SphereShape(Shape):
         self.center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
 
     def distance(self, pts):
-        r = np.linalg.norm(np.atleast_2d(pts) - self.center, axis=1)
+        r = _norms(np.atleast_2d(pts) - self.center)
         return np.abs(r - self.radius)
 
     def bounds(self):
@@ -312,7 +328,7 @@ class SegmentShape(Shape):
         ab = self.b - self.a
         t = np.clip((pts - self.a) @ ab / np.dot(ab, ab), 0.0, 1.0)
         proj = self.a + t[:, None] * ab
-        return np.linalg.norm(pts - proj, axis=1)
+        return _norms(pts - proj)
 
     def bounds(self):
         return np.minimum(self.a, self.b), np.maximum(self.a, self.b)
@@ -335,7 +351,7 @@ class ArcShape(Shape):
     def distance(self, pts):
         pts = np.atleast_2d(pts) - self.center
         th = np.arctan2(pts[:, 1], pts[:, 0])
-        r = np.linalg.norm(pts, axis=1)
+        r = _norms(pts)
         tmid = (self.theta0 + self.theta1) / 2.0
         half = (self.theta1 - self.theta0) / 2.0
         dth = np.abs((th - tmid + math.pi) % (2 * math.pi) - math.pi)
@@ -343,7 +359,7 @@ class ArcShape(Shape):
         d_arc = np.abs(r - self.radius)
         e0 = self.radius * np.array([math.cos(self.theta0), math.sin(self.theta0)])
         e1 = self.radius * np.array([math.cos(self.theta1), math.sin(self.theta1)])
-        d_end = np.minimum(np.linalg.norm(pts - e0, axis=1), np.linalg.norm(pts - e1, axis=1))
+        d_end = np.minimum(_norms(pts - e0), _norms(pts - e1))
         return np.where(on_arc, d_arc, d_end)
 
     def bounds(self):
@@ -371,7 +387,7 @@ class CellUnionShape(Shape):
         best = np.full(pts.shape[0], np.inf)
         for lo, hi in zip(self.lo, self.hi):
             dv = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
-            best = np.minimum(best, np.linalg.norm(dv, axis=1))
+            best = np.minimum(best, _norms(dv))
         return best
 
     def bounds(self):
@@ -432,8 +448,7 @@ def wos_harmonic_measure(x, shape: Shape | None, walks: int = 100_000,
         for _ in range(max_steps):
             if not len(p):
                 break
-            # np.linalg.norm(p, axis=1), without its dispatch
-            d_out = outer_radius - np.sqrt(np.add.reduce(p * p, axis=1))
+            d_out = outer_radius - _norms(p)
             d_set = shape.distance(p)
             absorbed_set = d_set < shell
             absorbed_out = (d_out < shell) & ~absorbed_set
@@ -443,7 +458,7 @@ def wos_harmonic_measure(x, shape: Shape | None, walks: int = 100_000,
             p = p[cont]
             if len(p):
                 v = rng.normal(size=p.shape)
-                v /= np.sqrt(np.add.reduce(v * v, axis=1, keepdims=True))
+                v /= _norms(v)[:, None]
                 p = p + step[:, None] * v
         capped += len(p)
     p_hat = hits / walks

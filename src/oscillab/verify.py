@@ -259,7 +259,14 @@ def content_upper(shape, depth: int, box=None) -> float:
     dyadic refinement (down to ``depth``) of the cells meeting the shape.
     An upper bound for the content by definition (infimum over covers).
 
-    ``shape`` implements intersects_box(lo, hi) -> bool and dimension.
+    ``shape`` implements intersects_boxes(lo, hi) -> bool per row, and
+    dimension.  One call per dyadic level asks about the children of the
+    cells hit at the level above.  The levels are then reduced bottom-up: a
+    hit cell is worth the lesser of its own edge^(d-1) and the sum of its
+    children's worths, added one after another in ``np.ndindex`` order.
+    That is the depth-first recursion's value bit for bit, as its partial
+    sums only grow, so stopping once one reaches the cell's own worth gives
+    the same value as adding up every child.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
@@ -271,23 +278,24 @@ def content_upper(shape, depth: int, box=None) -> float:
     else:
         lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
         edge = float(np.max(hi - lo))
-    lo = np.asarray(lo, dtype=float)
-
-    def rec(cell_lo, cell_edge, depth_left):
-        if not shape.intersects_box(cell_lo, cell_lo + cell_edge):
-            return 0.0
-        own = cell_edge ** (d - 1)
-        if depth_left == 0:
-            return own
-        half = cell_edge / 2.0
-        total = 0.0
-        for offs in np.ndindex(*(2,) * d):
-            total += rec(cell_lo + np.asarray(offs) * half, half, depth_left - 1)
-            if total >= own:
-                return own
-        return min(own, total)
-
-    return rec(lo, edge, depth)
+    cells = np.asarray(lo, dtype=float)[None, :]
+    offs = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
+    hits = [shape.intersects_boxes(cells, cells + edge)]
+    owns = [edge ** (d - 1)]
+    for _ in range(depth):
+        parents = cells[hits[-1]]
+        if not len(parents):
+            break
+        edge /= 2.0
+        cells = (parents[:, None, :] + offs * edge).reshape(-1, d)
+        hits.append(shape.intersects_boxes(cells, cells + edge))
+        owns.append(edge ** (d - 1))
+    worth = np.where(hits[-1], owns[-1], 0.0)
+    for hit, own in zip(hits[-2::-1], owns[-2::-1]):
+        total = np.cumsum(worth.reshape(-1, 2 ** d), axis=1)[:, -1]
+        worth = np.zeros(len(hit))
+        worth[hit] = np.minimum(own, total)
+    return float(worth[0])
 
 
 def content_lower_projection(shape, axis: np.ndarray, samples: int = 256) -> float:

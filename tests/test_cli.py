@@ -541,6 +541,31 @@ class TestPotential:
                      "--out", str(tmp_path)])
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("argv", [["--oracle", "equilibrium"],
+                                      ["--oracle", "equilibrium", "--claims"], []],
+                             ids=["equilibrium", "equilibrium_claims", "both"])
+    @pytest.mark.parametrize("walks", ["0", "-5"])
+    def test_nonpositive_walks_any_oracle(self, tmp_path, capsys, argv, walks):
+        # refused whichever oracle runs, also one that walks nowhere
+        code = main(["potential", *argv, "--walks", walks, "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "walks must be positive" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_oracle_choices(self, tmp_path, capsys):
+        # the default (both oracles) is no choice: --oracle None is refused,
+        # and the message offers only the two oracles
+        code = main(["potential", "--oracle", "None", "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "invalid choice" in err
+        offered = err.split("choose from", 1)[1]
+        assert "annulus" in offered and "equilibrium" in offered and "None" not in offered
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+
 
 class TestReport:
     def test_aggregation(self, built, tmp_path):

@@ -27,8 +27,10 @@ from oscillab.potential import (
 )
 
 
-# Frozen copies of the per-origin line_hits and the masked walk-on-spheres
-# loop, the references that the batched versions must match bit for bit.
+# Frozen copies of the per-origin line_hits, the masked walk-on-spheres
+# loop, the np.linalg.norm-based shape distances and the equilibrium loop
+# that scaled K in every iteration: the references that the batched and
+# hoisted versions must match bit for bit.
 
 
 def _line_hits_loop(shape, origins, direction, steps=128):
@@ -82,6 +84,92 @@ def _wos_loop(x, shape, walks, seed, shell=1e-4, max_steps=5_000,
     return WosEstimate(p_hat, se, walks, seed, capped > 0.001 * walks)
 
 
+def _sphere_distance(shape, pts):
+    r = np.linalg.norm(np.atleast_2d(pts) - shape.center, axis=1)
+    return np.abs(r - shape.radius)
+
+
+def _segment_distance(shape, pts):
+    pts = np.atleast_2d(pts)
+    ab = shape.b - shape.a
+    t = np.clip((pts - shape.a) @ ab / np.dot(ab, ab), 0.0, 1.0)
+    proj = shape.a + t[:, None] * ab
+    return np.linalg.norm(pts - proj, axis=1)
+
+
+def _arc_distance(shape, pts):
+    pts = np.atleast_2d(pts) - shape.center
+    th = np.arctan2(pts[:, 1], pts[:, 0])
+    r = np.linalg.norm(pts, axis=1)
+    tmid = (shape.theta0 + shape.theta1) / 2.0
+    half = (shape.theta1 - shape.theta0) / 2.0
+    dth = np.abs((th - tmid + math.pi) % (2 * math.pi) - math.pi)
+    on_arc = dth <= half
+    d_arc = np.abs(r - shape.radius)
+    e0 = shape.radius * np.array([math.cos(shape.theta0), math.sin(shape.theta0)])
+    e1 = shape.radius * np.array([math.cos(shape.theta1), math.sin(shape.theta1)])
+    d_end = np.minimum(np.linalg.norm(pts - e0, axis=1), np.linalg.norm(pts - e1, axis=1))
+    return np.where(on_arc, d_arc, d_end)
+
+
+def _cells_distance(shape, pts):
+    pts = np.atleast_2d(pts)
+    best = np.full(pts.shape[0], np.inf)
+    for lo, hi in zip(shape.lo, shape.hi):
+        dv = np.maximum(np.maximum(lo - pts, pts - hi), 0.0)
+        best = np.minimum(best, np.linalg.norm(dv, axis=1))
+    return best
+
+
+_NORM_DISTANCE = {SphereShape: _sphere_distance, SegmentShape: _segment_distance,
+                  ArcShape: _arc_distance, CellUnionShape: _cells_distance}
+
+
+def _equilibrium_loop(points, d=None, tol=1e-6, max_iter=20_000):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    d = d or points.shape[1]
+    pts, _ = potential._merge_coincident(points, np.ones(len(points)))
+    K = potential._kernel_matrix(pts, d)
+    n = len(pts)
+    w = np.full(n, 1.0 / n)
+    f = float(w @ K @ w)
+    grad = 2.0 * K @ w
+    step = 1.0 / (np.abs(K).max() * 2.0)
+    prev_w, prev_g = None, None
+    residual = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
+        if prev_w is not None:
+            dw = w - prev_w
+            dg = grad - prev_g
+            denom = float(np.dot(dw, dg))
+            if denom < -1e-300:
+                step = float(np.dot(dw, dw) / -denom)
+            step = float(np.clip(step, 1e-12, 1e6))
+        trial = step
+        prev_w, prev_g = w, grad
+        for _ in range(60):
+            w_new = potential._project_simplex(w + trial * grad)
+            f_new = float(w_new @ K @ w_new)
+            if f_new >= f - 1e-14 * abs(f) or np.allclose(w_new, w):
+                break
+            trial *= 0.25
+        w, f = w_new, f_new
+        grad = 2.0 * K @ w
+        active = w > 1e-14
+        spread = float(grad[active].max() - grad[active].min()) if active.sum() > 1 else 0.0
+        comp = float(np.max(grad) - grad[active].max()) if active.any() else 0.0
+        residual = max(spread, comp) / max(1.0, abs(f))
+        if residual < tol:
+            break
+    return w, f, residual, it
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class _Recorder(Shape):
     """A shape that keeps every point array it is asked the distance of."""
 
@@ -102,6 +190,22 @@ def _query_shapes():
     shapes = list(default_claim_family(2))
     shapes.append(("sphere_d3", SphereShape(0.25, center=[0.1, -0.2, 0.05], d=3)))
     return shapes
+
+
+def _distance_shapes():
+    shapes = _query_shapes()
+    shapes.append(("segment_d3", SegmentShape([0.1, 0.2, -0.3], [-0.2, 0.1, 0.25])))
+    shapes.append(("cells_d3", CellUnionShape([(0, 0, 0), (1, 1, 0), (1, 0, 1)], 0.125,
+                                              origin=np.array([-0.1, 0.05, -0.2]), d=3)))
+    return shapes
+
+
+def _equilibrium_inputs():
+    inputs = [("circle_oracle", SphereShape(0.25, d=2).sample(512)),
+              ("segment_oracle", SegmentShape([-1.0, 0.0], [1.0, 0.0]).sample(512))]
+    # check_claim1's samples of its family
+    inputs += [(label, shape.sample(256)) for label, shape in default_claim_family(2)]
+    return inputs
 
 
 class TestKernel:
@@ -185,6 +289,17 @@ class TestEquilibrium:
     def test_needs_two_points(self):
         with pytest.raises(KernelDomainError):
             equilibrium(np.array([[0.0, 0.0]]), 2)
+
+    @pytest.mark.parametrize("label,pts", _equilibrium_inputs(),
+                             ids=[label for label, _ in _equilibrium_inputs()])
+    def test_matches_frozen_loop(self, label, pts):
+        # 2K hoisted out of the loop and allclose spelled out keep every bit
+        got = equilibrium(pts, 2)
+        w, f, residual, it = _equilibrium_loop(pts, 2)
+        assert _same_bits(got.measure.weights, w)
+        assert _same_bits(got.energy, f)
+        assert _same_bits(got.kkt_residual, residual)
+        assert got.iterations == it
 
 
 class TestFrostman:
@@ -287,6 +402,62 @@ class TestBatchedQueries:
         assert got.standard_error == want.standard_error
         assert got.flagged == want.flagged
         assert got.flagged == (max_steps == 3)
+
+    @pytest.mark.parametrize("label,shape", _distance_shapes(),
+                             ids=[label for label, _ in _distance_shapes()])
+    def test_distance_matches_norm_reference(self, label, shape):
+        frozen = _NORM_DISTANCE[type(shape)]
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-1.3, 1.3, size=(20_000, shape.dimension))
+        assert _same_bits(shape.distance(pts), frozen(shape, pts))
+        # and at every point a walk visits, from a start off every shape
+        walked = _Recorder(shape)
+        x = np.full(shape.dimension, 0.6 / math.sqrt(shape.dimension))
+        wos_harmonic_measure(x, walked, walks=3000, seed=4)
+        assert len(walked.queries) > 2
+        for q in walked.queries:
+            assert _same_bits(shape.distance(q), frozen(shape, q))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_box_diagonal_has_norm_bits(self, d):
+        # a box is met exactly when its centre's distance is at most
+        # np.linalg.norm(hi - lo) / 2: at that distance it is, one float
+        # further it is not
+        class AtDistance(Shape):
+            def __init__(self, dist):
+                self.dist, self.dimension = dist, d
+
+            def distance(self, pts):
+                return self.dist
+
+        rng = np.random.default_rng(d)
+        lo = rng.uniform(-1.0, 1.0, size=(20_000, d))
+        hi = lo + rng.uniform(0.0, 1.0, size=(20_000, d))
+        half = np.array([float(np.linalg.norm(b - a)) / 2.0 for a, b in zip(lo, hi)])
+        assert AtDistance(half).intersects_boxes(lo, hi).all()
+        assert not AtDistance(np.nextafter(half, np.inf)).intersects_boxes(lo, hi).any()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_norms_match_linalg_norm(self, d):
+        rng = np.random.default_rng(d)
+        tiny = np.nextafter(0.0, 1.0)
+        rows = [
+            rng.normal(size=(5000, d)),
+            rng.normal(size=(5000, d)) * 1e-160,    # squares subnormal or zero
+            rng.normal(size=(5000, d)) * 1e200,     # squares overflow
+            np.full((3, d), tiny),
+            np.full((4, d), 2.0 ** -1070),
+            np.empty((0, d)),
+            np.full((2, d), np.inf),
+            np.full((2, d), -np.inf),
+        ]
+        mixed = rng.normal(size=(6, d))
+        mixed[::2, 0] = np.inf
+        mixed[1::2, -1] = -np.inf
+        rows.append(mixed)
+        with np.errstate(over="ignore"):
+            for q in rows:
+                assert _same_bits(potential._norms(q), np.linalg.norm(q, axis=1))
 
     def test_distance_rows_are_independent(self):
         # a row's distance must not depend on the rows batched with it:

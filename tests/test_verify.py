@@ -9,7 +9,7 @@ from frozen_tubes import FieldRows
 from slab_function import SlabOscillating
 from oscillab.cli import main
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
-from oscillab.potential import SegmentShape, SphereShape
+from oscillab.potential import CellUnionShape, SegmentShape, SphereShape, default_claim_family
 from oscillab.mainlemma import RogueConfiguration
 from oscillab.subfun import (TILE_PAIRS, Frame, TableBuilder, TubeField, TubeTable, build_u,
                              eval_T)
@@ -44,6 +44,10 @@ def segment_table(tube: TubeSpec):
     return rows.table()
 
 
+def _same_float(a, b) -> bool:
+    return type(a) is float and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 def growth(a, d=2):
     return GrowthParameters(d=d, index=a).validate()
 
@@ -52,18 +56,83 @@ class _ZeroSetCells(ZeroSetInCube):
     """A zero set that ``content_upper`` can cover: a cell meets it when one
     of its corners or its centre, clipped to the cube, is a zero point."""
 
-    def intersects_box(self, lo, hi):
+    def intersects_boxes(self, lo, hi):
         cube_lo, cube_hi = self.bounds()
-        lo = np.maximum(np.asarray(lo, dtype=float), cube_lo)
-        hi = np.minimum(np.asarray(hi, dtype=float), cube_hi)
-        if np.any(hi <= lo):
-            return False
-        corners = np.array([
-            [lo[i] if not (j >> i) & 1 else hi[i] for i in range(len(lo))]
-            for j in range(2 ** len(lo))
-        ])
-        center = (lo + hi) / 2.0
-        return bool((~np.isfinite(self.fn.eval_log(np.vstack([corners, center[None, :]])))).any())
+        lo = np.maximum(lo, cube_lo)
+        hi = np.minimum(hi, cube_hi)
+        d = lo.shape[1]
+        # the 2^d corners of each box, then its centre
+        pick = np.array(list(np.ndindex(*(2,) * d)), dtype=bool)
+        pts = np.concatenate([np.where(pick[None], hi[:, None], lo[:, None]),
+                              ((lo + hi) / 2.0)[:, None]], axis=1)
+        zero = ~np.isfinite(self.fn.eval_log(pts.reshape(-1, d)))
+        return np.all(hi > lo, axis=1) & zero.reshape(len(lo), -1).any(axis=1)
+
+
+def _intersects_box(shape, lo, hi):
+    """``Shape.intersects_box`` as it was: one box, the diagonal by
+    ``np.linalg.norm``."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    center = (lo + hi) / 2.0
+    r = float(np.linalg.norm(hi - lo)) / 2.0
+    return float(shape.distance(center[None, :])[0]) <= r
+
+
+def _content_upper_rec(shape, depth, box=None, intersects=None):
+    """The depth-first ``content_upper`` as it was, one cell per query,
+    the reference that the level-by-level version must match bit for bit."""
+    intersects = intersects or (lambda lo, hi: _intersects_box(shape, lo, hi))
+    d = shape.dimension
+    if box is None:
+        lo, hi = shape.bounds()
+        edge = float(np.max(hi - lo))
+        edge = 2.0 ** math.ceil(math.log2(max(edge, 1e-12)))
+    else:
+        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+        edge = float(np.max(hi - lo))
+    lo = np.asarray(lo, dtype=float)
+
+    def rec(cell_lo, cell_edge, depth_left):
+        if not intersects(cell_lo, cell_lo + cell_edge):
+            return 0.0
+        own = cell_edge ** (d - 1)
+        if depth_left == 0:
+            return own
+        half = cell_edge / 2.0
+        total = 0.0
+        for offs in np.ndindex(*(2,) * d):
+            total += rec(cell_lo + np.asarray(offs) * half, half, depth_left - 1)
+            if total >= own:
+                return own
+        return min(own, total)
+
+    return rec(lo, edge, depth)
+
+
+class _Counted:
+    """A shape that counts its ``intersects_boxes`` calls."""
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.dimension = shape.dimension
+        self.calls = 0
+
+    def bounds(self):
+        return self.shape.bounds()
+
+    def intersects_boxes(self, lo, hi):
+        self.calls += 1
+        return self.shape.intersects_boxes(lo, hi)
+
+
+def _content_shapes():
+    shapes = list(default_claim_family(2))
+    shapes.append(("sphere_d3", SphereShape(0.25, center=[0.1, -0.2, 0.05], d=3)))
+    shapes.append(("segment_d3", SegmentShape([0.1, 0.2, -0.3], [-0.2, 0.1, 0.25])))
+    shapes.append(("cells_d3", CellUnionShape([(0, 0, 0), (1, 1, 0), (1, 0, 1)], 0.125,
+                                              origin=np.array([-0.1, 0.05, -0.2]), d=3)))
+    return shapes
 
 
 @pytest.fixture(scope="module")
@@ -137,13 +206,47 @@ class TestContent:
             def bounds(self):
                 return np.zeros(3), np.array([1.0, 1.0, 1e-9])
 
-            def intersects_box(self, lo, hi):
-                return lo[2] <= 0.0 <= hi[2] and lo[0] < 1 and lo[1] < 1 and hi[0] > 0 and hi[1] > 0
+            def intersects_boxes(self, lo, hi):
+                return ((lo[:, 2] <= 0.0) & (0.0 <= hi[:, 2]) & (lo[:, 0] < 1) & (lo[:, 1] < 1)
+                        & (hi[:, 0] > 0) & (hi[:, 1] > 0))
 
-        vals = [content_upper(Face(), depth, box=((0, 0, 0), (1, 1, 1)))
+        face = Face()
+        vals = [content_upper(face, depth, box=((0, 0, 0), (1, 1, 1)))
                 for depth in (2, 4, 6)]
+        one = lambda lo, hi: bool(face.intersects_boxes(lo[None], hi[None])[0])
+        for depth, val in zip((2, 4, 6), vals):
+            assert _same_float(val, _content_upper_rec(face, depth, ((0, 0, 0), (1, 1, 1)), one))
         assert vals[-1] == pytest.approx(1.0, rel=0.05)
         assert max(vals) / min(vals) < 1.5
+
+    @pytest.mark.parametrize("label,shape", _content_shapes(),
+                             ids=[label for label, _ in _content_shapes()])
+    def test_levels_match_recursion(self, label, shape):
+        d = shape.dimension
+        depths = range(1, 8) if d == 2 else range(1, 6)
+        # edges 1 and 0.7: with the latter the worths are not dyadic, so the
+        # order of the children's sums shows in the bits
+        boxes = [None, (np.full(d, -0.5), np.full(d, 0.5)), (np.full(d, -0.35), np.full(d, 0.35))]
+        for depth in depths:
+            for box in boxes:
+                counted = _Counted(shape)
+                got = content_upper(counted, depth, box=box)
+                assert _same_float(got, _content_upper_rec(shape, depth, box=box))
+                # one query per dyadic level
+                assert counted.calls <= depth + 1
+
+    @pytest.mark.parametrize("label,shape", _content_shapes(),
+                             ids=[label for label, _ in _content_shapes()])
+    def test_intersects_boxes_match_per_box(self, label, shape):
+        d = shape.dimension
+        rng = np.random.default_rng(21)
+        lo = rng.uniform(-0.7, 0.6, size=(3000, d))
+        side = np.exp(rng.uniform(np.log(1e-6), np.log(0.5), size=(3000, 1)))
+        for hi in (lo + side, lo + side * rng.uniform(0.5, 1.0, size=(3000, d))):
+            got = shape.intersects_boxes(lo, hi)
+            want = [_intersects_box(shape, a, b) for a, b in zip(lo, hi)]
+            assert got.dtype == bool and got.tolist() == want
+            assert got.any() and not got.all()
 
     def test_projection_of_full_square(self):
         class Full:
@@ -179,6 +282,8 @@ class TestContent:
         low = content_lower_projection(z, complete_frame(tube.b - tube.a)[0], 128)
         up = content_upper(z, 5, box=((0.0, 0.0), (1.0, 1.0)))
         assert low <= up + 1e-9
+        one = lambda lo, hi: bool(z.intersects_boxes(lo[None], hi[None])[0])
+        assert _same_float(up, _content_upper_rec(z, 5, ((0.0, 0.0), (1.0, 1.0)), one))
 
     def test_complement_of_thin_strip_projection(self):
         # the complement of a diameter-1/8 tube inside a unit cube projects
