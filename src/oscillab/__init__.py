@@ -6,18 +6,14 @@ verification of every checkable inequality, behind one CLI.
 """
 
 from .geometry import (
-    Annulus,
     DyadicCube,
     LatticeCube,
-    OrthantMap,
-    annulus_cubes,
     containing_dyadic,
     enumerate_basic_cubes,
 )
 from .treeset import (
     GrowthParameters,
     TreeSpec,
-    TubeSpec,
     choose_s_k,
     count_nonsparse,
     is_sparse,
@@ -27,11 +23,8 @@ from .subfun import (
     GlueSchedule,
     build_tau,
     build_u,
-    eval_L,
     eval_T,
-    eval_W,
     glue_schedule,
-    in_region_G,
     log_MM,
 )
 from .verify import (
@@ -62,7 +55,6 @@ from .potential import (
     check_obs1,
     energy,
     equilibrium,
-    frostman,
     kernel,
     wos_harmonic_measure,
 )

@@ -23,7 +23,7 @@ class InvalidRegionError(ValueError):
 
 
 class InvalidLayerError(ValueError):
-    """Raised when a layer index is outside its admissible range."""
+    """Raised when a dyadic order is outside its admissible range."""
 
 
 @dataclass(frozen=True)
@@ -93,76 +93,6 @@ class DyadicCube:
             c0 <= c < c0 + self.edge for c, c0 in zip(cube.corner, self.corner)
         )
 
-    def children(self) -> list["DyadicCube"]:
-        """The 2**d dyadic cubes of the next lower order tiling this cube."""
-        if self.order == 0:
-            raise InvalidLayerError("order-0 cubes have no dyadic children")
-        half = self.edge // 2
-        out = []
-        for offs in itertools.product((0, half), repeat=self.dimension):
-            out.append(
-                DyadicCube(self.order - 1, tuple(c + o for c, o in zip(self.corner, offs)))
-            )
-        return out
-
-
-@dataclass(frozen=True)
-class Annulus:
-    """The k-th layer of basic cubes surrounding a center cube.
-
-    For center corner n the layer is the set difference of the blowups
-    prod [n_j - k, n_j + 1 + k) and prod [n_j - (k - 1), n_j + k); it
-    contains exactly (2k+1)**d - (2k-1)**d basic cubes.
-    """
-
-    center: LatticeCube
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidLayerError(f"layer index must be >= 1, got {self.k}")
-
-    def cube_count(self) -> int:
-        d = self.center.dimension
-        return (2 * self.k + 1) ** d - (2 * self.k - 1) ** d
-
-    def cubes(self) -> list[LatticeCube]:
-        return annulus_cubes(self.center, self.k)
-
-
-@dataclass(frozen=True)
-class OrthantMap:
-    """Coordinate sign-flip isometry sending v_0 = (1, ..., 1) to a vertex
-    of [-1, 1]^d.  Fixes the origin and is an involution."""
-
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(s in (-1, 1) for s in self.signs):
-            raise InvalidRegionError(f"signs must be +-1, got {self.signs}")
-
-    @classmethod
-    def from_index(cls, j: int, d: int) -> "OrthantMap":
-        """Vertex v_j by binary index: bit i set means coordinate i is flipped.
-        j = 0 gives the identity (vertex v_0)."""
-        if not 0 <= j < 2**d:
-            raise InvalidRegionError(f"orthant index {j} out of range for d={d}")
-        return cls(tuple(-1 if (j >> i) & 1 else 1 for i in range(d)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.signs)
-
-    @property
-    def vertex(self) -> tuple[int, ...]:
-        return self.signs
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * np.asarray(self.signs, dtype=float)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.signs, dtype=float))
-
 
 def _check_region(lo, hi) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lo = tuple(lo)
@@ -183,24 +113,6 @@ def enumerate_basic_cubes(lo, hi) -> list[LatticeCube]:
     lo, hi = _check_region(lo, hi)
     ranges = [range(a, b) for a, b in zip(lo, hi)]
     return [LatticeCube(corner) for corner in itertools.product(*ranges)]
-
-
-def annulus_cubes(center: LatticeCube, k: int) -> list[LatticeCube]:
-    """Basic cubes of the k-th layer A(I, k) around ``center``, in
-    lexicographic corner order."""
-    if k < 1:
-        raise InvalidLayerError(f"layer index must be >= 1, got {k}")
-    n = center.corner
-    outer_lo = [c - k for c in n]
-    outer_hi = [c + 1 + k for c in n]
-    inner_lo = [c - (k - 1) for c in n]
-    inner_hi = [c + k for c in n]
-    out = []
-    for corner in itertools.product(*[range(a, b) for a, b in zip(outer_lo, outer_hi)]):
-        if all(a <= c < b for c, a, b in zip(corner, inner_lo, inner_hi)):
-            continue
-        out.append(LatticeCube(corner))
-    return out
 
 
 def containing_dyadic(cube: LatticeCube, rho: float) -> DyadicCube:

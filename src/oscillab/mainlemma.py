@@ -622,17 +622,6 @@ def psi(x: float, d: int) -> float:
     return math.log(2.0 + x) ** (d / (d - 1)) / (1.0 + x ** (1.0 / (d - 1)))
 
 
-def psi_decreasing_onset(d: int, x_hi: float = 1e6, samples: int = 4000) -> float:
-    """Smallest sampled x from which psi is monotone decreasing."""
-    xs = np.geomspace(1e-3, x_hi, samples)
-    vals = np.array([psi(float(x), d) for x in xs])
-    increasing = np.diff(vals) > 0
-    if not increasing.any():
-        return float(xs[0])
-    last = int(np.max(np.nonzero(increasing)))
-    return float(xs[last + 1])
-
-
 def phi(x: float, N: float, e_count: float, d: int) -> float:
     """2^-x + x^(1 + 1/(d-1)) (N / #E)^(1/(d-1)); the convex objective whose
     minimum produces the lemma's exponent."""

@@ -1,5 +1,5 @@
-"""Numerical potential theory: Riesz kernels, discrete equilibrium measures,
-Frostman measures on dyadic trees, and walk-on-spheres harmonic measure.
+"""Numerical potential theory: Riesz kernels, discrete equilibrium measures
+and walk-on-spheres harmonic measure.
 
 The kernel is log t in the plane and -t^(2-d) in higher dimensions, so the
 energy I(nu) of a probability measure is negative for small sets and -1/I
@@ -10,7 +10,7 @@ oracles (circles, spheres, segments) used by the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,35 +41,37 @@ def kernel(t, d: int):
 
 @dataclass
 class DiscreteMeasure:
+    """A probability measure on finitely many points."""
+
     points: np.ndarray
     weights: np.ndarray
-    probability: bool = True
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.weights = np.asarray(self.weights, dtype=float)
         if np.any(self.weights < 0):
             raise KernelDomainError("weights must be non-negative")
-        if self.probability and abs(float(self.weights.sum()) - 1.0) > 1e-9:
+        if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise KernelDomainError("probability measure weights must sum to 1")
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
 
 def _merge_coincident(points: np.ndarray, weights: np.ndarray):
-    seen: dict[tuple, int] = {}
-    out_p, out_w = [], []
-    for p, w in zip(points, weights):
-        key = tuple(np.round(p, 12))
-        if key in seen:
-            out_w[seen[key]] += w
-        else:
-            seen[key] = len(out_p)
-            out_p.append(p)
-            out_w.append(w)
-    return np.asarray(out_p), np.asarray(out_w)
+    """Points that agree to 12 digits as one point: the first of them, in
+    order of first occurrence, with their weights added in input order to
+    the first one's.  0.0 and -0.0 agree; a point with a nan agrees with
+    no other."""
+    # + 0.0 makes -0.0 into 0.0, whatever unique's row comparison makes of
+    # the two; rows with a nan compare unequal in it
+    key = np.round(points, 12) + 0.0
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    heads = np.sort(first)
+    # each point's group, numbered in order of first occurrence
+    at = np.searchsorted(heads, first[group.reshape(-1)])
+    rest = np.ones(len(points), dtype=bool)
+    rest[heads] = False
+    merged = weights[heads]
+    np.add.at(merged, at[rest], weights[rest])
+    return points[heads], merged
 
 
 def _kernel_matrix(points: np.ndarray, d: int) -> np.ndarray:
@@ -170,71 +172,6 @@ def equilibrium(points: np.ndarray, d: int | None = None, tol: float = 1e-6,
             f"equilibrium iteration did not reach KKT residual {tol} "
             f"(got {residual:.3g} after {it} iterations)", residual=residual)
     return EquilibriumResult(DiscreteMeasure(pts, w), f, residual, it)
-
-
-# ---------------------------------------------------------------------------
-# Frostman measures on dyadic trees
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FrostmanResult:
-    measure: DiscreteMeasure
-    depth: int
-    gauge_exponent: float
-    cell_edge: float
-
-
-def frostman(cells: list[tuple], depth: int, gauge_exponent: float,
-             d: int | None = None) -> FrostmanResult:
-    """Bottom-up Frostman measure on a union of depth-``depth`` dyadic cells
-    of [0,1]^d (cells given by integer index tuples at that depth).
-
-    Each occupied leaf starts with mass phi(2^-depth) for phi(r) = r^gauge;
-    ancestors cap the mass in every coarser cell at phi(cell edge),
-    rescaling uniformly.  The result carries the growth bound
-    mu(B(x, r)) <= C_d phi(r) with total mass at least the phi-content.
-    """
-    if not cells:
-        raise KernelDomainError("frostman needs a nonempty cell set")
-    cells = [tuple(int(c) for c in cell) for cell in cells]
-    d = d or len(cells[0])
-    phi = lambda r: r**gauge_exponent
-    edge = 2.0**-depth
-    mass = {cell: phi(edge) for cell in set(cells)}
-    for level in range(depth - 1, -1, -1):
-        shift = depth - level
-        groups: dict[tuple, float] = {}
-        for cell, m in mass.items():
-            anc = tuple(c >> shift for c in cell)
-            groups[anc] = groups.get(anc, 0.0) + m
-        cap = phi(2.0**-level)
-        scale = {a: min(1.0, cap / m) for a, m in groups.items()}
-        mass = {cell: m * scale[tuple(c >> shift for c in cell)]
-                for cell, m in mass.items()}
-    leaf_pts = np.array([(np.asarray(c, dtype=float) + 0.5) * edge for c in mass])
-    leaf_w = np.array([mass[c] for c in mass])
-    order = np.lexsort(leaf_pts.T)
-    return FrostmanResult(
-        DiscreteMeasure(leaf_pts[order], leaf_w[order], probability=False),
-        depth, gauge_exponent, edge,
-    )
-
-
-def frostman_growth_certificate(res: FrostmanResult, n_balls: int = 10_000,
-                                seed: int = 4) -> float:
-    """Measured constant C with mu(B(x, r)) <= C r^gauge over random balls."""
-    rng = np.random.default_rng(seed)
-    pts = res.measure.points
-    w = res.measure.weights
-    d = pts.shape[1]
-    centers = rng.uniform(-0.2, 1.2, size=(n_balls, d))
-    radii = np.exp(rng.uniform(np.log(res.cell_edge), 0.0, size=n_balls))
-    worst = 0.0
-    for c, r in zip(centers, radii):
-        m = float(w[np.linalg.norm(pts - c, axis=1) <= r].sum())
-        worst = max(worst, m / r**res.gauge_exponent)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ tube functions.
 
 Base profiles:
 
-  W(x)      = cos(2 pi x_1) prod_j cosh(2 pi x_j / sqrt(d-1)) 1{|x_1| <= 1/4}
   T_eps(x)  = cosh(pi sqrt(d-1) x_1 / eps) prod_j cos(pi x_j / eps)
               1{|x_j| < eps/2 for j >= 2}
   L_eps(x)  = max(T_eps(x) - 1, 0) for x_1 >= 0, else 0
@@ -146,19 +145,6 @@ def _as_points(x, d=None):
     return pts
 
 
-def eval_W(x, d: int | None = None):
-    """The slab profile W; non-negative, supported on |x_1| <= 1/4."""
-    pts = _as_points(x)
-    d = d or pts.shape[1]
-    x1 = pts[:, 0]
-    out = np.zeros(pts.shape[0])
-    on = np.abs(x1) <= 0.25
-    out[on] = np.cos(2 * PI * x1[on]) * np.prod(
-        np.cosh(2 * PI * pts[on, 1:] / math.sqrt(d - 1)), axis=1
-    )
-    return out if out.size > 1 else float(out[0])
-
-
 def eval_T(eps: float, x, d: int | None = None):
     pts = _as_points(x)
     d = d or pts.shape[1]
@@ -166,24 +152,6 @@ def eval_T(eps: float, x, d: int | None = None):
     with np.errstate(over="ignore"):
         out = np.where(np.isfinite(lt), np.exp(np.minimum(lt, LINEAR_LIMIT)), 0.0)
     return out if out.size > 1 else float(out[0])
-
-
-def eval_L(eps: float, x, d: int | None = None):
-    pts = _as_points(x)
-    d = d or pts.shape[1]
-    ll = log_L_profile(eps, d, pts)
-    with np.errstate(over="ignore"):
-        out = np.where(np.isfinite(ll), np.exp(np.minimum(ll, LINEAR_LIMIT)), 0.0)
-    return out if out.size > 1 else float(out[0])
-
-
-def in_region_G(eps: float, x, d: int | None = None):
-    """Membership in G_eps (base frame, two-sided in x_1)."""
-    pts = _as_points(x)
-    d = d or pts.shape[1]
-    g = g_threshold(eps, d)
-    ok = (np.abs(pts[:, 0]) >= g) & np.all(np.abs(pts[:, 1:]) <= eps / 3.0, axis=1)
-    return ok if ok.size > 1 else bool(ok[0])
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +570,6 @@ class TubeTable(FunctionNode):
                 else int(np.searchsorted(ptr, ptr[0] + at[-1], side="right")))
         return self.span(keep, stop)
 
-    def guards(self, i: int) -> np.ndarray:
-        """Rows of this table whose junctions row i sits below on the branch
-        side: the keep rows of its guards."""
-        keeps = self.guard_idx[self.guard_ptr[i]:self.guard_ptr[i + 1]] - self._first
-        return keeps[keeps >= 0]
-
     def field(self, i: int) -> TubeField:
         """Row i as a TubeField, in the coordinates of its chain."""
         return TubeField(Frame(self.rows[i], self.origin[i]), float(self.eps[i]), self.d,
@@ -845,6 +807,17 @@ class TubeTable(FunctionNode):
         takes under 2^-52 S, so the peak exceeds top + a + 2^-49 S, above
         every value.  A row with a = -inf has peak -inf: it has no finite
         value.
+
+        With one amplitude per row, fl(P + a) <= fl(a + top) already
+        holds, and the margin is not needed.  A row's cut lies past its
+        anchor 2 g(eps), so top > 2 d log 2 > 1.  For y <= 1 the computed
+        log_cosh(y) is near log cosh 1 < 1/2; for 1 <= y <= top it falls
+        short of y by log(2 / (1 + e^-2y)) > 1/2, far more than its few
+        u (y + 1) of rounding at any top the tables reach.  So P <= top,
+        and rounding is monotone.  The margin only guards a future change
+        to ``_profile`` (a second amplitude added to a row, or a profile
+        that can reach its cosh bound) against a peak that no longer
+        bounds.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         order, ptr, lo, hi = self._tiles(X)
@@ -1352,15 +1325,6 @@ class GlueSchedule:
     eps1: float
     ratios: list[float]
     log_M: float
-
-    @property
-    def log_p(self) -> list[float]:
-        out = []
-        acc = 0.0
-        for r in self.ratios:
-            acc -= r
-            out.append(acc)
-        return out
 
     def amplitude(self, generation: int) -> float:
         """log amplitude of generation-m branches after the final rescale

@@ -18,13 +18,12 @@ the field's diameter, kind and generation.  The kinds are
           handles at level 1: diameter 2**j * delta_j, generation 0.
 
 ``TreeSpec`` holds that tube set as columns and writes ``tree.json`` from
-them; ``TubeSpec`` is only the record of one tube, made when a reader asks
-for the tubes one by one.  The tube geometry lives in the rows of the
-function's ``subfun.TubeTable``: the tube of a row of diameter eps is the
-set of points whose coordinates in the row's global frame
-(``global_rows``, measured from ``tube_a``) satisfy 2 g(eps) <= x_1 <= cut
-and |x_j| < eps/2 (square cross-section).  The sparseness census reads
-those arrays.
+them; the columns are the record, and ``TreeSpec.check`` validates them
+whole.  The tube geometry lives in the rows of the function's
+``subfun.TubeTable``: the tube of a row of diameter eps is the set of
+points whose coordinates in the row's global frame (``global_rows``,
+measured from ``tube_a``) satisfy 2 g(eps) <= x_1 <= cut and |x_j| <
+eps/2 (square cross-section).  The sparseness census reads those arrays.
 """
 
 from __future__ import annotations
@@ -157,14 +156,6 @@ def parse_growth(text: str, d: int) -> GrowthParameters:
 # ---------------------------------------------------------------------------
 
 
-def allclose(a: np.ndarray, b: np.ndarray) -> bool:
-    """``np.allclose(a, b)`` for two points, by numpy's own rule applied to
-    each coordinate pair as Python floats (an order of magnitude faster on
-    the short vectors of tube endpoints)."""
-    return all((abs(x - y) <= 1e-8 + 1e-5 * abs(y) and math.isfinite(y)) or x == y
-               for x, y in zip(a.tolist(), b.tolist(), strict=True))
-
-
 def complete_frame(axis: np.ndarray) -> np.ndarray:
     """Orthonormal frame (rows) with rows[0] = axis.
 
@@ -188,28 +179,6 @@ def complete_frame(axis: np.ndarray) -> np.ndarray:
         if nc > 1e-9:
             rows.append(cand / nc)
     return np.asarray(rows)
-
-
-@dataclass
-class TubeSpec:
-    """One tube of a tree set as ``tree.json`` records it: the segment [a, b]
-    with its diameter, generation and kind.  Its geometry, the square
-    cross-section tube, is read off the rows of the function's
-    ``subfun.TubeTable``."""
-
-    a: np.ndarray
-    b: np.ndarray
-    diameter: float
-    generation: int = 0    # within an outer subtree; -1 for leaves, 0 for trunks and handles
-    kind: str = "leaf"     # leaf | wide | thin | trunk | handle
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.diameter <= 0:
-            raise ParameterRangeError(f"tube diameter must be positive, got {self.diameter}")
-        if allclose(self.a, self.b):
-            raise ParameterRangeError("tube endpoints must be distinct")
 
 
 def map_values(values, fn) -> np.ndarray:
@@ -242,8 +211,8 @@ DUMP_CHUNK = 2048
 class TreeSpec:
     """A finite tube-union tree with its construction parameters.  The
     tubes are columns: the a and b ends (n, d), and the diameter,
-    generation and kind of each; ``tubes`` makes them ``TubeSpec``
-    records."""
+    generation (-1 for leaves, 0 for trunks and handles) and kind (leaf,
+    wide, thin, trunk or handle) of each."""
 
     dimension: int
     rank: int
@@ -257,24 +226,14 @@ class TreeSpec:
     eps_values: dict = field(default_factory=dict)
     delta_values: dict = field(default_factory=dict)
 
-    @property
-    def tubes(self) -> list[TubeSpec]:
-        return [TubeSpec(a, b, e, g, t) for a, b, e, g, t in
-                zip(self.a, self.b, self.diameter.tolist(), self.generation.tolist(),
-                    self.kind.tolist())]
-
-    def branches(self) -> list[TubeSpec]:
-        """Tubes of diameter above 2*eps1 (everything wider than leaf scale)."""
-        return [t for t in self.tubes if t.diameter > 2.0 * self.eps1]
-
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.zeros(self.dimension)
         return lo, lo + 2.0**self.rank
 
     def check(self) -> None:
-        """Refuse a tree with a tube that ``TubeSpec`` refuses, a diameter
-        not above 0 or ends that ``np.allclose`` takes as one point, or
-        with a value that is not finite (JSON has no such number)."""
+        """Refuse a tree with a tube of diameter not above 0 or with ends
+        that ``np.allclose`` takes as one point, or with a value that is
+        not finite (JSON has no such number)."""
         a, b, diameter = self.a, self.b, self.diameter
         with np.errstate(invalid="ignore", over="ignore"):
             finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1) & np.isfinite(diameter)

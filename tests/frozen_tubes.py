@@ -5,9 +5,9 @@ A tube of diameter delta around the segment [a, b] is the set of points
 whose coordinate along the segment lies in [0, |b - a|] and whose
 transverse coordinates, in an orthonormal frame completed from b - a, are
 all below delta/2 in absolute value (square cross-section).  This is the
-geometry ``TubeSpec`` computed, and the sparseness measure on it, as they
-were before both moved to the rows of ``subfun.TubeTable``; the tests
-compare the table against it.
+geometry the tree set's per-tube records computed, and the sparseness
+measure on it, as they were before both moved to the rows of
+``subfun.TubeTable``; the tests compare the table against it.
 
 The rows of ``subfun.build_tau`` and ``subfun.build_u`` are made as they
 were before ``subfun._tree_rows`` made them as columns: one ``TubeField``

@@ -15,7 +15,6 @@ from oscillab.mainlemma import (
     kappa_chains,
 )
 from oscillab.geometry import LatticeCube
-from oscillab.potential import SegmentShape, frostman
 from oscillab.subfun import build_u
 from oscillab.treeset import (
     EPS1,
@@ -25,7 +24,7 @@ from oscillab.treeset import (
     count_nonsparse,
     sparseness_threshold,
 )
-from oscillab.verify import classify_cube, content_lower_projection
+from oscillab.verify import classify_cube
 
 
 def growth(a, d=2):
@@ -40,8 +39,8 @@ def function_of(g, k):
 
 #: sha256 (first 16 hex digits) of the (corner, status) rows and of the
 #: (count, uncertain, every cube touched) triple of ``count_nonsparse`` at
-#: its defaults, per (d, f index, k), as the census on ``TubeSpec`` tubes
-#: gave them before it moved to the tube table's rows
+#: its defaults, per (d, f index, k), as the census on the tree set's
+#: per-tube records gave them before it moved to the tube table's rows
 CENSUS_ORACLE = {
     (2, 1.5, 1): ("6060a88f5f2f9aa2", "3a8a888e2a21f450"),
     (2, 1.5, 2): ("1ae89ce7e874a350", "d1414674c4096909"),
@@ -149,19 +148,6 @@ class TestChainContraction:
         assert deep
         for r in deep:
             assert -r.log_ratio >= 0.5 * r.kappa_count
-
-
-class TestFrostmanDuality:
-    def test_mass_against_projection_bound(self):
-        # both quantities bound the gauge content from below; the measured
-        # comparison stays within a uniform factor on segment-like sets
-        D = 6
-        cells = [(i, 0) for i in range(2**D)]
-        res = frostman(cells, D, 1.0, d=2)
-        seg = SegmentShape([0.0, 2.0**-D / 2], [1.0, 2.0**-D / 2])
-        proj = content_lower_projection(seg, np.array([1.0, 0.0]), 256)
-        assert res.measure.total_mass >= 0.5 * proj
-        assert res.measure.total_mass == pytest.approx(1.0, rel=1e-9)
 
 
 class TestFunctionPath:

@@ -101,8 +101,8 @@ class TestBuild:
                                    round(float(diameter), 12))
         rows = {key(b, e) for b, e in zip(table.tube_b, table.eps)}
         assert (tree.dimension, tree.rank) == (2, 4)
-        assert len(tree.tubes) == len(table.eps) - 1
-        assert all(key(t.b, t.diameter) in rows for t in tree.tubes)
+        assert tree.diameter.size == len(table.eps) - 1
+        assert all(key(b, e) in rows for b, e in zip(tree.b, tree.diameter))
 
 
 class TestOutOfMemory:

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscillab.geometry import (
-    Annulus,
     DyadicCube,
     InvalidLayerError,
     InvalidRegionError,
     LatticeCube,
-    OrthantMap,
-    annulus_cubes,
     containing_dyadic,
     enumerate_basic_cubes,
 )
@@ -46,70 +43,10 @@ class TestEnumerateBasicCubes:
         assert len(cubes) == 6
 
 
-class TestAnnulus:
-    def test_paper_example_d2_k1(self):
-        # A(I,1) for I=[0,1)^2 is [-1,2)^2 minus [0,1)^2.
-        cubes = annulus_cubes(LatticeCube((0, 0)), 1)
-        expected = {
-            c.corner
-            for c in enumerate_basic_cubes((-1, -1), (2, 2))
-            if c.corner != (0, 0)
-        }
-        assert {c.corner for c in cubes} == expected
-        assert len(cubes) == 8
-
-    def test_count_d2_k2(self):
-        assert len(annulus_cubes(LatticeCube((0, 0)), 2)) == 16  # 5^2 - 3^2
-
-    def test_count_d3_k1(self):
-        assert len(annulus_cubes(LatticeCube((0, 0, 0)), 1)) == 26  # 3^3 - 1
-
-    def test_rejects_layer_zero(self):
-        with pytest.raises(InvalidLayerError):
-            annulus_cubes(LatticeCube((0, 0)), 0)
-
-    @given(
-        st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
-        st.integers(1, 4),
-        st.integers(1, 4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_layers_disjoint_and_fill_blowup(self, corner, k1, k2):
-        center = LatticeCube(corner)
-        a1 = {c.corner for c in annulus_cubes(center, k1)}
-        a2 = {c.corner for c in annulus_cubes(center, k2)}
-        if k1 != k2:
-            assert a1.isdisjoint(a2)
-        kmax = max(k1, k2)
-        union = {center.corner}
-        for k in range(1, kmax + 1):
-            layer = annulus_cubes(center, k)
-            assert len(layer) == Annulus(center, k).cube_count()
-            union |= {c.corner for c in layer}
-        blowup = {
-            c.corner
-            for c in enumerate_basic_cubes(
-                tuple(c - kmax for c in corner), tuple(c + 1 + kmax for c in corner)
-            )
-        }
-        assert union == blowup
-
-
 class TestDyadicCube:
-    def test_children_tile_parent(self):
-        parent = DyadicCube(2, (0, 4))
-        kids = parent.children()
-        assert len(kids) == 4
-        vol = sum(k.edge ** k.dimension for k in kids)
-        assert vol == parent.edge**parent.dimension
-
-    def test_subcube_count_invariant(self):
-        # An order-k cube contains 2^(d(k-j)) order-j cubes.
-        parent = DyadicCube(3, (0, 0))
-        level = [parent]
-        for j in (2, 1, 0):
-            level = [c for p in level for c in p.children()]
-            assert len(level) == 2 ** (2 * (3 - j))
+    def test_rejects_negative_order(self):
+        with pytest.raises(InvalidLayerError):
+            DyadicCube(-1, (0, 0))
 
     def test_rejects_misaligned_corner(self):
         with pytest.raises(InvalidRegionError):
@@ -162,28 +99,3 @@ class TestContainingDyadic:
             big = containing_dyadic(cube, float(2 * rho))
             assert big.edge >= small.edge
 
-
-class TestOrthantMap:
-    @given(st.integers(0, 7), st.lists(st.floats(-5, 5), min_size=3, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_isometry_and_involution(self, j, x):
-        m = OrthantMap.from_index(j, 3)
-        x = np.asarray(x)
-        assert math.isclose(
-            float(np.linalg.norm(m.apply(x))), float(np.linalg.norm(x)), abs_tol=1e-12
-        )
-        assert np.allclose(m.apply(m.apply(x)), x)
-
-    def test_vertex_images(self):
-        d = 3
-        v0 = np.ones(d)
-        seen = set()
-        for j in range(2**d):
-            m = OrthantMap.from_index(j, d)
-            assert np.allclose(m.apply(np.zeros(d)), 0.0)
-            seen.add(tuple(m.apply(v0)))
-        assert len(seen) == 2**d
-
-    def test_identity_is_index_zero(self):
-        m = OrthantMap.from_index(0, 2)
-        assert m.signs == (1, 1)

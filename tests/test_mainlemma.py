@@ -27,7 +27,6 @@ from oscillab.mainlemma import (
     phi,
     phi_argmin,
     psi,
-    psi_decreasing_onset,
     rho_cube,
     unit_ball_volume,
 )
@@ -485,6 +484,17 @@ class TestKappaChains:
             ks = np.flatnonzero(column) + 1
             for a, b in zip(ks, ks[1:]):
                 assert b - a > res.step(a)
+
+
+def psi_decreasing_onset(d: int, x_hi: float = 1e6, samples: int = 4000) -> float:
+    """Smallest sampled x from which psi is monotone decreasing."""
+    xs = np.geomspace(1e-3, x_hi, samples)
+    vals = np.array([psi(float(x), d) for x in xs])
+    increasing = np.diff(vals) > 0
+    if not increasing.any():
+        return float(xs[0])
+    last = int(np.max(np.nonzero(increasing)))
+    return float(xs[last + 1])
 
 
 class TestBoundFormula:

@@ -20,8 +20,6 @@ from oscillab.potential import (
     default_claim_family,
     energy,
     equilibrium,
-    frostman,
-    frostman_growth_certificate,
     kernel,
     wos_harmonic_measure,
 )
@@ -208,6 +206,78 @@ def _equilibrium_inputs():
     return inputs
 
 
+def _merge_loop(points, weights):
+    """``_merge_coincident`` as it was: a dict keyed on each point rounded
+    to 12 digits, filled one point at a time."""
+    seen = {}
+    out_p, out_w = [], []
+    for p, w in zip(points, weights):
+        key = tuple(np.round(p, 12))
+        if key in seen:
+            out_w[seen[key]] += w
+        else:
+            seen[key] = len(out_p)
+            out_p.append(p)
+            out_w.append(w)
+    return np.asarray(out_p), np.asarray(out_w)
+
+
+def _merge_inputs():
+    inputs = _equilibrium_inputs()
+    base = np.array([[0.25, -1.5], [1.0, 2.0], [3.0, 0.0]])
+    inputs.append(("exact_duplicates", np.vstack([base, base[::-1], base[[1, 1]]])))
+    # long groups, so that the order in which a group's weights are added
+    # shows in the bits
+    inputs.append(("long_groups", base[np.random.default_rng(73).integers(0, 3, 150)]))
+    # 1 + 5e-13 is where the 12th digit rounds up: these fall on either
+    # side of it, and of 1 - 5e-13, and of the points they round to
+    offsets = np.array([0.0, 4.9e-13, 5.1e-13, -4.9e-13, -5.1e-13, 1e-12, 1.4e-12,
+                        1.6e-12, -1e-12, 2e-13, -2e-13, 6e-13])
+    near = np.column_stack([1.0 + offsets, np.full(offsets.size, 0.5) - offsets[::-1]])
+    inputs.append(("near_duplicates", near))
+    zeros = np.array([[-0.0, 0.0], [0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.0, -0.0],
+                      [1.0, 0.0], [-0.0, 1.0], [-4e-13, 1.0], [4e-13, -0.0]])
+    inputs.append(("signed_zeros", zeros))
+    inputs.append(("nans", np.array([[np.nan, 0.0], [np.nan, 0.0], [0.0, np.nan], [0.0, 0.0],
+                                     [np.nan, 0.0]])))
+    return inputs
+
+
+class TestMergeCoincident:
+    @pytest.mark.parametrize("label,pts", _merge_inputs(),
+                             ids=[label for label, _ in _merge_inputs()])
+    def test_matches_frozen_loop(self, label, pts):
+        rng = np.random.default_rng(71)
+        # weights that differ, so that the order of the sums shows in the
+        # bits, as energy's are; the same with some -0.0; and
+        # equilibrium's ones
+        signed = rng.uniform(0.0, 1.0, len(pts))
+        signed[::3] = -0.0
+        for weights in (rng.uniform(0.0, 1.0, len(pts)), signed, np.ones(len(pts))):
+            got_p, got_w = potential._merge_coincident(pts, weights)
+            want_p, want_w = _merge_loop(pts, weights)
+            assert _same_bits(got_p, want_p) and _same_bits(got_w, want_w)
+
+    def test_merges_what_rounds_alike(self):
+        inputs = dict(_merge_inputs())
+        merged = lambda label: potential._merge_coincident(
+            inputs[label], np.ones(len(inputs[label])))
+        pts, w = merged("exact_duplicates")
+        assert pts.tolist() == [[0.25, -1.5], [1.0, 2.0], [3.0, 0.0]]
+        assert w.tolist() == [2.0, 4.0, 2.0]
+        # each near duplicate joins the point it rounds to, on its side of
+        # the rounding
+        assert merged("near_duplicates")[1].tolist() == [2.0, 2.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0]
+        # 0.0 and -0.0 are one, and 4e-13 rounds to 0; the first point of
+        # a group stands for it, with its own signs
+        pts, w = merged("signed_zeros")
+        assert pts.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert np.signbit(pts).tolist() == [[True, False], [False, True], [True, False]]
+        assert w.tolist() == [5.0, 2.0, 2.0]
+        # a point with a nan is one of its own
+        assert len(merged("nans")[0]) == 5
+
+
 class TestKernel:
     def test_values(self):
         assert kernel(1.0, 2) == 0.0
@@ -300,31 +370,6 @@ class TestEquilibrium:
         assert _same_bits(got.energy, f)
         assert _same_bits(got.kkt_residual, residual)
         assert got.iterations == it
-
-
-class TestFrostman:
-    def test_single_cell(self):
-        res = frostman([(0, 0)], 4, 1.0, d=2)
-        assert res.measure.total_mass == pytest.approx(2.0**-4)
-
-    def test_full_segment_tight_everywhere(self):
-        D = 7
-        res = frostman([(i,) for i in range(2**D)], D, 1.0, d=1)
-        assert res.measure.total_mass == pytest.approx(1.0)
-        w = res.measure.weights
-        # every dyadic interval carries exactly its gauge value
-        for level in (3, 5):
-            block = 2 ** (D - level)
-            sums = w.reshape(-1, block).sum(axis=1)
-            assert np.allclose(sums, 2.0**-level)
-
-    def test_growth_certificate_stable_under_refinement(self):
-        cells_a = [(i, 0) for i in range(2**5)]
-        cells_b = [(i, 0) for i in range(2**6)]
-        ca = frostman_growth_certificate(frostman(cells_a, 5, 1.0, d=2), 2000)
-        cb = frostman_growth_certificate(frostman(cells_b, 6, 1.0, d=2), 2000)
-        assert ca <= 8.0 and cb <= 8.0
-        assert abs(ca - cb) < 2.0
 
 
 class TestWalkOnSpheres:

@@ -8,7 +8,6 @@ import frozen_tubes
 from frozen_tubes import FieldRows, junction_branch, tubes_of
 from oscillab import subfun
 from oscillab.cli import GUARD_SAMPLES
-from oscillab.geometry import OrthantMap
 from oscillab.treeset import GrowthParameters
 from oscillab.subfun import (
     EPS1,
@@ -17,12 +16,9 @@ from oscillab.subfun import (
     TubeField,
     build_tau,
     build_u,
-    eval_L,
     eval_T,
-    eval_W,
     g_threshold,
     glue_schedule,
-    in_region_G,
     log_L_profile,
     log_L_upper,
     log_MM,
@@ -53,18 +49,12 @@ def table_of(*fields):
     return rows.table()
 
 
+def L_values(eps, pts, d=2):
+    """L_eps at the points, from its logarithm."""
+    return np.exp(log_L_profile(eps, d, np.asarray(pts, dtype=float)))
+
+
 class TestBaseProfiles:
-    def test_W_at_origin(self):
-        assert eval_W([[0.0, 0.0]]) == pytest.approx(1.0)
-        assert eval_W([[0.0, 0.0, 0.0]]) == pytest.approx(1.0)
-
-    def test_W_vanishes_off_slab(self):
-        pts = [[0.26, 3.0], [-0.5, 0.0], [1.0, 1.0]]
-        assert np.all(eval_W(pts) == 0.0)
-
-    def test_W_growth_value(self):
-        assert eval_W([[0.0, 1.0]]) == pytest.approx(math.cosh(2 * PI), rel=1e-12)
-
     def test_T_at_origin(self):
         assert eval_T(0.5, [[0.0, 0.0]]) == pytest.approx(1.0)
 
@@ -78,41 +68,36 @@ class TestBaseProfiles:
         assert eval_T(1.0, [[1.0, 0.0]]) == pytest.approx(math.cosh(PI), rel=1e-12)
 
     def test_L_zero_for_negative_axis(self):
-        assert np.all(eval_L(1.0, [[-0.1, 0.0], [-5.0, 0.1]]) == 0.0)
+        assert np.all(L_values(1.0, [[-0.1, 0.0], [-5.0, 0.1]]) == 0.0)
 
     def test_L_exact_value(self):
         x = 2 * math.log(2) / PI
         # cosh(2 ln 2) = (4 + 1/4)/2 = 2.125
-        assert eval_L(1.0, [[x, 0.0]]) == pytest.approx(1.125, rel=1e-12)
+        assert L_values(1.0, [[x, 0.0]]) == pytest.approx(1.125, rel=1e-12)
 
     def test_L_positive_floor_on_G(self):
-        # On G_eps the profile satisfies T >= 1 + 2^-2d (sharp at the corner
-        # x_1 = g, |x_j| = eps/3), so L > 2^-2d there; the deeper set with
-        # threshold (d+1) log 2 instead of d log 2 gives L > 1.
+        # On G_eps = {|x_j| <= eps/3 for j >= 2} and {|x_1| >= g} the profile
+        # satisfies T >= 1 + 2^-2d (sharp at the corner x_1 = g,
+        # |x_j| = eps/3), so L > 2^-2d there; the deeper set with threshold
+        # (d+1) log 2 instead of d log 2 gives L > 1.
         rng = np.random.default_rng(3)
         for d, eps in ((2, 1.0), (3, 0.5), (2, 0.125)):
             g = g_threshold(eps, d)
             pts = rng.uniform(-eps / 3, eps / 3, size=(200, d))
             pts[:, 0] = rng.uniform(g, 4 * g, size=200)
-            assert np.all(in_region_G(eps, pts, d))
-            assert np.all(eval_L(eps, pts, d) > 2.0 ** (-2 * d) * (1 - 1e-9))
+            assert np.all((pts[:, 0] >= g) & np.all(np.abs(pts[:, 1:]) <= eps / 3, axis=1))
+            assert np.all(L_values(eps, pts, d) > 2.0 ** (-2 * d) * (1 - 1e-9))
             deep = pts.copy()
             deep[:, 0] = rng.uniform(g * (d + 1) / d, 4 * g, size=200)
-            assert np.all(eval_L(eps, deep, d) > 1.0)
+            assert np.all(L_values(eps, deep, d) > 1.0)
 
     def test_L_corner_floor_is_sharp(self):
         for d, eps in ((2, 1.0), (3, 0.5)):
             corner = np.zeros(d)
             corner[0] = g_threshold(eps, d)
             corner[1:] = eps / 3.0
-            val = eval_L(eps, corner[None, :], d)
+            val = L_values(eps, corner[None, :], d)
             assert val == pytest.approx(2.0 ** (-2 * d), rel=1e-9)
-
-    def test_G_membership_boundaries(self):
-        g = g_threshold(1.0, 2)
-        assert in_region_G(1.0, [[g, 0.0]])
-        assert not in_region_G(1.0, [[0.9 * g, 0.0]])
-        assert not in_region_G(1.0, [[2 * g, 0.4]])
 
 
 class TestGlueSchedule:
@@ -135,13 +120,6 @@ class TestGlueSchedule:
         for r, i in zip(thin, orders):
             assert r == pytest.approx(PI * 2 * 2.0**i / EPS1)
 
-    def test_log_p_ladder(self):
-        sched = glue_schedule(growth(1.5), 4)
-        lp = sched.log_p
-        assert lp[0] == pytest.approx(-sched.ratios[0])
-        diffs = [lp[i] - lp[i + 1] for i in range(len(lp) - 1)]
-        assert diffs == pytest.approx(sched.ratios[1:])
-
     def test_growth_threshold_matches_display(self):
         # d = 2, f(t) = t^2: the threshold exponent is 8 pi (k ln 2)^2
         g = growth(2.0)
@@ -161,13 +139,14 @@ class TestNodes:
             np.array([0.5, 0.5]), np.array([1.0, 1.0]), 0.25, 2, 3.0, 2.0
         )
         table = table_of(field)
-        omap = OrthantMap.from_index(3, 2)
+        # the sign flip of both coordinates
+        signs = np.array([-1.0, -1.0])
         rows = TableBuilder(2)
-        rows.extend(table, omap.matrix(), np.zeros(2))
+        rows.extend(table, np.diag(signs), np.zeros(2))
         mapped = rows.table()
         rng = np.random.default_rng(11)
         pts = rng.uniform(-3, 3, size=(500, 2))
-        direct = table.eval_log(omap.apply(pts))
+        direct = table.eval_log(pts * signs)
         assert np.isfinite(direct).any()
         assert np.array_equal(direct, mapped.eval_log(pts))
 
@@ -411,6 +390,13 @@ def _chain_points(table, c, X):
     return X @ m.T + s
 
 
+def _guard_keeps(table, i):
+    """The rows of the table whose junctions row i sits below on the
+    branch side: the keep rows of its guards."""
+    keeps = table.guard_idx[table.guard_ptr[i]:table.guard_ptr[i + 1]] - table._first
+    return keeps[keeps >= 0]
+
+
 def reference_values(table, X, slack, guards=True):
     """Brute-force evaluation of a table, row by row: the point mapped
     through the row's chain and ``Frame.to_local``, the profile truncated
@@ -436,7 +422,7 @@ def reference_values(table, X, slack, guards=True):
         if slack is None:
             vals = log_L_profile(f.eps, d, loc)
             vals[loc[:, 0] > f.cut] = -np.inf
-            for k in table.guards(i) if guards else ():
+            for k in _guard_keeps(table, i) if guards else ():
                 vals[table.field(k).guard().contains(points(k)[sel])] = -np.inf
         else:
             vals = log_L_upper(f.eps, d, f.cut, loc, slack * math.sqrt(d))
@@ -788,6 +774,39 @@ class TestMaxLog:
         seen.clear()
         assert _best_first(np.full(3, -np.inf), rows, rows, evaluate) == (0, -np.inf)
         assert seen == []
+
+    def test_values_at_the_unmargined_peak(self, monkeypatch):
+        # one row of cut 60 and eps 1, whose top is pi * 60.  Its values
+        # stay at or below fl(a + top), the peak without the margin; at a
+        # = 2^80 (ulp 2^28) every finite value rounds to a, which is that
+        # peak.  Then every tile has the same bound, and the tiles are
+        # taken in tile order: first the TILE_PAIRS points near x_1 = 40,
+        # then, as a run of its own, the tile of point 0 near the cut,
+        # which holds the first argmax at the value already reached.
+        top = PI * math.sqrt(1) / 1.0 * 60.0
+        rng = np.random.default_rng(67)
+        pad = rng.uniform([40.0, -0.3], [41.0, 0.3], size=(TILE_PAIRS, 2))
+        near_cut = [[59.9, 0.0], [60.0, 0.25], [59.999, -0.1]]
+        pts = np.vstack([near_cut[:1], pad, near_cut[1:]])
+        for amp in (0.0, 700.0, -700.0, 2.0**80):
+            table = table_of(TubeField(Frame.along([0.0, 0.0], [1.0, 0.0]), 1.0, 2, amp, 60.0))
+            vals = table.eval_log(pts)
+            assert np.all(vals <= amp + top)
+        assert np.all(vals == 2.0**80) and 2.0**80 + top == 2.0**80
+        assert tile_count(table, pts) == 2
+        runs = []
+        run = subfun.TubeTable._pass
+
+        def recorded(self, *args):
+            part, vals = run(self, *args)
+            runs.append(part)
+            return part, vals
+
+        monkeypatch.setattr(subfun.TubeTable, "_pass", recorded)
+        assert table.max_log(pts) == (0, 2.0**80)
+        assert [0 in part for part in runs] == [False, True]
+        monkeypatch.undo()
+        assert_max_log_exact(table, pts, 0.25)
 
 
 class TestArrayPasses:

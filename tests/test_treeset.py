@@ -16,11 +16,9 @@ from oscillab.treeset import (
     GrowthValidationError,
     ParameterRangeError,
     TreeSpec,
-    TubeSpec,
     _anchored,
     _distance,
     _inside,
-    allclose,
     choose_s_k,
     complete_frame,
     count_nonsparse,
@@ -45,12 +43,12 @@ def tree_of(a, k, d=2):
 
 @lru_cache(maxsize=None)
 def outer_subtree(a, k):
-    """The rows of the rank-(k+1) outer subtree, trunk first, and its
+    """The tree of the rank-(k+1) outer subtree, trunk first, and its
     schedule."""
     tau = build_tau(growth(a), k, check_guards=False)
     table = tau.node
     tree = TreeSpec(2, k + 1, *table.anchored_tubes(), table.eps, table.generation, table.tag)
-    return tree.tubes, tau.schedule
+    return tree, tau.schedule
 
 
 def tube_table(a, b, diameter):
@@ -136,74 +134,66 @@ class TestChooseSk:
 
 class TestBasicSubtree:
     def test_d2_layout(self):
-        tubes = tree_of(1.5, 0).tubes
-        tips = {tuple(t.a) for t in tubes}
+        tree = tree_of(1.5, 0)
+        tips = {tuple(a) for a in tree.a.tolist()}
         assert tips == {(0.5, 0.5), (0.5, 1.5), (1.5, 0.5), (1.5, 1.5)}
-        assert all(np.allclose(t.b, (1.0, 1.0)) for t in tubes)
-        assert len(tubes) == 4
-        assert all((t.kind, t.generation, t.diameter) == ("leaf", -1, EPS1) for t in tubes)
+        assert np.allclose(tree.b, (1.0, 1.0))
+        assert tree.diameter.size == 4
+        assert np.all(tree.kind == "leaf") and np.all(tree.generation == -1)
+        assert np.all(tree.diameter == EPS1)
 
     def test_d3_count(self):
-        assert len(tree_of(2.0, 0, d=3).tubes) == 8
+        assert tree_of(2.0, 0, d=3).diameter.size == 8
 
 
 class TestOuterSubtree:
     def test_generation_counts_d2_k3(self):
         k = 3
-        tubes, sched = outer_subtree(1.5, k)
-        per_gen = {}
-        for t in tubes:
-            per_gen[t.generation] = per_gen.get(t.generation, 0) + 1
+        tree, sched = outer_subtree(1.5, k)
+        generation, kind = tree.generation, tree.kind
+        per_gen = dict(zip(*(c.tolist() for c in np.unique(generation, return_counts=True))))
         # generation m holds 2^(d m) tubes, the leaves 2^(d (k+1)); the
         # trunk is generation 0
         for m in range(1, k + 1):
             assert per_gen[m] == 2 ** (2 * m)
         assert per_gen[-1] == 2 ** (2 * (k + 1)) and per_gen[0] == 1
-        assert len(tubes) == sum(per_gen.values())
-        wide = {t.generation for t in tubes if t.kind == "wide"}
-        thin = {t.generation for t in tubes if t.kind == "thin"}
-        assert wide == set(range(1, sched.s_k + 1))
-        assert thin == set(range(sched.s_k + 1, k + 1))
-        assert {t.generation for t in tubes if t.kind == "leaf"} == {-1}
-        assert [t.kind for t in tubes if t.generation == 0] == ["trunk"]
+        assert set(per_gen) == set(range(-1, k + 1))
+        assert set(generation[kind == "wide"].tolist()) == set(range(1, sched.s_k + 1))
+        assert set(generation[kind == "thin"].tolist()) == set(range(sched.s_k + 1, k + 1))
+        assert set(generation[kind == "leaf"].tolist()) == {-1}
+        assert kind[generation == 0].tolist() == ["trunk"]
 
     def test_first_generation_diameter(self):
         for k in (3, 4, 6):
-            tubes, sched = outer_subtree(1.5, k)
+            tree, sched = outer_subtree(1.5, k)
             assert sched.s_k == choose_s_k(growth(1.5), k)[0]
-            first = [t for t in tubes if t.generation == 1]
-            assert first and all(t.diameter == pytest.approx(2.0**sched.s_k) for t in first)
+            first = tree.diameter[tree.generation == 1]
+            assert first.size and first == pytest.approx(2.0**sched.s_k)
 
     def test_wide_generation_diameters_halve(self):
         k = 5
-        tubes, sched = outer_subtree(2.0, k)
+        tree, sched = outer_subtree(2.0, k)
         s_k, eps_k = sched.s_k, sched.eps_k
         for m in range(1, s_k + 1):
-            gen = [t for t in tubes if t.generation == m]
-            assert gen and all(
-                t.diameter == pytest.approx(2.0 ** (k + 1 - m) * eps_k) for t in gen
-            )
-        for t in tubes:
-            if t.generation > s_k or t.kind == "leaf":
-                assert t.diameter == pytest.approx(EPS1)
-        (trunk,) = [t for t in tubes if t.kind == "trunk"]
-        assert trunk.diameter == pytest.approx(2.0**k * eps_k)
+            gen = tree.diameter[tree.generation == m]
+            assert gen.size and gen == pytest.approx(2.0 ** (k + 1 - m) * eps_k)
+        thin = (tree.generation > s_k) | (tree.kind == "leaf")
+        assert tree.diameter[thin] == pytest.approx(EPS1)
+        (trunk,) = tree.diameter[tree.kind == "trunk"]
+        assert trunk == pytest.approx(2.0**k * eps_k)
 
     def test_tubes_connect_consecutive_dyadic_centers(self):
         k = 2
-        tubes, _sched = outer_subtree(1.5, k)
-        for t in tubes:
-            if t.kind == "leaf":
-                child_edge = 1.0
-            elif t.kind == "trunk":
-                # from the box centre to the corner 2^(k+1) v_0
-                assert np.allclose(t.a, 2.0**k) and np.allclose(t.b, 2.0 ** (k + 1))
-                continue
-            else:
-                child_edge = 2.0 ** (k + 1 - t.generation)
-            assert np.allclose((t.a - child_edge / 2) % child_edge, 0.0)
-            assert np.allclose((t.b - child_edge) % (2 * child_edge), 0.0)
-            assert np.allclose(np.abs(t.b - t.a), child_edge / 2)
+        tree, _sched = outer_subtree(1.5, k)
+        trunk = tree.kind == "trunk"
+        # the trunk runs from the box centre to the corner 2^(k+1) v_0
+        assert np.allclose(tree.a[trunk], 2.0**k) and np.allclose(tree.b[trunk], 2.0 ** (k + 1))
+        a, b = tree.a[~trunk], tree.b[~trunk]
+        child_edge = np.where(tree.kind[~trunk] == "leaf", 1.0,
+                              2.0 ** (k + 1 - tree.generation[~trunk]))[:, None]
+        assert np.allclose((a - child_edge / 2) % child_edge, 0.0)
+        assert np.allclose((b - child_edge) % (2 * child_edge), 0.0)
+        assert np.allclose(np.abs(b - a), child_edge / 2)
 
 
 #: sha256 (first 16 hex digits) of the sorted endpoint tuples (a, b), each
@@ -225,25 +215,25 @@ class TestBuildTree:
         g = growth(1.5)
         k = 4
         tree = tree_of(1.5, k)
+        top = lambda j: (tree.generation == 0) & np.isclose(tree.b, 2.0**j).all(axis=1)
         for j in range(1, k + 1):
-            ends = [t for t in tree.tubes
-                    if t.generation == 0 and np.allclose(t.b, 2.0**j)]
+            ends = np.flatnonzero(top(j))
             assert len(ends) == 4
-            for t in ends:
-                corner = bool(np.all(t.a < 2.0**j))
+            for i in ends:
+                corner = bool(np.all(tree.a[i] < 2.0**j))
                 # the corner cell's handle, and all four at level 1, have
                 # 2^j delta_j; a non-corner cell's is the trunk of its outer
                 # subtree, 2^(j-1) eps_(j-1)
                 if corner or j == 1:
-                    assert t.kind == "handle"
-                    assert t.diameter == pytest.approx(2.0**j * tree.delta_values[j])
+                    assert tree.kind[i] == "handle"
+                    assert tree.diameter[i] == pytest.approx(2.0**j * tree.delta_values[j])
                 else:
-                    assert t.kind == "trunk"
-                    assert t.diameter == pytest.approx(2.0 ** (j - 1) * tree.eps_values[j - 1])
+                    assert tree.kind[i] == "trunk"
+                    assert tree.diameter[i] == pytest.approx(
+                        2.0 ** (j - 1) * tree.eps_values[j - 1])
         # delta_4 = 2^(-2), absolute diameter 2^4 * 2^-2 = 4
         assert delta_k(g, 4) == pytest.approx(0.25)
-        assert all(t.diameter == pytest.approx(4.0) for t in tree.tubes
-                   if t.generation == 0 and np.allclose(t.b, 16.0))
+        assert tree.diameter[top(4)] == pytest.approx(4.0)
 
     def test_degenerate_maximal_growth(self):
         g = growth(2.0)
@@ -251,11 +241,9 @@ class TestBuildTree:
             assert delta_k(g, k) == pytest.approx(1.0)
 
     def test_nesting(self):
-        t1 = tree_of(1.5, 1)
-        t2 = tree_of(1.5, 2)
-        sig = lambda t: (tuple(t.a), tuple(t.b), t.diameter)
-        sigs2 = {sig(t) for t in t2.tubes}
-        assert {sig(t) for t in t1.tubes} <= sigs2
+        sigs = lambda t: {(tuple(a), tuple(b), e) for a, b, e in
+                          zip(t.a.tolist(), t.b.tolist(), t.diameter.tolist())}
+        assert sigs(tree_of(1.5, 1)) <= sigs(tree_of(1.5, 2))
 
     def test_deterministic(self):
         g = growth(1.5)
@@ -266,27 +254,23 @@ class TestBuildTree:
     def test_json_roundtrip(self):
         tree = tree_of(1.5, 2)
         back = TreeSpec.from_json(dumped(tree))
-        assert len(back.tubes) == len(tree.tubes)
+        assert back.a.shape == tree.a.shape and back.b.shape == tree.b.shape
         assert (back.dimension, back.rank, back.eps1) == (tree.dimension, tree.rank, tree.eps1)
         assert back.s_values == tree.s_values
         # the file rounds to 12 digits
         assert back.eps_values == pytest.approx(tree.eps_values, rel=1e-11)
         assert back.delta_values == pytest.approx(tree.delta_values, rel=1e-11)
-        for s, t in zip(back.tubes, tree.tubes):
-            assert np.allclose(s.a, t.a) and np.allclose(s.b, t.b)
-            assert s.diameter == pytest.approx(t.diameter, rel=1e-11)
-            assert (s.generation, s.kind) == (t.generation, t.kind)
-
-    def test_branch_split(self):
-        tree = tree_of(1.5, 3)
-        for t in tree.branches():
-            assert t.diameter > 2 * EPS1
+        assert np.allclose(back.a, tree.a) and np.allclose(back.b, tree.b)
+        assert back.diameter == pytest.approx(tree.diameter, rel=1e-11)
+        assert np.array_equal(back.generation, tree.generation)
+        assert np.array_equal(back.kind, tree.kind)
 
     @pytest.mark.parametrize("config", sorted(ENDPOINT_ORACLE))
     def test_endpoints_match_frozen_oracle(self, config):
         d, a, k = config
-        tubes = tree_of(a, k, d=d).tubes
-        rows = sorted(tuple(round(float(v), 12) + 0.0 for v in (*t.a, *t.b)) for t in tubes)
+        tree = tree_of(a, k, d=d)
+        rows = sorted(tuple(round(v, 12) + 0.0 for v in row)
+                      for row in np.hstack([tree.a, tree.b]).tolist())
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
         assert (digest, len(rows)) == ENDPOINT_ORACLE[config]
 
@@ -318,10 +302,21 @@ _COORD = st.one_of(st.floats(), st.floats(allow_subnormal=True, min_value=-1e-30
                                           max_value=1e-300), _SPECIAL)
 
 
+def tree_text(*tubes):
+    """``tree.json`` text of the given (a, b, diameter) tubes."""
+    return json.dumps({
+        "dimension": len(tubes[0][0]), "rank": 2, "eps1": EPS1, "s_values": {},
+        "eps_values": {}, "delta_values": {},
+        "tubes": [{"a": list(a), "b": list(b), "diameter": e} for a, b, e in tubes]})
+
+
 class TestEndpointTest:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_allclose_matches_numpy(self, data):
+        # TreeSpec.check's rule for one row, read through from_json: a tube
+        # after a good one is refused, by its own index, exactly when a
+        # value is not finite or np.allclose takes its ends as one
         d = data.draw(st.integers(2, 3))
         a = data.draw(st.lists(_COORD, min_size=d, max_size=d))
         # each coordinate of b is free, equal to a's, or near it on the
@@ -332,21 +327,28 @@ class TestEndpointTest:
                       st.floats(-3e-5, 3e-5), st.floats(-3e-8, 3e-8))))
             for x in a]
         with np.errstate(all="ignore"):
-            expected = bool(np.allclose(np.array(a), np.array(b)))
-            assert allclose(np.array(a), np.array(b)) == expected
+            finite = np.isfinite([*a, *b]).all()
+            refused = not finite or bool(np.allclose(np.array(a), np.array(b)))
+        text = tree_text(([0.0] * d, [1.0] * d, 0.5), (a, b, 0.5))
+        if refused:
+            with pytest.raises(ParameterRangeError, match=r"\btube 1\b"):
+                TreeSpec.from_json(text)
+        else:
+            assert TreeSpec.from_json(text).diameter.size == 2
 
     def test_tube_rejects_coincident_endpoints(self):
         with pytest.raises(ParameterRangeError):
-            TubeSpec(np.array([1.0, 2.0]), np.array([1.0 + 1e-9, 2.0]), 0.5)
-        TubeSpec(np.array([1.0, 2.0]), np.array([1.0 + 1e-3, 2.0]), 0.5)
+            TreeSpec.from_json(tree_text(([1.0, 2.0], [1.0 + 1e-9, 2.0], 0.5)))
+        TreeSpec.from_json(tree_text(([1.0, 2.0], [1.0 + 1e-3, 2.0], 0.5)))
 
 
 def json_dumped(tree):
     """The tree as ``json.dump(..., indent=1)`` wrote it from each tube's
     record, every value rounded to 12 digits."""
-    tubes = [{"a": [round(float(v), 12) for v in t.a], "b": [round(float(v), 12) for v in t.b],
-              "diameter": round(float(t.diameter), 12), "generation": t.generation,
-              "kind": t.kind} for t in tree.tubes]
+    tubes = [{"a": [round(v, 12) for v in a], "b": [round(v, 12) for v in b],
+              "diameter": round(e, 12), "generation": g, "kind": t}
+             for a, b, e, g, t in zip(tree.a.tolist(), tree.b.tolist(), tree.diameter.tolist(),
+                                      tree.generation.tolist(), tree.kind.tolist())]
     return json.dumps({
         "dimension": tree.dimension,
         "rank": tree.rank,
@@ -383,7 +385,8 @@ class TestTreeWriter:
         empty = TreeSpec(2, 2, tree.a[:0], tree.b[:0], tree.diameter[:0], tree.generation[:0],
                          tree.kind[:0])
         assert dumped(empty) == json_dumped(empty)
-        assert TreeSpec.from_json(dumped(empty)).tubes == []
+        back = TreeSpec.from_json(dumped(empty))
+        assert back.a.shape == back.b.shape == (0, 2) and back.diameter.size == 0
 
     @pytest.mark.parametrize("bad", [
         {"diameter": (1, 0.0)}, {"diameter": (1, -0.125)}, {"diameter": (0, math.nan)},
@@ -436,15 +439,14 @@ class TestSparseness:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_brackets_hold_frozen_estimates(self, k):
-        # the census on the table's rows against the frozen TubeSpec census
-        # on the tubes tree.json records: the two frames and anchors differ
+        # the census on the table's rows against the frozen census on the
+        # tubes tree.json records: the two frames and anchors differ
         # by rounding alone, which decides only cell corners lying exactly
         # on a tube face or end, so each bracket holds the other's estimate
         g = growth(1.5)
         build = build_u(g, k + 1, check_guards=False)
         tree = build.tree()
-        tubes = tubes_of([t.a for t in tree.tubes], [t.b for t in tree.tubes],
-                         [t.diameter for t in tree.tubes])
+        tubes = tubes_of(tree.a, tree.b, tree.diameter)
         _count, _ratio, _unc, reports, _touched = count_nonsparse(g, k, build)
         for rep in reports:
             low, high, est, _se = cube_measure(rep.corner, tubes, 6, 4096)

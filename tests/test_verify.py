@@ -13,7 +13,7 @@ from oscillab.potential import CellUnionShape, SegmentShape, SphereShape, defaul
 from oscillab.mainlemma import RogueConfiguration
 from oscillab.subfun import (TILE_PAIRS, Frame, TableBuilder, TubeField, TubeTable, build_u,
                              eval_T)
-from oscillab.treeset import GrowthParameters, TubeSpec, complete_frame
+from oscillab.treeset import GrowthParameters, complete_frame
 from oscillab.verify import (
     LINE_COARSE,
     LINE_STEPS,
@@ -34,13 +34,14 @@ from oscillab.verify import (
 )
 
 
-def segment_table(tube: TubeSpec):
-    """A one-row table of the tube's segment and diameter: its support,
-    and so its complement in the zero set, lies inside the tube."""
-    length = float(np.linalg.norm(tube.b - tube.a))
-    rows = FieldRows(len(tube.a))
-    rows.add(TubeField(Frame.along(tube.a, tube.b - tube.a), tube.diameter, len(tube.a),
-                       0.0, length))
+def segment_table(a, b, diameter):
+    """A one-row table of the segment [a, b] and the diameter: its support,
+    and so its complement in the zero set, lies inside the tube of that
+    diameter around the segment."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    rows = FieldRows(len(a))
+    rows.add(TubeField(Frame.along(a, b - a), diameter, len(a), 0.0,
+                       float(np.linalg.norm(b - a))))
     return rows.table()
 
 
@@ -275,11 +276,11 @@ class TestContent:
 
     def test_sandwich_on_zero_sets(self):
         # projection lower bound never exceeds the dyadic cover upper bound
-        tube = TubeSpec(np.array([0.1, 0.2]), np.array([0.9, 0.7]), 0.125)
-        table = segment_table(tube)
+        a, b = np.array([0.1, 0.2]), np.array([0.9, 0.7])
+        table = segment_table(a, b, 0.125)
         z = _ZeroSetCells(table, table.box_rows(*LatticeCube((0, 0)).bounds()))
         assert not z._whole[0]
-        low = content_lower_projection(z, complete_frame(tube.b - tube.a)[0], 128)
+        low = content_lower_projection(z, complete_frame(b - a)[0], 128)
         up = content_upper(z, 5, box=((0.0, 0.0), (1.0, 1.0)))
         assert low <= up + 1e-9
         one = lambda lo, hi: bool(z.intersects_boxes(lo[None], hi[None])[0])
@@ -288,8 +289,7 @@ class TestContent:
     def test_complement_of_thin_strip_projection(self):
         # the complement of a diameter-1/8 tube inside a unit cube projects
         # along the tube axis to measure at least 3/4
-        tube = TubeSpec(np.array([-0.5, 0.5]), np.array([1.5, 0.5]), 0.125)
-        table = segment_table(tube)
+        table = segment_table([-0.5, 0.5], [1.5, 0.5], 0.125)
         z = ZeroSetInCube(table, table.box_rows(*LatticeCube((0, 0)).bounds()))
         assert not z._whole[0]
         val = content_lower_projection(z, np.array([1.0, 0.0]), 256)
@@ -334,15 +334,6 @@ class TestCensus:
         res = rogue_census(rows.table(), (0, 0), (4, 4), growth(1.5))
         assert res.count == 16
         assert res.gamma == pytest.approx(16 / 4.0**1.5)
-
-    def test_table_census_builds_no_tube_spec(self, ub5, monkeypatch):
-        # the census takes each cube's tubes from the table's own arrays
-        made = []
-        post_init = TubeSpec.__post_init__
-        monkeypatch.setattr(TubeSpec, "__post_init__",
-                            lambda self: made.append(self) or post_init(self))
-        res = rogue_census(ub5.level_nodes[3], (0, 0), (8, 8), ub5.params)
-        assert res.total == 64 and made == []
 
 
 def _same_report(report, frozen):
