@@ -681,15 +681,23 @@ class ContractionRow:
     per_step: list
 
 
-def chain_contraction(u: TubeTable, config: RogueConfiguration,
-                      result: KappaResult, max_cubes: int = 64, h: float = 0.25,
-                      seed: int = 3) -> list[ContractionRow]:
-    """Measured sup contraction along the kappa chains against the nested
-    maximum principle; report-only.  A box's ``box_rows`` hold every row
-    with a centerline sample in it."""
-    from .verify import sup_low, _support_sup_points
+#: the contraction's cubes at most, their seed and its sample step
+CONTRACTION_CUBES = 64
+CONTRACTION_SEED = 3
+CONTRACTION_STEP = 0.25
 
-    rng = np.random.default_rng(seed)
+
+def chain_contraction(u: TubeTable, config: RogueConfiguration,
+                      result: KappaResult) -> list[ContractionRow]:
+    """Measured sup contraction along the kappa chains against the nested
+    maximum principle; report-only.  A box's supremum is the largest
+    ``eval_log`` at its samples with the centerline points of its
+    ``box_rows``, which hold every row with a centerline sample in it; the
+    boxes of one extent (Q, the cubes, and the cubes widened by each kappa)
+    are looked up and evaluated together (``verify._sup_lows``)."""
+    from .verify import _sup_lows
+
+    rng = np.random.default_rng(CONTRACTION_SEED)
     N, d = config.N, config.d
     half = N // 2
     k_max = config.k_max
@@ -698,22 +706,26 @@ def chain_contraction(u: TubeTable, config: RogueConfiguration,
                                     & (corners + 1 + k_max <= half), axis=1))
     if not len(central):
         return []
-    pick = central[rng.choice(len(central), size=min(max_cubes, len(central)),
+    pick = central[rng.choice(len(central), size=min(CONTRACTION_CUBES, len(central)),
                               replace=False)]
-
-    def sup(lo, hi):
-        held = u.box_rows(lo, hi).rows
-        extra = _support_sup_points((u.tube_a[held], u.tube_b[held]), lo, hi)
-        return sup_low(u, lo, hi, h, extra_points=extra)
-
-    m_q = sup(np.full(d, -half, dtype=float), np.full(d, half, dtype=float))
+    m_q = _sup_lows(u, u.box_rows(np.full(d, -half, dtype=float), np.full(d, half, dtype=float)),
+                    CONTRACTION_STEP).tolist()[0]
+    lo = corners[pick].astype(float)
+    kappas = result.kappas[:, pick]
+    # sups[k, i]: the supremum over cube i widened by k, for k = 0 and
+    # each of its kappas
+    sups = np.full((k_max + 1, len(pick)), np.nan)
+    sups[0] = _sup_lows(u, u.box_rows(lo, lo + 1.0), CONTRACTION_STEP)
+    for kap in range(1, k_max + 1):
+        at = np.flatnonzero(kappas[kap - 1])
+        if at.size:
+            sups[kap, at] = _sup_lows(u, u.box_rows(lo[at] - kap, lo[at] + 1.0 + kap),
+                                      CONTRACTION_STEP)
     rows = []
-    for idx in pick.tolist():
-        corner = tuple(corners[idx].tolist())
-        kappas = (np.flatnonzero(result.kappas[:, idx]) + 1).tolist()
-        lo = np.asarray(corner, dtype=float)
-        hi = lo + 1.0
-        sups = [sup(lo, hi)] + [sup(lo - kap, hi + kap) for kap in kappas]
-        per_step = [sups[i + 1] - sups[i] for i in range(len(sups) - 1)]
-        rows.append(ContractionRow(corner, len(kappas), sups[0] - m_q, per_step))
+    for i, idx in enumerate(pick.tolist()):
+        chain = sups[np.concatenate([[0], np.flatnonzero(kappas[:, i]) + 1]), i].tolist()
+        # in Python floats: -inf - -inf is nan without numpy's warning
+        per_step = [b - a for a, b in zip(chain, chain[1:])]
+        rows.append(ContractionRow(tuple(corners[idx].tolist()), len(chain) - 1,
+                                   chain[0] - m_q, per_step))
     return rows

@@ -383,31 +383,23 @@ def _blocks(tiles, rows, points):
 
 
 def _best_first(bounds, rows, points, evaluate):
-    """The first argmax and the maximum over tiles whose values are at most
-    their ``bounds``.  ``evaluate(ts)`` gives the indices and the values
-    of the points of the tiles ts, which have ``rows[ts]`` candidate rows
-    and ``points[ts]`` points; tiles are evaluated in runs of ``_blocks``.
+    """The maximum over tiles whose values are at most their ``bounds``.
+    ``evaluate(ts)`` gives the indices and the values of the points of the
+    tiles ts, which have ``rows[ts]`` candidate rows and ``points[ts]``
+    points; tiles are evaluated in runs of ``_blocks``.
 
     The tiles are taken in descending bound order (in tile order on ties)
-    until a run's first bound falls strictly below the running maximum;
-    the later tiles' bounds are below it too, so none holds a point of the
-    maximum's value.  A tile whose bound equals the running maximum is
-    still evaluated, since it may hold that value at an earlier point.
-    Tiles bounded by -inf hold no finite value; when no tile has one, the
-    answer is (0, -inf), as np.argmax gives."""
-    best, first = NEG_INF, 0
+    until a run's first bound is at most the running maximum; the later
+    tiles' bounds are too, so none holds a larger value.  Tiles bounded by
+    -inf hold no finite value; when no tile has one, the answer is -inf."""
+    best = NEG_INF
     order = np.argsort(-bounds, kind="stable")
     order = order[bounds[order] > NEG_INF]
     for ts in _blocks(order, rows[order], points[order]):
-        if bounds[ts[0]] < best:
+        if bounds[ts[0]] <= best:
             break
-        part, vals = evaluate(ts)
-        top = vals.max()
-        if top > best or top == best > NEG_INF:
-            at = int(part[vals == top].min())
-            first = at if top > best else min(first, at)
-            best = float(top)
-    return first, best
+        best = max(best, float(evaluate(ts)[1].max()))
+    return best
 
 
 def _column_bounds(X):
@@ -778,12 +770,12 @@ class TubeTable(FunctionNode):
     def upper_local(self, X, slack):
         return self._evaluate(X, float(slack))
 
-    def max_log(self, X, slack=None):
-        """The first argmax and the maximum of ``eval_log(X)`` (slack None)
-        or of ``upper_local(X, slack)``, with the bits full evaluation
-        gives, from the tiles that can hold the maximum (``_best_first``),
-        with one tiling and one candidate lookup.  A tile is bounded by the
-        largest peak of its candidate rows; an empty batch gives (0, -inf).
+    def max_log(self, X, slack):
+        """The maxima of ``eval_log(X)`` and of ``upper_local(X, slack)``,
+        with the bits full evaluation gives, from one tiling: each from one
+        candidate lookup and the tiles that can hold it (``_best_first``).
+        A tile is bounded by the largest peak of its candidate rows; an
+        empty batch gives (-inf, -inf).
 
         A row's peak bounds every value ``_pass`` computes for it.  At a
         finite value, 0 <= x_1 <= cut, so the computed argument y =
@@ -821,23 +813,25 @@ class TubeTable(FunctionNode):
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         order, ptr, lo, hi = self._tiles(X)
-        cptr, crows = self._candidates(lo, hi, *self._pads(slack))
+        points = ptr[1:] - ptr[:-1]
         # a row of amplitude -inf keeps peak -inf: in the formula its
         # margin is inf, and -inf + inf is nan
-        amp = self.log_amp[crows]
-        live = amp > NEG_INF
-        rows = crows[live]
-        top = PI * math.sqrt(self.d - 1) / self.eps[rows] * self.cut[rows]
-        margin = 2.0**-48 * (top + np.abs(amp[live]) + 1.0)
-        peak = np.full(crows.size, NEG_INF)
-        peak[live] = amp[live] + top + margin
-        count = cptr[1:] - cptr[:-1]
-        bounds = np.full(count.size, NEG_INF)
-        some = count > 0
-        if crows.size:
-            bounds[some] = np.maximum.reduceat(peak, cptr[:-1][some])
-        return _best_first(bounds, count, ptr[1:] - ptr[:-1], lambda ts: self._pass(
-            X, order, ptr, cptr, crows, ts, slack))
+        amp = self.log_amp
+        top = PI * math.sqrt(self.d - 1) / self.eps * self.cut
+        with np.errstate(invalid="ignore"):
+            peak = np.where(amp > NEG_INF, amp + top + 2.0**-48 * (top + np.abs(amp) + 1.0),
+                            NEG_INF)
+        halves = []
+        for s in (None, float(slack)):
+            cptr, crows = self._candidates(lo, hi, *self._pads(s))
+            count = cptr[1:] - cptr[:-1]
+            bounds = np.full(count.size, NEG_INF)
+            some = count > 0
+            if crows.size:
+                bounds[some] = np.maximum.reduceat(peak[crows], cptr[:-1][some])
+            halves.append(_best_first(bounds, count, points, functools.partial(
+                self._pass, X, order, ptr, cptr, crows, s)))
+        return tuple(halves)
 
     def _evaluate(self, X, slack):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -849,7 +843,7 @@ class TubeTable(FunctionNode):
         tiles = np.flatnonzero(rows)
         tiles = tiles[np.argsort(points[tiles], kind="stable")]
         for ts in _blocks(tiles, rows[tiles], points[tiles]):
-            part, vals = self._pass(X, order, ptr, cptr, crows, ts, slack)
+            part, vals = self._pass(X, order, ptr, cptr, crows, slack, ts)
             out[part] = vals
         return out
 
@@ -953,7 +947,7 @@ class TubeTable(FunctionNode):
                  & (proj - reach <= self._support_hi[cand]).all(axis=1))
         return box[meets], cand[meets]
 
-    def _pass(self, X, order, ptr, cptr, crows, ts, slack):
+    def _pass(self, X, order, ptr, cptr, crows, slack, ts):
         """The values of the points of the tiles ts (``_tiles``) from their
         candidate rows (``_candidates``), as the points' indices in X and
         their values, tile after tile, in one pass over the (row, point)
@@ -1511,33 +1505,25 @@ class TauBuild:
     trunk_inflation: float = 0.0
 
 
-def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
-              check_guards: bool = True, guard_samples: int = 10_000) -> TauBuild:
+def build_tau(params: GrowthParameters, k: int, check_guards: bool = True,
+              guard_samples: int = 10_000) -> TauBuild:
     """Function for the outer subtree of rank k+1 in its own frame, the box
     [0, 2^(k+1))^d, with trunk rooted at the box center and running to the
     corner 2^(k+1) v_0 where the next level will absorb it.
-
-    ``skip_rescale`` drops the final normalization (the unbounded-oscillation
-    variant): amplitudes are then relative to the trunk instead of the leaves.
     """
     d = params.d
     sched = glue_schedule(params, k)
     box_center = np.full(d, 2.0**k)
     v0 = np.ones(d) / math.sqrt(d)
     trunk_amp = sched.amplitude(0)
-    # the unbounded-oscillation variant keeps the raw glue chain: shifting
-    # every amplitude by -log(1/p_last) normalizes the trunk instead of
-    # the leaves
-    shift = -trunk_amp if skip_rescale else 0.0
-    generations = [(2.0 ** (k + 1 - m) * sched.eps_k, sched.amplitude(m) + shift, "wide")
-                   if m <= sched.s_k else (sched.eps1, sched.amplitude(m) + shift, "thin")
+    generations = [(2.0 ** (k + 1 - m) * sched.eps_k, sched.amplitude(m), "wide")
+                   if m <= sched.s_k else (sched.eps1, sched.amplitude(m), "thin")
                    for m in range(1, k + 1)]
     # the trunk's junction is the corner 2^(k+1) v_0
-    trunk = (box_center, v0, 2.0**k * sched.eps_k, trunk_amp + shift, math.sqrt(d) * 2.0**k,
-             "trunk")
+    trunk = (box_center, v0, 2.0**k * sched.eps_k, trunk_amp, math.sqrt(d) * 2.0**k, "trunk")
     rows = TableBuilder(d)
     _tree_rows(rows, [trunk], k + 1,
-               generations + [(sched.eps1, sched.amplitude(k + 1) + shift, "leaf")])
+               generations + [(sched.eps1, sched.amplitude(k + 1), "leaf")])
     table = rows.table()
 
     # The prescribed trunk amplitude suffices once k is large; at the
@@ -1548,7 +1534,7 @@ def build_tau(params: GrowthParameters, k: int, skip_rescale: bool = False,
         rep = certify_dominance(table, n=guard_samples, seed=97)
         if not rep.passed():
             inflate = max(rep.required_amplitude(LOG2), 0.0)
-            table.log_amp[0] = trunk_amp + shift + inflate
+            table.log_amp[0] = trunk_amp + inflate
     build = TauBuild(table, sched, k, d, trunk_inflation=inflate)
     if check_guards:
         # one representative junction per generation (siblings are

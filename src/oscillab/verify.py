@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeCube, enumerate_basic_cubes
-from .subfun import TILE, BoxRows, TubeTable, _distinct, _run_heads
+from .subfun import TILE, BoxRows, TubeTable, _distinct
 from .treeset import GrowthParameters
 
 EPS_D_DEFAULT = 0.25
@@ -173,80 +173,53 @@ def refinement_mask_empty(start: float, extent: float, h: float, width: float) -
 class SupBracket:
     low: float     # value attained at a sample point: a true lower bound
     high: float    # cell-max upper bound
-    argmax: tuple
 
 
-def _sup_points(lo, hi, h: float, extra_points):
-    """The sample points of ``sup_on`` over the box [lo, hi] (a grid of
-    step at most h, then the extra points inside the box) and the slack,
-    half the grid's largest step."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(hi <= lo):
-        raise DomainError(f"empty region {lo} .. {hi}")
-    pts, ns = _sup_grids(lo[None], hi[None], h)
-    pts = pts[0]
-    if extra_points is not None and len(extra_points):
-        extra = np.atleast_2d(extra_points)
-        inside = np.all((extra >= lo) & (extra <= hi), axis=1)
-        pts = np.vstack([pts, extra[inside]])
-    slack = max((hi[i] - lo[i]) / (n - 1) for i, n in enumerate(ns)) / 2.0
-    return pts, slack
+def _grid_counts(lo, hi, h: float) -> list[int]:
+    """Points per axis of the grid of step at most h over the box [lo, hi]."""
+    return [max(2, int(math.ceil((b - a) / h)) + 1) for a, b in zip(lo.tolist(), hi.tolist())]
 
 
-def _sup_grids(lo, hi, h: float):
-    """The grids of step at most h over the boxes [lo[k], hi[k]], all of
-    the first one's extent, in C order (n, G, d), and their points per
-    axis."""
-    d = lo.shape[1]
-    ns = [max(2, int(math.ceil((hi[0, i] - lo[0, i]) / h)) + 1) for i in range(d)]
-    grid = np.indices(ns).reshape(d, -1)
-    return np.stack([_spaced(lo[:, i], hi[:, i], ns[i])[:, grid[i]] for i in range(d)],
-                    axis=-1), ns
+def _box_samples(u, lo, hi, h: float, ptr, rows):
+    """The sample points of the suprema over the boxes [lo[k], hi[k]] (n,
+    d), all of the first one's extent: every box's grid of step at most h,
+    in C order, then the nine evenly spaced centerline points inside box k
+    of each of its rows ``rows[ptr[k]:ptr[k + 1]]``, in row order, box
+    after box.  The profile is monotone along a tube's axis, so a tube's
+    maximum within a box sits on its centerline near the clipped far end.
+    Returns the points, each point's box (owner) and the slack, half the
+    grid's largest step."""
+    n, d = lo.shape
+    ns = _grid_counts(lo[0], hi[0], h)
+    at = np.indices(ns).reshape(d, -1)
+    grid = np.stack([_spaced(lo[:, i], hi[:, i], ns[i])[:, at[i]] for i in range(d)], axis=-1)
+    owner = np.repeat(np.arange(n), np.diff(ptr))
+    a, b = u.tube_a[rows], u.tube_b[rows]
+    seg = a[:, None, :] + np.linspace(0.0, 1.0, 9)[None, :, None] * (b - a)[:, None, :]
+    inside = np.all((seg >= lo[owner, None]) & (seg <= hi[owner, None]), axis=2)
+    slack = max((hi[0, i] - lo[0, i]) / (m - 1) for i, m in enumerate(ns)) / 2.0
+    return (np.concatenate([grid.reshape(-1, d), seg[inside]]),
+            np.concatenate([np.repeat(np.arange(n), grid.shape[1]),
+                            np.repeat(owner, inside.sum(axis=1))]),
+            slack)
 
 
-def sup_low(fn: TubeTable, lo, hi, h: float, extra_points: np.ndarray | None = None) -> float:
-    """The lower half of ``sup_on``'s bracket alone: the largest log-value
-    at its sample points."""
-    pts, _slack = _sup_points(lo, hi, h, extra_points)
-    return fn.max_log(pts)[1]
-
-
-def sup_on(fn: TubeTable, lo, hi, h: float,
-           extra_points: np.ndarray | None = None) -> SupBracket:
-    """Certified bracket for the log-supremum over the box [lo, hi]: the
-    largest ``eval_log`` at the sample points below, the largest
-    ``upper_local`` (the table's monotone cell bound) above, both through
+def sup_on(fn: TubeTable, lo, hi, h: float) -> SupBracket:
+    """Certified bracket for the log-supremum over the box [lo, hi], from
+    its samples (``_box_samples``) with the centerline points of every row
+    of the table: the largest ``eval_log`` below, the largest
+    ``upper_local`` (the table's monotone cell bound) above, both from one
     ``max_log``, which evaluates the tiles best first and skips those that
-    cannot reach the running maximum, with the values full evaluation
+    cannot exceed the running maximum, with the values full evaluation
     gives.
     """
-    pts, slack = _sup_points(lo, hi, h, extra_points)
-    i, low = fn.max_log(pts)
-    high = fn.max_log(pts, slack)[1]
-    return SupBracket(low, max(high, low), tuple(np.round(pts[i], 9)))
-
-
-def _support_sup_points(ends, lo, hi) -> np.ndarray:
-    """Candidate maximizers: per tube, samples along the centerline clipped
-    to the box (the profile is monotone along the axis, so the within-box
-    maximum sits on the centerline near the clipped far end).  ``ends`` is
-    the (a, b) pair of endpoint arrays (``tube_a``, ``tube_b``) of a
-    table's rows."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    a, b = ends
-    if len(a) == 0:
-        return np.zeros((0, len(lo)))
-    seg = _centerline_points(a, b)
-    inside = np.all((seg >= lo) & (seg <= hi), axis=2)
-    return seg[inside]
-
-
-def _centerline_points(a, b) -> np.ndarray:
-    """Nine evenly spaced points of each segment [a[i], b[i]], (n, 9, d)."""
-    ts = np.linspace(0.0, 1.0, 9)
-    return a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+    lo = np.asarray(lo, dtype=float)[None]
+    hi = np.asarray(hi, dtype=float)[None]
+    if np.any(hi <= lo):
+        raise DomainError(f"empty region {lo[0]} .. {hi[0]}")
+    pts, _owner, slack = _box_samples(fn, lo, hi, h, np.array([0, len(fn)]), np.arange(len(fn)))
+    low, high = fn.max_log(pts, slack)
+    return SupBracket(low, max(high, low))
 
 
 # ---------------------------------------------------------------------------
@@ -521,28 +494,20 @@ def zero_set_projection(u, boxes: BoxRows, eps_d: float) -> np.ndarray:
 
 
 def _sup_lows(u, boxes: BoxRows, h: float) -> np.ndarray:
-    """``sup_low`` of each box of ``boxes`` (all of the first one's
-    extent) with the centerline points of its near rows: the points of as
-    many boxes as make about SAMPLE_BATCH go to one ``eval_log``, and the
-    maxima are taken per box."""
-    lo, hi, ptr = boxes.lo, boxes.hi, boxes.near_ptr
-    n, d = lo.shape
-    low = np.empty(n)
-    step = max(1, SAMPLE_BATCH // math.prod(_sup_grids(lo[:1], hi[:1], h)[1]))
+    """The largest ``eval_log`` at the samples (``_box_samples``) of each
+    box of ``boxes`` (all of the first one's extent) with the centerline
+    points of its rows: the points of as many boxes as make about
+    SAMPLE_BATCH go to one ``eval_log``, and the maxima are taken per
+    box."""
+    lo, hi, ptr = boxes.lo, boxes.hi, boxes.ptr
+    n = len(boxes)
+    low = np.full(n, -np.inf)
+    step = max(1, SAMPLE_BATCH // math.prod(_grid_counts(lo[0], hi[0], h)))
     for a in range(0, n, step):
         b = min(a + step, n)
-        pts = _sup_grids(lo[a:b], hi[a:b], h)[0].reshape(-1, d)
-        owner = np.repeat(np.arange(a, b), np.diff(ptr[a:b + 1]))
-        near = boxes.near[ptr[a]:ptr[b]]
-        seg = _centerline_points(u.tube_a[near], u.tube_b[near])
-        inside = np.all((seg >= lo[owner, None]) & (seg <= hi[owner, None]), axis=2)
-        owner = np.repeat(owner, inside.sum(axis=1))
-        vals = u.eval_log(np.concatenate([pts, seg[inside]]))
-        low[a:b] = vals[:len(pts)].reshape(b - a, -1).max(axis=1)
-        if owner.size:
-            first = np.flatnonzero(_run_heads(owner))
-            extra = np.maximum.reduceat(vals[len(pts):], first)
-            low[owner[first]] = np.maximum(low[owner[first]], extra)
+        pts, owner, _slack = _box_samples(u, lo[a:b], hi[a:b], h, ptr[a:b + 1] - ptr[a],
+                                          boxes.rows[ptr[a]:ptr[b]])
+        np.maximum.at(low, owner + a, u.eval_log(pts))
     return low
 
 
@@ -634,8 +599,7 @@ def growth_profile(levels: list[TubeTable], f: GrowthParameters) -> GrowthProfil
         R = 2.0**k
         lo = np.zeros(d)
         hi = np.full(d, R)
-        extra = _support_sup_points((fn.tube_a, fn.tube_b), lo, hi)
-        bracket = sup_on(fn, lo, hi, max(GROWTH_STEP, R / 64.0), extra_points=extra)
+        bracket = sup_on(fn, lo, hi, max(GROWTH_STEP, R / 64.0))
         radii.append(R)
         logs.append(bracket.low)
         uppers.append(bracket.high)

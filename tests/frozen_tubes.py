@@ -30,10 +30,16 @@ looks them up through the table's grid.
 
 A census cube is classified as it was before ``verify.classify_cubes``
 classified a level's cubes together (``classify_cube``): its rows from
-``near``, P1 from one ``max_log`` of its own points, ``covers`` searched
-depth first on its own sub-boxes, and P2's axes taken in turn, each
-through ``content_lower_projection`` on one ``ZeroSet`` whose lines are
-sampled in one pass.
+``near``, P1 from the low half of one ``max_log`` of its own points
+(``sup_points``, with the centerline points of ``support_sup_points``),
+``covers`` searched depth first on its own sub-boxes, and P2's axes taken
+in turn, each through ``content_lower_projection`` on one ``ZeroSet``
+whose lines are sampled in one pass.
+
+The chain contraction is measured as it was before ``verify._sup_lows``
+took the suprema of a whole extent's boxes together
+(``chain_contraction``): one box at a time, each with its own
+``box_rows``, sample points and ``max_log``.
 """
 
 import itertools
@@ -60,14 +66,13 @@ from oscillab.subfun import (
     log_L_profile,
     log_L_upper,
 )
+from oscillab.mainlemma import ContractionRow
 from oscillab.treeset import complete_frame
 from oscillab.verify import (
     LINE_STEPS,
     P1_STEP,
     PROJECTION_SAMPLES,
     OscillationReport,
-    _sup_points,
-    _support_sup_points,
 )
 
 
@@ -646,14 +651,71 @@ def zero_set_projection(table, lo, hi, near_rows, whole, eps_d):
     return best
 
 
+def sup_points(lo, hi, h, extra_points):
+    """The sample points of a supremum over the box [lo, hi] (a grid of
+    step at most h, in C order, then the extra points) and the slack, half
+    the grid's largest step."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    d = lo.shape[0]
+    ns = [max(2, int(math.ceil((hi[i] - lo[i]) / h)) + 1) for i in range(d)]
+    axes = [np.linspace(lo[i], hi[i], n) for i, n in enumerate(ns)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = np.vstack([pts, extra_points])
+    slack = max((hi[i] - lo[i]) / (n - 1) for i, n in enumerate(ns)) / 2.0
+    return pts, slack
+
+
+def support_sup_points(a, b, lo, hi):
+    """Per segment [a[i], b[i]], its nine evenly spaced points inside the
+    box [lo, hi], segment after segment."""
+    ts = np.linspace(0.0, 1.0, 9)
+    seg = a[:, None, :] + ts[None, :, None] * (b - a)[:, None, :]
+    return seg[np.all((seg >= lo) & (seg <= hi), axis=2)]
+
+
+def chain_contraction(u, config, result):
+    """The contraction rows of ``mainlemma.chain_contraction`` (64 cubes at
+    most, drawn with seed 3, sampled at step 0.25), each box's supremum on
+    its own."""
+    rng = np.random.default_rng(3)
+    N, d = config.N, config.d
+    half = N // 2
+    k_max = config.k_max
+    corners = result.corners
+    central = np.flatnonzero(np.all((-half + k_max <= corners)
+                                    & (corners + 1 + k_max <= half), axis=1))
+    if not len(central):
+        return []
+    pick = central[rng.choice(len(central), size=min(64, len(central)), replace=False)]
+
+    def sup(lo, hi):
+        held = u.box_rows(lo, hi).rows
+        extra = support_sup_points(u.tube_a[held], u.tube_b[held], lo, hi)
+        pts, slack = sup_points(lo, hi, 0.25, extra)
+        return u.max_log(pts, slack)[0]
+
+    m_q = sup(np.full(d, -half, dtype=float), np.full(d, half, dtype=float))
+    rows = []
+    for idx in pick.tolist():
+        corner = tuple(corners[idx].tolist())
+        kappas = (np.flatnonzero(result.kappas[:, idx]) + 1).tolist()
+        lo = np.asarray(corner, dtype=float)
+        hi = lo + 1.0
+        sups = [sup(lo, hi)] + [sup(lo - kap, hi + kap) for kap in kappas]
+        per_step = [sups[i + 1] - sups[i] for i in range(len(sups) - 1)]
+        rows.append(ContractionRow(corner, len(kappas), sups[0] - m_q, per_step))
+    return rows
+
+
 def classify_cube(table, corner, eps_d=0.25):
     """The census report of the basic cube at ``corner``, on its own."""
     lo = np.asarray(corner, dtype=float)
     hi = lo + 1.0
     _rows, near_rows, whole = box_rows(table, lo, hi)
-    ends = table.tube_a[near_rows], table.tube_b[near_rows]
-    pts, _slack = _sup_points(lo, hi, P1_STEP, _support_sup_points(ends, lo, hi))
-    low = table.max_log(pts)[1]
+    extra = support_sup_points(table.tube_a[near_rows], table.tube_b[near_rows], lo, hi)
+    pts, slack = sup_points(lo, hi, P1_STEP, extra)
+    low = table.max_log(pts, slack)[0]
     proj = zero_set_projection(table, lo, hi, near_rows, whole, eps_d)
     p1, p2 = low >= 0.0, proj >= eps_d
     return OscillationReport(tuple(corner), p1, p2, "oscillating" if (p1 and p2) else "rogue",

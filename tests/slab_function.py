@@ -2,8 +2,8 @@
 the chain contraction: a function that oscillates in every basic cube,
 with exponential growth, and is no tube table.
 
-It defines each method its callers use: ``eval_log`` and ``max_log`` (the
-census's P1 and ``chain_contraction``'s suprema), ``box_rows`` and
+It defines each method its callers use: ``eval_log`` (the census's P1 and
+``chain_contraction``'s suprema), ``box_rows`` and
 ``tube_a``/``tube_b``/``eps`` (it has no tubes, and no box vanishes), and
 ``covers``, which says False, so that P2 samples its zero set.
 """
@@ -40,11 +40,6 @@ class SlabOscillating:
                     vals = vals + log_cosh(2 * PI * X[on, j] / math.sqrt(d - 1))
             out[on] = np.maximum(out[on], vals)
         return out
-
-    def max_log(self, X):
-        vals = self.eval_log(X)
-        i = int(np.argmax(vals))
-        return i, float(vals[i])
 
     def box_rows(self, lo, hi):
         lo = np.atleast_2d(np.asarray(lo, dtype=float))

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import frozen_tubes
 from slab_function import SlabOscillating
+from oscillab import mainlemma
+from oscillab.cli import main
 from oscillab.mainlemma import (
     RhoField,
     RogueConfiguration,
@@ -15,7 +18,7 @@ from oscillab.mainlemma import (
     kappa_chains,
 )
 from oscillab.geometry import LatticeCube
-from oscillab.subfun import build_u
+from oscillab.subfun import TubeTable, build_u
 from oscillab.treeset import (
     EPS1,
     GrowthParameters,
@@ -136,7 +139,7 @@ class TestChainContraction:
         cfg = RogueConfiguration(16, 2, set())
         rho = RhoField.compute(cfg)
         res = kappa_chains(cfg, rho, build_cover(cfg, rho))
-        rows = chain_contraction(u, cfg, res, max_cubes=12, h=0.2)
+        rows = chain_contraction(u, cfg, res)
         assert rows
         for row in rows:
             # nested boxes: every per-step ratio respects the maximum principle
@@ -148,6 +151,61 @@ class TestChainContraction:
         assert deep
         for r in deep:
             assert -r.log_ratio >= 0.5 * r.kappa_count
+
+
+def contraction_of(tmp_path, monkeypatch, d, f, k, N):
+    """``build --d D --f F --k K`` then ``lemma --d D --N N --E function:F
+    --function F``: the arguments and the rows of its chain contraction,
+    and the number of boxes of each ``box_rows`` call the contraction
+    makes."""
+    assert main(["build", "--d", str(d), "--f", f, "--k", str(k),
+                 "--out", str(tmp_path)]) == 0
+    path = str(tmp_path / "function.json")
+    seen = {}
+    contraction, box_rows = mainlemma.chain_contraction, TubeTable.box_rows
+
+    def recorded(*args):
+        lookups = []
+        monkeypatch.setattr(TubeTable, "box_rows", lambda self, lo, hi: lookups.append(
+            len(np.atleast_2d(lo))) or box_rows(self, lo, hi))
+        rows = contraction(*args)
+        monkeypatch.setattr(TubeTable, "box_rows", box_rows)
+        seen.update(args=args, rows=rows, lookups=lookups)
+        return rows
+
+    monkeypatch.setattr(mainlemma, "chain_contraction", recorded)
+    assert main(["lemma", "--d", str(d), "--N", str(N), "--E", f"function:{path}",
+                 "--function", path, "--out", str(tmp_path / "lemma")]) == 0
+    return seen
+
+
+@pytest.mark.parametrize("d, f, k, N", [(2, "t^1.5", 5, 32), (2, "t^1.5", 4, 32),
+                                        (3, "t^2", 3, 16)])
+def test_contraction_matches_per_box_path(tmp_path, monkeypatch, d, f, k, N):
+    # each extent's boxes looked up and evaluated together give the rows,
+    # bit for bit, of every box's supremum taken on its own
+    seen = contraction_of(tmp_path, monkeypatch, d, f, k, N)
+    rows, want = seen["rows"], frozen_tubes.chain_contraction(*seen["args"])
+    assert len(rows) == len(want) == 64
+    for row, old in zip(rows, want):
+        assert (row.corner, row.kappa_count) == (old.corner, old.kappa_count)
+        assert type(row.log_ratio) is float
+        assert np.float64(row.log_ratio).tobytes() == np.float64(old.log_ratio).tobytes()
+        assert np.array(row.per_step).tobytes() == np.array(old.per_step).tobytes()
+    # d = 3 at N = 16 has k_max = 0: there, only Q and the cubes are
+    # compared
+    assert (sum(row.kappa_count for row in rows) > 0) == (d == 2)
+
+
+def test_contraction_lookups(tmp_path, monkeypatch):
+    # one lookup for Q, one for the cubes and one per kappa extent, where
+    # a box at a time took one per box
+    seen = contraction_of(tmp_path, monkeypatch, 2, "t^1.5", 5, 32)
+    config = seen["args"][1]
+    kappas = sum(row.kappa_count for row in seen["rows"])
+    assert seen["lookups"][:2] == [1, 64]
+    assert len(seen["lookups"]) <= config.k_max + 2 < 1 + 64 + kappas
+    assert sum(seen["lookups"]) == 1 + 64 + kappas
 
 
 class TestFunctionPath:

@@ -26,7 +26,7 @@ from oscillab.subfun import (
     _COLUMNS,
     _best_first,
 )
-from oscillab.verify import _sup_points, _support_sup_points
+from oscillab.verify import _box_samples, sup_on
 
 PI = math.pi
 
@@ -243,17 +243,6 @@ class TestTauBuild:
             rows.append((k, sup, bound, sup <= bound))
         assert all(math.isfinite(r[1]) for r in rows)
 
-    def test_skip_rescale_normalizes_trunk(self):
-        tau = build_tau(growth(1.5), 2, skip_rescale=True, check_guards=False)
-        # trunk amplitude is zero in the unbounded-oscillation variant, and
-        # the rest of the subtree is rescaled by the trunk's prescribed one:
-        # each row's amplitude is its generation's less the trunk's
-        assert tau.node.log_amp[0] == pytest.approx(0.0 + tau.trunk_inflation)
-        sched, gen = tau.schedule, tau.node.generation[1:]
-        want = [sched.amplitude(m if m > 0 else tau.k + 1) - sched.amplitude(0) for m in gen]
-        assert set(gen.tolist()) == {1, 2, -1}
-        assert tau.node.log_amp[1:].tobytes() == np.array(want).tobytes()
-
 
 def assert_same_rows(new, old):
     """Every column of two tube tables and their guards, bit for bit."""
@@ -267,14 +256,14 @@ class TestFrozenRows:
     """The rows ``_tree_rows`` makes as columns are, bit for bit, those the
     former path made one tube field at a time (``frozen_tubes.tree_rows``)."""
 
-    @pytest.mark.parametrize("skip_rescale", [False, True])
+    @pytest.mark.parametrize("check_guards", [False])
     @pytest.mark.parametrize("d, a, k", [(2, a, k) for a in (1.5, 2.0) for k in range(1, 6)]
                              + [(3, 2.0, k) for k in range(1, 4)])
-    def test_outer_subtree(self, monkeypatch, d, a, k, skip_rescale):
+    def test_outer_subtree(self, monkeypatch, d, a, k, check_guards):
         g = growth(a, d)
-        new = build_tau(g, k, skip_rescale, check_guards=False).node
+        new = build_tau(g, k, check_guards=check_guards).node
         monkeypatch.setattr(subfun, "_tree_rows", frozen_tubes.tree_rows)
-        assert_same_rows(new, build_tau(g, k, skip_rescale, check_guards=False).node)
+        assert_same_rows(new, build_tau(g, k, check_guards=check_guards).node)
 
     def test_every_level_of_u7(self, monkeypatch):
         # the handles and level-1 leaves, the certified amplitudes and the
@@ -606,9 +595,10 @@ def growth_point_sets(built):
     d = built.d
     for k, fn in enumerate(built.level_nodes, start=1):
         R = 2.0**k
-        lo, hi = np.zeros(d), np.full(d, R)
-        extra = _support_sup_points((fn.tube_a, fn.tube_b), lo, hi)
-        yield (fn, *_sup_points(lo, hi, max(0.25, R / 64.0), extra))
+        pts, _owner, slack = _box_samples(fn, np.zeros((1, d)), np.full((1, d), R),
+                                          max(0.25, R / 64.0), np.array([0, len(fn)]),
+                                          np.arange(len(fn)))
+        yield fn, pts, slack
 
 
 def tile_count(table, pts):
@@ -617,14 +607,12 @@ def tile_count(table, pts):
 
 
 def assert_max_log_exact(fn, pts, slack):
-    """``max_log`` gives the bits of np.argmax and the maximum of the full
+    """Each half of ``max_log`` gives the bits of np.max of the full
     evaluation, of ``eval_log`` and of ``upper_local(., slack)``."""
-    for s in (None, slack):
-        vals = fn.eval_log(pts) if s is None else fn.upper_local(pts, s)
-        i = int(np.argmax(vals))
-        first, best = fn.max_log(pts, s)
-        assert first == i
-        assert np.float64(best).tobytes() == vals[i].tobytes()
+    halves = fn.max_log(pts, slack)
+    for best, vals in zip(halves, (fn.eval_log(pts), fn.upper_local(pts, slack))):
+        want = np.max(vals, initial=-np.inf)
+        assert type(best) is float and np.float64(best).tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -667,11 +655,10 @@ class TestMaxLog:
     def test_zero_and_one_tile_sets(self, ub7):
         table = ub7.level_nodes[-1]
         rng = np.random.default_rng(53)
-        # far from every tube, over many tiles: all -inf, the first point
+        # far from every tube, over many tiles: all -inf
         far = rng.uniform(-300.0, -200.0, size=(20_000, 2))
         assert tile_count(table, far) > 1
-        assert table.max_log(far) == (0, -np.inf)
-        assert table.max_log(far, 0.5) == (0, -np.inf)
+        assert table.max_log(far, 0.5) == (-np.inf, -np.inf)
         assert_max_log_exact(table, far, 0.5)
         # one tile, on and off the function
         for corner in ([40.0, 40.0], [60.0, 60.0], [-20.0, 3.0]):
@@ -696,58 +683,26 @@ class TestMaxLog:
         monkeypatch.setattr(subfun.TubeTable, "_tiles",
                             lambda self, X: tilings.append(len(X)) or tiles(self, X))
         for pts in batches:
-            for s in (None, 0.25):
-                tilings.clear()
-                table.max_log(pts, s)
-                assert tilings == [len(pts)]
+            tilings.clear()
+            table.max_log(pts, 0.25)
+            assert tilings == [len(pts)]
+        # both halves of growth's bracket at R = 128 from one tiling
+        tilings.clear()
+        sup_on(table, (0.0, 0.0), (128.0, 128.0), 2.0)
+        assert len(tilings) == 1 and tilings[0] > 4000
         monkeypatch.undo()
         assert [tile_count(table, pts) for pts in batches[:4]] == [1, 1, 1, 0]
         for pts in batches:
             assert_max_log_exact(table, pts, 0.25)
-        assert table.max_log(off) == table.max_log(off, 0.25) == (0, -np.inf)
-        # an empty batch has no argmax: the answer of a batch without a
-        # finite value
-        empty = np.zeros((0, 2))
-        assert table.max_log(empty) == table.max_log(empty, 0.25) == (0, -np.inf)
+        assert table.max_log(off, 0.25) == (-np.inf, -np.inf)
+        # an empty batch: the answer of a batch without a finite value
+        assert table.max_log(np.zeros((0, 2)), 0.25) == (-np.inf, -np.inf)
 
-    def test_first_argmax_in_the_tile_evaluated_second(self, monkeypatch):
-        # two rows of amplitude 2^60: every value is rounded to a multiple
-        # of 256, the ulp at 2^60, and both rows reach 2^60 + 256 at their
-        # far ends, where log L is about 299.3 (row A) and 200.4 (row B).
-        # A's tile comes first in tile order, padded with TILE_PAIRS points
-        # off its tube, so that B's tile is a later run.  B holds the same
-        # maximum at an earlier point, so it must still be evaluated.
-        row_a = TubeField(Frame.along([0.0, 0.0], [1.0, 0.0]), 1.0, 2, 2.0**60, 95.5)
-        row_b = TubeField(Frame.along([40.0, 8.0], [1.0, 0.0]), 1.0, 2, 2.0**60, 64.0)
-        table = table_of(row_a, row_b)
-        rng = np.random.default_rng(59)
-        pad = rng.uniform([93.0, 1.0], [95.0, 2.0], size=(TILE_PAIRS, 2))
-        # far points that no row meets spread the batch over many tiles;
-        # the first one fixes the tile grid's corner
-        filler = rng.uniform([200.0, -20.0], [260.0, -10.0], size=(40_000, 2))
-        filler[0] = [92.0, -20.0]
-        pts = np.vstack([[[104.0, 8.0], [95.5, 0.0]], pad, filler])
-        vals = table.eval_log(pts)
-        assert vals[0] == vals[1] == vals.max() == 2.0**60 + 256.0
-        assert tile_count(table, pts) > 2
-        runs = []
-        run = subfun.TubeTable._pass
-
-        def recorded(self, *args):
-            part, vals = run(self, *args)
-            runs.append(part)
-            return part, vals
-
-        monkeypatch.setattr(subfun.TubeTable, "_pass", recorded)
-        assert table.max_log(pts) == (0, 2.0**60 + 256.0)
-        # A's tile alone, then B's
-        assert [sorted(set(part.tolist()) & {0, 1}) for part in runs] == [[1], [0]]
-
-    def test_best_first_evaluates_ties_and_stops_below(self):
-        # tiles bounded by values they attain: tile 0 (first on the tie)
-        # holds the maximum 1.0 at point 5, tile 1 at point 2; tile 2's
-        # bound is below it, so tile 2 is never evaluated once a run
-        # before it has reached 1.0
+    def test_best_first_stops_at_the_running_maximum(self):
+        # tiles bounded by values they attain: tiles 0 and 1 hold the
+        # maximum 1.0, and tile 2's bound is below it.  Once a run has
+        # reached 1.0, no later run is evaluated, tile 1's included, as
+        # its bound does not exceed the running maximum
         tiles = {0: (np.array([4, 5]), np.array([0.5, 1.0])),
                  1: (np.array([2, 3]), np.array([1.0, -np.inf])),
                  2: (np.array([0, 1]), np.array([0.75, 0.25]))}
@@ -759,30 +714,34 @@ class TestMaxLog:
 
         bounds, rows = np.array([1.0, 1.0, 0.75]), np.ones(3, dtype=np.intp)
         # every tile a run of its own
-        assert _best_first(bounds, rows, np.full(3, TILE_PAIRS), evaluate) == (2, 1.0)
-        assert seen == [[0], [1]]
-        # tiles 0 and 1 in one run, tile 2 in the next: the tie is settled
-        # within the run, and the stop rule holds between runs
+        assert _best_first(bounds, rows, np.full(3, TILE_PAIRS), evaluate) == 1.0
+        assert seen == [[0]]
+        # tiles 0 and 1 in one run, tile 2 in the next
         seen.clear()
-        assert _best_first(bounds, rows, np.full(3, TILE_PAIRS // 2), evaluate) == (2, 1.0)
+        assert _best_first(bounds, rows, np.full(3, TILE_PAIRS // 2), evaluate) == 1.0
         assert seen == [[0, 1]]
         # all three in one run
         seen.clear()
-        assert _best_first(bounds, rows, np.ones(3, dtype=np.intp), evaluate) == (2, 1.0)
+        assert _best_first(bounds, rows, np.ones(3, dtype=np.intp), evaluate) == 1.0
         assert seen == [[0, 1, 2]]
+        # a later tile whose bound exceeds the running maximum is evaluated
+        seen.clear()
+        assert _best_first(np.array([1.25, 1.5, 0.75]), rows, np.full(3, TILE_PAIRS),
+                           evaluate) == 1.0
+        assert seen == [[1], [0]]
         # tiles bounded by -inf hold no finite value: none is evaluated
         seen.clear()
-        assert _best_first(np.full(3, -np.inf), rows, rows, evaluate) == (0, -np.inf)
+        assert _best_first(np.full(3, -np.inf), rows, rows, evaluate) == -np.inf
         assert seen == []
 
     def test_values_at_the_unmargined_peak(self, monkeypatch):
         # one row of cut 60 and eps 1, whose top is pi * 60.  Its values
         # stay at or below fl(a + top), the peak without the margin; at a
         # = 2^80 (ulp 2^28) every finite value rounds to a, which is that
-        # peak.  Then every tile has the same bound, and the tiles are
-        # taken in tile order: first the TILE_PAIRS points near x_1 = 40,
-        # then, as a run of its own, the tile of point 0 near the cut,
-        # which holds the first argmax at the value already reached.
+        # peak.  Then every tile has the same bound, the margined peak,
+        # which exceeds every value, and the tiles are taken in tile order:
+        # first the TILE_PAIRS points near x_1 = 40, then, as a run of its
+        # own, the tile of point 0 near the cut.
         top = PI * math.sqrt(1) / 1.0 * 60.0
         rng = np.random.default_rng(67)
         pad = rng.uniform([40.0, -0.3], [41.0, 0.3], size=(TILE_PAIRS, 2))
@@ -799,11 +758,12 @@ class TestMaxLog:
 
         def recorded(self, *args):
             part, vals = run(self, *args)
-            runs.append(part)
+            if args[5] is None:
+                runs.append(part)
             return part, vals
 
         monkeypatch.setattr(subfun.TubeTable, "_pass", recorded)
-        assert table.max_log(pts) == (0, 2.0**80)
+        assert table.max_log(pts, 0.25)[0] == 2.0**80
         assert [0 in part for part in runs] == [False, True]
         monkeypatch.undo()
         assert_max_log_exact(table, pts, 0.25)
@@ -871,10 +831,8 @@ class TestArrayPasses:
             monkeypatch.setattr(subfun.TubeTable, name, counted)
         # one candidate lookup per max_log half, however many tiles
         fn, pts, slack = list(growth_point_sets(ub7))[-1]
-        for s in (None, slack):
-            calls["_candidates"] = 0
-            fn.max_log(pts, s)
-            assert calls["_candidates"] == 1 and tiles[-1] > 1000
+        fn.max_log(pts, slack)
+        assert calls["_candidates"] == 2 and tiles[-2:] == [tiles[-1]] * 2 and tiles[-1] > 1000
         # the certificates of build_u(7): 561 tiles in far fewer passes
         calls.update(_candidates=0, _pass=0)
         tiles.clear()

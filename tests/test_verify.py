@@ -30,7 +30,7 @@ from oscillab.verify import (
     sup_on,
     lower_bound_denominator,
     zero_set_projection,
-    _support_sup_points,
+    _box_samples,
 )
 
 
@@ -495,6 +495,12 @@ class TestBoxRows:
             assert np.array_equal(one.rows, rows) and np.array_equal(one.near, near)
 
 
+def box_samples(table, lo, hi, h, rows):
+    """``_box_samples`` of the one box [lo, hi] with the given rows."""
+    return _box_samples(table, np.atleast_2d(lo), np.atleast_2d(hi), h,
+                        np.array([0, len(rows)]), rows)
+
+
 class TestSupportSupPoints:
     def test_matches_per_tube_loop(self, ub5):
         table = ub5.level_nodes[3]
@@ -504,22 +510,26 @@ class TestSupportSupPoints:
         for a, b in zip(table.tube_a, table.tube_b):
             seg = a[None, :] + ts[:, None] * (b - a)[None, :]
             expected.extend(seg[np.all((seg >= lo) & (seg <= hi), axis=1)])
-        got = _support_sup_points((table.tube_a, table.tube_b), lo, hi)
-        assert len(expected) > 0 and np.array_equal(got, np.array(expected))
+        pts, owner, slack = box_samples(table, lo, hi, 0.5, np.arange(len(table)))
+        axes = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, (15, 10))]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert len(expected) > 0 and np.array_equal(pts, np.vstack([grid, expected]))
+        assert not owner.any() and slack == 0.25
 
     @pytest.mark.parametrize("edge", [1.0, 3.0, 16.0])
     def test_box_rows_hold_every_sample(self, ub5, edge):
-        # chain_contraction's boxes take the samples of their box_rows only
+        # a box's samples with its box_rows are those with every row
         table = ub5.node
         rng = np.random.default_rng(5)
         sampled = 0
+        grid = math.prod(int(math.ceil(edge / 0.25)) + 1 for _ in range(2))
         for lo in rng.integers(-4, 32, size=(40, 2)).astype(float):
             hi = lo + edge
             rows = table.box_rows(lo, hi).rows
-            want = _support_sup_points((table.tube_a, table.tube_b), lo, hi)
-            got = _support_sup_points((table.tube_a[rows], table.tube_b[rows]), lo, hi)
+            want = box_samples(table, lo, hi, 0.25, np.arange(len(table)))[0]
+            got = box_samples(table, lo, hi, 0.25, rows)[0]
             assert np.array_equal(got, want)
-            sampled += len(want) > 0
+            sampled += len(want) > grid
         assert sampled > 10
 
 
