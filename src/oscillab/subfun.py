@@ -254,8 +254,9 @@ EXACT_BLOCK = 4096
 TILE_PAIRS = 2**16
 
 #: halvings of a box down to which ``TubeTable.covers`` looks for one row
-#: covering each part (2^(d COVER_DEPTH) sub-boxes at most)
-COVER_DEPTH = 4
+#: covering each part (2^(d COVER_DEPTH) sub-boxes at most), which is also
+#: its grid of certified cells
+COVER_DEPTH = 3
 
 #: (sub-box, row) pairs ``TubeTable.covers`` tests at a time
 COVER_BLOCK = 4096
@@ -609,11 +610,15 @@ class TubeTable(FunctionNode):
                        _pointers(box[near], n), rows[near], finite == 0)
 
     def covers(self, boxes: BoxRows) -> np.ndarray:
-        """For each box [lo, hi] of ``boxes``, True when ``eval_log`` is
-        finite at every point of the closed box, certified without
-        evaluating it: every dyadic sub-box, down to COVER_DEPTH halvings
-        of the box, lies in the finite region of one row and clear of all
-        that row's guards.
+        """For each box [lo, hi] of ``boxes``, the cells of its grid of S =
+        2^COVER_DEPTH equal parts per axis on which ``eval_log`` is finite
+        at every point of the closed cell, certified without evaluating it:
+        the cell, or a dyadic sub-box of the box that holds it, lies in the
+        finite region of one row and clear of all that row's guards.  The
+        result is (n, S, ..., S), indexed by the cell's number along each
+        axis; the cell j of a box is [lo + j e, lo + (j + 1) e], e = (hi -
+        lo) / S, as ``verify.ZeroSetInCube`` computes it.  The function is
+        finite on the whole box when every cell is certified.
 
         The rows tried are the box's ``near`` rows that have a finite
         amplitude.  A row takes a sub-box when, in the row's global frame,
@@ -635,7 +640,11 @@ class TubeTable(FunctionNode):
         and the d-term dot products, which ``_frame_coords`` rounds once
         and einsum d times.  For d <= 3 that is under 2^5 roundings of
         relative size 2^-53 of magnitudes up to 4 scale, times a row norm
-        factor sqrt(d) <= 2: under 2^-45 scale.
+        factor sqrt(d) <= 2: under 2^-45 scale.  The sub-box at level l
+        with index J per axis is [lo + J e_l, lo + (J + 1) e_l], e_l = (hi
+        - lo) / 2^l.  Its bounds as this search computes them, and a cell's
+        bounds as ``ZeroSetInCube`` computes them, are off the real ones by
+        two roundings of magnitudes up to scale, which mu covers as well.
 
         tau = 2^-44 (A + sum_j sec theta_j + 1) bounds the rounding of log
         T twice over, where A = pi sqrt(d-1) cut / eps is the largest
@@ -650,14 +659,19 @@ class TubeTable(FunctionNode):
         the computed log T of every point of the sub-box exceeds tau/2,
         far above the 2^-52 below which log1p(-exp(-log T)) would be -inf.
 
-        A sub-box on which no row is positive even at its best point is
-        zero throughout, and its box is refused.  The sub-boxes of all
+        A sub-box that a row takes is certified, and so are all its cells;
+        a sub-box on which no row is positive even at its best point is
+        zero throughout, and its cells are not.  Neither is split; the
+        others are, down to COVER_DEPTH halvings, and each part tries only
+        the rows positive at the best point of the sub-box it was split
+        from.  The sub-boxes of all
         boxes are searched a level at a time, as (sub-box, row) pairs,
-        COVER_BLOCK at a time; a box drops out of the search once it is
-        refused.  The verdict is a predicate of the tree of sub-boxes, so
-        it does not depend on the order they are searched in.
+        COVER_BLOCK at a time.  Each cell's verdict is a predicate of the
+        tree of sub-boxes, so it does not depend on the order they are
+        searched in.
         """
         n, d = len(boxes), self.d
+        S = 2**COVER_DEPTH
         mu = 2.0**-24 * self._margin32
         # the (box, row) pairs tried: a row of zero amplitude is no
         # candidate, though it still guards
@@ -665,53 +679,61 @@ class TubeTable(FunctionNode):
         live = np.isfinite(self.log_amp[boxes.near])
         owner, rows = owner[live], boxes.near[live]
         ptr = _pointers(owner, n)
-        accepted = np.diff(ptr) > 0
-        # the guards of every pair, as the slots of the distinct (box, keep)
-        # pairs of its box, ``kptr`` per box
-        gpair, flat = self._guard_pairs(rows)
-        mine = flat >= 0
-        gpair, flat = gpair[mine], flat[mine]
-        kkey, kslot = _distinct(owner[gpair] * len(self) + flat)
-        kbox, keeps = np.divmod(kkey, len(self))
-        kptr, gptr = _pointers(kbox, n), _pointers(gpair, rows.size)
-        kcut, kwall = self.cut[keeps], self.eps[keeps] / 3.0
-        kg = g_threshold(self.eps[keeps], d)
-        corners = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
-        box = np.flatnonzero(accepted)
-        lo, edge = boxes.lo[box], boxes.hi - boxes.lo
+        # the keep rows that guard each pair, ``gptr`` per pair
+        gpair, keeps = self._guard_pairs(rows)
+        mine = keeps >= 0
+        gptr, keeps = _pointers(gpair[mine], rows.size), keeps[mine]
+        corners = _steps((2,) * d)
+        strides = S ** np.arange(d - 1, -1, -1)
+        cells = np.zeros((n, S**d), dtype=bool)
+        # each sub-box's box, its index along every axis at its level, and
+        # its rows (as pairs of ``rows``), ``count`` of them
+        box = np.flatnonzero(np.diff(ptr) > 0)
+        at = np.zeros((box.size, d), dtype=np.int64)
+        count = np.diff(ptr)[box]
+        pair = _ranges(ptr[box], count)
         for level in range(COVER_DEPTH + 1):
             if box.size == 0:
                 break
-            held = np.cumsum(np.diff(ptr)[box])
-            cuts = np.searchsorted(held, np.arange(COVER_BLOCK, held[-1], COVER_BLOCK),
+            edge = (boxes.hi - boxes.lo) / 2**level
+            lo = boxes.lo[box] + at * edge[box]
+            sptr = np.concatenate([[0], np.cumsum(count)])
+            cuts = np.searchsorted(sptr[1:], np.arange(COVER_BLOCK, sptr[-1], COVER_BLOCK),
                                    side="right").tolist()
-            uncovered = np.zeros(box.size, dtype=bool)
+            sure = np.zeros(box.size, dtype=bool)
+            alive = np.zeros(pair.size, dtype=bool)
             for s, e in zip([0] + cuts, cuts + [box.size]):
-                dead, uncovered[s:e] = self._cover_block(
-                    box[s:e], lo[s:e], edge, mu, ptr, rows, (kptr, gptr, kslot),
-                    (keeps, kg, kcut, kwall))
-                accepted[box[s:e][dead]] = False
-            split = uncovered & accepted[box]
+                sure[s:e], alive[sptr[s]:sptr[e]] = self._cover_block(
+                    box[s:e], lo[s:e], edge, mu, count[s:e], pair[sptr[s]:sptr[e]], rows,
+                    gptr, keeps)
+            # a certified sub-box's cells
+            fine = 2 ** (COVER_DEPTH - level)
+            cells[box[sure, None],
+                  (at[sure, None, :] * fine + _steps((fine,) * d)) @ strides] = True
             if level == COVER_DEPTH:
-                accepted[box[split]] = False
                 break
-            edge = edge / 2.0
-            lo = (lo[split, None, :] + corners * edge[box[split]][:, None, :]).reshape(-1, d)
+            # the parts of the other sub-boxes, each with the rows positive
+            # somewhere on it: a row positive nowhere on a sub-box is
+            # positive nowhere on its parts, and a sub-box with none is dead
+            owner = np.repeat(np.arange(box.size), count)
+            alive &= ~sure[owner]
+            pair = pair[alive]
+            count = np.bincount(owner[alive], minlength=box.size)
+            split = count > 0
+            start = np.repeat((np.cumsum(count) - count)[split], 2**d)
             box = np.repeat(box[split], 2**d)
-        return accepted
+            at = (2 * at[split, None, :] + corners).reshape(-1, d)
+            count = np.repeat(count[split], 2**d)
+            pair = pair[_ranges(start, count)]
+        return cells.reshape((n,) + (S,) * d)
 
-    def _cover_block(self, box, lo, edge, mu, ptr, rows, guards, keeps):
+    def _cover_block(self, box, lo, edge, mu, count, pair, rows, gptr, keeps):
         """``covers`` on the sub-boxes [lo[e], lo[e] + edge[box[e]]] of the
-        boxes ``box``: which sub-boxes no row is positive on even at its
-        best point, and which no row covers.  ``ptr``/``rows`` are each
-        box's rows; ``guards`` are the CSR slots of the (box, keep) pairs
-        that guard each (box, row) pair, ``keeps`` those pairs' keep rows,
-        g(eps), cut and eps/3."""
+        boxes ``box``, each with its ``count`` rows, given as the pairs
+        ``pair`` of ``rows``: which sub-boxes a row covers, and which of the
+        pairs' rows are positive at their best point of the sub-box.  The
+        keep rows that guard pair p are ``keeps[gptr[p]:gptr[p + 1]]``."""
         d = self.d
-        kptr, gptr, kslot = guards
-        keep_rows, kg, kcut, kwall = keeps
-        count = np.diff(ptr)[box]
-        pair = _ranges(ptr[box], count)
         sub = np.repeat(np.arange(box.size), count)
         f = rows[pair]
         low, high = self._frame_ranges(f, lo[sub], edge[box][sub], mu)
@@ -719,9 +741,9 @@ class TubeTable(FunctionNode):
         slope = PI * math.sqrt(d - 1) / eps
         top = slope * cut  # A, the largest argument of log_cosh
         with np.errstate(divide="ignore", invalid="ignore"):
-            # a sub-box where no row is positive even at its best point,
-            # the largest x_1 <= cut with the least |x_j|, is zero
-            # throughout, and so is every part of it
+            # a row not positive even at its best point of the sub-box,
+            # the largest x_1 <= cut with the least |x_j|, is positive
+            # nowhere on it, nor on any part of it
             best = np.minimum(high[:, 0], cut)
             cosines = np.cos(PI * np.maximum(np.maximum(low[:, 1:], -high[:, 1:]), 0.0)
                              / eps[:, None])
@@ -734,23 +756,18 @@ class TubeTable(FunctionNode):
             log_t = log_cosh(slope * x1) + np.sum(np.log(cosines), axis=-1)
             ok = ((x1 > 0.0) & (high[:, 0] < cut) & np.all(xj < half[:, None], axis=-1)
                   & (sec < 2.0**40) & (log_t > 2.0**-44 * (top + sec + 1.0)))
-        # each sub-box's (box, keep) slots, then each pair's guards among them
-        kcount = np.diff(kptr)[box]
-        slot = _ranges(kptr[box], kcount)
-        if slot.size:
-            ksub = np.repeat(np.arange(box.size), kcount)
-            low, high = self._frame_ranges(keep_rows[slot], lo[ksub], edge[box][ksub], mu)
-            wall = kwall[slot, None]
-            clear = ((high[:, 0] < kg[slot]) | (low[:, 0] > kcut[slot])
-                     | np.any((high[:, 1:] < -wall) | (low[:, 1:] > wall), axis=-1))
-            gcount = np.diff(gptr)[pair]
-            g = _ranges(gptr[pair], gcount)
+        # the guards of the pairs whose row covers the sub-box
+        gcount = np.where(ok, np.diff(gptr)[pair], 0)
+        g = _ranges(gptr[pair], gcount)
+        if g.size:
             owner = np.repeat(np.arange(pair.size), gcount)
-            first = np.cumsum(kcount) - kcount
-            at = first[sub[owner]] + kslot[g] - kptr[box[sub[owner]]]
-            ok[owner[~clear[at]]] = False
-        dead = np.bincount(sub[alive], minlength=box.size) == 0
-        return dead, np.bincount(sub[ok], minlength=box.size) == 0
+            k, at = keeps[g], sub[owner]
+            low, high = self._frame_ranges(k, lo[at], edge[box][at], mu)
+            wall = self.eps[k, None] / 3.0
+            clear = ((high[:, 0] < g_threshold(self.eps[k], d)) | (low[:, 0] > self.cut[k])
+                     | np.any((high[:, 1:] < -wall) | (low[:, 1:] > wall), axis=-1))
+            ok[owner[~clear]] = False
+        return np.bincount(sub[ok], minlength=box.size) > 0, alive
 
     def _frame_ranges(self, rows, lo, edge, mu):
         """Low and high ends (pairs, d) of the global-frame coordinates of

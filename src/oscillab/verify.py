@@ -341,16 +341,22 @@ class ZeroSetInCube:
     A point is certified zero exactly when the log-value is -inf (the
     profiles vanish identically outside the half-tube level sets, so this
     is the true zero set, including the wall layers inside tubes where
-    max(T-1, 0) dies).  ``zero_set_projection`` samples it only where the
-    function's ``covers`` cannot show it empty.  Where the function
-    ``vanishes`` on a box, the set is the whole box and nothing is
-    evaluated.  With one box it is a shape for ``content_lower_projection``
-    (``bounds``, ``line_hits``)."""
+    max(T-1, 0) dies).  Where the function ``vanishes`` on a box, the set
+    is the whole box and nothing is evaluated.  The function's ``covers``
+    grid names the cells of each box on which it is finite throughout
+    (``covered`` boxes, all of whose cells it names, hold no zero point):
+    a sample inside such a cell is not zero, and is not evaluated.  With
+    one box it is a shape for ``content_lower_projection`` (``bounds``,
+    ``line_hits``)."""
 
     def __init__(self, fn, boxes: BoxRows):
         self.fn = fn
         self.dimension = boxes.lo.shape[1]
         self._lo, self._hi, self._whole = boxes.lo, boxes.hi, boxes.vanishes
+        cells = np.asarray(fn.covers(boxes), dtype=bool)
+        self._side = cells.shape[1]
+        self._cells = cells.reshape(len(boxes), self._side**self.dimension)
+        self.covered = self._cells.all(axis=1)
 
     def bounds(self):
         return self._lo[0], self._hi[0]
@@ -400,7 +406,9 @@ class ZeroSetInCube:
 
     def _sample(self, box, origins, offs, direction) -> np.ndarray:
         """Whether each line origins[q] + offs[q, s] direction[q] has a zero
-        point among its samples inside box box[q]."""
+        point among its samples inside box box[q]: every sample of a box
+        that vanishes is one, a sample in a certified cell (``_certified``)
+        is none, and the others are evaluated."""
         pts = origins[:, None, :] + offs[:, :, None] * direction[:, None, :]
         del offs
         lo, hi = self._lo[box], self._hi[box]
@@ -408,13 +416,37 @@ class ZeroSetInCube:
         inside = np.logical_and.reduce([(pts[..., i] >= lo[:, i, None])
                                         & (pts[..., i] <= hi[:, i, None])
                                         for i in range(self.dimension)])
-        live = inside & ~self._whole[box][:, None]
-        if not live.any():
-            return inside.any(axis=1)
-        X = np.vstack([pts[live], lo[live.any(axis=1)].min(axis=0)])
-        del pts
-        inside[live] = ~np.isfinite(self.fn.eval_log(X)[:-1])
-        return inside.any(axis=1)
+        zero = inside & self._whole[box][:, None]
+        ask = inside & ~zero
+        ask &= ~self._certified(box, pts)
+        if ask.any():
+            X = np.vstack([pts[ask], lo[ask.any(axis=1)].min(axis=0)])
+            del pts
+            zero[ask] = ~np.isfinite(self.fn.eval_log(X)[:-1])
+        return zero.any(axis=1)
+
+    def _certified(self, box, pts) -> np.ndarray:
+        """Whether each point pts[q, s] lies in a cell of box box[q]'s
+        ``covers`` grid that the grid certifies.  The cell's number along
+        each axis is floor((x - lo) / e), clipped to the grid, and the
+        point counts only where the float comparisons lo + j e <= x <= lo
+        + (j + 1) e, with the bounds ``covers`` certifies, show it inside
+        that cell: a point the rounded quotient puts one cell off, or one
+        on a face whose other cell alone is certified, is evaluated."""
+        side = self._side
+        lo = self._lo[box]
+        step = (self._hi[box] - lo) / side
+        inside = np.ones(pts.shape[:2], dtype=bool)
+        where = np.zeros(pts.shape[:2], dtype=np.intp)
+        for i in range(self.dimension):
+            x, a, e = pts[..., i], lo[:, i, None], step[:, i, None]
+            j = np.clip(np.floor((x - a) / e), 0.0, side - 1.0)
+            where *= side
+            where += j.astype(np.intp)
+            inside &= a + j * e <= x
+            j += 1.0
+            inside &= x <= a + j * e
+        return inside & self._cells[box[:, None], where]
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +490,21 @@ def zero_set_projection(u, boxes: BoxRows, eps_d: float) -> np.ndarray:
     ``u`` in the box, over the coordinate axes and the axes of the first
     four tubes ``near`` it, stopping once it reaches eps_d.
 
-    Where ``u.covers`` a box (the function is certainly positive on all
-    of it), the answer is 0.0 without sampling.  That is the value
-    sampling returns: no point of any line is zero, so no line hits and
-    every axis counts max(0, 0 - 1) = 0 cells.  The other boxes are
-    sampled in rounds, one axis a round, each round taking every box
+    ``u.covers`` is searched once for all boxes (``ZeroSetInCube``).
+    Where it certifies every cell of a box (the function is certainly
+    positive on all of it), the answer is 0.0 without sampling.  That is
+    the value sampling returns: no point of any line is zero, so no line
+    hits and every axis counts max(0, 0 - 1) = 0 cells.  The other boxes
+    are sampled in rounds, one axis a round, each round taking every box
     still below eps_d that has that axis (``ZeroSetInCube.hits``): a box
-    ends with the value the axes taken in turn give it."""
+    ends with the value the axes taken in turn give it.  Their samples in
+    certified cells are not zero points and are not evaluated; whether an
+    evaluated sample is finite does not depend on its batch, so every line
+    hits as it would with all its samples evaluated."""
     n, d = boxes.lo.shape
     best = np.zeros(n)
-    open_ = ~np.asarray(u.covers(boxes), dtype=bool)
     zset = ZeroSetInCube(u, boxes)
+    open_ = ~zset.covered
     tubes = np.diff(boxes.near_ptr)
     for a in range(d + 4):
         at = np.flatnonzero(open_ & (best < eps_d) & (tubes > a - d))
@@ -502,6 +538,8 @@ def _sup_lows(u, boxes: BoxRows, h: float) -> np.ndarray:
     lo, hi, ptr = boxes.lo, boxes.hi, boxes.ptr
     n = len(boxes)
     low = np.full(n, -np.inf)
+    if n == 0:
+        return low
     step = max(1, SAMPLE_BATCH // math.prod(_grid_counts(lo[0], hi[0], h)))
     for a in range(0, n, step):
         b = min(a + step, n)

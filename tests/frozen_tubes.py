@@ -32,9 +32,11 @@ A census cube is classified as it was before ``verify.classify_cubes``
 classified a level's cubes together (``classify_cube``): its rows from
 ``near``, P1 from the low half of one ``max_log`` of its own points
 (``sup_points``, with the centerline points of ``support_sup_points``),
-``covers`` searched depth first on its own sub-boxes, and P2's axes taken
-in turn, each through ``content_lower_projection`` on one ``ZeroSet``
-whose lines are sampled in one pass.
+``covers`` searched depth first on its own sub-boxes, as a verdict on the
+whole cube, and P2's axes taken in turn, each through
+``content_lower_projection`` on one ``ZeroSet`` whose lines are sampled in
+one pass.  A cube that ``covers`` refuses has every sample evaluated here,
+where the census skips those in the cells ``TubeTable.covers`` certifies.
 
 The chain contraction is measured as it was before ``verify._sup_lows``
 took the suprema of a whole extent's boxes together

@@ -5,7 +5,7 @@ with exponential growth, and is no tube table.
 It defines each method its callers use: ``eval_log`` (the census's P1 and
 ``chain_contraction``'s suprema), ``box_rows`` and
 ``tube_a``/``tube_b``/``eps`` (it has no tubes, and no box vanishes), and
-``covers``, which says False, so that P2 samples its zero set.
+``covers``, which certifies no cell, so that P2 samples its zero set.
 """
 
 import math
@@ -48,4 +48,4 @@ class SlabOscillating:
         return BoxRows(lo, hi, ptr, none, ptr, none, np.zeros(lo.shape[0], dtype=bool))
 
     def covers(self, boxes):
-        return np.zeros(len(boxes), dtype=bool)
+        return np.zeros((len(boxes),) + (1,) * self.d, dtype=bool)

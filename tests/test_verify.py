@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from oscillab.cli import main
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import CellUnionShape, SegmentShape, SphereShape, default_claim_family
 from oscillab.mainlemma import RogueConfiguration
-from oscillab.subfun import (TILE_PAIRS, Frame, TableBuilder, TubeField, TubeTable, build_u,
-                             eval_T)
+from oscillab.subfun import (TILE_PAIRS, BoxRows, Frame, TableBuilder, TubeField, TubeTable,
+                             build_u, eval_T)
 from oscillab.treeset import GrowthParameters, complete_frame
 from oscillab.verify import (
     LINE_COARSE,
@@ -21,6 +23,7 @@ from oscillab.verify import (
     GridField,
     ZeroSetInCube,
     classify_cube,
+    classify_cubes,
     content_lower_projection,
     content_upper,
     discrete_laplacian_report,
@@ -327,6 +330,9 @@ class TestCensus:
         res = rogue_census(u, (0, 0), (4, 4), f_one)
         assert res.count == 0 and res.gamma == 0.0
 
+    def test_no_cubes(self):
+        assert classify_cubes(build_u(growth(1.5), 2).node, np.zeros((0, 2), np.int64)) == []
+
     def test_zero_function_all_rogue(self):
         # a table whose every row has amplitude zero (log amplitude -inf)
         rows = FieldRows(2)
@@ -571,7 +577,7 @@ class _Sampled:
         return vals
 
     def covers(self, boxes):
-        return np.zeros(len(boxes), dtype=bool)
+        return np.zeros((len(boxes),) + (1,) * self.table.d, dtype=bool)
 
     @staticmethod
     def uncertified(boxes):
@@ -579,8 +585,62 @@ class _Sampled:
         return dataclasses.replace(boxes, vanishes=np.zeros(len(boxes), dtype=bool))
 
 
+class _GridFunction:
+    """A function with the given ``covers`` grid, one everywhere, that
+    keeps the points it evaluates, but the last of each batch (the anchor
+    of its tiles)."""
+
+    def __init__(self, cells):
+        self.cells, self.asked = cells, []
+
+    def covers(self, boxes):
+        return self.cells
+
+    def eval_log(self, X):
+        self.asked.append(X[:-1].copy())
+        return np.zeros(len(X))
+
+
+class _InCertifiedCells(_Sampled):
+    """A table's ``eval_log`` that checks that it is finite at every point
+    that lies in a closed cell certified on ``grid``, the cells of edge
+    1/side over [0, 2^k)^d offset by one, and counts those points: all of
+    them, and those in a cell of a cube not ``accepted`` (a boolean grid
+    of the cubes)."""
+
+    def __init__(self, table, grid, side, accepted):
+        super().__init__(table)
+        self.grid, self.side, self.accepted = grid, side, accepted
+        self.samples = self.certified = self.refused = 0
+
+    def eval_log(self, X):
+        vals = self.table.eval_log(X)
+        # side is a power of two, so that X * side is exact
+        Y = X * self.side
+        base = np.floor(Y).astype(np.int64)
+        held = self._held(base)
+        # on a face, the cells below it hold the point too
+        face = np.flatnonzero(np.any(Y == base, axis=1))
+        for low in list(itertools.product((0, 1), repeat=self.table.d))[1:]:
+            on = np.all((np.array(low) == 0) | (Y[face] == base[face]), axis=1)
+            held[face[on]] |= self._held(base[face[on]] - np.array(low))
+        assert np.all(np.isfinite(vals[held != 0]))
+        self.samples += len(X)
+        self.certified += int(np.count_nonzero(held))
+        self.refused += int(np.count_nonzero(held & 2))
+        return vals
+
+    def _held(self, cell):
+        """1 where the cells are certified, 3 where their cube is also not
+        accepted, else 0."""
+        sure = self.grid[tuple((cell + 1).T)]
+        cube = np.clip(cell // self.side, 0, self.accepted.shape[0] - 1)
+        return sure * (1 + 2 * ~self.accepted[tuple(cube.T)])
+
+
 def _covers(table, lo, hi):
-    return bool(table.covers(table.box_rows(lo, hi))[0])
+    """Whether ``covers`` certifies every cell of the one box [lo, hi]."""
+    return bool(table.covers(table.box_rows(lo, hi))[0].all())
 
 
 def _tube_field(origin, direction, eps, cut, log_amp=0.0):
@@ -631,22 +691,34 @@ class TestCovers:
 
     @staticmethod
     def _accepted_positive(table, k):
-        """The census cubes of [0, 2^k)^d that ``covers`` accepts, after
-        checking that the function is finite at every sample of every P2
-        axis there, so that sampling gives the projection 0.0 as well."""
-        cubes = enumerate_basic_cubes((0,) * table.d, (2**k,) * table.d)
-        lo = np.array([c.corner for c in cubes], dtype=float)
-        accepted = table.covers(table.box_rows(lo, lo + 1.0))
-        cubes = [c for c, ok in zip(cubes, accepted) if ok]
-        for cube in cubes:
-            u = _Sampled(table)
-            # an infinite threshold samples every axis
-            proj = zero_set_projection(u, u.uncertified(table.box_rows(*cube.bounds())),
-                                       math.inf)
-            vals = np.concatenate(u.values)
-            assert vals.size and np.all(np.isfinite(vals)), cube.corner
-            assert proj == 0.0
-        return cubes
+        """The census cubes of [0, 2^k)^d whose every cell ``covers``
+        certifies, after sampling the zero sets of all the cubes as the
+        census does, at once, as if nothing were certified, and checking that
+        the function is finite at every sample that lies in a closed
+        certified cell of any cube, accepted or refused; the accepted cubes
+        project to 0.0 as well."""
+        d = table.d
+        corners = np.array([c.corner for c in enumerate_basic_cubes((0,) * d, (2**k,) * d)])
+        lo = corners.astype(float)
+        boxes = table.box_rows(lo, lo + 1.0)
+        cells = table.covers(boxes)
+        side = cells.shape[1]
+        # the certified cells of the level on one grid of edge 1/side, with
+        # a border of uncertified ones
+        grid = np.zeros((2**k * side + 2,) * d, dtype=bool)
+        for corner, cube in zip(corners.tolist(), cells):
+            grid[tuple(slice(1 + c * side, 1 + (c + 1) * side) for c in corner)] = cube
+        flat = cells.reshape(len(corners), -1)
+        accepted = flat.all(axis=1)
+        u = _InCertifiedCells(table, grid, side, accepted.reshape((2**k,) * d))
+        # the cubes with a certified cell, at the census's threshold: a cube
+        # without a zero point is sampled on every axis
+        some = flat.any(axis=1)
+        proj = zero_set_projection(u, u.uncertified(table.box_rows(lo[some], lo[some] + 1.0)),
+                                   0.25)
+        assert u.samples and u.certified > 0 and u.refused > 0
+        assert np.all(proj[accepted[some]] == 0.0)
+        return int(accepted.sum())
 
     @pytest.mark.parametrize("d, a, levels", [(2, 1.5, (3, 4, 5)), (3, 2.0, (2, 3))])
     def test_accepted_cubes_positive_at_every_sample(self, d, a, levels):
@@ -678,6 +750,12 @@ class TestCovers:
         table = guarded.table()
         assert not _covers(table, lo, hi)
         assert table.eval_log([[10.5, 0.5]])[0] == -np.inf
+        # the zero point is the corner the four middle cells share: none
+        # of them is certified, though cells clear of the guard are
+        cells = table.covers(table.box_rows(lo, hi))[0]
+        mid = cells.shape[0] // 2
+        assert not cells[mid - 1:mid + 1, mid - 1:mid + 1].any()
+        assert cells[0].all() and cells[-1].all()
 
     def test_refuses_guarded_cubes_of_a_level(self):
         # a wide row covering a row of cubes, below two thin keeps of zero
@@ -689,7 +767,7 @@ class TestCovers:
         rows.add(_tube_field([0.0, 0.5], [1.0, 0.0], 4.0, 20.0), keeps)
         table = rows.table()
         lo = np.column_stack([np.arange(6.0, 16.0), np.zeros(10)])
-        accepted = table.covers(table.box_rows(lo, lo + 1.0))
+        accepted = table.covers(table.box_rows(lo, lo + 1.0)).reshape(len(lo), -1).all(axis=1)
         assert accepted.tolist() == [x not in (10, 12) for x in range(6, 16)]
         assert [_covers(table, a, a + 1.0) for a in lo] == accepted.tolist()
         assert np.all(table.eval_log([[10.5, 0.5], [12.5, 0.5]]) == -np.inf)
@@ -709,7 +787,53 @@ class TestCovers:
         table = rows.table()
         assert not _covers(table, np.zeros(2), np.ones(2))
         assert table.eval_log([[0.0, 0.0]])[0] == -np.inf
+        # the cell at the zero point (the corner) is not certified, the
+        # one at the opposite corner is
+        cells = table.covers(table.box_rows(np.zeros(2), np.ones(2)))[0]
+        assert not cells[0, 0] and cells[-1, -1]
         assert _covers(table, np.array([2.0, 0.0]), np.array([3.0, 1.0]))
+
+    def test_skips_only_samples_in_certified_cells(self):
+        # points on the face two cells share, on the cube's upper face, one
+        # float below a cell boundary, and near the corner of a cube at -1
+        # with a tiny negative coordinate: P2 evaluates every sample but
+        # those that lie in a closed certified cell of their cube, and
+        # skips those inside the cell its index names
+        below = np.nextafter
+        for corner, certified, points, skips in [
+                # (0.125, 0.3) lies in the certified (0, 2), on its face
+                # with (1, 2)
+                ((0.0, 0.0), [(0, 0), (0, 2), (7, 3), (1, 5)],
+                 [(0.125, 0.3), (0.0625, 0.0625), (1.0, 0.4), (0.9, 1.0), (0.3, 0.7),
+                  (below(0.25, 0.0), 0.7), (0.25, 0.7), (below(0.125, 0.0), 0.0)],
+                 [(0.0625, 0.0625), (1.0, 0.4), (below(0.25, 0.0), 0.7),
+                  (below(0.125, 0.0), 0.0)]),
+                # the second point's (x_1 + 1) / (1/8) rounds to 7, but
+                # it lies in cell 6
+                ((-1.0, -1.0), [(7, 7), (6, 7), (7, 4)],
+                 [(-1e-300, -1e-300), (below(-0.125, -1.0), -0.5), (-0.125, -1e-300),
+                  (-0.2, -0.1), (-0.05, -0.5)],
+                 [(-1e-300, -1e-300), (-0.125, -1e-300), (-0.2, -0.1), (-0.05, -0.5)])]:
+            lo = np.array([corner])
+            cells = np.zeros((1, 8, 8), dtype=bool)
+            cells[0][tuple(np.array(certified).T)] = True
+            fn = _GridFunction(cells)
+            empty = np.zeros(2, dtype=np.intp)
+            zset = ZeroSetInCube(fn, BoxRows(lo, lo + 1.0, empty, empty[:0], empty,
+                                             empty[:0], np.zeros(1, dtype=bool)))
+            pts = np.array(points)
+            # each point a line of one sample, at offset 0 along x_1
+            hit = zset._sample(np.zeros(len(pts), dtype=np.intp), pts,
+                               np.zeros((len(pts), 1)), np.tile([1.0, 0.0], (len(pts), 1)))
+            assert not hit.any()
+            asked = {tuple(p) for X in fn.asked for p in X.tolist()}
+            skipped = [tuple(p) for p in pts.tolist() if tuple(p) not in asked]
+            assert skipped == [tuple(p) for p in skips]
+            for p in skipped:
+                # exactly: a certified cell [lo + j/8, lo + (j + 1)/8] holds it
+                x = [Fraction(v) - Fraction(c) for v, c in zip(p, corner)]
+                assert any(all(Fraction(j, 8) <= v <= Fraction(j + 1, 8) for v, j in zip(x, c))
+                           for c in certified), p
 
     def test_accepts_the_wide_branch_cube(self, ub5):
         node = ub5.level_nodes[-1]
