@@ -15,8 +15,6 @@ from .treeset import (
     GrowthParameters,
     TreeSpec,
     choose_s_k,
-    count_nonsparse,
-    is_sparse,
     parse_growth,
 )
 from .subfun import (
@@ -52,8 +50,6 @@ from .potential import (
     DiscreteMeasure,
     WosEstimate,
     check_claim1,
-    check_obs1,
-    energy,
     equilibrium,
     kernel,
     wos_harmonic_measure,

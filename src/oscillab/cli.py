@@ -209,8 +209,9 @@ def _read_json(path: Path):
 
 
 def _read_function(path: Path, run_d: int | None = None):
-    """The document ``build`` wrote to ``path``, with its f, d and k; with
-    ``run_d`` given, a function of another dimension is refused."""
+    """The document ``build`` wrote to ``path``, with its f, d and k; a d
+    that ``build --d`` does not take is refused, and with ``run_d`` given,
+    a function of another dimension."""
     doc = _read_json(path)
     try:
         f, d, k = doc["f"], doc["d"], doc["k"]
@@ -220,6 +221,11 @@ def _read_function(path: Path, run_d: int | None = None):
     if not (isinstance(f, str) and type(d) is int and type(k) is int):
         raise mainlemma.ConfigurationError(
             f"{path}: f must be a string, d and k integers")
+    choices = _CONFIG_OPTIONS["--d"]["choices"]
+    if d not in choices:
+        raise mainlemma.ConfigurationError(
+            f"{path} holds a d = {d} function; build makes d = "
+            f"{' or '.join(map(str, choices))} only")
     if run_d is not None and d != run_d:
         raise mainlemma.ConfigurationError(
             f"{path} holds a d = {d} function, the run has d = {run_d}")

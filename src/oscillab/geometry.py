@@ -39,21 +39,6 @@ class LatticeCube:
             raise InvalidRegionError(f"corner must be integer, got {self.corner!r}")
         object.__setattr__(self, "corner", tuple(int(c) for c in self.corner))
 
-    @property
-    def dimension(self) -> int:
-        return len(self.corner)
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.asarray(self.corner, dtype=float) + 0.5
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(self.corner, dtype=float)
-        return lo, lo + 1.0
-
-    def __str__(self):
-        return "x".join(f"[{c},{c + 1})" for c in self.corner)
-
 
 @dataclass(frozen=True)
 class DyadicCube:
@@ -73,20 +58,8 @@ class DyadicCube:
         object.__setattr__(self, "corner", tuple(int(c) for c in self.corner))
 
     @property
-    def dimension(self) -> int:
-        return len(self.corner)
-
-    @property
     def edge(self) -> int:
         return 1 << self.order
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.asarray(self.corner, dtype=float) + self.edge / 2.0
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(self.corner, dtype=float)
-        return lo, lo + float(self.edge)
 
     def contains_cube(self, cube: LatticeCube) -> bool:
         return all(

@@ -112,9 +112,6 @@ class RogueConfiguration:
     def rho_floor(self) -> float:
         return TWO_SQRT[self.d]
 
-    def e_array(self) -> np.ndarray:
-        return np.asarray(sorted(self.E), dtype=float) if self.E else np.zeros((0, self.d))
-
 
 # ---------------------------------------------------------------------------
 # Ball measures and the density radius
@@ -367,11 +364,6 @@ class RhoField:
         corners = np.argwhere(near).astype(float) - N // 2
         vals[near] = _rho_cubes(corners, config, grid)
         return cls(config, vals)
-
-    def of_corner(self, corner) -> float:
-        half = self.config.N // 2
-        idx = tuple(int(c) + half for c in corner)
-        return float(self.values[idx])
 
 
 # ---------------------------------------------------------------------------

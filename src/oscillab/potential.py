@@ -90,14 +90,6 @@ def _kernel_matrix(points: np.ndarray, d: int) -> np.ndarray:
     return kernel(dist, d)
 
 
-def energy(nu: DiscreteMeasure, d: int | None = None) -> float:
-    """Double-sum discrete energy with diagonal regularization."""
-    d = d or nu.points.shape[1]
-    pts, w = _merge_coincident(nu.points, nu.weights)
-    K = _kernel_matrix(pts, d)
-    return float(w @ K @ w)
-
-
 def _project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     u = np.sort(v)[::-1]
@@ -191,15 +183,10 @@ def _norms(q: np.ndarray) -> np.ndarray:
 
 
 class Shape:
-    """Compact set descriptor with exact or conservative distance queries."""
+    """Compact set descriptor with exact or conservative distance queries:
+    each shape defines ``distance(pts)`` and its bounding box ``bounds()``."""
 
     dimension: int
-
-    def distance(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def bounds(self):
-        raise NotImplementedError
 
     def intersects_boxes(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Per row i, whether the shape may meet the box [lo_i, hi_i]: its
@@ -364,8 +351,8 @@ def wos_harmonic_measure(x, shape: Shape | None, walks: int = 100_000,
     Each step jumps to a uniform point on the sphere of radius
     min(dist to outer boundary, dist to E); a walk absorbs on whichever
     boundary lies within the shell.  Per-walk randomness comes from a
-    single seeded generator consumed in fixed-size batches, so results do
-    not depend on thread count.
+    single seeded generator consumed in batches of ``batch`` walks, so the
+    same arguments give the same estimate, bit for bit.
     """
     if walks < 1:
         raise KernelDomainError(f"walks must be positive, got {walks}")
@@ -486,30 +473,3 @@ def check_claim1(family=None, walks: int = 30_000, seed: int = 11,
         rows.append(ClaimRow(label, lowc, upc, est.hit_probability,
                              est.standard_error, eq.energy))
     return rows
-
-
-@dataclass
-class Obs1Report:
-    u_center: float
-    sup_ball: float
-    omega: float
-    omega_se: float
-    lhs: float          # u(x0)
-    rhs: float          # sup * (1 - omega)
-
-    @property
-    def tight(self) -> bool:
-        return abs(self.lhs - self.rhs) <= 3 * self.omega_se * max(self.sup_ball, 1.0)
-
-
-def check_obs1(u_fn, x0, shape: Shape, sup_ball: float, walks: int = 100_000,
-               seed: int = 13) -> Obs1Report:
-    """The oscillation-increment inequality u(x0) <= sup * (1 - omega) for a
-    subharmonic function vanishing on the set; equality for the annulus
-    potential."""
-    x0 = np.asarray(x0, dtype=float)
-    est = wos_harmonic_measure(x0, shape, walks=walks, seed=seed)
-    val = float(u_fn(x0[None, :])[0])
-    rhs = sup_ball * (1.0 - est.hit_probability)
-    return Obs1Report(val, sup_ball, est.hit_probability, est.standard_error,
-                      val, rhs)

@@ -228,11 +228,6 @@ class TubeField:
         r = eps / 2.0 * math.sqrt(d - 1)
         self.box = np.minimum(self.a, self.b) - r, np.maximum(self.a, self.b) + r
 
-    @property
-    def anchor(self) -> np.ndarray:
-        g2 = 2.0 * g_threshold(self.eps, self.d)
-        return self.frame.from_local(np.array([[g2] + [0.0] * (self.d - 1)]))[0]
-
     def guard(self) -> GuardRegion:
         return GuardRegion(self.frame, self.eps, self.d, self.cut)
 
@@ -571,7 +566,7 @@ class TubeTable(FunctionNode):
 
     def anchored_tubes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's tube as the paper's segment from its anchor (local
-        x_1 = 2 g(eps), ``TubeField.anchor``) to its junction b, as the
+        x_1 = 2 g(eps)) to its junction b, as the
         arrays of the a and of the b ends.  They are rounded to 12 digits
         by Python's ``round``, as ``tree.json`` records them; that gives
         back the construction's dyadic points, which the anchor,
@@ -736,7 +731,8 @@ class TubeTable(FunctionNode):
         d = self.d
         sub = np.repeat(np.arange(box.size), count)
         f = rows[pair]
-        low, high = self._frame_ranges(f, lo[sub], edge[box][sub], mu)
+        half = edge[box][sub] / 2.0
+        low, high = self._frame_ranges(f, lo[sub] + half, half, mu)
         eps, cut, half = self.eps[f], self.cut[f], self.half[f]
         slope = PI * math.sqrt(d - 1) / eps
         top = slope * cut  # A, the largest argument of log_cosh
@@ -762,21 +758,21 @@ class TubeTable(FunctionNode):
         if g.size:
             owner = np.repeat(np.arange(pair.size), gcount)
             k, at = keeps[g], sub[owner]
-            low, high = self._frame_ranges(k, lo[at], edge[box][at], mu)
+            half = edge[box][at] / 2.0
+            low, high = self._frame_ranges(k, lo[at] + half, half, mu)
             wall = self.eps[k, None] / 3.0
             clear = ((high[:, 0] < g_threshold(self.eps[k], d)) | (low[:, 0] > self.cut[k])
                      | np.any((high[:, 1:] < -wall) | (low[:, 1:] > wall), axis=-1))
             ok[owner[~clear]] = False
         return np.bincount(sub[ok], minlength=box.size) > 0, alive
 
-    def _frame_ranges(self, rows, lo, edge, mu):
+    def _frame_ranges(self, rows, centre, half, pad):
         """Low and high ends (pairs, d) of the global-frame coordinates of
-        row rows[p] over the box [lo[p], lo[p] + edge[p]], widened by
-        mu."""
+        row rows[p] over the box of centre centre[p] and half extent
+        half[p], widened by pad."""
         frames = self.global_rows[rows]
-        half = edge / 2.0
-        proj = np.einsum("fji,fi->fj", frames, (lo + half) - self.tube_a[rows])
-        reach = (np.abs(frames) @ half[:, :, None])[:, :, 0] + mu
+        proj = np.einsum("fji,fi->fj", frames, centre - self.tube_a[rows])
+        reach = (np.abs(frames) @ half[:, :, None])[:, :, 0] + pad
         return proj - reach, proj + reach
 
     # -- evaluation --------------------------------------------------------
@@ -954,14 +950,11 @@ class TubeTable(FunctionNode):
         cand = (self._cell_fields[at] - self._first).astype(np.uint64)
         keep = (self._cell_box[at] <= bounds[box]).all(axis=1) & (cand < len(self))
         box, cand = box[keep], cand[keep].astype(np.intp)
-        rows = self.global_rows[cand]
-        proj = np.einsum("fji,fi->fj", rows, centre[box] - self.tube_a[cand])
-        reach = (np.abs(rows) @ extent[box, :, None])[:, :, 0]
-        reach += r + self._margin32
-        # the ranges proj -+ reach meet the support's: for j >= 1, |p| - r
-        # <= eps/2 is p - r <= eps/2 and -(p + r) <= eps/2, exactly
-        meets = ((proj + reach >= self._support_lo[cand]).all(axis=1)
-                 & (proj - reach <= self._support_hi[cand]).all(axis=1))
+        low, high = self._frame_ranges(cand, centre[box], extent[box], r + self._margin32)
+        # the ranges meet the support's: for j >= 1, |p| - r <= eps/2 is
+        # p - r <= eps/2 and -(p + r) <= eps/2, exactly
+        meets = ((high >= self._support_lo[cand]).all(axis=1)
+                 & (low <= self._support_hi[cand]).all(axis=1))
         return box[meets], cand[meets]
 
     def _pass(self, X, order, ptr, cptr, crows, slack, ts):

@@ -1,5 +1,5 @@
 """Tube-union tree sets: comparison functions, the construction
-parameters, the tree-set record, and the sparseness census.
+parameters and the tree-set record.
 
 The tree of rank k+1 lives in the box [0, 2**(k+1))^d.  It is the tube set
 of the function ``subfun.build_u`` builds there, read off that function
@@ -23,7 +23,7 @@ whole.  The tube geometry lives in the rows of the function's
 ``subfun.TubeTable``: the tube of a row of diameter eps is the set of
 points whose coordinates in the row's global frame (``global_rows``,
 measured from ``tube_a``) satisfy 2 g(eps) <= x_1 <= cut and |x_j| <
-eps/2 (square cross-section).  The sparseness census reads those arrays.
+eps/2 (square cross-section).
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import InvalidRegionError
-
-LOG2 = math.log(2.0)
 
 #: Leaf tube diameter; satisfies sqrt(d) * (2 eps_1)^(d-1) < 1/2 for d in {2, 3}.
 EPS1 = 0.125
@@ -288,6 +286,9 @@ class TreeSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "TreeSpec":
+        """The tree a ``tree.json`` text records, validated by ``check``.
+        No command reads a tree back; CI's ``cli-docs`` job reads every
+        ``tree.json`` the README's CLI block writes through it."""
         d = json.loads(text)
         tubes = d["tubes"]
         # a tube whose ends have another number of coordinates cannot take
@@ -341,196 +342,3 @@ def choose_s_k(params: GrowthParameters, k: int) -> tuple[int, float]:
 def delta_k(params: GrowthParameters, k: int) -> float:
     """Relative diameter of the handle joining subtrees at scale 2^k."""
     return float((params(2.0**k) / 2.0 ** (k * params.d)) ** (1.0 / (params.d - 1)))
-
-
-def sparseness_threshold(d: int, eps1: float = EPS1) -> float:
-    """A cube is sparse when the tube measure inside it stays below this."""
-    thr = math.sqrt(d) * (2.0 * eps1) ** (d - 1)
-    if thr >= 0.5:
-        raise ParameterRangeError(f"eps1={eps1} too large: threshold {thr:.3f} >= 1/2")
-    return thr
-
-
-# ---------------------------------------------------------------------------
-# Sparseness census
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SparsenessReport:
-    corner: tuple
-    measure_low: float
-    measure_high: float
-    estimate: float
-    status: str  # sparse | nonsparse | uncertain
-
-    @property
-    def sparse(self) -> bool:
-        return self.status == "sparse"
-
-
-def _anchored(table, rows):
-    """The anchored tubes of the given rows of a tube table, each in its
-    row's global frame: the frame rows, the anchor (local x_1 = 2 g(eps)),
-    the length cut - 2 g(eps) and the half width eps/2."""
-    from .subfun import g_threshold
-
-    g2 = 2.0 * g_threshold(table.eps[rows], table.d)
-    frames = table.global_rows[rows]
-    anchor = table.tube_a[rows] + g2[:, None] * frames[:, 0]
-    return frames, anchor, table.cut[rows] - g2, table.half[rows]
-
-
-def _local(tubes, pts):
-    """Coordinates (pairs, m, d) of the points (pairs, m, d) in the frame
-    of their pair's tube, x_1 measured from its anchor.  One matrix
-    product per pair, so that a point's coordinates are those of the same
-    product on its pair's points alone."""
-    frames, anchor, _length, _half = tubes
-    return (pts - anchor[:, None]) @ frames.transpose(0, 2, 1)
-
-
-def _inside(tubes, pts):
-    """(pairs, m): the point lies in its pair's tube (square cross-section)."""
-    _frames, _anchor, length, half = tubes
-    loc = _local(tubes, pts)
-    return ((loc[..., 0] >= 0.0) & (loc[..., 0] <= length[:, None])
-            & np.all(np.abs(loc[..., 1:]) < half[:, None, None], axis=-1))
-
-
-def _distance(tubes, pts):
-    """(pairs, m): Euclidean distance from the point to its pair's tube
-    (exact: a box in frame coordinates)."""
-    _frames, _anchor, length, half = tubes
-    loc = _local(tubes, pts)
-    dx = np.maximum(np.maximum(-loc[..., 0], loc[..., 0] - length[:, None]), 0.0)
-    dt = np.maximum(np.abs(loc[..., 1:]) - half[:, None, None], 0.0)
-    return np.sqrt(dx**2 + np.sum(dt**2, axis=-1))
-
-
-def _cells_vs_tubes(lo, hi, tubes, cand):
-    """Cells [lo[c], hi[c]] of one size against their candidate tubes
-    (cells, tubes): +1 when all of a cell's corners lie in one of them,
-    else 0 when some lie at distance at most its circumradius from its
-    centre, the survivors (cells, tubes), or -1 when none does."""
-    n, d = lo.shape
-    cell, tube = np.nonzero(cand)
-    pair = tuple(col[tube] for col in tubes)
-    # corner j takes hi along the axes of the set bits of j
-    bits = (np.arange(2**d)[:, None] >> np.arange(d)) & 1 == 1
-    corners = np.where(bits, hi[cell, None], lo[cell, None])
-    inside = np.bincount(cell, _inside(pair, corners).all(axis=1), minlength=n) > 0
-    circum = float(np.linalg.norm(hi[0] - lo[0]) / 2.0)
-    survivors = np.zeros_like(cand)
-    survivors[cell, tube] = _distance(pair, ((lo + hi) / 2.0)[cell, None])[:, 0] <= circum
-    return np.where(inside, 1, np.where(survivors.any(axis=1), 0, -1)), survivors
-
-
-def tube_measure_in_cube(cube_lo, cube_hi, table, depth_cap: int = 8,
-                         mc_samples: int = 100_000, seed: int = 2024):
-    """Bounds and an estimate for the Lebesgue measure of the box's
-    intersection with the union of the anchored tubes of a tube table's
-    rows, by adaptive dyadic subdivision with a fixed-seed Monte-Carlo
-    sweep over the cells still cut by tube boundaries at the depth cap.
-
-    The subdivision runs one level at a time, each cell tested against
-    the tubes that survived in its parent.  The children of a cell are
-    laid out last to first, so that every level lists its cells in the
-    order of a depth-first walk that stacks the children first to last;
-    the draws are made in that order.
-    """
-    cube_lo = np.asarray(cube_lo, dtype=float)
-    cube_hi = np.asarray(cube_hi, dtype=float)
-    d = len(cube_lo)
-    rows = table.box_rows(cube_lo, cube_hi).near
-    tubes = _anchored(table, rows)
-    bits = np.array(list(np.ndindex(*(2,) * d))[::-1], dtype=bool)
-    lo, hi = cube_lo[None], cube_hi[None]
-    state, cand = _cells_vs_tubes(lo, hi, tubes, np.ones((1, rows.size), dtype=bool))
-    inside_vol = float(np.prod(cube_hi - cube_lo)) if state[0] == 1 else 0.0
-    for _level in range(depth_cap):
-        live = state == 0
-        if not live.any():
-            break
-        lo, hi, cand = lo[live], hi[live], cand[live]
-        mid = (lo + hi) / 2.0
-        lo = np.where(bits, mid[:, None], lo[:, None]).reshape(-1, d)
-        hi = np.where(bits, hi[:, None], mid[:, None]).reshape(-1, d)
-        state, cand = _cells_vs_tubes(lo, hi, tubes, np.repeat(cand, 2**d, axis=0))
-        inside_vol += float(np.prod(hi[0] - lo[0])) * int(np.count_nonzero(state == 1))
-    live = state == 0
-    lo, hi, cand = lo[live], hi[live], cand[live]
-    if not len(lo):
-        return inside_vol, inside_vol, inside_vol, 0.0
-    unresolved_vol = float(np.prod(hi[0] - lo[0])) * len(lo)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed] + [int(v * 16) & 0xFFFF for v in cube_lo])
-    )
-    per_cell = max(16, mc_samples // len(lo))
-    pts = rng.uniform(lo[:, None], hi[:, None], size=(len(lo), per_cell, d))
-    # every unresolved cell has a candidate, so each starts a run of pairs
-    cell, tube = np.nonzero(cand)
-    inside = _inside(tuple(col[tube] for col in tubes), pts[cell])
-    first = np.searchsorted(cell, np.arange(len(lo)))
-    hits = int(np.count_nonzero(np.logical_or.reduceat(inside, first)))
-    total = per_cell * len(lo)
-    frac = hits / total
-    est = inside_vol + frac * unresolved_vol
-    se = unresolved_vol * math.sqrt(max(frac * (1 - frac), 1e-12) / total)
-    return inside_vol, inside_vol + unresolved_vol, est, se
-
-
-def is_sparse(cube_corner, table, depth_cap: int = 8, mc_samples: int = 100_000,
-              seed: int = 2024) -> SparsenessReport:
-    """Classify a basic cube against the sparseness threshold of the
-    anchored tubes of a tube table's rows.
-
-    Near-threshold cubes whose quadrature cannot separate the measure from
-    the threshold are flagged uncertain, never silently classified.
-    """
-    corner = tuple(int(c) for c in cube_corner)
-    lo = np.asarray(corner, dtype=float)
-    thr = sparseness_threshold(table.d)
-    low, high, est, se = tube_measure_in_cube(lo, lo + 1.0, table, depth_cap, mc_samples, seed)
-    if high < thr:
-        status = "sparse"
-    elif low >= thr:
-        status = "nonsparse"
-    elif se > 0 and est + 3 * se < thr:
-        status = "sparse"
-    elif se > 0 and est - 3 * se >= thr:
-        status = "nonsparse"
-    else:
-        status = "uncertain"
-    return SparsenessReport(corner, low, high, est, status)
-
-
-def count_nonsparse(params: GrowthParameters, k: int, build,
-                    depth_cap: int = 6, mc_samples: int = 4096, seed: int = 2024):
-    """Exact census of the basic cubes of [0, 2^k)^d in which the tree of
-    the function ``build`` (a ``subfun.UBuild`` of rank at least k+1) is not
-    sparse.  Uncertain cubes count as non-sparse (conservative).
-
-    Returns (count, ratio to f(2^k), uncertain count, reports, whether every
-    cube meets a tube).
-    """
-    if build.k < k + 1:
-        raise ParameterRangeError(f"tree rank {build.k} below required {k + 1}")
-    d = params.d
-    # the tree set: every row but row 0, the outgoing handle (UBuild.tree)
-    table = build.node.span(1, len(build.node))
-    count = 0
-    uncertain = 0
-    reports = []
-    every_cube_touched = True
-    for corner in np.ndindex(*(2**k,) * d):
-        rep = is_sparse(corner, table, depth_cap, mc_samples, seed)
-        reports.append(rep)
-        if rep.status != "sparse":
-            count += 1
-        if rep.status == "uncertain":
-            uncertain += 1
-        if rep.measure_high <= 0.0:
-            every_cube_touched = False
-    ratio = count / float(params(2.0**k))
-    return count, ratio, uncertain, reports, every_cube_touched

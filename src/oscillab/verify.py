@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeCube, enumerate_basic_cubes
-from .subfun import TILE, BoxRows, TubeTable, _distinct
+from .subfun import BoxRows, TubeTable, _distinct
 from .treeset import GrowthParameters
 
 EPS_D_DEFAULT = 0.25
@@ -59,11 +59,6 @@ class GridField:
         pts = np.column_stack([m.ravel() for m in mesh])
         vals = fn(pts)
         return cls(origin, h, np.asarray(vals, dtype=float).reshape(shape))
-
-    def points(self) -> np.ndarray:
-        axes = [self.origin[i] + self.h * np.arange(n) for i, n in enumerate(self.values.shape)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
 
 
 @dataclass
@@ -373,15 +368,10 @@ class ZeroSetInCube:
         spanning the box along the direction (sampling misses only
         undercount).  Every LINE_COARSE-th sample of every line is taken
         first, then the others on the lines with no zero point yet: a line
-        is hit when any of its samples is zero, in either order.
-
-        Each stage evaluates one batch per class of box corners modulo
-        TILE, SAMPLE_BATCH samples at most.  The boxes of a class are TILE
-        apart and the batch holds its least corner (evaluated, and its
-        value dropped), at which the table anchors its TILE grid
-        (``TubeTable._tiles``): each box's samples are a tile of their own,
-        with the box's own candidate rows, as in a call per box."""
-        d = self.dimension
+        is hit when any of its samples is zero, in either order.  Each
+        stage evaluates its lines in batches of SAMPLE_BATCH samples at
+        most; a sample's zero test does not depend on the samples
+        evaluated with it."""
         lo, hi = self._lo[at], self._hi[at]
         # stacked products, each the one a call on its box alone makes
         span_lo = (lo[:, None, :] @ direction[:, :, None])[:, 0, 0]
@@ -390,18 +380,15 @@ class ZeroSetInCube:
         along = (origins @ direction[:, :, None])[:, :, 0]
         steps = np.arange(LINE_STEPS)
         coarse = steps % LINE_COARSE == 0
-        corner = np.floor(lo).astype(np.int64) % int(TILE)
-        classes, cls = _distinct(corner @ int(TILE) ** np.arange(d))
         hit = np.zeros(along.shape, dtype=bool)
         for samples in (steps[coarse], steps[~coarse]):
-            for c in range(classes.size):
-                p, line = np.nonzero((cls == c)[:, None] & ~hit)
-                step = max(1, SAMPLE_BATCH // samples.size)
-                for i in range(0, p.size, step):
-                    q, j = p[i:i + step], line[i:i + step]
-                    hit[q, j] = self._sample(at[q], origins[q, j],
-                                             ts[q[:, None], samples] - along[q, j, None],
-                                             direction[q])
+            p, line = np.nonzero(~hit)
+            step = max(1, SAMPLE_BATCH // samples.size)
+            for i in range(0, p.size, step):
+                q, j = p[i:i + step], line[i:i + step]
+                hit[q, j] = self._sample(at[q], origins[q, j],
+                                         ts[q[:, None], samples] - along[q, j, None],
+                                         direction[q])
         return hit
 
     def _sample(self, box, origins, offs, direction) -> np.ndarray:
@@ -420,9 +407,9 @@ class ZeroSetInCube:
         ask = inside & ~zero
         ask &= ~self._certified(box, pts)
         if ask.any():
-            X = np.vstack([pts[ask], lo[ask.any(axis=1)].min(axis=0)])
+            X = pts[ask]
             del pts
-            zero[ask] = ~np.isfinite(self.fn.eval_log(X)[:-1])
+            zero[ask] = ~np.isfinite(self.fn.eval_log(X))
         return zero.any(axis=1)
 
     def _certified(self, box, pts) -> np.ndarray:

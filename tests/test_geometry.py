@@ -55,8 +55,8 @@ class TestDyadicCube:
     def test_same_order_disjoint_or_equal(self):
         a = DyadicCube(1, (0, 0))
         b = DyadicCube(1, (2, 0))
-        cubes_a = {c.corner for c in enumerate_basic_cubes(*a.bounds())}
-        cubes_b = {c.corner for c in enumerate_basic_cubes(*b.bounds())}
+        cubes_a = {c.corner for c in enumerate_basic_cubes(a.corner, np.add(a.corner, a.edge))}
+        cubes_b = {c.corner for c in enumerate_basic_cubes(b.corner, np.add(b.corner, b.edge))}
         assert cubes_a.isdisjoint(cubes_b)
 
 

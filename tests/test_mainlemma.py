@@ -109,7 +109,7 @@ def _scalar_rho_values(config):
     vals = np.full((N,) * d, config.rho_floor)
     if not config.E:
         return vals
-    e_pts = config.e_array()
+    e_pts = np.asarray(sorted(config.E), dtype=float)
     offsets = np.array(np.meshgrid(*[[1 / 6, 1 / 2, 5 / 6]] * d,
                                    indexing="ij")).reshape(d, -1).T
     for idx in np.ndindex(*(N,) * d):
@@ -269,7 +269,8 @@ class TestComputeR:
     def test_far_rogue_cube_keeps_floor(self):
         cfg = RogueConfiguration(32, 2, {(14, 14)}, c0=0.5)
         rho = RhoField.compute(cfg)
-        assert rho.of_corner((-10, -10)) == cfg.rho_floor
+        # the cube at corner (-10, -10), N // 2 = 16 from the array's origin
+        assert rho.values[6, 6] == cfg.rho_floor
 
 
 class TestBatchedDensityRadius:
@@ -301,7 +302,7 @@ class TestBatchedDensityRadius:
     def test_measure_bitwise(self, d):
         rng = np.random.default_rng(7 + d)
         config = RogueConfiguration.random(16, d, 12 * d**2, seed=d, c0=0.5)
-        e_pts = config.e_array()
+        e_pts = np.asarray(sorted(config.E), dtype=float)
         grid = _rogue_grid(config)
         x = rng.uniform(-8.0, 8.0, size=(40, d))
         # and radii whose square or d-th power numpy rounds unlike Python
@@ -316,7 +317,7 @@ class TestBatchedDensityRadius:
     def test_t_cap_flag(self):
         config = RogueConfiguration(32, 2, _block(-6, 6, 2), c0=0.2)
         x = np.array([[0.5, 0.5], [-5.5, 0.5], [12.5, 12.5]])
-        e_pts = config.e_array()
+        e_pts = np.asarray(sorted(config.E), dtype=float)
         r, flagged = _density_radii(x, config, _rogue_grid(config), t_cap=4.0)
         want = [_scalar_compute_r(p, config, e_pts, t_cap=4.0) for p in x]
         assert list(zip(r.tolist(), flagged.tolist())) == want
@@ -332,7 +333,7 @@ class TestBatchedDensityRadius:
             assert compute_r(p, config) == (rp, fp)
         rho = RhoField.compute(config)
         for corner in ((-2, -2), (0, 0), (5, -6), (-8, 7)):
-            assert rho_cube(corner, config) == rho.of_corner(corner)
+            assert rho_cube(corner, config) == rho.values[tuple(c + 8 for c in corner)]
 
 
 class TestRingMax:

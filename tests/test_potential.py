@@ -14,15 +14,25 @@ from oscillab.potential import (
     Shape,
     SphereShape,
     WosEstimate,
+    _kernel_matrix,
+    _merge_coincident,
     annulus_exact,
     check_claim1,
-    check_obs1,
     default_claim_family,
-    energy,
     equilibrium,
     kernel,
     wos_harmonic_measure,
 )
+from test_acceptance import check_obs1
+
+
+def energy(nu: DiscreteMeasure, d: int | None = None) -> float:
+    """Double-sum discrete energy with diagonal regularization: the
+    quantity ``equilibrium`` maximizes, on any weights."""
+    d = d or nu.points.shape[1]
+    pts, w = _merge_coincident(nu.points, nu.weights)
+    K = _kernel_matrix(pts, d)
+    return float(w @ K @ w)
 
 
 # Frozen copies of the per-origin line_hits, the masked walk-on-spheres

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frozen_tubes import FieldRows, FrozenTube, cube_measure, junction_branch, tubes_of
+from frozen_tubes import FrozenTube
 from oscillab.subfun import build_tau, build_u
 from oscillab.treeset import (
     EPS1,
@@ -16,17 +16,10 @@ from oscillab.treeset import (
     GrowthValidationError,
     ParameterRangeError,
     TreeSpec,
-    _anchored,
-    _distance,
-    _inside,
     choose_s_k,
     complete_frame,
-    count_nonsparse,
     delta_k,
-    is_sparse,
     parse_growth,
-    sparseness_threshold,
-    tube_measure_in_cube,
 )
 
 
@@ -49,23 +42,6 @@ def outer_subtree(a, k):
     table = tau.node
     tree = TreeSpec(2, k + 1, *table.anchored_tubes(), table.eps, table.generation, table.tag)
     return tree, tau.schedule
-
-
-def tube_table(a, b, diameter):
-    """A one-row tube table whose anchored tube is the tube of the given
-    diameter around [a, b]."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    rows = FieldRows(len(a))
-    rows.add(junction_branch(a, b - a, diameter, len(a), 0.0, float(np.linalg.norm(b - a))))
-    return rows.table()
-
-
-def row_test(table, pts):
-    """``_inside`` and ``_distance`` of the points against the anchored
-    tube of the table's single row."""
-    tubes = _anchored(table, np.array([0]))
-    pts = np.asarray(pts, dtype=float)[None]
-    return _inside(tubes, pts)[0], _distance(tubes, pts)[0]
 
 
 def dumped(tree):
@@ -281,16 +257,26 @@ class TestTubeGeometry:
         assert np.allclose(f @ f.T, np.eye(3), atol=1e-12)
 
     def test_contains_matches_definition(self):
-        table = tube_table([0.0, 0.0], [2.0, 0.0], 0.5)
+        tube = FrozenTube([0.0, 0.0], [2.0, 0.0], 0.5)
         pts = np.array([[1.0, 0.2], [1.0, 0.3], [-0.1, 0.0], [2.1, 0.0], [0.0, 0.0]])
-        inside, _dist = row_test(table, pts)
-        assert list(inside) == [True, False, False, False, True]
+        assert list(tube.contains(pts)) == [True, False, False, False, True]
+        assert list(tube.distance(pts) == 0.0) == [True, False, False, False, True]
 
     def test_distance_exact_for_axis_tube(self):
-        table = tube_table([0.0, 0.0], [1.0, 0.0], 1.0)
+        tube = FrozenTube([0.0, 0.0], [1.0, 0.0], 1.0)
         pts = np.array([[0.5, 1.5], [2.0, 0.0], [-1.0, 0.5]])
-        _inside, dist = row_test(table, pts)
-        assert np.allclose(dist, [1.0, 1.0, 1.0])
+        assert np.allclose(tube.distance(pts), [1.0, 1.0, 1.0])
+
+
+class TestSparseness:
+    def test_threshold_below_half(self):
+        # the paper's sparseness threshold sqrt(d) (2 eps_1)^(d-1) at the
+        # leaf diameter eps_1
+        def threshold(d):
+            return math.sqrt(d) * (2.0 * EPS1) ** (d - 1)
+
+        assert threshold(2) == pytest.approx(math.sqrt(2) / 4)
+        assert threshold(3) < 0.5
 
 
 #: coordinates at the edges of the float range and of numpy's tolerances
@@ -403,52 +389,3 @@ class TestTreeWriter:
         assert fp.getvalue() == ""
         with pytest.raises(ParameterRangeError):
             TreeSpec.from_json(json_dumped(tree))
-
-
-class TestSparseness:
-    def test_threshold_below_half(self):
-        assert sparseness_threshold(2) == pytest.approx(math.sqrt(2) / 4)
-        assert sparseness_threshold(3) < 0.5
-
-    def test_single_leaf_tube_sparse_with_mc_crosscheck(self):
-        # One leaf tube through the cube: measure far below the threshold.
-        table = tube_table([0.5, 0.5], [1.5, 1.5], EPS1)
-        rep = is_sparse((0, 0), table)
-        assert rep.status == "sparse"
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(0.0, 1.0, size=(1_000_000, 2))
-        mc = float(np.mean(FrozenTube([0.5, 0.5], [1.5, 1.5], EPS1).contains(pts)))
-        assert rep.measure_low - 3e-3 <= mc <= rep.measure_high + 3e-3
-        assert rep.estimate == pytest.approx(mc, abs=2e-3)
-
-    def test_cube_inside_wide_branch(self):
-        rep = is_sparse((0, 0), tube_table([-1.0, 0.5], [4.0, 0.5], 3.0))
-        assert rep.status == "nonsparse"
-        assert rep.measure_low == pytest.approx(1.0)
-
-    def test_cube_disjoint_from_tubes(self):
-        rep = is_sparse((0, 0), tube_table([5.0, 5.0], [6.0, 6.0], 0.125))
-        assert rep.status == "sparse"
-        assert rep.measure_high == 0.0
-
-    def test_measure_bounds_ordering(self):
-        table = tube_table([0.2, 0.3], [0.9, 0.8], 0.25)
-        low, high, est, se = tube_measure_in_cube((0, 0), (1, 1), table, depth_cap=5)
-        assert low <= est <= high
-        assert 0 <= low and high <= 1.0
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_brackets_hold_frozen_estimates(self, k):
-        # the census on the table's rows against the frozen census on the
-        # tubes tree.json records: the two frames and anchors differ
-        # by rounding alone, which decides only cell corners lying exactly
-        # on a tube face or end, so each bracket holds the other's estimate
-        g = growth(1.5)
-        build = build_u(g, k + 1, check_guards=False)
-        tree = build.tree()
-        tubes = tubes_of(tree.a, tree.b, tree.diameter)
-        _count, _ratio, _unc, reports, _touched = count_nonsparse(g, k, build)
-        for rep in reports:
-            low, high, est, _se = cube_measure(rep.corner, tubes, 6, 4096)
-            assert rep.measure_low <= est <= rep.measure_high
-            assert low <= rep.estimate <= high

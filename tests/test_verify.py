@@ -13,12 +13,13 @@ from oscillab.cli import main
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import CellUnionShape, SegmentShape, SphereShape, default_claim_family
 from oscillab.mainlemma import RogueConfiguration
-from oscillab.subfun import (TILE_PAIRS, BoxRows, Frame, TableBuilder, TubeField, TubeTable,
+from oscillab.subfun import (BoxRows, Frame, TableBuilder, TubeField, TubeTable,
                              build_u, eval_T)
 from oscillab.treeset import GrowthParameters, complete_frame
 from oscillab.verify import (
     LINE_COARSE,
     LINE_STEPS,
+    SAMPLE_BATCH,
     EmptyDomainError,
     GridField,
     ZeroSetInCube,
@@ -281,7 +282,7 @@ class TestContent:
         # projection lower bound never exceeds the dyadic cover upper bound
         a, b = np.array([0.1, 0.2]), np.array([0.9, 0.7])
         table = segment_table(a, b, 0.125)
-        z = _ZeroSetCells(table, table.box_rows(*LatticeCube((0, 0)).bounds()))
+        z = _ZeroSetCells(table, table.box_rows((0.0, 0.0), (1.0, 1.0)))
         assert not z._whole[0]
         low = content_lower_projection(z, complete_frame(b - a)[0], 128)
         up = content_upper(z, 5, box=((0.0, 0.0), (1.0, 1.0)))
@@ -293,7 +294,7 @@ class TestContent:
         # the complement of a diameter-1/8 tube inside a unit cube projects
         # along the tube axis to measure at least 3/4
         table = segment_table([-0.5, 0.5], [1.5, 0.5], 0.125)
-        z = ZeroSetInCube(table, table.box_rows(*LatticeCube((0, 0)).bounds()))
+        z = ZeroSetInCube(table, table.box_rows((0.0, 0.0), (1.0, 1.0)))
         assert not z._whole[0]
         val = content_lower_projection(z, np.array([1.0, 0.0]), 256)
         assert val >= 0.75
@@ -310,7 +311,7 @@ class TestClassification:
         # a cube strictly inside the level-5 handle tube has empty zero set
         node = ub5.level_nodes[-1]
         handle = node.field(0)  # the level's keep row
-        mid = handle.anchor + 3.0 * handle.frame.rows[0]
+        mid = node.anchored_tubes()[0][0] + 3.0 * handle.frame.rows[0]
         corner = tuple(int(math.floor(v)) for v in mid)
         rep = classify_cube(node, LatticeCube(corner))
         assert rep.classification == "rogue"
@@ -448,37 +449,42 @@ class TestBoxRows:
                      "--out", str(tmp_path)]) == 0
         assert lookups == [1]
 
-    def test_one_tile_per_cube_in_p2(self, ub5, monkeypatch):
-        # every batch of P2 samples that the table splits holds each
-        # cube's samples as a tile of its own
+    def test_one_batch_per_stage_in_p2(self, ub5, monkeypatch):
+        # each stage of a P2 axis round takes the lines of all its cubes
+        # SAMPLE_BATCH samples at a time: every batch but the stage's last
+        # is full, and a batch makes one eval_log call at most
         table = ub5.level_nodes[4]
-        sampling, batches = [False], []
-        sample, tiles = ZeroSetInCube._sample, TubeTable._tiles
+        rounds, calls = [], [0]
+        hits, sample, eval_log = ZeroSetInCube.hits, ZeroSetInCube._sample, TubeTable.eval_log
 
-        def sampled(self, *args):
-            sampling[0] = True
-            try:
-                return sample(self, *args)
-            finally:
-                sampling[0] = False
+        def round_(self, *args):
+            rounds.append([])
+            return hits(self, *args)
 
-        def tiled(self, X):
-            out = tiles(self, X)
-            if sampling[0] and len(X) * len(self) > TILE_PAIRS:
-                batches.append(out)
+        def sampled(self, box, origins, offs, direction):
+            before = calls[0]
+            out = sample(self, box, origins, offs, direction)
+            rounds[-1].append((len(box), offs.shape[1], calls[0] - before))
             return out
 
+        def counted(self, X):
+            calls[0] += 1
+            return eval_log(self, X)
+
+        monkeypatch.setattr(ZeroSetInCube, "hits", round_)
         monkeypatch.setattr(ZeroSetInCube, "_sample", sampled)
-        monkeypatch.setattr(TubeTable, "_tiles", tiled)
+        monkeypatch.setattr(TubeTable, "eval_log", counted)
         res = rogue_census(table, (0, 0), (16, 16), ub5.params)
         assert res.total == 256
-        count = 0
-        for _order, ptr, lo, hi in batches:
-            cube = np.floor(lo)
-            assert np.all(hi <= cube + 1.0)
-            assert len({tuple(c) for c in cube.tolist()}) == len(ptr) - 1
-            count += len(ptr) - 1
-        assert len(batches) > 50 and count > 300
+        split = 0
+        for batches in rounds:
+            assert all(evaluated <= 1 for _lines, _samples, evaluated in batches)
+            for samples in {s for _lines, s, _e in batches}:
+                lines = [n for n, s, _e in batches if s == samples]
+                full = SAMPLE_BATCH // samples
+                assert all(n == full for n in lines[:-1]) and 0 < lines[-1] <= full
+                split += len(lines) > 1
+        assert split > 0
 
     @pytest.mark.parametrize("level, lo, hi", [
         (3, (0, 0), (16, 16)), (4, (-8, -8), (8, 8)), (4, (0, 0), (32, 32)),
@@ -587,8 +593,7 @@ class _Sampled:
 
 class _GridFunction:
     """A function with the given ``covers`` grid, one everywhere, that
-    keeps the points it evaluates, but the last of each batch (the anchor
-    of its tiles)."""
+    keeps the points it evaluates."""
 
     def __init__(self, cells):
         self.cells, self.asked = cells, []
@@ -597,7 +602,7 @@ class _GridFunction:
         return self.cells
 
     def eval_log(self, X):
-        self.asked.append(X[:-1].copy())
+        self.asked.append(X.copy())
         return np.zeros(len(X))
 
 
@@ -660,7 +665,8 @@ class TestVanishes:
         vanishing = 0
         for corner in np.ndindex(*(N,) * d):
             cube = LatticeCube(tuple(int(c) - N // 2 for c in corner))
-            box = u.box_rows(*cube.bounds())
+            lo = np.asarray(cube.corner, dtype=float)
+            box = u.box_rows(lo, lo + 1.0)
             if not box.vanishes[0]:
                 continue
             vanishing += 1
@@ -838,6 +844,6 @@ class TestCovers:
     def test_accepts_the_wide_branch_cube(self, ub5):
         node = ub5.level_nodes[-1]
         handle = node.field(0)
-        mid = handle.anchor + 3.0 * handle.frame.rows[0]
-        cube = LatticeCube(tuple(int(math.floor(v)) for v in mid))
-        assert _covers(node, *cube.bounds())
+        mid = node.anchored_tubes()[0][0] + 3.0 * handle.frame.rows[0]
+        lo = np.floor(mid)
+        assert _covers(node, lo, lo + 1.0)
