@@ -366,14 +366,24 @@ def _parse_e_spec(spec: str, cfg: RunConfig, load) -> mainlemma.RogueConfigurati
 
 
 def cmd_lemma(cfg: RunConfig, e_spec: str, function_path: Path | None = None) -> int:
+    # the density radii are N^d float64 cells; numpy allocates no array
+    # past its index range, whatever the host's memory
+    grid = f"the lemma's {cfg.N}^{cfg.d} grid of --N {cfg.N}"
+    if cfg.N >= 4 and cfg.N**cfg.d > np.iinfo(np.intp).max // 8:
+        raise mainlemma.ConfigurationError(f"{grid} is more than numpy can address")
     # --E function:F and --function F may name one file: it is built once
     load = functools.cache(lambda path: _load_function(path, cfg.d)[1])
-    config = _parse_e_spec(e_spec, cfg, load)
-    if function_path is not None:
-        ub = load(function_path)
-    rho = mainlemma.RhoField.compute(config)
-    cover = mainlemma.build_cover(config, rho)
-    result = mainlemma.kappa_chains(config, rho, cover)
+    try:
+        config = _parse_e_spec(e_spec, cfg, load)
+        ub = None if function_path is None else load(function_path)
+        rho = mainlemma.RhoField.compute(config)
+        cover = mainlemma.build_cover(config, rho)
+        result = mainlemma.kappa_chains(config, rho, cover)
+        contraction = (None if ub is None
+                       else mainlemma.chain_contraction(ub.node, config, result))
+    except MemoryError as exc:
+        raise mainlemma.ConfigurationError(
+            f"{grid} does not fit in this host's memory ({exc})") from exc
     ch = result.checks
     # with k_max = 0 there are no layers: the layer checks and the phi
     # search ran on nothing, so they are flagged rather than passed
@@ -396,12 +406,11 @@ def cmd_lemma(cfg: RunConfig, e_spec: str, function_path: Path | None = None) ->
               zip(("|".join(str(v) for v in c) for c in result.corners.tolist()),
                   result.layers.sum(axis=0).tolist(), result.kappas.sum(axis=0).tolist(),
                   result.b_value.tolist()))
-    if function_path is not None:
-        rows = mainlemma.chain_contraction(ub.node, config, result)
+    if contraction is not None:
         write_csv(cfg.out / "contraction.csv",
                   ["corner", "n_kappa", "log_ratio"],
                   [("|".join(str(v) for v in r.corner), r.kappa_count,
-                    r.log_ratio) for r in rows])
+                    r.log_ratio) for r in contraction])
     return _emit(cfg.out, "lemma", checks)
 
 
@@ -464,6 +473,10 @@ def cmd_report(cfg: RunConfig) -> int:
                 raise mainlemma.ConfigurationError(f'{p}: "passed" must be true or false')
             merged[name] = doc
             ok = ok and doc["passed"]
+    if not merged:
+        raise mainlemma.ConfigurationError(
+            f"{cfg.out} holds no tool report (verify.json, growth.json, lemma.json "
+            "or potential.json) to aggregate")
     write_json(cfg.out / "report.json", {"tools": merged, "passed": ok})
     print(f"aggregated {len(merged)} tool reports -> {cfg.out / 'report.json'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

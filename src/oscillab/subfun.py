@@ -42,8 +42,9 @@ from .treeset import (
     GrowthParameters,
     ParameterRangeError,
     TreeSpec,
+    _distinct,
+    _run_heads,
     choose_s_k,
-    complete_frame,
     delta_k,
     round12,
 )
@@ -155,51 +156,8 @@ def eval_T(eps: float, x, d: int | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Frames, regions, nodes
+# Tube table
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Frame:
-    """Orthonormal frame: local = rows @ (x - origin)."""
-
-    rows: np.ndarray
-    origin: np.ndarray
-
-    @classmethod
-    def along(cls, origin, direction) -> "Frame":
-        return cls(complete_frame(np.asarray(direction, dtype=float)),
-                   np.asarray(origin, dtype=float))
-
-    def to_local(self, X: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(X) - self.origin) @ self.rows.T
-
-    def from_local(self, L: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(L) @ self.rows + self.origin
-
-
-@dataclass
-class GuardRegion:
-    """Anchored one-sided copy of G_eps along a tube frame: the set
-    {g <= x_1 <= x1_max, |x_j| <= eps/3} in the frame's coordinates."""
-
-    frame: Frame
-    eps: float
-    d: int
-    x1_max: float
-
-    @property
-    def g(self) -> float:
-        return g_threshold(self.eps, self.d)
-
-    def contains(self, X: np.ndarray) -> np.ndarray:
-        loc = self.frame.to_local(X)
-        return (
-            (loc[:, 0] >= self.g)
-            & (loc[:, 0] <= self.x1_max)
-            & np.all(np.abs(loc[:, 1:]) <= self.eps / 3.0, axis=1)
-        )
-
 
 
 class FunctionNode:
@@ -208,33 +166,6 @@ class FunctionNode:
     methods it times through ``_subclasses(subfun.FunctionNode)``; nothing
     else needs it."""
 
-
-class TubeField:
-    """One row of a tube table: the branch profile exp(log_amp) L_eps in
-    the frame's coordinates, with support truncated at local x_1 = cut."""
-
-    def __init__(self, frame: Frame, eps: float, d: int, log_amp: float,
-                 cut: float, tag: str = "branch", generation: int = 0):
-        self.frame = frame
-        self.eps = eps
-        self.d = d
-        self.log_amp = float(log_amp)
-        self.cut = float(cut)
-        self.tag = tag
-        self.generation = generation
-        self.a = np.asarray(frame.origin, dtype=float)
-        self.b = frame.from_local(np.array([[self.cut] + [0.0] * (d - 1)]))[0]
-        # axis-aligned bounding box of the tube around [a, b]
-        r = eps / 2.0 * math.sqrt(d - 1)
-        self.box = np.minimum(self.a, self.b) - r, np.maximum(self.a, self.b) + r
-
-    def guard(self) -> GuardRegion:
-        return GuardRegion(self.frame, self.eps, self.d, self.cut)
-
-
-# ---------------------------------------------------------------------------
-# Tube table
-# ---------------------------------------------------------------------------
 
 #: edge of the axis-aligned tiles a spread-out batch is split into; tubes are
 #: found per tile, so a batch over a large box never meets every tube at once
@@ -288,10 +219,10 @@ def _frame_coords(D, rows):
 
     Each sum is the chain acc = D[0] r0, acc = fma(D[i], r_i, acc) that a
     matrix product computes on fused multiply-add hardware, so the values
-    match ``Frame.to_local`` there.  It is evaluated elementwise (Dekker's
-    exact product plus Knuth's two-sum, rounded once up to a final rounding
-    of the tiny error terms), so a point's coordinates do not depend on the
-    batch it arrives in."""
+    match ``(X - origin) @ rows.T`` there.  It is evaluated elementwise
+    (Dekker's exact product plus Knuth's two-sum, rounded once up to a
+    final rounding of the tiny error terms), so a point's coordinates do
+    not depend on the batch it arrives in."""
     d = len(D)
     halves = [_split(Di) for Di in D[1:]]
     out = []
@@ -321,25 +252,6 @@ def _frame_coords(D, rows):
             acc = s
         out.append(acc)
     return out
-
-
-def _distinct(a):
-    """Sorted distinct values of an integer array and each entry's index
-    among them (np.unique would import numpy.ma, a megabyte of memory)."""
-    order = np.argsort(a, kind="stable")
-    new = _run_heads(a[order])
-    where = np.empty(a.size, dtype=np.intp)
-    where[order] = np.cumsum(new) - 1
-    return a[order][new], where
-
-
-def _run_heads(a):
-    """Which entries of a differ from the one before them (the first
-    always does): the heads of its runs of equal values."""
-    head = np.empty(a.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(a[1:], a[:-1], out=head[1:])
-    return head
 
 
 def _ranges(start, count):
@@ -557,12 +469,6 @@ class TubeTable(FunctionNode):
         stop = (keep + 1 if at.size == 0
                 else int(np.searchsorted(ptr, ptr[0] + at[-1], side="right")))
         return self.span(keep, stop)
-
-    def field(self, i: int) -> TubeField:
-        """Row i as a TubeField, in the coordinates of its chain."""
-        return TubeField(Frame(self.rows[i], self.origin[i]), float(self.eps[i]), self.d,
-                         float(self.log_amp[i]), float(self.cut[i]), str(self.tag[i]),
-                         int(self.generation[i]))
 
     def anchored_tubes(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's tube as the paper's segment from its anchor (local
@@ -1199,10 +1105,13 @@ def _dots(a, b):
 
 
 def _frames(axis):
-    """``complete_frame`` of every row of ``axis`` (n, d), as (n, d, d):
-    the row normalized, then the standard basis vectors in order, each
-    less its projections on the rows found so far and normalized, unless
-    under 1e-9 long, until d rows are found."""
+    """An orthonormal frame (rows) for every row of ``axis`` (n, d), as
+    (n, d, d), completed by Gram-Schmidt in a fixed order: the row
+    normalized, then the standard basis vectors in order, each less its
+    projections on the rows found so far and normalized, unless under 1e-9
+    long, until d rows are found.  Every norm and projection is ``_dots``
+    of one row, so each frame has the bits the same steps give for that
+    axis alone."""
     n, d = axis.shape
     out = np.zeros((n, d, d))
     out[:, 0] = axis / np.sqrt(_dots(axis, axis))[:, None]
@@ -1369,12 +1278,13 @@ def glue_schedule(params: GrowthParameters, k: int) -> GlueSchedule:
 # ---------------------------------------------------------------------------
 
 
-def _facet_samples(region: GuardRegion, n: int, rng) -> np.ndarray:
-    """Quasi-dense samples on the boundary facets of an anchored G region:
+def _facet_samples(node: TubeTable, n: int, rng) -> np.ndarray:
+    """Quasi-dense samples on the boundary facets of the anchored G region
+    of row 0, the keep row, {g <= x_1 <= cut, |x_j| <= eps/3} in its frame:
     the entry cap x_1 = g and the lateral walls |x_j| = eps/3."""
-    d = region.d
-    g = region.g
-    w = region.eps / 3.0
+    d = node.d
+    g = g_threshold(node.eps[0], d)
+    w = node.eps[0] / 3.0
     pts_local = []
     m = max(n // (2 * (d - 1) + 1), 8)
     cap = rng.uniform(-w, w, size=(m, d))
@@ -1383,10 +1293,10 @@ def _facet_samples(region: GuardRegion, n: int, rng) -> np.ndarray:
     for j in range(1, d):
         for sgn in (-1.0, 1.0):
             wall = rng.uniform(-w, w, size=(m, d))
-            wall[:, 0] = rng.uniform(g, region.x1_max, size=m)
+            wall[:, 0] = rng.uniform(g, node.cut[0], size=m)
             wall[:, j] = sgn * w
             pts_local.append(wall)
-    return region.frame.from_local(np.vstack(pts_local))
+    return np.vstack(pts_local) @ node.rows[0] + node.origin[0]
 
 
 def _face_points(table: TubeTable, n_per_face: int, rng) -> np.ndarray:
@@ -1400,14 +1310,15 @@ def _face_points(table: TubeTable, n_per_face: int, rng) -> np.ndarray:
     innermost[count > 0] = table.guard_idx[table.guard_ptr[1:][count > 0] - 1]
     out = []
     for i in np.flatnonzero(innermost < table._first):
-        f = table.field(i)
-        r = 0.995 * f.eps / 2.0
+        r = 0.995 * table.eps[i] / 2.0
         loc = rng.uniform(-r, r, size=(n_per_face, d))
-        loc[:, 0] = f.cut
+        loc[:, 0] = table.cut[i]
         # y = m x + s in the row's chain coordinates, so x = m^T (y - s)
         m, s = table.chains[table.chain[i]]
-        out.append(f.frame.from_local(loc) @ m - m.T @ s)
+        out.append((loc @ table.rows[i] + table.origin[i]) @ m - m.T @ s)
     return np.vstack(out) if out else np.zeros((0, d))
+
+
 #: profile floor separating the solidly-alive part of the keep tube (where
 #: T - 1 >= 2^(-2d), attained at the anchor's wall corner) from the
 #: wall-suppressed sliver
@@ -1461,8 +1372,7 @@ def certify_dominance(node: TubeTable, n: int = 10_000, seed: int = 99) -> Domin
     keep profile against the branch."""
     rng = np.random.default_rng(seed)
     keep, branch = node.span(0, 1), node.span(1, len(node))
-    top = node.field(0)
-    G = _facet_samples(top.guard(), n, rng)
+    G = _facet_samples(node, n, rng)
     F = _face_points(branch, max(n // 8, 64), rng)
     # one batch each for the keep and the branch: a point's value does not
     # depend on the batch it comes in
@@ -1477,15 +1387,15 @@ def certify_dominance(node: TubeTable, n: int = 10_000, seed: int = 99) -> Domin
     solid_gap, solid_pt = NEG_INF, None
     face_seam, face_pt = NEG_INF, None
     if F.size:
-        profile = kf - top.log_amp
-        solid = np.isfinite(bf) & (profile >= _profile_floor(top.d))
+        profile = kf - node.log_amp[0]
+        solid = np.isfinite(bf) & (profile >= _profile_floor(node.d))
         if solid.any():
             g2 = bf[solid] - kf[solid]
             i = int(np.argmax(g2))
             solid_gap, solid_pt = float(g2[i]), F[solid][i]
         sliver = np.isfinite(bf) & ~solid
         if sliver.any():
-            g3 = bf[sliver] - top.log_amp
+            g3 = bf[sliver] - node.log_amp[0]
             i = int(np.argmax(g3))
             face_seam, face_pt = float(g3[i]), F[sliver][i]
     return DominanceReport(guard_gap, guard_pt, solid_gap, solid_pt,

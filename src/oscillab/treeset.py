@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import InvalidRegionError
-
 #: Leaf tube diameter; satisfies sqrt(d) * (2 eps_1)^(d-1) < 1/2 for d in {2, 3}.
 EPS1 = 0.125
 
@@ -154,29 +152,23 @@ def parse_growth(text: str, d: int) -> GrowthParameters:
 # ---------------------------------------------------------------------------
 
 
-def complete_frame(axis: np.ndarray) -> np.ndarray:
-    """Orthonormal frame (rows) with rows[0] = axis.
+def _distinct(a):
+    """Sorted distinct values of an integer array and each entry's index
+    among them (np.unique would import numpy.ma, a megabyte of memory)."""
+    order = np.argsort(a, kind="stable")
+    new = _run_heads(a[order])
+    where = np.empty(a.size, dtype=np.intp)
+    where[order] = np.cumsum(new) - 1
+    return a[order][new], where
 
-    Deterministic completion: Gram-Schmidt against the standard basis in
-    fixed order, skipping near-parallel candidates.
-    """
-    axis = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(axis)
-    if n == 0:
-        raise InvalidRegionError("zero direction vector")
-    rows = [axis / n]
-    d = axis.shape[0]
-    for i in range(d):
-        if len(rows) == d:
-            break
-        cand = np.zeros(d)
-        cand[i] = 1.0
-        for r in rows:
-            cand = cand - np.dot(cand, r) * r
-        nc = np.linalg.norm(cand)
-        if nc > 1e-9:
-            rows.append(cand / nc)
-    return np.asarray(rows)
+
+def _run_heads(a):
+    """Which entries of a differ from the one before them (the first
+    always does): the heads of its runs of equal values."""
+    head = np.empty(a.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
 
 
 def map_values(values, fn) -> np.ndarray:
@@ -184,14 +176,8 @@ def map_values(values, fn) -> np.ndarray:
     shape.  fn is called once per distinct bit pattern, so that 0.0 and
     -0.0 stay apart."""
     values = np.asarray(values, dtype=float)
-    bits = values.ravel().view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    ordered = bits[order]
-    new = np.ones(bits.size, dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    where = np.empty(bits.size, dtype=np.intp)
-    where[order] = np.cumsum(new) - 1
-    out = np.array([fn(v) for v in ordered[new].view(float).tolist()], dtype=object)
+    bits, where = _distinct(values.ravel().view(np.int64))
+    out = np.array([fn(v) for v in bits.view(float).tolist()], dtype=object)
     return out[where].reshape(values.shape)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LatticeCube, enumerate_basic_cubes
-from .subfun import BoxRows, TubeTable, _distinct
-from .treeset import GrowthParameters
+from .subfun import BoxRows, TubeTable, _dots, _frames
+from .treeset import GrowthParameters, _distinct
 
 EPS_D_DEFAULT = 0.25
 
@@ -277,23 +277,27 @@ def content_lower_projection(shape, axis: np.ndarray, samples: int = 256) -> flo
     axes.  ``shape`` implements line_hits(origins, direction) plus a
     bounding box.
     """
-    axis, frame, shadow_factor = _projection_axis(axis)
+    axis, frame, shadow_factor = _projection_axes(np.asarray(axis, dtype=float)[None])
     lo, hi = shape.bounds()
-    origins, cell = _projection_lines(frame[None], lo[None], hi[None], samples)
-    hits = shape.line_hits(origins[0], axis)
+    origins, cell = _projection_lines(frame, lo[None], hi[None], samples)
+    hits = shape.line_hits(origins[0], axis[0])
     # n samples certify at most n-1 cells of the shadow (conservative)
     count = max(0.0, float(np.sum(hits)) - 1.0)
-    return count * float(cell[0]) / shadow_factor
+    return count * float(cell[0]) / float(shadow_factor[0])
 
 
-def _projection_axis(axis):
-    """``axis`` as a projection takes it: the unit axis, its completed
-    frame (rows) and the shadow factor |axis|_1."""
-    from .treeset import complete_frame
+def _unit(v):
+    """The rows of v (n, d) over their lengths, each rounded as
+    ``v[i] / np.linalg.norm(v[i])``."""
+    return v / np.sqrt(_dots(v, v))[:, None]
 
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    return axis, complete_frame(axis), float(np.sum(np.abs(axis)))
+
+def _projection_axes(axes):
+    """The rows of ``axes`` (n, d) as a projection takes them: the unit
+    axes, their completed frames (n, d, d) and the shadow factors
+    |axis|_1."""
+    axes = _unit(axes)
+    return axes, _frames(axes), np.sum(np.abs(axes), axis=1)
 
 
 def _spaced(start, stop, num: int) -> np.ndarray:
@@ -503,11 +507,10 @@ def zero_set_projection(u, boxes: BoxRows, eps_d: float) -> np.ndarray:
             which = np.zeros(at.size, dtype=np.intp)
         else:
             rows, which = _distinct(boxes.near[boxes.near_ptr[at] + a - d])
-            ends = u.tube_b[rows] - u.tube_a[rows]
-            axes = [e / np.linalg.norm(e) for e in ends]
-        axis, frame, shadow = (np.array(v) for v in zip(*map(_projection_axis, axes)))
+            axes = _unit(u.tube_b[rows] - u.tube_a[rows])
+        axis, frame, shadow = _projection_axes(axes)
         # normalized once more, as ``ZeroSetInCube.line_hits`` takes it
-        direction = np.array([x / np.linalg.norm(x) for x in axis])
+        direction = _unit(axis)
         origins, cell = _projection_lines(frame[which], boxes.lo[at], boxes.hi[at],
                                           PROJECTION_SAMPLES)
         hits = zset.hits(at, origins, direction[which])

@@ -15,6 +15,11 @@ per branch (``junction_branch``, through ``Frame.along`` and
 ``np.linalg.norm``), the cells walked recursively, and the fields turned
 into columns at the end (``FieldRows``).  ``tree_rows`` takes the
 arguments of ``subfun._tree_rows``, so that it can stand in for it.
+``TubeField``, its ``Frame`` and its guard (``GuardRegion``) are the
+per-row record the package used before a row was only the columns of
+``subfun.TubeTable``, and ``complete_frame`` the one-axis frame
+completion before ``subfun._frames`` completed every axis of a batch at
+once; ``field(table, i)`` reads row i back as a ``TubeField``.
 
 A tube table is evaluated as it was before ``TubeTable`` evaluated the
 tiles of a batch in array passes: the batch split into a list of tiles,
@@ -49,6 +54,7 @@ import math
 
 import numpy as np
 
+from oscillab.geometry import InvalidRegionError
 from oscillab.subfun import (
     COVER_DEPTH,
     EXACT_BLOCK,
@@ -56,12 +62,9 @@ from oscillab.subfun import (
     PI,
     TILE,
     TILE_PAIRS,
-    Frame,
     TableBuilder,
-    TubeField,
     _affine,
     _column_bounds,
-    _distinct,
     _frame_coords,
     g_threshold,
     log_cosh,
@@ -69,13 +72,107 @@ from oscillab.subfun import (
     log_L_upper,
 )
 from oscillab.mainlemma import ContractionRow
-from oscillab.treeset import complete_frame
+from oscillab.treeset import _distinct
 from oscillab.verify import (
     LINE_STEPS,
     P1_STEP,
     PROJECTION_SAMPLES,
     OscillationReport,
 )
+
+
+def complete_frame(axis: np.ndarray) -> np.ndarray:
+    """Orthonormal frame (rows) with rows[0] = axis.
+
+    Deterministic completion: Gram-Schmidt against the standard basis in
+    fixed order, skipping near-parallel candidates.
+    """
+    axis = np.asarray(axis, dtype=float)
+    n = np.linalg.norm(axis)
+    if n == 0:
+        raise InvalidRegionError("zero direction vector")
+    rows = [axis / n]
+    d = axis.shape[0]
+    for i in range(d):
+        if len(rows) == d:
+            break
+        cand = np.zeros(d)
+        cand[i] = 1.0
+        for r in rows:
+            cand = cand - np.dot(cand, r) * r
+        nc = np.linalg.norm(cand)
+        if nc > 1e-9:
+            rows.append(cand / nc)
+    return np.asarray(rows)
+
+
+class Frame:
+    """Orthonormal frame: local = rows @ (x - origin)."""
+
+    def __init__(self, rows, origin):
+        self.rows = rows
+        self.origin = origin
+
+    @classmethod
+    def along(cls, origin, direction):
+        return cls(complete_frame(np.asarray(direction, dtype=float)),
+                   np.asarray(origin, dtype=float))
+
+    def to_local(self, X):
+        return (np.atleast_2d(X) - self.origin) @ self.rows.T
+
+    def from_local(self, L):
+        return np.atleast_2d(L) @ self.rows + self.origin
+
+
+class GuardRegion:
+    """Anchored one-sided copy of G_eps along a tube frame: the set
+    {g <= x_1 <= x1_max, |x_j| <= eps/3} in the frame's coordinates."""
+
+    def __init__(self, frame, eps, d, x1_max):
+        self.frame = frame
+        self.eps = eps
+        self.d = d
+        self.x1_max = x1_max
+        self.g = g_threshold(eps, d)
+
+    def contains(self, X):
+        loc = self.frame.to_local(X)
+        return (
+            (loc[:, 0] >= self.g)
+            & (loc[:, 0] <= self.x1_max)
+            & np.all(np.abs(loc[:, 1:]) <= self.eps / 3.0, axis=1)
+        )
+
+
+class TubeField:
+    """One row of a tube table: the branch profile exp(log_amp) L_eps in
+    the frame's coordinates, with support truncated at local x_1 = cut."""
+
+    def __init__(self, frame, eps, d, log_amp, cut, tag="branch", generation=0):
+        self.frame = frame
+        self.eps = eps
+        self.d = d
+        self.log_amp = float(log_amp)
+        self.cut = float(cut)
+        self.tag = tag
+        self.generation = generation
+        self.a = np.asarray(frame.origin, dtype=float)
+        self.b = frame.from_local(np.array([[self.cut] + [0.0] * (d - 1)]))[0]
+        # axis-aligned bounding box of the tube around [a, b]
+        r = eps / 2.0 * math.sqrt(d - 1)
+        self.box = np.minimum(self.a, self.b) - r, np.maximum(self.a, self.b) + r
+
+    def guard(self):
+        return GuardRegion(self.frame, self.eps, self.d, self.cut)
+
+
+def field(table, i):
+    """Row i of a tube table as a TubeField, in the coordinates of its
+    chain."""
+    return TubeField(Frame(table.rows[i], table.origin[i]), float(table.eps[i]), table.d,
+                     float(table.log_amp[i]), float(table.cut[i]), str(table.tag[i]),
+                     int(table.generation[i]))
 
 
 class FrozenTube:

@@ -51,10 +51,7 @@ ALLOWED = {
     "mainlemma.rho_cube": BENCH,
     "potential.ConvergenceError.__init__": ERROR,
     "potential.SphereShape.bounds": REFERENCE,
-    "subfun.Frame.along": REFERENCE,
-    "subfun.Frame.to_local": REFERENCE,
     "subfun.GuardConsistencyError.__init__": ERROR,
-    "subfun.GuardRegion.contains": REFERENCE,
     "subfun.TubeTable.upper_local": BENCH,
     "treeset.TreeSpec.from_json": CI,
     "verify.ZeroSetInCube.bounds": REFERENCE,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frozen_tubes import FieldRows
+from frozen_tubes import FieldRows, Frame, TubeField
 from oscillab import subfun
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -29,7 +29,7 @@ def layers(monkeypatch):
 
 def test_install_wraps_the_table_and_restore_puts_originals_back(layers):
     rows = FieldRows(2)
-    rows.add(subfun.TubeField(subfun.Frame.along([0.0, 0.5], [1.0, 0.0]), 4.0, 2, 0.0, 20.0))
+    rows.add(TubeField(Frame.along([0.0, 0.5], [1.0, 0.0]), 4.0, 2, 0.0, 20.0))
     table = rows.table()
     pts = np.array([[2.0, 0.5], [3.0, 0.25], [30.0, 0.5]])
     tracer = layers.Tracer()

@@ -11,7 +11,7 @@ from oscillab import subfun, verify
 from oscillab.cli import (CONFIG_ERRORS, EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK,
                           REFINE_EPS, RunConfig, _load_function, _parse_e_spec, grid_step,
                           main)
-from oscillab.mainlemma import RogueConfiguration
+from oscillab.mainlemma import RhoField, RogueConfiguration
 from oscillab.subfun import eval_T
 from oscillab.treeset import _GROWTH_RE, GrowthParameters, TreeSpec, parse_growth
 from oscillab.verify import EmptyDomainError, laplacian_refinement_study
@@ -532,6 +532,38 @@ class TestLemma:
         assert bound["phi_argmin"] is None
         assert doc["passed"]
 
+    @pytest.mark.parametrize("d, N, spec", [
+        (2, 2**30, "none"), (2, 2**30, "random:density=1.4"), (2, 2**30, "random:count=4"),
+        (2, 2**30, "file:"), (2, 2**30, "function:"), (3, 2**20, "random:count=4")])
+    def test_unaddressable_N_refused(self, built, tmp_path, capsys, d, N, spec):
+        # N^d float64 cells past numpy's index range, at the smallest such
+        # N: refused before E is drawn or read and before the function is
+        # built
+        cubes = tmp_path / "cubes.json"
+        cubes.write_text("[[0, 0]]")
+        spec += {"file:": str(cubes), "function:": str(built / "function.json")}.get(spec, "")
+        out = tmp_path / "out"
+        code = main(["lemma", "--d", str(d), "--N", str(N), "--E", spec, "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and f"--N {N}" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_of_memory(self, built, tmp_path, capsys, monkeypatch):
+        def compute(config):
+            raise MemoryError("Unable to allocate 32.0 GiB for an array")
+
+        monkeypatch.setattr(RhoField, "compute", staticmethod(compute))
+        function = str(built / "function.json")
+        code = main(["lemma", "--d", "2", "--N", "32", "--E", f"function:{function}",
+                     "--function", function, "--out", str(tmp_path)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "--N 32" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_determinism(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -612,6 +644,21 @@ class TestReport:
         assert err.startswith("configuration error") and "verify.json" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not (tmp_path / "report.json").exists()
+
+
+    @pytest.mark.parametrize("made", [False, True])
+    def test_nothing_to_report(self, tmp_path, capsys, made):
+        # a missing directory, or one that holds no tool report
+        out = tmp_path / "out"
+        if made:
+            out.mkdir()
+            (out / "tree.json").write_text("{}")
+        code = main(["report", "--out", str(out)])
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and str(out) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert out.exists() == made and not (out / "report.json").exists()
 
 
 class TestOptions:

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 import frozen_tubes
-from frozen_tubes import FieldRows, junction_branch, tubes_of
+from frozen_tubes import FieldRows, Frame, TubeField, junction_branch, tubes_of
 from oscillab import subfun
 from oscillab.cli import GUARD_SAMPLES
 from oscillab.treeset import GrowthParameters
 from oscillab.subfun import (
     EPS1,
-    Frame,
     TableBuilder,
-    TubeField,
     build_tau,
     build_u,
     eval_T,
@@ -25,6 +23,7 @@ from oscillab.subfun import (
     TILE_PAIRS,
     _COLUMNS,
     _best_first,
+    _frames,
 )
 from oscillab.verify import _box_samples, sup_on
 
@@ -387,7 +386,8 @@ def _guard_keeps(table, i):
 
 
 def reference_values(table, X, slack, guards=True):
-    """Brute-force evaluation of a table, row by row: the point mapped
+    """Brute-force evaluation of a table, row by row, each row read back
+    as a frozen ``TubeField`` (``frozen_tubes.field``): the point mapped
     through the row's chain and ``Frame.to_local``, the profile truncated
     at the cut, dropped (unless ``guards`` is false) where
     ``GuardRegion.contains`` puts it in one of the row's guards, and the
@@ -405,14 +405,14 @@ def reference_values(table, X, slack, guards=True):
 
     pad = 0.0 if slack is None else slack
     for i in range(len(table)):
-        f, Y = table.field(i), points(i)
+        f, Y = frozen_tubes.field(table, i), points(i)
         sel = np.flatnonzero(np.all((Y >= f.box[0] - pad) & (Y <= f.box[1] + pad), axis=1))
         loc = f.frame.to_local(Y[sel])
         if slack is None:
             vals = log_L_profile(f.eps, d, loc)
             vals[loc[:, 0] > f.cut] = -np.inf
             for k in _guard_keeps(table, i) if guards else ():
-                vals[table.field(k).guard().contains(points(k)[sel])] = -np.inf
+                vals[frozen_tubes.field(table, k).guard().contains(points(k)[sel])] = -np.inf
         else:
             vals = log_L_upper(f.eps, d, f.cut, loc, slack * math.sqrt(d))
         out[sel] = np.maximum(out[sel], vals + f.log_amp)
@@ -628,6 +628,32 @@ def ub3d4():
 @pytest.fixture
 def growth_builds(ub7, ub3d, ub3d4):
     return {(2, 7): ub7, (3, 3): ub3d, (3, 4): ub3d4}
+
+
+class TestFrames:
+    """``_frames`` completes every axis of a batch to the frame the frozen
+    one-axis ``complete_frame`` gives it, bit for bit."""
+
+    @staticmethod
+    def assert_frozen(axes):
+        want = np.array([frozen_tubes.complete_frame(a) for a in axes])
+        assert _frames(axes).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_random_and_special_axes(self, d):
+        rng = np.random.default_rng(40 + d)
+        eye = np.eye(d)
+        # near a coordinate axis a candidate is skipped as under 1e-9 long
+        axes = [eye, -eye, np.ones((1, d)), -np.ones((1, d)),
+                eye + 1e-12 * rng.standard_normal((d, d))]
+        axes += [scale * rng.standard_normal((1000, d)) for scale in (1e-3, 1.0, 1e3)]
+        self.assert_frozen(np.vstack(axes))
+
+    def test_tube_axes_of_builds(self, ub7, ub3d4):
+        # each row's axis in its chain's coordinates and in global ones
+        for built in (ub7, ub3d4):
+            t = built.node
+            self.assert_frozen(np.vstack([t.end - t.origin, t.tube_b - t.tube_a]))
 
 
 class TestMaxLog:

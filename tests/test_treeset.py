@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frozen_tubes import FrozenTube
-from oscillab.subfun import build_tau, build_u
+from oscillab.subfun import _frames, build_tau, build_u
 from oscillab.treeset import (
     EPS1,
     GrowthParameters,
@@ -17,7 +17,6 @@ from oscillab.treeset import (
     ParameterRangeError,
     TreeSpec,
     choose_s_k,
-    complete_frame,
     delta_k,
     parse_growth,
 )
@@ -253,7 +252,7 @@ class TestBuildTree:
 
 class TestTubeGeometry:
     def test_frame_orthonormal(self):
-        f = complete_frame(np.array([1.0, 1.0, -2.0]))
+        f = _frames(np.array([[1.0, 1.0, -2.0]]))[0]
         assert np.allclose(f @ f.T, np.eye(3), atol=1e-12)
 
     def test_contains_matches_definition(self):

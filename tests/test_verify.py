@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 import frozen_tubes
-from frozen_tubes import FieldRows
+from frozen_tubes import FieldRows, Frame, TubeField, complete_frame
 from slab_function import SlabOscillating
 from oscillab.cli import main
 from oscillab.geometry import LatticeCube, enumerate_basic_cubes
 from oscillab.potential import CellUnionShape, SegmentShape, SphereShape, default_claim_family
 from oscillab.mainlemma import RogueConfiguration
-from oscillab.subfun import (BoxRows, Frame, TableBuilder, TubeField, TubeTable,
-                             build_u, eval_T)
-from oscillab.treeset import GrowthParameters, complete_frame
+from oscillab.subfun import BoxRows, TableBuilder, TubeTable, build_u, eval_T
+from oscillab.treeset import GrowthParameters
 from oscillab.verify import (
     LINE_COARSE,
     LINE_STEPS,
@@ -310,8 +309,8 @@ class TestClassification:
     def test_wide_branch_cube_is_rogue(self, ub5):
         # a cube strictly inside the level-5 handle tube has empty zero set
         node = ub5.level_nodes[-1]
-        handle = node.field(0)  # the level's keep row
-        mid = node.anchored_tubes()[0][0] + 3.0 * handle.frame.rows[0]
+        # along the level's keep row
+        mid = node.anchored_tubes()[0][0] + 3.0 * node.rows[0, 0]
         corner = tuple(int(math.floor(v)) for v in mid)
         rep = classify_cube(node, LatticeCube(corner))
         assert rep.classification == "rogue"
@@ -843,7 +842,6 @@ class TestCovers:
 
     def test_accepts_the_wide_branch_cube(self, ub5):
         node = ub5.level_nodes[-1]
-        handle = node.field(0)
-        mid = node.anchored_tubes()[0][0] + 3.0 * handle.frame.rows[0]
+        mid = node.anchored_tubes()[0][0] + 3.0 * node.rows[0, 0]
         lo = np.floor(mid)
         assert _covers(node, lo, lo + 1.0)
